@@ -1,10 +1,10 @@
 """Per-(query, document) feature extraction over non-content evidence.
 
-Nineteen features spanning four evidence sources: the URL string, the link
-graph, the anchor texts and the capture metadata, plus a one-hot block for
-the query's entity type. Extraction is deterministic and reads only frozen
-context structures, so (query, document) pairs can be processed in
-parallel without coordination.
+Thirty-three features: eighteen spanning four evidence sources (the URL
+string, the link graph, the anchor texts and the capture metadata) plus a
+fifteen-column one-hot block for the query's entity type. Extraction is
+deterministic and reads only frozen context structures, so (query,
+document) pairs can be processed in parallel without coordination.
 """
 from __future__ import annotations
 

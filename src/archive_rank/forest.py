@@ -3,17 +3,14 @@ cross-validation with top-10 NDCG model selection, single-evidence
 baselines, and information-gain feature ranking.
 
 Training is deterministic: every tree derives its own generator from the
-master seed and its tree index, so serial and parallel builds agree bit for
-bit. Examples are canonically pre-sorted by (query_id, doc_id) before
-fitting, making training invariant to input order.
+master seed and its tree index. Examples are canonically pre-sorted by
+(query_id, doc_id) before fitting, making training invariant to input order.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,6 +69,7 @@ class _Tree:
     value: np.ndarray  # float64 node mean
 
     def predict_one(self, x: np.ndarray) -> float:
+        """Leaf value for one row; the reference for :meth:`leaf_values`."""
         node = 0
         feature = self.feature
         while feature[node] >= 0:
@@ -80,6 +78,17 @@ class _Tree:
             else:
                 node = self.right[node]
         return float(self.value[node])
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """Leaf value for every row of X, descending one level per step."""
+        node = np.zeros(len(X), dtype=np.intp)
+        rows = np.flatnonzero(self.feature[node] >= 0)
+        while len(rows):
+            at = node[rows]
+            go_left = X[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+            rows = rows[self.feature[node[rows]] >= 0]
+        return self.value[node]
 
 
 @dataclass
@@ -94,6 +103,7 @@ class Forest:
         return len(self.feature_names)
 
     def predict(self, vector) -> float:
+        """Score one feature vector (or bare value sequence)."""
         x = np.asarray(
             vector.values if isinstance(vector, FeatureVector) else vector,
             dtype=np.float64,
@@ -102,10 +112,21 @@ class Forest:
             raise ValueError(
                 f"expected {self.n_features} features, got {x.shape}"
             )
-        return float(np.mean([t.predict_one(x) for t in self.trees]))
+        return float(self.predict_matrix(x[None, :])[0])
 
-    def predict_many(self, vectors: Iterable) -> np.ndarray:
-        return np.array([self.predict(v) for v in vectors])
+    def predict_matrix(self, X) -> np.ndarray:
+        """Scores for the rows of X: the mean of the trees' leaf values."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(
+                f"expected rows of {self.n_features} features, got {X.shape}"
+            )
+        # rows x trees: a row's mean then sums its trees in the same order,
+        # and so to the same bits, as np.mean over the per-tree values
+        leaves = np.empty((len(X), len(self.trees)))
+        for k, tree in enumerate(self.trees):
+            leaves[:, k] = tree.leaf_values(X)
+        return leaves.mean(axis=1)
 
     def feature_importances(self) -> dict[str, float]:
         """Normalized variance-reduction totals accumulated while training."""
@@ -116,7 +137,7 @@ class Forest:
 
 class _TreeBuilder:
     """Stateless over builds: every call returns the tree plus its own
-    importance tally, so concurrent builds cannot interact."""
+    importance tally."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray, params: ForestParams, m_features: int):
         self.X = X
@@ -145,7 +166,7 @@ class _TreeBuilder:
                 else:
                     right[parent] = node_id
             ys = self.y[idx]
-            mean = float(ys.mean())
+            mean = float(ys.sum()) / len(idx)
             split = self._find_split(idx, ys, depth, rng)
             if split is None:
                 feature.append(-1)
@@ -176,59 +197,54 @@ class _TreeBuilder:
     def _find_split(
         self, idx: np.ndarray, ys: np.ndarray, depth: int, rng: np.random.Generator
     ) -> tuple[int, float, np.ndarray, float] | None:
+        """Best variance-reduction cut over a random feature subset, scored
+        for all candidates at once. Ties go to the first cut within a
+        feature, then to the first candidate in draw order."""
         n = len(idx)
         min_leaf = self.params.min_leaf
         if n < 2 * min_leaf:
             return None
         if self.params.max_depth is not None and depth >= self.params.max_depth:
             return None
-        if np.all(ys == ys[0]):
+        if (ys == ys[0]).all():
             return None
         n_features = self.X.shape[1]
         candidates = rng.choice(n_features, size=min(self.m, n_features), replace=False)
         total_sum = ys.sum()
         total_sq = float(ys @ ys)
         parent_sse = total_sq - total_sum * total_sum / n
-        best: tuple[float, int, float] | None = None  # (sse, feature, threshold)
-        for f in candidates:
-            xs = self.X[idx, f]
-            order = np.argsort(xs, kind="stable")
-            xs_sorted = xs[order]
-            ys_sorted = ys[order]
-            csum = np.cumsum(ys_sorted)
-            csq = np.cumsum(ys_sorted * ys_sorted)
-            pos = np.arange(min_leaf, n - min_leaf + 1)
-            if len(pos) == 0:
-                continue
-            distinct = xs_sorted[pos] > xs_sorted[pos - 1]
-            pos = pos[distinct]
-            if len(pos) == 0:
-                continue
-            left_n = pos.astype(np.float64)
-            left_sum = csum[pos - 1]
-            left_sq = csq[pos - 1]
-            sse = (
-                left_sq
-                - left_sum * left_sum / left_n
-                + (total_sq - left_sq)
-                - (total_sum - left_sum) ** 2 / (n - left_n)
-            )
-            i = int(np.argmin(sse))
-            candidate_sse = float(sse[i])
-            if best is None or candidate_sse < best[0]:
-                cut = pos[i]
-                thr = (xs_sorted[cut - 1] + xs_sorted[cut]) / 2.0
-                best = (candidate_sse, int(f), float(thr))
-        if best is None:
+        xs = self.X[idx[:, None], candidates]  # rows x candidates
+        order = xs.argsort(axis=0, kind="stable")
+        xs_sorted = xs[order, np.arange(len(candidates))]
+        ys_sorted = ys[order]
+        csum = ys_sorted.cumsum(axis=0)
+        csq = (ys_sorted * ys_sorted).cumsum(axis=0)
+        # a cut at position p puts the p smallest rows left, min_leaf <= p <= n - min_leaf
+        left_n = np.arange(min_leaf, n - min_leaf + 1, dtype=np.float64)[:, None]
+        left_sum = csum[min_leaf - 1 : n - min_leaf]
+        left_sq = csq[min_leaf - 1 : n - min_leaf]
+        sse = (
+            left_sq
+            - left_sum * left_sum / left_n
+            + (total_sq - left_sq)
+            - (total_sum - left_sum) ** 2 / (n - left_n)
+        )
+        upper = xs_sorted[min_leaf : n - min_leaf + 1]
+        lower = xs_sorted[min_leaf - 1 : n - min_leaf]
+        sse[~(upper > lower)] = np.inf  # no cut between equal values
+        column_sse = sse.min(axis=0)
+        j = int(column_sse.argmin())
+        if column_sse[j] == np.inf:
             return None
-        sse_best, f, thr = best
-        gain = parent_sse - sse_best
+        gain = parent_sse - float(column_sse[j])
         if gain <= 0.0:
             return None
-        mask = self.X[idx, f] <= thr
+        cut = int(sse[:, j].argmin())
+        thr = float((lower[cut, j] + upper[cut, j]) / 2.0)
+        mask = xs[:, j] <= thr
         if not mask.any() or mask.all():
             return None
-        return f, thr, mask, gain
+        return int(candidates[j]), thr, mask, gain
 
 
 def _canonical_order(vectors: Sequence[FeatureVector]) -> list[FeatureVector]:
@@ -239,14 +255,6 @@ def _as_arrays(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray
     X = np.array([v.values for v in vectors], dtype=np.float64)
     y = np.array([v.label for v in vectors], dtype=np.float64)
     return X, y
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ARCHIVE_RANK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _default_names(width: int, feature_names: tuple[str, ...] | None) -> tuple[str, ...]:
@@ -268,8 +276,7 @@ def train_forest(
 
     Each tree sees its own bootstrap sample and considers a per-node random
     feature subset, choosing the best variance-reduction split. Per-tree
-    seeds derive from (master seed, tree index); thread-parallel builds
-    (capped by ARCHIVE_RANK_THREADS) give identical forests to serial runs.
+    seeds derive from (master seed, tree index).
     """
     if len(examples) < 2:
         raise ValueError("need at least two training examples")
@@ -279,19 +286,12 @@ def train_forest(
     m = params.resolve_features_per_split(X.shape[1])
     builder = _TreeBuilder(X, y, params, m)
 
-    def build(tree_index: int) -> tuple[_Tree, np.ndarray]:
-        rng = np.random.default_rng(np.random.SeedSequence((params.seed, tree_index)))
-        return builder.build(rng)
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = list(pool.map(build, range(params.num_trees)))
-    else:
-        built = [build(i) for i in range(params.num_trees)]
-    trees = [tree for tree, _imp in built]
+    trees = []
     importance = np.zeros(X.shape[1])
-    for _tree, imp in built:  # summed in tree order: threaded == serial
+    for tree_index in range(params.num_trees):
+        rng = np.random.default_rng(np.random.SeedSequence((params.seed, tree_index)))
+        tree, imp = builder.build(rng)
+        trees.append(tree)
         importance += imp
     return Forest(trees, params, names, importance)
 
@@ -384,7 +384,8 @@ def _ndcg_by_query(model: Forest, held: Sequence[FeatureVector], cutoff: int) ->
         by_query.setdefault(vec.query_id, []).append(vec)
     out = {}
     for qid, vecs in by_query.items():
-        scores = {v.doc_id: model.predict(v) for v in vecs}
+        predicted = model.predict_matrix([v.values for v in vecs]).tolist()
+        scores = {v.doc_id: score for v, score in zip(vecs, predicted)}
         labels = {v.doc_id: v.label for v in vecs}
         run = RankedRun.from_scores(qid, scores, labels)
         out[qid] = ndcg_at_k(run, cutoff)

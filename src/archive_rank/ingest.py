@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import io
 import re
+import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import BinaryIO, Iterable, Iterator
@@ -135,6 +136,10 @@ def _open_stream(stream: BinaryIO) -> BinaryIO:
     return buffered
 
 
+# What a gzip reader raises on a member cut short or a garbage member.
+_DAMAGED_GZIP = (EOFError, gzip.BadGzipFile, zlib.error)
+
+
 class _LineReader:
     """Line reader with single-line pushback, for header resynchronization."""
 
@@ -211,10 +216,17 @@ def parse_warc_stream(stream: BinaryIO, stats: ParseStats | None = None) -> Iter
     Other record kinds (request, metadata, revisit, ...) are counted in
     ``stats.skipped``. Malformed or truncated records increment
     ``stats.corrupt`` and the stream resynchronizes on the next record
-    marker. Single pass; memory bounded by the largest record.
+    marker. A damaged gzip tail ends the stream as one corrupt record.
+    Single pass; memory bounded by the largest record.
     """
     stats = stats if stats is not None else ParseStats()
-    reader = _LineReader(_open_stream(stream))
+    try:
+        yield from _warc_records(_LineReader(_open_stream(stream)), stats)
+    except _DAMAGED_GZIP:
+        stats.corrupt += 1
+
+
+def _warc_records(reader: _LineReader, stats: ParseStats) -> Iterator[ArchiveRecord]:
     while True:
         line = reader.readline()
         if not line:
@@ -310,10 +322,17 @@ def parse_arc_stream(stream: BinaryIO, stats: ParseStats | None = None) -> Itera
     The leading ``filedesc`` record is counted as skipped. A header with
     fewer than five fields, or a length field that disagrees with the
     actual record boundary, marks the record corrupt and the reader
-    resumes at the next well-formed header line.
+    resumes at the next well-formed header line. A damaged gzip tail ends
+    the stream as one corrupt record.
     """
     stats = stats if stats is not None else ParseStats()
-    reader = _LineReader(_open_stream(stream))
+    try:
+        yield from _arc_records(_LineReader(_open_stream(stream)), stats)
+    except _DAMAGED_GZIP:
+        stats.corrupt += 1
+
+
+def _arc_records(reader: _LineReader, stats: ParseStats) -> Iterator[ArchiveRecord]:
     in_bad_run = False
     while True:
         line = reader.readline()

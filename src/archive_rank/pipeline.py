@@ -226,10 +226,16 @@ def derive_seed(master: int, salt: str) -> int:
 
 
 def _atomic_write(path: Path, writer) -> None:
+    """Write through ``<name>.tmp`` and rename; a failed write leaves
+    neither a partial file nor the temporary behind."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        writer(fh)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            writer(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _sha256_file(path: Path) -> str:
@@ -637,10 +643,10 @@ def _label_for(cfg: RunConfig, labels, qid: int, doc: str) -> float | None:
 def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     vectors = _read_vectors(run_dir)
     labels = _read_labels(run_dir)
-    pool = _read_pool(run_dir)
+    pooled_docs = {qid: set(docs) for qid, docs in _read_pool(run_dir).items()}
     training = []
     for vec in vectors:
-        if vec.doc_id not in set(pool.get(vec.query_id, ())):
+        if vec.doc_id not in pooled_docs.get(vec.query_id, ()):
             continue
         label = _label_for(cfg, labels, vec.query_id, vec.doc_id)
         if label is None:
@@ -678,6 +684,17 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     pool = _read_pool(run_dir)
     ctx = _build_context(cfg, run_dir)
     queries = {q.query_id: q for q in _load_queries(cfg)}
+    pooled = [
+        vectors[(qid, doc)]
+        for qid in sorted(pool)
+        if qid in queries
+        for doc in pool[qid]
+        if (qid, doc) in vectors
+    ]
+    rf_scores: dict[tuple[int, str], float] = {}
+    if pooled:
+        predicted = forest.predict_matrix([v.values for v in pooled]).tolist()
+        rf_scores = {(v.query_id, v.doc_id): score for v, score in zip(pooled, predicted)}
     lines: list[str] = []
     rows = 0
     for system in SYSTEMS:
@@ -691,7 +708,7 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
                 if vec is None:
                     continue
                 if system == "rf":
-                    scores[doc] = forest.predict(vec)
+                    scores[doc] = rf_scores[(qid, doc)]
                 else:
                     scores[doc] = baseline_score(system, query, doc, ctx)
             ordered = sorted(scores, key=lambda d: (-scores[d], d))

@@ -1,6 +1,6 @@
+import hashlib
 import io
 import math
-import os
 
 import numpy as np
 import pytest
@@ -35,6 +35,20 @@ def one_dim_vectors(n=60, threshold=5.0, seed=0, n_queries=6):
     out = []
     for i, x in enumerate(xs):
         out.append(vec(i % n_queries + 1, f"http://d{i:03d}.de/", 1.0 if x > threshold else 0.0, [x]))
+    return out
+
+
+def golden_vectors():
+    """Four features with many duplicate values; the first two columns are
+    equal, so their splits tie on squared error."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for i in range(48):
+        a = float(i % 5)
+        b = float((i * 7) % 3)
+        c = float(np.round(rng.uniform(0, 2), 1))
+        label = float((i % 5 in (0, 4)) + 0.5 * (i % 3 == 0))
+        out.append(vec(i % 6 + 1, f"http://d{i:02d}.de/", label, [a, a, b, c]))
     return out
 
 
@@ -79,18 +93,34 @@ class TestTrainForest:
         write_forest(train_forest(vectors, params, ("x",)), buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
 
-    def test_threaded_training_matches_serial(self):
-        vectors = one_dim_vectors(seed=6)
-        params = ForestParams(num_trees=12, seed=9)
-        serial_buf = io.StringIO()
-        write_forest(train_forest(vectors, params, ("x",)), serial_buf)
-        os.environ["ARCHIVE_RANK_THREADS"] = "4"
-        try:
-            threaded_buf = io.StringIO()
-            write_forest(train_forest(vectors, params, ("x",)), threaded_buf)
-        finally:
-            del os.environ["ARCHIVE_RANK_THREADS"]
-        assert serial_buf.getvalue() == threaded_buf.getvalue()
+    @pytest.mark.parametrize(
+        "params, digest",
+        [
+            (
+                ForestParams(num_trees=12, seed=7),
+                "4ccad010d8da4051964e198e63efa8cab66f3dae29ea4682bbc32b2c5c9999d5",
+            ),
+            (
+                ForestParams(
+                    num_trees=12,
+                    seed=8,
+                    min_leaf=3,
+                    features_per_split="third",
+                    bootstrap_fraction=0.75,
+                    max_depth=4,
+                ),
+                "fb713264c583d0e6e999ecbd2de4377ff7793421573a63b70fd092f769234a66",
+            ),
+        ],
+        ids=["defaults", "shallow-third"],
+    )
+    def test_golden_forest_bytes(self, params, digest):
+        """Pins the serialized forest, split tie-breaks included: the first
+        cut within a feature, then the first candidate feature drawn. The
+        digests were taken from the per-feature loop implementation."""
+        buf = io.StringIO()
+        write_forest(train_forest(golden_vectors(), params, ("a", "a_copy", "b", "c")), buf)
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
 
     def test_training_invariant_to_example_order(self):
         vectors = one_dim_vectors(seed=7)
@@ -146,6 +176,22 @@ class TestPredict:
         forest = train_forest(vectors, ForestParams(num_trees=2, seed=0), ("x",))
         with pytest.raises(ValueError):
             forest.predict([1.0, 2.0])
+        with pytest.raises(ValueError):
+            forest.predict_matrix([1.0, 2.0])
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_predict_matrix_equals_row_predictions(self, min_leaf):
+        vectors = golden_vectors()
+        forest = train_forest(
+            vectors, ForestParams(num_trees=25, seed=6, min_leaf=min_leaf), ("a", "a_copy", "b", "c")
+        )
+        rng = np.random.default_rng(1)
+        X = np.vstack([[v.values for v in vectors], rng.uniform(-1, 5, size=(30, 4))])
+        scores = forest.predict_matrix(X)
+        assert scores.shape == (len(X),)
+        for i, x in enumerate(X):
+            reference = float(np.mean([t.predict_one(x) for t in forest.trees]))
+            assert scores[i] == forest.predict(x) == reference
 
 
 class TestCrossValidate:

@@ -1,9 +1,14 @@
 import gzip
 import io
+import json
+import shutil
 import tracemalloc
+import zlib
 
+import pytest
 from hypothesis import given, strategies as st
 
+from archive_rank.cli import main
 from archive_rank.ingest import (
     ANCHOR_TEXT_CAP,
     LINK_PATTERNS,
@@ -23,6 +28,7 @@ from archive_rank.ingest import (
 from archive_rank.synthetic import (
     arc_file_bytes,
     arc_record_bytes,
+    make_synthetic_archive,
     warc_file_bytes,
     warc_record_bytes,
 )
@@ -151,6 +157,90 @@ class TestArc:
         records, stats = parse_arc(arc_file_bytes(recs, per_record_gzip=True))
         assert len(records) == 3
         assert stats.total == 4
+
+
+def complete_members(data: bytes) -> bytes:
+    """The leading gzip members of ``data`` that inflate to their end."""
+    end = 0
+    while end < len(data):
+        decomp = zlib.decompressobj(wbits=31)
+        try:
+            decomp.decompress(data[end:])
+        except zlib.error:
+            break
+        if not decomp.eof:
+            break
+        end = len(data) - len(decomp.unused_data)
+    return data[:end]
+
+
+BOGUS_MEMBERS = {
+    "no-magic": b"this is not a gzip member\n",
+    "garbage-deflate": b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff" + b"\xff" * 40,
+}
+
+
+@pytest.fixture(scope="module")
+def mini_corpus(tmp_path_factory):
+    return make_synthetic_archive(
+        tmp_path_factory.mktemp("mini-corpus"),
+        num_queries=6,
+        good_per_query=5,
+        chaff_per_query=8,
+        spam_per_query=2,
+        boosted_per_query=2,
+        sources=40,
+        feeder_inlinks=25,
+        filler_docs=60,
+        rf_num_trees=4,
+        per_partition=(1, 3),
+        seed=3,
+    )
+
+
+class TestDamagedGzip:
+    """A container cut mid-member or ending in a garbage member: the damaged
+    tail counts as one corrupt record and every record before it is kept."""
+
+    def test_halved_warc_keeps_complete_members(self, mini_corpus):
+        data = (mini_corpus.root / "archives" / "part-a.warc.gz").read_bytes()
+        cut = data[: len(data) // 2]
+        intact = complete_members(cut)
+        assert 0 < len(intact) < len(cut)
+        records, stats = parse_warc(cut)
+        expected, expected_stats = parse_warc(intact)
+        assert expected
+        assert [(r.target_uri, r.capture_time) for r in records] == [
+            (r.target_uri, r.capture_time) for r in expected
+        ]
+        assert stats.corrupt == expected_stats.corrupt + 1
+        assert stats.skipped == expected_stats.skipped
+
+    @pytest.mark.parametrize("bogus", sorted(BOGUS_MEMBERS))
+    def test_bogus_member_after_arc_keeps_every_record(self, mini_corpus, bogus):
+        data = (mini_corpus.root / "archives" / "part-c.arc.gz").read_bytes()
+        records, stats = parse_arc(data + BOGUS_MEMBERS[bogus])
+        expected, expected_stats = parse_arc(data)
+        assert expected
+        assert [r.target_uri for r in records] == [r.target_uri for r in expected]
+        assert stats.corrupt == expected_stats.corrupt + 1
+
+    def test_ingest_exits_zero_and_counts_the_tails(self, mini_corpus, tmp_path, capsys):
+        damaged = tmp_path / "corpus"
+        shutil.copytree(mini_corpus.root, damaged)
+        part_a = damaged / "archives" / "part-a.warc.gz"
+        part_a.write_bytes(part_a.read_bytes()[: part_a.stat().st_size // 2])
+        part_c = damaged / "archives" / "part-c.arc.gz"
+        part_c.write_bytes(part_c.read_bytes() + BOGUS_MEMBERS["garbage-deflate"])
+        counts = {}
+        for name, root in (("intact", mini_corpus.root), ("damaged", damaged)):
+            run_dir = tmp_path / name
+            rc = main(["ingest", "--config", str(root / "config.txt"), "--run-dir", str(run_dir)])
+            assert rc == 0, capsys.readouterr().err
+            manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+            counts[name] = manifest["stages"][-1]["row_counts"]
+        assert counts["damaged"]["corrupt"] == counts["intact"]["corrupt"] + 2
+        assert 0 < counts["damaged"]["revisions"] < counts["intact"]["revisions"]
 
 
 FOURTEEN_PATTERN_HTML = b"""

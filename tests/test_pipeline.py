@@ -8,6 +8,7 @@ from archive_rank.pipeline import (
     STAGE_ORDER,
     ConfigError,
     MissingStageError,
+    _atomic_write,
     derive_seed,
     load_config,
     run_stage,
@@ -156,6 +157,20 @@ class TestFullPipeline:
 
     def test_no_temp_files_left_behind(self, finished_run):
         assert not list(Path(finished_run).glob("*.tmp"))
+
+
+def test_failed_write_keeps_old_file_and_removes_temp(tmp_path):
+    target = tmp_path / "forest.txt"
+    target.write_text("old\n", encoding="utf-8")
+
+    def failing_writer(fh):
+        fh.write("partial")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        _atomic_write(target, failing_writer)
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["forest.txt"]
 
 
 class TestCli:
