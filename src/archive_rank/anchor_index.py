@@ -15,8 +15,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .ingest import LinkRecord, RevisionRecord, _escape, _unescape, filter_content_links
-from .urls import SuffixTable, UrlError, core_url_str, domain_of, normalize
+from .ingest import STRATEGY_ALL, STRATEGY_UNIQUE_PER_REVISION  # link strategies, re-exported
+from .ingest import LinkRecord, RevisionRecord, _escape, _unescape, content_links
+from .urls import SuffixTable, domain_of, normalize
 
 __all__ = [
     "STRATEGY_UNIQUE_PER_REVISION",
@@ -34,9 +35,6 @@ __all__ = [
     "write_index",
     "read_index",
 ]
-
-STRATEGY_UNIQUE_PER_REVISION = "unique_per_revision"
-STRATEGY_ALL = "all"
 
 # Surrogates for very popular targets can explode; cap mirrors the indexing
 # storage limit the anchor representation has to live under.
@@ -88,31 +86,18 @@ def build_surrogates(
 
     Only archived targets (those with at least one revision) are indexed,
     and targets without a single anchor instance are excluded; they stay
-    reachable through the revision records themselves. Under the
-    per-revision strategy, identical (source revision, target, anchor)
-    tuples collapse to one instance.
+    reachable through the revision records themselves. Links are
+    deduplicated by ``strategy`` (see :func:`archive_rank.ingest.content_links`).
     """
-    if strategy not in (STRATEGY_UNIQUE_PER_REVISION, STRATEGY_ALL):
-        raise ValueError(f"unknown strategy: {strategy!r}")
+    links = content_links(links, strategy)
     times: dict[str, set[int]] = defaultdict(set)
     for rev in revisions:
         times[rev.core_url].add(rev.capture_time)
 
     instances: dict[str, list[tuple[str, int]]] = defaultdict(list)
-    seen: set[tuple[str, int, str, str]] = set()
-    for link in filter_content_links(links):
-        try:
-            target = core_url_str(link.target_url)
-        except UrlError:
-            continue
-        if target not in times:
-            continue
-        if strategy == STRATEGY_UNIQUE_PER_REVISION:
-            key = (link.source_full_url, link.source_capture_time, target, link.anchor_text)
-            if key in seen:
-                continue
-            seen.add(key)
-        instances[target].append((link.anchor_text, link.source_capture_time))
+    for link in links:
+        if link.target in times:
+            instances[link.target].append((link.anchor_text, link.capture_time))
 
     surrogates: dict[str, SurrogateDocument] = {}
     for target in sorted(instances):
@@ -203,16 +188,14 @@ def anchor_distribution(
     """
     pairs: list[tuple[int, str, str, str]] = []  # (year-or-0, anchor, target, domain)
     members: dict[str, set[str]] = defaultdict(set)
-    for link in filter_content_links(links):
-        try:
-            n = normalize(link.target_url)
-            target = core_url_str(link.target_url)
-        except UrlError:
-            continue
-        domain = domain_of(n, suffixes)
-        members[domain].add(target)
-        year = _year_of(link.source_capture_time) if group_by_year else 0
-        pairs.append((year, link.anchor_text, target, domain))
+    domains: dict[str, str] = {}
+    for link in content_links(links, STRATEGY_ALL):
+        if link.target not in domains:
+            domains[link.target] = domain_of(normalize(link.target), suffixes)
+        domain = domains[link.target]
+        members[domain].add(link.target)
+        year = _year_of(link.capture_time) if group_by_year else 0
+        pairs.append((year, link.anchor_text, link.target, domain))
 
     keep: set[str] | None = None
     if top_n_domains is not None:

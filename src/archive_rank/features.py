@@ -8,7 +8,7 @@ document) pairs can be processed in parallel without coordination.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -20,8 +20,8 @@ from .anchor_index import (
     term_stats,
     tokenize_text,
 )
-from .ingest import LinkRecord, RevisionRecord, filter_content_links
-from .urls import SuffixTable, UrlError, core_url_str, normalize, tokenize_url, url_depth
+from .ingest import STRATEGY_UNIQUE_PER_REVISION, LinkRecord, RevisionRecord, content_links
+from .urls import normalize, tokenize_url, url_depth
 
 __all__ = [
     "ENTITY_TYPES",
@@ -181,8 +181,7 @@ class FeatureContext:
         domain_rank: dict[str, float] | None = None,
         news_domains: Iterable[str] = (),
         search_words: Iterable[str] | None = None,
-        suffixes: SuffixTable | None = None,
-        inlink_dedup: str = "unique_per_revision",
+        inlink_dedup: str = STRATEGY_UNIQUE_PER_REVISION,
         bm25_k1: float = 1.2,
         bm25_b: float = 0.75,
     ) -> "FeatureContext":
@@ -203,20 +202,7 @@ class FeatureContext:
             if core not in url_tokens:
                 url_tokens[core] = tuple(tokenize_url(normalize(core)))
 
-        inlinks: dict[str, int] = defaultdict(int)
-        seen: set[tuple[str, int, str, str]] = set()
-        for link in filter_content_links(links):
-            try:
-                target = core_url_str(link.target_url)
-            except UrlError:
-                continue
-            if inlink_dedup == "unique_per_revision":
-                key = (link.source_full_url, link.source_capture_time, target, link.anchor_text)
-                if key in seen:
-                    continue
-                seen.add(key)
-            inlinks[target] += 1
-
+        inlinks = Counter(link.target for link in content_links(links, inlink_dedup))
         if search_words is None:
             plain = DEFAULT_SEARCH_WORDS
             substrings = DEFAULT_SEARCH_SUBSTRINGS

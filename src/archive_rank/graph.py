@@ -12,7 +12,7 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy import sparse
 
-from .ingest import LinkRecord
+from .ingest import STRATEGY_ALL, LinkRecord, content_links
 from .urls import core_url_str
 
 __all__ = [
@@ -25,12 +25,11 @@ __all__ = [
     "pagerank",
     "write_graph",
     "read_graph",
+    "read_nodes",
     "write_ranks",
     "read_ranks",
+    "read_rank_map",
 ]
-
-DEDUP_UNIQUE = "unique_per_revision"
-DEDUP_ALL = "all"
 
 
 class GraphError(ValueError):
@@ -58,10 +57,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.src)
 
-    def id_of(self, name: str) -> int | None:
-        ids = self.ids
-        return ids.get(name)
-
     @property
     def ids(self) -> dict[str, int]:
         cached = self.__dict__.get("_ids")
@@ -75,15 +70,16 @@ class Graph:
         """Build from (source, target) name pairs; parallel edges collapse,
         self-loops drop, node ids are assigned in sorted-name order."""
         pairs = {(s, t) for s, t in edges if s != t}
-        names = sorted({n for pair in pairs for n in pair})
+        return cls.from_pairs({n for pair in pairs for n in pair}, pairs)
+
+    @classmethod
+    def from_pairs(cls, names: Iterable[str], pairs: set[tuple[str, str]]) -> "Graph":
+        """Build from node names and a set of (source, target) name pairs;
+        node ids are assigned in sorted-name order."""
+        names = sorted(set(names))
         ids = {n: i for i, n in enumerate(names)}
-        if pairs:
-            arr = np.array(sorted((ids[s], ids[t]) for s, t in pairs), dtype=np.int64)
-            src, dst = arr[:, 0].copy(), arr[:, 1].copy()
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        return cls(tuple(names), src, dst)
+        arr = np.array(sorted((ids[s], ids[t]) for s, t in pairs), dtype=np.int64).reshape(-1, 2)
+        return cls(tuple(names), arr[:, 0].copy(), arr[:, 1].copy())
 
 
 @dataclass(frozen=True)
@@ -98,51 +94,22 @@ class RankVector:
 
 def build_page_graph(links: Iterable[LinkRecord]) -> Graph:
     """Graph over core URLs of content-link sources and targets."""
-    edges = (
-        (core_url_str(link.source_full_url), core_url_str(link.target_url))
-        for link in links
-    )
-    return Graph.from_edges(edges)
+    return Graph.from_edges((link.source, link.target) for link in content_links(links, STRATEGY_ALL))
 
 
 def project_domain_graph(g: Graph, domain_fn: Callable[[str], str]) -> Graph:
     """Collapse page nodes to domains; intra-domain edges are dropped but
     every domain keeps a node, even when all its edges were internal."""
     domains = [domain_fn(name) for name in g.names]
-    pairs = set()
-    for s, t in zip(g.src, g.dst):
-        ds, dt = domains[s], domains[t]
-        if ds != dt:
-            pairs.add((ds, dt))
-    names = sorted(set(domains))
-    ids = {n: i for i, n in enumerate(names)}
-    if pairs:
-        arr = np.array(sorted((ids[s], ids[t]) for s, t in pairs), dtype=np.int64)
-        src, dst = arr[:, 0].copy(), arr[:, 1].copy()
-    else:
-        src = np.empty(0, dtype=np.int64)
-        dst = np.empty(0, dtype=np.int64)
-    return Graph(tuple(names), src, dst)
+    pairs = {(domains[s], domains[t]) for s, t in zip(g.src, g.dst) if domains[s] != domains[t]}
+    return Graph.from_pairs(domains, pairs)
 
 
-def inlink_count(links: Iterable[LinkRecord], doc: str, dedup: str = DEDUP_ALL) -> int:
-    """Number of content links pointing at ``doc`` (a core URL).
-
-    ``all`` counts every record; ``unique_per_revision`` collapses repeats
-    of the same (source revision, target, anchor) tuple, mirroring the
-    per-revision surrogate dedup strategy.
-    """
+def inlink_count(links: Iterable[LinkRecord], doc: str, dedup: str = STRATEGY_ALL) -> int:
+    """Number of content links pointing at ``doc`` (a core URL), after the
+    ``dedup`` strategy of :func:`archive_rank.ingest.content_links`."""
     target = core_url_str(doc)
-    if dedup == DEDUP_ALL:
-        return sum(1 for link in links if core_url_str(link.target_url) == target)
-    if dedup == DEDUP_UNIQUE:
-        seen = {
-            (link.source_full_url, link.source_capture_time, link.anchor_text)
-            for link in links
-            if core_url_str(link.target_url) == target
-        }
-        return len(seen)
-    raise ValueError(f"unknown dedup mode: {dedup!r}")
+    return sum(1 for link in content_links(links, dedup) if link.target == target)
 
 
 def pagerank(
@@ -200,14 +167,16 @@ def read_graph(graph_fh, nodes_fh) -> Graph:
     for i in range(n_edges):
         a, b = graph_fh.readline().split()
         src[i], dst[i] = int(a), int(b)
-    names: list[str] = [""] * n_nodes
-    for line in nodes_fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        idx, name = line.split("\t", 1)
-        names[int(idx)] = name
-    return Graph(tuple(names), src, dst)
+    names = read_nodes(nodes_fh)
+    if len(names) != n_nodes:
+        raise GraphError(f"graph header names {n_nodes} nodes, the nodes file {len(names)}")
+    return Graph(names, src, dst)
+
+
+def read_nodes(fh) -> tuple[str, ...]:
+    """Node names in id order, as :func:`write_graph` writes them."""
+    rows = (line.rstrip("\n").split("\t", 1) for line in fh if line.strip())
+    return tuple(name for _idx, name in rows)
 
 
 def write_ranks(rank: RankVector, fh) -> None:
@@ -218,3 +187,8 @@ def write_ranks(rank: RankVector, fh) -> None:
 def read_ranks(fh) -> np.ndarray:
     scores = [float(line.split()[1]) for line in fh if line.strip()]
     return np.array(scores, dtype=np.float64)
+
+
+def read_rank_map(nodes_fh, ranks_fh) -> dict[str, float]:
+    """Score by node name, from a nodes file and its rank file."""
+    return dict(zip(read_nodes(nodes_fh), read_ranks(ranks_fh).tolist()))

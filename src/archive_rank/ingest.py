@@ -14,15 +14,19 @@ import re
 import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 from urllib.parse import urljoin
 
-from .urls import SuffixTable, UrlError, core_url, domain_of, normalize
+from .urls import SuffixTable, UrlError, core_url, core_url_str, domain_of, normalize
 
 __all__ = [
     "ArchiveRecord",
     "RevisionRecord",
     "LinkRecord",
+    "ContentLink",
+    "STRATEGY_UNIQUE_PER_REVISION",
+    "STRATEGY_ALL",
+    "STRATEGIES",
     "ParseStats",
     "LinkExtraction",
     "LINK_PATTERNS",
@@ -32,6 +36,7 @@ __all__ = [
     "parse_arc_stream",
     "extract_links",
     "filter_content_links",
+    "content_links",
     "revision_from_record",
     "write_revisions_tsv",
     "read_revisions_tsv",
@@ -98,6 +103,56 @@ class LinkRecord:
     target_url: str
     tag_pattern: str
     anchor_text: str = ""
+
+
+# Link dedup strategies: keep one link per (source revision, target core
+# URL, anchor text), or keep every link.
+STRATEGY_UNIQUE_PER_REVISION = "unique_per_revision"
+STRATEGY_ALL = "all"
+STRATEGIES = (STRATEGY_UNIQUE_PER_REVISION, STRATEGY_ALL)
+
+
+class ContentLink(NamedTuple):
+    """A content link with both ends resolved to core URLs."""
+
+    source: str
+    target: str
+    capture_time: int
+    anchor_text: str
+
+
+def content_links(links: Iterable[LinkRecord], strategy: str) -> list[ContentLink]:
+    """The ``A/href`` links, in order, with both ends resolved to core URLs.
+
+    Each distinct URL string is resolved once per call; a link with an end
+    that does not parse is dropped. Under ``unique_per_revision`` repeats of
+    one (source revision, target core URL, anchor text) keep the first.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy: {strategy!r}")
+    cores: dict[str, str | None] = {}
+
+    def resolve(url: str) -> str | None:
+        if url not in cores:
+            try:
+                cores[url] = core_url_str(url)
+            except UrlError:
+                cores[url] = None
+        return cores[url]
+
+    out: list[ContentLink] = []
+    seen: set[tuple[str, int, str, str]] = set()
+    for link in filter_content_links(links):
+        source, target = resolve(link.source_full_url), resolve(link.target_url)
+        if source is None or target is None:
+            continue
+        if strategy == STRATEGY_UNIQUE_PER_REVISION:
+            key = (link.source_full_url, link.source_capture_time, target, link.anchor_text)
+            if key in seen:
+                continue
+            seen.add(key)
+        out.append(ContentLink(source, target, link.source_capture_time, link.anchor_text))
+    return out
 
 
 @dataclass

@@ -27,6 +27,7 @@ __all__ = [
     "intersect_with_index",
     "soft_label",
     "cohen_kappa",
+    "pairwise_kappas",
     "average_pairwise_kappa",
     "stratified_sample",
     "pool_with_positives",
@@ -135,24 +136,30 @@ def cohen_kappa(a, b) -> float:
     return (observed - expected) / (1.0 - expected)
 
 
-def average_pairwise_kappa(judgments: Mapping[str, Mapping[str, int]]) -> float:
-    """Unweighted mean of Cohen's kappa over all assessor pairs, each pair
-    computed on their common items."""
-    assessors = sorted(judgments)
-    if len(assessors) < 2:
-        raise ValueError("need at least two assessors")
-    kappas = []
-    for left, right in combinations(assessors, 2):
+def pairwise_kappas(judgments: Mapping[str, Mapping[str, int]]) -> dict[tuple[str, str], float]:
+    """Cohen's kappa of each assessor pair (in sorted order) on their common
+    items; a pair with no common item is left out."""
+    kappas = {}
+    for left, right in combinations(sorted(judgments), 2):
         common = sorted(set(judgments[left]) & set(judgments[right]))
-        if not common:
-            raise ValueError(f"assessors {left!r} and {right!r} share no items")
-        kappas.append(
-            cohen_kappa(
+        if common:
+            kappas[(left, right)] = cohen_kappa(
                 {i: judgments[left][i] for i in common},
                 {i: judgments[right][i] for i in common},
             )
-        )
-    return float(np.mean(kappas))
+    return kappas
+
+
+def average_pairwise_kappa(judgments: Mapping[str, Mapping[str, int]]) -> float:
+    """Unweighted mean of Cohen's kappa over all assessor pairs, each pair
+    computed on their common items."""
+    if len(judgments) < 2:
+        raise ValueError("need at least two assessors")
+    kappas = pairwise_kappas(judgments)
+    for left, right in combinations(sorted(judgments), 2):
+        if (left, right) not in kappas:
+            raise ValueError(f"assessors {left!r} and {right!r} share no items")
+    return float(np.mean(list(kappas.values())))
 
 
 def stratified_sample(

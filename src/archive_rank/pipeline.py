@@ -48,7 +48,7 @@ from .metrics import (
     paired_significance,
     precision_at_k,
 )
-from .urls import SuffixTable
+from .urls import SuffixTable, UrlError, domain_of, normalize
 
 __all__ = [
     "ConfigError",
@@ -107,6 +107,10 @@ _REQUIRES: dict[str, tuple[tuple[str, str], ...]] = {
 _ARCHIVE_SUFFIXES = (".warc", ".warc.gz", ".arc", ".arc.gz")
 SYSTEMS = BASELINES + ("rf",)
 
+# enumerated config keys -> accepted values, the default first
+_CHOICES = {"index.strategy": ingest.STRATEGIES, "label.strategy": ("soft", "manual")}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
 
 class ConfigError(ValueError):
     """Configuration or sequencing problem; maps to exit status 1."""
@@ -150,7 +154,16 @@ class RunConfig:
         raw = self.values.get(key)
         if raw is None:
             return default
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        if raw.strip().lower() not in _TRUE + _FALSE:
+            raise ConfigError(f"{key} must be one of {', '.join(_TRUE + _FALSE)}, got {raw!r}")
+        return raw.strip().lower() in _TRUE
+
+    def get_choice(self, key: str) -> str:
+        """Value of an enumerated key of ``_CHOICES``, or its default."""
+        raw = self.values.get(key, _CHOICES[key][0])
+        if raw not in _CHOICES[key]:
+            raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {raw!r}")
+        return raw
 
     def path(self, key: str) -> Path | None:
         raw = self.values.get(key)
@@ -276,6 +289,8 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     cfg.validate_paths()
+    for key in _CHOICES:
+        cfg.get_choice(key)
     input_digests = _check_requirements(stage, run_dir)
     seed = derive_seed(cfg.seed, stage)
     handler = _STAGES[stage]
@@ -324,25 +339,15 @@ def _read_index(run_dir: Path):
         return anchor_index.read_index(docs, postings, instances)
 
 
-def _read_rank_map(run_dir: Path, ranks_name: str, nodes_name: str) -> dict[str, float]:
-    nodes_path = run_dir / nodes_name
-    ranks_path = run_dir / ranks_name
-    if not nodes_path.exists() or not ranks_path.exists():
+def _rank_map(run_dir: Path, nodes_name: str, ranks_name: str) -> dict[str, float]:
+    """Score by node name; empty while the graph stage has not run."""
+    try:
+        with open(run_dir / nodes_name, encoding="utf-8") as nodes, open(
+            run_dir / ranks_name, encoding="utf-8"
+        ) as ranks:
+            return graph.read_rank_map(nodes, ranks)
+    except FileNotFoundError:
         return {}
-    names: dict[int, str] = {}
-    with open(nodes_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line:
-                idx, name = line.split("\t", 1)
-                names[int(idx)] = name
-    out: dict[str, float] = {}
-    with open(ranks_path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                idx, score = line.split()
-                out[names[int(idx)]] = float(score)
-    return out
 
 
 def _load_queries(cfg: RunConfig) -> list[QueryRecord]:
@@ -363,9 +368,8 @@ def _load_queries(cfg: RunConfig) -> list[QueryRecord]:
     return sorted(queries, key=lambda q: q.query_id)
 
 
-def _build_context(cfg: RunConfig, run_dir: Path) -> FeatureContext:
+def _build_context(cfg: RunConfig, run_dir: Path, links: list[ingest.LinkRecord]) -> FeatureContext:
     revisions = _read_revisions(run_dir)
-    links = _read_links(run_dir)
     surrogates, stats = _read_index(run_dir)
     news_path = cfg.path("paths.news_domains")
     words_path = cfg.path("paths.search_words")
@@ -374,12 +378,11 @@ def _build_context(cfg: RunConfig, run_dir: Path) -> FeatureContext:
         links,
         surrogates,
         stats,
-        page_rank=_read_rank_map(run_dir, "page_rank.tsv", "nodes.tsv"),
-        domain_rank=_read_rank_map(run_dir, "domain_rank.tsv", "domain_nodes.tsv"),
+        page_rank=_rank_map(run_dir, "nodes.tsv", "page_rank.tsv"),
+        domain_rank=_rank_map(run_dir, "domain_nodes.tsv", "domain_rank.tsv"),
         news_domains=load_word_table(news_path) if news_path else (),
         search_words=load_word_table(words_path) if words_path else None,
-        suffixes=_suffix_table(cfg),
-        inlink_dedup=cfg.get("index.strategy", anchor_index.STRATEGY_UNIQUE_PER_REVISION),
+        inlink_dedup=cfg.get_choice("index.strategy"),
         bm25_k1=cfg.get_float("bm25.k1", 1.2),
         bm25_b=cfg.get_float("bm25.b", 0.75),
     )
@@ -394,7 +397,8 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     files = cfg.archive_files()
     revisions: list[ingest.RevisionRecord] = []
     links: list[ingest.LinkRecord] = []
-    totals = {"emitted": 0, "skipped": 0, "corrupt": 0, "non_2xx": 0, "decode_failed": 0}
+    counters = ("emitted", "skipped", "corrupt", "non_2xx", "decode_failed", "bad_url", "truncated_anchors")
+    totals = dict.fromkeys(counters, 0)
     for path in files:
         stats = ingest.ParseStats()
         parser = ingest.parse_arc_stream if ".arc" in path.name else ingest.parse_warc_stream
@@ -406,14 +410,15 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
                     continue
                 try:
                     revisions.append(ingest.revision_from_record(record, suffixes))
-                except Exception:
+                except UrlError:
+                    totals["bad_url"] += 1
                     continue
                 if "html" in record.mime_type or not record.mime_type:
                     extraction = ingest.extract_links(
                         record.payload, record.target_uri, record.capture_time
                     )
-                    if extraction.decode_failed:
-                        totals["decode_failed"] += 1
+                    totals["decode_failed"] += extraction.decode_failed
+                    totals["truncated_anchors"] += extraction.truncated_anchors
                     links.extend(extraction.links)
         totals["emitted"] += stats.emitted
         totals["skipped"] += stats.skipped
@@ -427,12 +432,11 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 
 def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     suffixes = _suffix_table(cfg)
-    links = ingest.filter_content_links(_read_links(run_dir))
-    page = graph.build_page_graph(links)
+    page = graph.build_page_graph(_read_links(run_dir))
     if page.node_count == 0:
         raise StageDataError("no content links: the page graph is empty")
     domain = graph.project_domain_graph(
-        page, lambda name: suffixes.registrable_domain(_host_of(name))
+        page, lambda name: domain_of(normalize(name), suffixes)
     )
     damping = cfg.get_float("pagerank.damping", 0.85)
     tolerance = cfg.get_float("pagerank.tolerance", 1e-9)
@@ -459,15 +463,10 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     }
 
 
-def _host_of(core_url: str) -> str:
-    from .urls import normalize
-
-    return normalize(core_url).host
-
-
 def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
-    strategy = cfg.get("index.strategy", anchor_index.STRATEGY_UNIQUE_PER_REVISION)
-    surrogates = anchor_index.build_surrogates(_read_links(run_dir), _read_revisions(run_dir), strategy)
+    surrogates = anchor_index.build_surrogates(
+        _read_links(run_dir), _read_revisions(run_dir), cfg.get_choice("index.strategy")
+    )
     docs_buf, postings_buf, instances_buf = io.StringIO(), io.StringIO(), io.StringIO()
     anchor_index.write_index(surrogates, docs_buf, postings_buf, instances_buf)
     _atomic_write(run_dir / "docs.tsv", lambda fh: fh.write(docs_buf.getvalue()))
@@ -478,6 +477,7 @@ def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
         "indexed_docs": stats.num_docs,
         "terms": len(stats.doc_freq),
         "instances": sum(len(d.anchor_instances) for d in surrogates.values()),
+        "truncated_tokens": sum(d.truncated_tokens for d in surrogates.values()),
     }
 
 
@@ -496,7 +496,7 @@ def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 
     _atomic_write(run_dir / "anchor_dist.csv", write_dist)
 
-    ctx = _build_context(cfg, run_dir)
+    ctx = _build_context(cfg, run_dir, links)
     queries = _load_queries(cfg)
     serp_dir = cfg.path("paths.serp_dir")
     snapshots = labeling.load_snapshots(serp_dir) if serp_dir else {}
@@ -525,7 +525,7 @@ def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 
 
 def _stage_features(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
-    ctx = _build_context(cfg, run_dir)
+    ctx = _build_context(cfg, run_dir, _read_links(run_dir))
     queries = _load_queries(cfg)
     vectors = []
     for q in queries:
@@ -561,23 +561,13 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
             by_assessor.setdefault(j.assessor_id, {})[(j.query_id, j.doc_id)] = j.grade
             grades.setdefault((j.query_id, j.doc_id), []).append(j.grade)
         manual = {key: float(np.mean(vals)) for key, vals in grades.items()}
-        if len(by_assessor) >= 2:
-            pair_values = {}
-            assessors = sorted(by_assessor)
-            for idx, left in enumerate(assessors):
-                for right in assessors[idx + 1:]:
-                    common = sorted(set(by_assessor[left]) & set(by_assessor[right]))
-                    if common:
-                        pair_values[f"{left}|{right}"] = labeling.cohen_kappa(
-                            {k: by_assessor[left][k] for k in common},
-                            {k: by_assessor[right][k] for k in common},
-                        )
-            if pair_values:
-                kappa_report = {
-                    "average_pairwise_kappa": float(np.mean(list(pair_values.values()))),
-                    "pairs": pair_values,
-                    "assessors": assessors,
-                }
+        kappas = labeling.pairwise_kappas(by_assessor)  # pairs with no common item left out
+        if kappas:
+            kappa_report = {
+                "average_pairwise_kappa": float(np.mean(list(kappas.values()))),
+                "pairs": {f"{left}|{right}": k for (left, right), k in kappas.items()},
+                "assessors": sorted(by_assessor),
+            }
 
     label_lines: list[str] = []
     sample_lines: list[str] = []
@@ -635,7 +625,7 @@ def _read_pool(run_dir: Path) -> dict[int, list[str]]:
 
 def _label_for(cfg: RunConfig, labels, qid: int, doc: str) -> float | None:
     soft, man = labels.get((qid, doc), (0.0, None))
-    if cfg.get("label.strategy", "soft") == "manual":
+    if cfg.get_choice("label.strategy") == "manual":
         return man
     return soft
 
@@ -682,7 +672,7 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
         forest = read_forest(fh)
     vectors = {(v.query_id, v.doc_id): v for v in _read_vectors(run_dir)}
     pool = _read_pool(run_dir)
-    ctx = _build_context(cfg, run_dir)
+    ctx = _build_context(cfg, run_dir, _read_links(run_dir))
     queries = {q.query_id: q for q in _load_queries(cfg)}
     pooled = [
         vectors[(qid, doc)]

@@ -92,9 +92,12 @@ def normalize(raw: str) -> NormalizedUrl:
     if not isinstance(raw, str) or not raw.strip():
         raise UrlError(f"not a URL: {raw!r}")
     text = raw.strip()
-    parts = urlsplit(text)
-    if not parts.scheme:
-        parts = urlsplit("http://" + text.lstrip("/"))
+    try:
+        parts = urlsplit(text)
+        if not parts.scheme:
+            parts = urlsplit("http://" + text.lstrip("/"))
+    except ValueError as exc:  # e.g. an unclosed IPv6 bracket
+        raise UrlError(f"unparseable URL: {raw!r}") from exc
     if parts.scheme.lower() not in ("http", "https", "ftp"):
         raise UrlError(f"unsupported scheme in URL: {raw!r}")
     try:

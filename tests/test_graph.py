@@ -9,6 +9,8 @@ from archive_rank.graph import (
     pagerank,
     project_domain_graph,
     read_graph,
+    read_nodes,
+    read_rank_map,
     read_ranks,
     write_graph,
     write_ranks,
@@ -104,6 +106,18 @@ class TestInlinkCount:
         ]
         assert inlink_count(links, "http://t.de/", "unique_per_revision") == 1
         assert inlink_count(links, "http://t.de/", "all") == 2
+
+    def test_counts_content_links_only(self):
+        links = [
+            link("http://s.de/", "http://t.de/?v=1", "x"),
+            link("http://s.de/", "http://t.de/", pattern="IMG/src"),
+            link("http://s.de/", "http://t.de/", pattern="IFRAME/src"),
+        ]
+        assert inlink_count(links, "http://t.de/") == 1
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            inlink_count([], "http://t.de/", "per_source")
 
 
 class TestPagerank:
@@ -209,3 +223,26 @@ class TestPersistence:
         with open(tmp_path / "ranks.tsv") as fh:
             scores = read_ranks(fh)
         assert np.array_equal(scores, rv.scores)
+
+    def test_rank_map_by_node_name(self, tmp_path):
+        g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")])
+        rv = pagerank(g)
+        with open(tmp_path / "graph.tsv", "w") as gf, open(tmp_path / "nodes.tsv", "w") as nf:
+            write_graph(g, gf, nf)
+        with open(tmp_path / "ranks.tsv", "w") as fh:
+            write_ranks(rv, fh)
+        with open(tmp_path / "nodes.tsv") as nf:
+            assert read_nodes(nf) == g.names
+        with open(tmp_path / "nodes.tsv") as nf, open(tmp_path / "ranks.tsv") as rf:
+            ranks = read_rank_map(nf, rf)
+        assert ranks == {name: rv.scores[i] for i, name in enumerate(g.names)}
+
+    def test_node_count_mismatch_rejected(self, tmp_path):
+        g = Graph.from_edges([("a", "b"), ("b", "c")])
+        with open(tmp_path / "graph.tsv", "w") as gf, open(tmp_path / "nodes.tsv", "w") as nf:
+            write_graph(g, gf, nf)
+        lines = (tmp_path / "nodes.tsv").read_text().splitlines(keepends=True)
+        (tmp_path / "nodes.tsv").write_text("".join(lines[:-1]))
+        with open(tmp_path / "graph.tsv") as gf, open(tmp_path / "nodes.tsv") as nf:
+            with pytest.raises(GraphError):
+                read_graph(gf, nf)

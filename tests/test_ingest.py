@@ -4,17 +4,23 @@ import json
 import shutil
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from archive_rank import urls
 from archive_rank.cli import main
 from archive_rank.ingest import (
     ANCHOR_TEXT_CAP,
     LINK_PATTERNS,
     PATTERN_TOKENS,
+    STRATEGY_ALL,
+    STRATEGY_UNIQUE_PER_REVISION,
+    ContentLink,
     LinkRecord,
     ParseStats,
+    content_links,
     extract_links,
     filter_content_links,
     parse_arc_stream,
@@ -373,6 +379,59 @@ class TestFilterContentLinks:
         ] + [LinkRecord("http://s.de/", 1, "http://t.de/img", "IMG/src", "")] * 2
         kept = filter_content_links(records)
         assert [l.anchor_text for l in kept] == ["0", "1", "2"]
+
+
+class TestContentLinks:
+    def test_keeps_anchor_links_with_both_ends_resolved(self):
+        records = [
+            LinkRecord("http://S.de:80/a?r=1", 5, "http://T.de/p?q=2#top", "A/href", "t"),
+            LinkRecord("http://s.de/", 5, "http://t.de/logo.png", "IMG/src", ""),
+        ]
+        for strategy in (STRATEGY_ALL, STRATEGY_UNIQUE_PER_REVISION):
+            assert content_links(records, strategy) == [
+                ContentLink("http://s.de/a", "http://t.de/p", 5, "t")
+            ]
+
+    def test_links_with_an_unparseable_end_dropped(self):
+        records = [
+            LinkRecord("http://s.de/", 1, "mailto:x@t.de", "A/href", "a"),
+            LinkRecord("", 1, "http://t.de/", "A/href", "b"),
+            LinkRecord("http://s.de/", 1, "http://[broken/", "A/href", "c"),
+            LinkRecord("http://s.de/", 1, "http://t.de/", "A/href", "d"),
+        ]
+        assert [l.anchor_text for l in content_links(records, STRATEGY_ALL)] == ["d"]
+
+    def test_unique_per_revision_key(self):
+        """One link per (source full URL, capture time, target core URL,
+        anchor text); the first occurrence is kept, in input order."""
+        base = LinkRecord("http://s.de/?r=1", 1, "http://t.de/?a", "A/href", "x")
+        records = [
+            base,
+            replace(base, target_url="http://t.de/?b"),  # same target core URL
+            replace(base, source_capture_time=2),
+            replace(base, source_full_url="http://s.de/?r=2"),
+            replace(base, target_url="http://u.de/"),
+            replace(base, anchor_text="y"),
+            base,
+        ]
+        unique = content_links(records, STRATEGY_UNIQUE_PER_REVISION)
+        assert len(unique) == 5 and unique[0] == content_links([base], STRATEGY_ALL)[0]
+        assert len(content_links(records, STRATEGY_ALL)) == 7
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError):
+            content_links([], "per_source")
+
+    def test_each_distinct_url_resolved_once(self, monkeypatch):
+        calls = []
+        original = urls.normalize
+        monkeypatch.setattr(urls, "normalize", lambda raw: calls.append(raw) or original(raw))
+        records = [
+            LinkRecord(f"http://s{i % 2}.de/", i, f"http://t.de/{i % 3}", "A/href", str(i))
+            for i in range(60)
+        ]
+        assert len(content_links(records, STRATEGY_ALL)) == 60
+        assert sorted(calls) == sorted({u for r in records for u in (r.source_full_url, r.target_url)})
 
 
 class TestTsvRoundTrip:

@@ -10,6 +10,7 @@ from archive_rank.labeling import (
     load_judgments,
     load_snapshots,
     merge_snapshots,
+    pairwise_kappas,
     pool_with_positives,
     soft_label,
     stratified_sample,
@@ -130,6 +131,29 @@ class TestAveragePairwiseKappa:
     def test_disjoint_items_rejected(self):
         with pytest.raises(ValueError):
             average_pairwise_kappa({"a": {"x": 0}, "b": {"y": 0}})
+
+
+class TestPairwiseKappas:
+    def test_pairs_in_sorted_order_on_common_items(self):
+        j = {
+            "c": {"x": 0, "y": 1, "z": 1},
+            "a": {"x": 0, "y": 1},
+            "b": {"x": 0, "y": 0, "w": 2},
+        }
+        kappas = pairwise_kappas(j)
+        assert list(kappas) == [("a", "b"), ("a", "c"), ("b", "c")]
+        assert kappas[("a", "b")] == cohen_kappa({"x": 0, "y": 1}, {"x": 0, "y": 0})
+        assert kappas[("a", "c")] == 1.0
+        assert average_pairwise_kappa(j) == pytest.approx(sum(kappas.values()) / 3)
+
+    def test_pair_without_common_items_left_out(self):
+        j = {"a": {"x": 0, "y": 1}, "b": {"x": 0, "y": 1}, "c": {"z": 2}}
+        assert list(pairwise_kappas(j)) == [("a", "b")]
+        with pytest.raises(ValueError, match="share no items"):
+            average_pairwise_kappa(j)
+
+    def test_fewer_than_two_assessors(self):
+        assert pairwise_kappas({"a": {"x": 0}}) == {}
 
 
 class TestStratifiedSample:

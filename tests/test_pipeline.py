@@ -1,8 +1,12 @@
+import gzip
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from archive_rank import anchor_index
 from archive_rank.cli import main
 from archive_rank.pipeline import (
     STAGE_ORDER,
@@ -13,7 +17,7 @@ from archive_rank.pipeline import (
     load_config,
     run_stage,
 )
-from archive_rank.synthetic import make_synthetic_archive
+from archive_rank.synthetic import make_synthetic_archive, warc_record_bytes
 
 ARTIFACTS = (
     "revisions.tsv",
@@ -40,6 +44,34 @@ ARTIFACTS = (
     "sig.csv",
     "manifest.json",
 )
+
+# sha256 of every artifact but manifest.json (which gains counters over
+# time) for the ``finished_run`` corpus, taken before link resolution and
+# dedup were folded into ``ingest.content_links``.
+GOLDEN_DIGESTS = {
+    "revisions.tsv": "22cf4675a71f080e111a0f868b038856d1a50edb10b66ca85f64bea88de76bf4",
+    "links.tsv": "6166bcc5c39afecabd60e75f5fb3c25a741d48e895490ff6d18c0ae3c5fe07d4",
+    "graph.tsv": "89d36b14098659f2352ce384175fbc80d5c4d9cffbe91ca84e2c74973ef60277",
+    "nodes.tsv": "ac0a63e61c69e22f7af85563475a35895badfa32bf766ed4166ea86c698d439c",
+    "page_rank.tsv": "fe777961b05e7971016b74832b93420123e1e6db321aba7ad870f6cfb4c0bb72",
+    "domain_graph.tsv": "98006e83f4d71279597ad5a1b3569b2eab2d0905d46e781cede7e072961d415a",
+    "domain_nodes.tsv": "cf24c15e059d0de3c9d18ad711a5d0cc550ec9ece2411a58d6196c918858971e",
+    "domain_rank.tsv": "0d5c8bd9571c0085271dcfaef2c3e907ea63db390d3ffab28eb319591337edb7",
+    "docs.tsv": "d38667efc587f3cb39d928e7fbff6921e98de66634cfdc46375689eb2e5bff35",
+    "postings.tsv": "37d1aa2671496bf97d07b8ec28d90a3101cf5c2db733c2032978a99ef69f93b7",
+    "instances.tsv": "4a555cce7d53791b0d229af0fad5e1a98c2fc0c94e5f469619fdf1429385c611",
+    "anchor_dist.csv": "16c35a41dfb11a6f8ef31669e0f6cf734edca3ad0f5343b02ac1bdef078de672",
+    "evidence_summary.csv": "85954846516e690a2eb8a1335b9bd7c25557584883fb59cacbfb1d955b203477",
+    "features.txt": "b089a629fbf35da1f4c38a5b3c9c0c83454f09b83007993aba6c644317a37a94",
+    "labels.tsv": "773e65f936800bccd5cf9912ab0a68fbb06bb885dbd2a7c784e2a998ef19c7eb",
+    "sample.tsv": "8faeaf004a7db83be34e08c9c410994cf0731a49c0489581a521e5bd22f3243b",
+    "kappa_report.json": "08e8943c196d69c4399667b5466d667f30244fe9cdf8c8e67eeb61a65b227318",
+    "forest.txt": "514960d6a39907eb346744d1a4034551a48440fadfed53f6472adcccffb55d72",
+    "cv_report.json": "198489e89bbb0f9fd9363a1ad2c4606d4596847ed63869f554554957aef74971",
+    "runs.tsv": "62b787a879c58c99ac8a2d74d752411f345a93daa31265dd1e394e9286853bd6",
+    "eval.csv": "7f9775e87ef60600d7de7693f6ba92c5d985842292a22c1dd9cce9b35f004f22",
+    "sig.csv": "eb3fd6aa2d6485d0256912e57127fc9464a5fe770927b898c850dff03467bee5",
+}
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +190,12 @@ class TestFullPipeline:
     def test_no_temp_files_left_behind(self, finished_run):
         assert not list(Path(finished_run).glob("*.tmp"))
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_golden_artifact_bytes(self, finished_run, name):
+        assert set(GOLDEN_DIGESTS) == set(ARTIFACTS) - {"manifest.json"}
+        digest = hashlib.sha256((finished_run / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[name]
+
 
 def test_failed_write_keeps_old_file_and_removes_temp(tmp_path):
     target = tmp_path / "forest.txt"
@@ -219,3 +257,72 @@ class TestCli:
         assert rc == 0
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["stages"][0]["seed"] == derive_seed(777, "ingest")
+
+
+@pytest.mark.parametrize(
+    "line, stage",
+    [
+        ("stats.group_by_year=flase", "stats"),
+        ("label.strategy=manul", "ingest"),
+        ("index.strategy=al", "index"),
+    ],
+)
+def test_bad_enumerated_config_value_exits_one(corpus, finished_run, tmp_path, capsys, line, stage):
+    cfg_path = corpus.config_path.parent / f"bad-{line.split('=')[0]}.cfg"
+    cfg_path.write_text(corpus.config_path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    rc = main([stage, "--config", str(cfg_path), "--run-dir", str(run_dir)])
+    assert rc == 1
+    assert line.split("=")[0] in capsys.readouterr().err
+
+
+def _write_corpus(root: Path, records: list[bytes]) -> Path:
+    (root / "archives").mkdir(parents=True)
+    (root / "archives" / "part.warc.gz").write_bytes(b"".join(gzip.compress(r, mtime=0) for r in records))
+    (root / "config.txt").write_text("seed=1\npaths.archives=archives\n", encoding="utf-8")
+    return root / "config.txt"
+
+
+def _row_counts(run_dir: Path) -> dict[str, int]:
+    return json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["stages"][-1]["row_counts"]
+
+
+def test_ingest_and_index_count_dropped_and_truncated_input(tmp_path, monkeypatch):
+    long_anchor = "wort " * 2000  # longer than ANCHOR_TEXT_CAP
+    config = _write_corpus(
+        tmp_path / "corpus",
+        [
+            # Heritrix writes DNS lookups as response records
+            warc_record_bytes("dns:example.com", "2009-01-01T00:00:00Z", b"93.184.216.34"),
+            warc_record_bytes(
+                "http://s.de/",
+                "2009-01-01T00:00:00Z",
+                f'<a href="http://t.de/">{long_anchor}</a>'.encode("utf-8"),
+            ),
+            warc_record_bytes("http://t.de/", "2009-01-01T00:00:00Z", b"<html></html>"),
+        ],
+    )
+    run_dir = tmp_path / "run"
+    assert main(["ingest", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+    counts = _row_counts(run_dir)
+    assert counts["bad_url"] == 1 and counts["truncated_anchors"] == 1
+    assert counts["revisions"] == 2 and counts["links"] == 1
+
+    monkeypatch.setattr(anchor_index, "SURROGATE_TOKEN_CAP", 10)
+    assert main(["index", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+    counts = _row_counts(run_dir)
+    assert counts["indexed_docs"] == 1 and counts["truncated_tokens"] > 0
+
+
+def test_graph_drops_an_unparseable_link_target(tmp_path):
+    config = _write_corpus(tmp_path / "corpus", [])
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "links.tsv").write_text(
+        "http://s.de/\t1\thttp://t.de/\tA/href\tok\n"
+        "http://s.de/\t1\thttp://[broken/\tA/href\tbad\n",
+        encoding="utf-8",
+    )
+    assert main(["graph", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+    assert _row_counts(run_dir)["page_edges"] == 1

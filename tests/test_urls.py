@@ -46,7 +46,7 @@ class TestNormalize:
     def test_fragment_dropped(self):
         assert str(normalize("http://a.de/x#frag")) == "http://a.de/x"
 
-    @pytest.mark.parametrize("bad", ["", "   ", "http://", "mailto:x@y.de"])
+    @pytest.mark.parametrize("bad", ["", "   ", "http://", "mailto:x@y.de", "http://[::1/x", "dns:a.de"])
     def test_unparseable_raises_with_input_named(self, bad):
         with pytest.raises(UrlError) as err:
             normalize(bad)
