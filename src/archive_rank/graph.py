@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy import sparse
 
 from .ingest import STRATEGY_ALL, LinkRecord, content_links
 from .urls import core_url_str
@@ -120,6 +119,8 @@ def pagerank(
 ) -> RankVector:
     """Power iteration with uniform teleport; dangling mass is spread
     uniformly each step, so scores stay a probability distribution."""
+    from scipy import sparse  # deferred: only the graph stage pays for importing scipy
+
     n = g.node_count
     if n == 0:
         raise GraphError("pagerank over an empty graph")

@@ -15,7 +15,7 @@ import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
-from urllib.parse import urljoin
+from urllib.parse import urljoin, urlsplit
 
 from .urls import SuffixTable, UrlError, core_url, core_url_str, domain_of, normalize
 
@@ -29,6 +29,7 @@ __all__ = [
     "STRATEGIES",
     "ParseStats",
     "LinkExtraction",
+    "HrefResolver",
     "LINK_PATTERNS",
     "PATTERN_TOKENS",
     "ANCHOR_TEXT_CAP",
@@ -303,6 +304,8 @@ def _warc_records(reader: _LineReader, stats: ParseStats) -> Iterator[ArchiveRec
         try:
             length = int(headers.get("content-length", ""))
         except ValueError:
+            length = -1
+        if length < 0:
             stats.corrupt += 1
             if not _resync(reader, _is_warc_marker):
                 return
@@ -478,7 +481,50 @@ def _resolve(base: str, href: str) -> str | None:
     return str(n)
 
 
-def extract_links(payload: bytes, base_url: str, source_time: int) -> LinkExtraction:
+def _scheme_of(url: str) -> str | None:
+    """The scheme ``urljoin`` reads from ``url`` as a base; None when it
+    reads more (an empty base) or raises (an unparseable one)."""
+    if not url:
+        return None
+    try:
+        return urlsplit(url).scheme
+    except ValueError:
+        return None
+
+
+class HrefResolver:
+    """Memo of href resolution: equal to resolving each (base, href) pair
+    directly, ``None`` results included, but joins each distinct key once.
+
+    ``urljoin`` reads only the base's scheme when the href carries its own
+    authority (``//host``), so such an href is keyed by (base scheme, href)
+    and is joined once however many records link to it; any other href is
+    keyed by (base, href).
+    """
+
+    def __init__(self) -> None:
+        self._by_scheme: dict[tuple[str, str], str | None] = {}
+        self._by_base: dict[tuple[str, str], str | None] = {}
+        self._has_authority: dict[str, bool] = {}
+
+    def resolve(self, base: str, href: str) -> str | None:
+        has_authority = self._has_authority.get(href)
+        if has_authority is None:
+            try:
+                has_authority = bool(urlsplit(href).netloc)
+            except ValueError:
+                has_authority = False
+            self._has_authority[href] = has_authority
+        scheme = _scheme_of(base) if has_authority else None
+        memo, key = (self._by_base, (base, href)) if scheme is None else (self._by_scheme, (scheme, href))
+        if key not in memo:
+            memo[key] = _resolve(base, href)
+        return memo[key]
+
+
+def extract_links(
+    payload: bytes, base_url: str, source_time: int, resolver: HrefResolver | None = None
+) -> LinkExtraction:
     """Scan an HTML payload for the fourteen tag/attribute link patterns.
 
     The scanner is a tolerant linear pass, not a conforming DOM parser:
@@ -486,17 +532,24 @@ def extract_links(payload: bytes, base_url: str, source_time: int) -> LinkExtrac
     closes at the next ``<a>`` or end of document. Anchor text is the
     visible text of the element with inner markup stripped and whitespace
     collapsed, capped at ``ANCHOR_TEXT_CAP`` characters.
+
+    Without a ``resolver`` the record URL ``base_url`` is normalized here.
+    A ``resolver`` shared across the records of a run resolves each
+    distinct href once; ``base_url`` must then already be canonical (a
+    :attr:`RevisionRecord.full_url`) and is used as it is.
     """
     result = LinkExtraction()
     text = _decode_payload(payload)
     if text is None:
         result.decode_failed = True
         return result
-    try:
-        base = str(normalize(base_url))
-    except UrlError:
-        result.decode_failed = False
-        base = base_url
+    base = base_url
+    if resolver is None:
+        resolver = HrefResolver()
+        try:
+            base = str(normalize(base_url))
+        except UrlError:
+            pass
     open_target: str | None = None
     open_start = 0
 
@@ -526,13 +579,13 @@ def extract_links(payload: bytes, base_url: str, source_time: int) -> LinkExtrac
         if name == "a":
             close_anchor(m.start())
             target = _attr_value(attrs, "href")
-            resolved = _resolve(base, target) if target else None
+            resolved = resolver.resolve(base, target) if target else None
             if resolved is not None:
                 open_target = resolved
                 open_start = m.end()
             continue
         target = _attr_value(attrs, attr)
-        resolved = _resolve(base, target) if target else None
+        resolved = resolver.resolve(base, target) if target else None
         if resolved is not None:
             result.links.append(
                 LinkRecord(base, source_time, resolved, f"{name.upper()}/{attr}")

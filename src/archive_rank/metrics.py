@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "RankedRun",
@@ -108,6 +107,8 @@ def paired_significance(metric_a: Sequence[float], metric_b: Sequence[float]) ->
     All-zero differences give (t=0, p=1). Zero variance with a nonzero mean
     is reported as p=0 with the degenerate-variance flag set.
     """
+    from scipy import special  # deferred: only the eval stage pays for importing scipy
+
     a = np.asarray(metric_a, dtype=np.float64)
     b = np.asarray(metric_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

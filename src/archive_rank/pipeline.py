@@ -13,8 +13,11 @@ import hashlib
 import io
 import json
 import os
+import resource
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -55,6 +58,7 @@ __all__ = [
     "MissingStageError",
     "StageDataError",
     "RunConfig",
+    "CONFIG_KEYS",
     "load_config",
     "run_stage",
     "STAGE_ORDER",
@@ -107,6 +111,36 @@ _REQUIRES: dict[str, tuple[tuple[str, str], ...]] = {
 _ARCHIVE_SUFFIXES = (".warc", ".warc.gz", ".arc", ".arc.gz")
 SYSTEMS = BASELINES + ("rf",)
 
+# Every key a stage reads; any other key in a config is rejected, so a
+# misspelt key cannot silently leave its default in place.
+CONFIG_KEYS = frozenset(
+    {
+        "seed",
+        *(
+            f"paths.{name}"
+            for name in (
+                "archives", "suffixes", "queries", "wiki_citations", "entity_types",
+                "news_domains", "search_words", "serp_dir", "judgments",
+            )
+        ),
+        "pagerank.damping",
+        "pagerank.tolerance",
+        "pagerank.max_iterations",
+        "bm25.k1",
+        "bm25.b",
+        "rf.num_trees",
+        "rf.bootstrap_fraction",
+        "rf.folds",
+        "rf.grid.min_leaf",
+        "rf.grid.features_per_split",
+        "sample.per_partition_min",
+        "sample.per_partition_max",
+        "stats.top_n_domains",
+        "stats.group_by_year",
+        "index.strategy",
+        "label.strategy",
+    }
+)
 # enumerated config keys -> accepted values, the default first
 _CHOICES = {"index.strategy": ingest.STRATEGIES, "label.strategy": ("soft", "manual")}
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
@@ -134,24 +168,26 @@ class RunConfig:
     base_dir: Path
 
     def get(self, key: str, default: str | None = None) -> str | None:
+        if key not in CONFIG_KEYS:  # a reader of a key must declare it
+            raise KeyError(f"config key {key!r} is not in CONFIG_KEYS")
         return self.values.get(key, default)
 
     def get_int(self, key: str, default: int) -> int:
-        raw = self.values.get(key)
+        raw = self.get(key)
         try:
             return int(raw) if raw is not None else default
         except ValueError as exc:
             raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
 
     def get_float(self, key: str, default: float) -> float:
-        raw = self.values.get(key)
+        raw = self.get(key)
         try:
             return float(raw) if raw is not None else default
         except ValueError as exc:
             raise ConfigError(f"{key} must be a number, got {raw!r}") from exc
 
     def get_bool(self, key: str, default: bool) -> bool:
-        raw = self.values.get(key)
+        raw = self.get(key)
         if raw is None:
             return default
         if raw.strip().lower() not in _TRUE + _FALSE:
@@ -160,13 +196,13 @@ class RunConfig:
 
     def get_choice(self, key: str) -> str:
         """Value of an enumerated key of ``_CHOICES``, or its default."""
-        raw = self.values.get(key, _CHOICES[key][0])
+        raw = self.get(key, _CHOICES[key][0])
         if raw not in _CHOICES[key]:
             raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {raw!r}")
         return raw
 
     def path(self, key: str) -> Path | None:
-        raw = self.values.get(key)
+        raw = self.get(key)
         if raw is None or not raw.strip():
             return None
         p = Path(raw)
@@ -183,7 +219,7 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
     def archive_files(self) -> list[Path]:
-        raw = self.values.get("paths.archives", "")
+        raw = self.get("paths.archives", "")
         files: list[Path] = []
         for entry in raw.split(","):
             entry = entry.strip()
@@ -198,6 +234,11 @@ class RunConfig:
             else:
                 files.append(p)
         return files
+
+    def validate_keys(self) -> None:
+        unknown = sorted(set(self.values) - CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
     def validate_paths(self) -> None:
         for key, raw in sorted(self.values.items()):
@@ -286,8 +327,10 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
     """
     if stage not in STAGE_ORDER:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {', '.join(STAGE_ORDER)}")
+    wall0, cpu0 = time.perf_counter(), time.process_time()
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    cfg.validate_keys()
     cfg.validate_paths()
     for key in _CHOICES:
         cfg.get_choice(key)
@@ -308,6 +351,11 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
             "config_hash": cfg.config_hash(),
             "inputs": input_digests,
             "row_counts": counts,
+            # this process only: wall and CPU time of the stage, peak RSS
+            # since the process started (ru_maxrss, kilobytes on Linux)
+            "wall_s": round(time.perf_counter() - wall0, 6),
+            "cpu_s": round(time.process_time() - cpu0, 6),
+            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         },
     )
     return counts
@@ -368,7 +416,7 @@ def _load_queries(cfg: RunConfig) -> list[QueryRecord]:
     return sorted(queries, key=lambda q: q.query_id)
 
 
-def _build_context(cfg: RunConfig, run_dir: Path, links: list[ingest.LinkRecord]) -> FeatureContext:
+def _build_context(cfg: RunConfig, run_dir: Path, links: Sequence[ingest.LinkRecord]) -> FeatureContext:
     revisions = _read_revisions(run_dir)
     surrogates, stats = _read_index(run_dir)
     news_path = cfg.path("paths.news_domains")
@@ -399,6 +447,7 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     links: list[ingest.LinkRecord] = []
     counters = ("emitted", "skipped", "corrupt", "non_2xx", "decode_failed", "bad_url", "truncated_anchors")
     totals = dict.fromkeys(counters, 0)
+    resolver = ingest.HrefResolver()
     for path in files:
         stats = ingest.ParseStats()
         parser = ingest.parse_arc_stream if ".arc" in path.name else ingest.parse_warc_stream
@@ -409,13 +458,14 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
                     totals["non_2xx"] += 1
                     continue
                 try:
-                    revisions.append(ingest.revision_from_record(record, suffixes))
+                    revision = ingest.revision_from_record(record, suffixes)
                 except UrlError:
                     totals["bad_url"] += 1
                     continue
+                revisions.append(revision)
                 if "html" in record.mime_type or not record.mime_type:
                     extraction = ingest.extract_links(
-                        record.payload, record.target_uri, record.capture_time
+                        record.payload, revision.full_url, record.capture_time, resolver
                     )
                     totals["decode_failed"] += extraction.decode_failed
                     totals["truncated_anchors"] += extraction.truncated_anchors
@@ -672,7 +722,7 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
         forest = read_forest(fh)
     vectors = {(v.query_id, v.doc_id): v for v in _read_vectors(run_dir)}
     pool = _read_pool(run_dir)
-    ctx = _build_context(cfg, run_dir, _read_links(run_dir))
+    ctx = _build_context(cfg, run_dir, ())  # the baselines read no link evidence
     queries = {q.query_id: q for q in _load_queries(cfg)}
     pooled = [
         vectors[(qid, doc)]

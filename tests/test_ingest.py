@@ -2,14 +2,16 @@ import gzip
 import io
 import json
 import shutil
+import tempfile
 import tracemalloc
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from archive_rank import urls
+from archive_rank import ingest, urls
 from archive_rank.cli import main
 from archive_rank.ingest import (
     ANCHOR_TEXT_CAP,
@@ -18,6 +20,7 @@ from archive_rank.ingest import (
     STRATEGY_ALL,
     STRATEGY_UNIQUE_PER_REVISION,
     ContentLink,
+    HrefResolver,
     LinkRecord,
     ParseStats,
     content_links,
@@ -30,6 +33,7 @@ from archive_rank.ingest import (
     revision_from_record,
     write_links_tsv,
     write_revisions_tsv,
+    _resolve,
 )
 from archive_rank.synthetic import (
     arc_file_bytes,
@@ -106,6 +110,13 @@ class TestWarc:
         records, stats = parse_warc(warc_file_bytes([bad, good], per_record_gzip=False))
         assert [r.target_uri for r in records] == ["http://a.de/ok"]
         assert stats.corrupt == 1 and stats.emitted == 1
+
+    def test_negative_content_length_is_corrupt(self):
+        good = warc_record_bytes("http://a.de/", "2009-03-02T11:00:00Z", b"<p>x</p>")
+        bad = good.replace(b"Content-Length: ", b"Content-Length: -", 1)
+        records, stats = parse_warc(warc_file_bytes([bad, good]))
+        assert [r.target_uri for r in records] == ["http://a.de/"]
+        assert stats.corrupt == 1
 
     def test_truncated_final_record_ends_cleanly(self):
         good = warc_record_bytes("http://a.de/ok", "2009-01-01T00:00:00Z", b"fine")
@@ -247,6 +258,61 @@ class TestDamagedGzip:
             counts[name] = manifest["stages"][-1]["row_counts"]
         assert counts["damaged"]["corrupt"] == counts["intact"]["corrupt"] + 2
         assert 0 < counts["damaged"]["revisions"] < counts["intact"]["revisions"]
+
+
+def _small_containers() -> dict[str, bytes]:
+    def page(i: int) -> bytes:
+        return f'<a href="http://t.de/{i}">Seite {i}</a> <img src="/b{i}.png">'.encode()
+
+    warc = [warc_record_bytes(f"http://s.de/{i}", "2009-01-01T00:00:00Z", page(i)) for i in range(3)]
+    warc.insert(1, warc_record_bytes("http://s.de/0", "2009-01-01T00:00:00Z", b"GET /", warc_type="request"))
+    arc = [arc_record_bytes(f"http://s.de/{i}", "20090101000000", page(i)) for i in range(3)]
+    return {
+        "part.warc.gz": warc_file_bytes(warc),
+        "part.arc": arc_file_bytes(arc, per_record_gzip=False),
+    }
+
+
+SMALL_CONTAINERS = _small_containers()
+
+
+def _parse_container(name: str, data: bytes):
+    parser = parse_arc_stream if ".arc" in name else parse_warc_stream
+    stats = ParseStats()
+    records = list(parser(io.BytesIO(data), stats))
+    return records, stats
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CONTAINERS))
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_hostile_container_keeps_the_failure_contract(name, data):
+    """Cut at any offset, with or without one flipped byte: the parser never
+    raises nor invents records, and ``archive-rank ingest`` exits 0."""
+    intact = SMALL_CONTAINERS[name]
+    _records, intact_stats = _parse_container(name, intact)
+    assert intact_stats.emitted == 3 and intact_stats.corrupt == 0
+    damaged = bytearray(intact)
+    if data.draw(st.booleans(), label="flip"):
+        at = data.draw(st.integers(0, len(damaged) - 1), label="flip offset")
+        damaged[at] ^= data.draw(st.integers(1, 255), label="xor mask")
+    damaged = bytes(damaged[: data.draw(st.integers(0, len(damaged)), label="cut")])
+
+    records, stats = _parse_container(name, damaged)
+    # Damage invents no record: at most the intact records come out, the
+    # skipped ones included, since a flipped byte in the ARC file-description
+    # URL ("filedesc://") makes that header a document record, whose URL
+    # ingest then counts as bad_url.
+    assert stats.emitted == len(records) <= intact_stats.total
+    if name.endswith(".warc.gz"):
+        assert stats.emitted <= intact_stats.emitted
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "archives").mkdir()
+        (root / "archives" / name).write_bytes(damaged)
+        (root / "config.txt").write_text("seed=1\npaths.archives=archives\n", encoding="utf-8")
+        assert main(["ingest", "--config", str(root / "config.txt"), "--run-dir", str(root / "run")]) == 0
 
 
 FOURTEEN_PATTERN_HTML = b"""
@@ -432,6 +498,93 @@ class TestContentLinks:
         ]
         assert len(content_links(records, STRATEGY_ALL)) == 60
         assert sorted(calls) == sorted({u for r in records for u in (r.source_full_url, r.target_url)})
+
+
+BASE = "http://a.de/dir/page.html"
+SECURE_BASE = "https://s.de/dir/"
+
+# (base, href, resolved): each href form the memo keys differently
+RESOLUTION_TABLE = [
+    (BASE, "x/y.html", "http://a.de/dir/x/y.html"),
+    (BASE, "//host.de/p", "http://host.de/p"),
+    (SECURE_BASE, "//host.de/p", "https://host.de/p"),
+    (BASE, "HTTP://A.DE/x", "http://a.de/x"),
+    (BASE, "https://b.de/s", "https://b.de/s"),
+    (SECURE_BASE, "http://b.de/s", "http://b.de/s"),
+    (BASE, "http:foo", "http://a.de/dir/foo"),  # a scheme without authority
+    (SECURE_BASE, "http:foo", None),
+    (BASE, "?q", "http://a.de/dir/page.html?q"),
+    (SECURE_BASE, "?q", "https://s.de/dir/?q"),
+    (BASE, "#f", None),
+    (BASE, "javascript:void(0)", None),
+    (BASE, "/a\tb", "http://a.de/ab"),
+    (BASE, "//ho\tst.de/p", "http://host.de/p"),
+    (BASE, "http://[::1/x", None),
+    (BASE, "ftp://f.de/x", None),
+    # bases that do not normalize, as extract_links passes them on
+    ("dns:example.com", "//h.de/p", "http://h.de/p"),
+    ("dns:example.com", "p.html", "http://p.html/"),
+    ("", "//h.de/p?", "http://h.de/p"),
+    ("http://[::1/", "//h.de/p", None),
+    ("http://[::1/", "x", None),
+]
+
+
+RESOLUTION_BASES = st.one_of(
+    st.sampled_from(sorted({base for base, _h, _r in RESOLUTION_TABLE})), st.text(max_size=24)
+)
+RESOLUTION_HREFS = st.one_of(
+    st.sampled_from([href for _b, href, _r in RESOLUTION_TABLE]),
+    st.builds(
+        str.__add__,
+        st.sampled_from(["", "/", "//", "http:", "HTTP://", "https://", "ftp://", "?", "#", "mailto:"]),
+        st.text(alphabet="aAhz.:/?#[]@%20\t -", max_size=16),
+    ),
+)
+
+
+class TestHrefResolver:
+    @pytest.mark.parametrize("base, href, resolved", RESOLUTION_TABLE)
+    def test_direct_resolution(self, base, href, resolved):
+        assert _resolve(base, href) == resolved
+
+    def test_shared_resolver_matches_the_table_in_any_order(self):
+        resolver = HrefResolver()
+        for base, href, resolved in RESOLUTION_TABLE + RESOLUTION_TABLE[::-1]:
+            assert resolver.resolve(base, href) == resolved, (base, href)
+
+    @given(st.lists(st.tuples(RESOLUTION_BASES, RESOLUTION_HREFS), max_size=40))
+    def test_shared_resolver_equals_direct_resolution(self, pairs):
+        resolver = HrefResolver()
+        for base, href in pairs + pairs:
+            assert resolver.resolve(base, href) == _resolve(base, href)
+
+    def test_absolute_href_joined_once_per_ingest(self, tmp_path, monkeypatch):
+        joined = []
+        original = ingest.urljoin
+        monkeypatch.setattr(ingest, "urljoin", lambda base, href: joined.append(href) or original(base, href))
+        root = tmp_path / "corpus"
+        (root / "archives").mkdir(parents=True)
+        pages = [
+            warc_record_bytes(
+                f"http://s{i}.de/p", "2009-01-01T00:00:00Z",
+                b'<a href="http://t.de/shared">x</a> <a href="own">y</a>',
+            )
+            for i in range(4)
+        ]
+        (root / "archives" / "part.warc.gz").write_bytes(warc_file_bytes(pages))
+        (root / "config.txt").write_text("seed=1\npaths.archives=archives\n", encoding="utf-8")
+        assert main(["ingest", "--config", str(root / "config.txt"), "--run-dir", str(tmp_path / "run")]) == 0
+        assert joined.count("http://t.de/shared") == 1
+        assert joined.count("own") == 4  # relative: one join per base
+        links = (tmp_path / "run" / "links.tsv").read_text(encoding="utf-8").splitlines()
+        assert len(links) == 8
+
+    def test_shared_resolver_extracts_what_a_fresh_one_does(self):
+        resolver = HrefResolver()
+        for base in ("http://a.de/x/", "https://b.de/", "http://a.de/x/"):
+            expected = extract_links(FOURTEEN_PATTERN_HTML, base, 5)
+            assert extract_links(FOURTEEN_PATTERN_HTML, base, 5, resolver) == expected
 
 
 class TestTsvRoundTrip:

@@ -1,7 +1,10 @@
 import gzip
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +134,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             run_stage("ingest", cfg, tmp_path / "run")
 
+    def test_synthetic_config_has_only_declared_keys(self, corpus):
+        load_config(corpus.config_path).validate_keys()
+
+    def test_reading_an_undeclared_key_is_a_programming_error(self, corpus):
+        with pytest.raises(KeyError):
+            load_config(corpus.config_path).get("rf.num_tress")
+
     def test_stage_seed_derivation_is_salted(self):
         assert derive_seed(1, "ingest") != derive_seed(1, "graph")
         assert derive_seed(1, "ingest") == derive_seed(1, "ingest")
@@ -186,6 +196,13 @@ class TestFullPipeline:
         before_eval = (finished_run / "eval.csv").read_bytes()
         run_stage("eval", cfg, finished_run)
         assert (finished_run / "eval.csv").read_bytes() == before_eval
+
+    def test_manifest_entries_carry_stage_timings(self, finished_run):
+        manifest = json.loads((finished_run / "manifest.json").read_text())
+        for entry in manifest["stages"]:
+            for key in ("wall_s", "cpu_s", "peak_rss_kb"):
+                assert isinstance(entry[key], (int, float)) and entry[key] >= 0, (entry["stage"], key)
+            assert entry["peak_rss_kb"] > 0
 
     def test_no_temp_files_left_behind(self, finished_run):
         assert not list(Path(finished_run).glob("*.tmp"))
@@ -275,6 +292,48 @@ def test_bad_enumerated_config_value_exits_one(corpus, finished_run, tmp_path, c
     rc = main([stage, "--config", str(cfg_path), "--run-dir", str(run_dir)])
     assert rc == 1
     assert line.split("=")[0] in capsys.readouterr().err
+
+
+def test_unknown_config_key_exits_one_and_names_it(corpus, tmp_path, capsys):
+    cfg_path = corpus.config_path.parent / "typo.cfg"
+    cfg_path.write_text(corpus.config_path.read_text(encoding="utf-8") + "rf.num_tress=300\n", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert main(["ingest", "--config", str(cfg_path), "--run-dir", str(run_dir)]) == 1
+    assert "rf.num_tress" in capsys.readouterr().err
+    assert not (run_dir / "revisions.tsv").exists()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = _python("import sys, archive_rank.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_scipy_stays_unloaded_outside_graph_and_eval(corpus, finished_run, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    code = (
+        "import sys\n"
+        "from archive_rank.cli import main\n"
+        "for stage in sys.argv[3:]:\n"
+        "    assert main([stage, '--config', sys.argv[1], '--run-dir', sys.argv[2]]) == 0\n"
+        "    print(stage, 'scipy' in sys.modules)\n"
+    )
+    stages = [s for s in STAGE_ORDER if s not in ("graph", "eval")] + ["eval"]  # eval shows the probe works
+    proc = _python(code, str(corpus.config_path), str(run_dir), *stages)
+    assert proc.returncode == 0, proc.stderr
+    loaded = dict(line.split() for line in proc.stdout.splitlines() if line.split()[-1] in ("True", "False"))
+    assert loaded == {stage: str(stage == "eval") for stage in stages}
 
 
 def _write_corpus(root: Path, records: list[bytes]) -> Path:
