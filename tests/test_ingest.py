@@ -139,6 +139,14 @@ class TestWarc:
 
 
 class TestArc:
+    @pytest.mark.parametrize("damaged", [b"giledesc://", b"f\nledesc://"])
+    def test_damaged_file_description_is_not_a_document(self, damaged):
+        record = arc_record_bytes("http://a.de/", "20051122093000", b"<html></html>")
+        data = arc_file_bytes([record], per_record_gzip=False).replace(b"filedesc://", damaged, 1)
+        records, stats = parse_arc(data)
+        assert [r.target_uri for r in records] == ["http://a.de/"]
+        assert stats.skipped == 1
+
     def test_header_fields(self):
         data = arc_file_bytes([arc_record_bytes("http://a.de/", "20051122093000", b"<html></html>")])
         records, stats = parse_arc(data)
@@ -299,13 +307,7 @@ def test_hostile_container_keeps_the_failure_contract(name, data):
     damaged = bytes(damaged[: data.draw(st.integers(0, len(damaged)), label="cut")])
 
     records, stats = _parse_container(name, damaged)
-    # Damage invents no record: at most the intact records come out, the
-    # skipped ones included, since a flipped byte in the ARC file-description
-    # URL ("filedesc://") makes that header a document record, whose URL
-    # ingest then counts as bad_url.
-    assert stats.emitted == len(records) <= intact_stats.total
-    if name.endswith(".warc.gz"):
-        assert stats.emitted <= intact_stats.emitted
+    assert stats.emitted == len(records) <= intact_stats.emitted
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -582,9 +584,10 @@ class TestHrefResolver:
 
     def test_shared_resolver_extracts_what_a_fresh_one_does(self):
         resolver = HrefResolver()
-        for base in ("http://a.de/x/", "https://b.de/", "http://a.de/x/"):
+        for base in ("http://a.de/x/", "https://b.de/", "HTTP://A.DE/x/", "http://a.de/x/"):
             expected = extract_links(FOURTEEN_PATTERN_HTML, base, 5)
             assert extract_links(FOURTEEN_PATTERN_HTML, base, 5, resolver) == expected
+            assert {link.source_full_url for link in expected.links} == {str(urls.normalize(base))}
 
 
 class TestTsvRoundTrip:

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from archive_rank import anchor_index
+from archive_rank import anchor_index, pipeline
 from archive_rank.cli import main
+from archive_rank.forest import baseline_score
 from archive_rank.pipeline import (
     STAGE_ORDER,
     ConfigError,
@@ -137,10 +138,6 @@ class TestConfig:
     def test_synthetic_config_has_only_declared_keys(self, corpus):
         load_config(corpus.config_path).validate_keys()
 
-    def test_reading_an_undeclared_key_is_a_programming_error(self, corpus):
-        with pytest.raises(KeyError):
-            load_config(corpus.config_path).get("rf.num_tress")
-
     def test_stage_seed_derivation_is_salted(self):
         assert derive_seed(1, "ingest") != derive_seed(1, "graph")
         assert derive_seed(1, "ingest") == derive_seed(1, "ingest")
@@ -196,6 +193,21 @@ class TestFullPipeline:
         before_eval = (finished_run / "eval.csv").read_bytes()
         run_stage("eval", cfg, finished_run)
         assert (finished_run / "eval.csv").read_bytes() == before_eval
+
+    def test_rank_baselines_equal_those_of_the_full_context(self, corpus, finished_run):
+        # rank loads no link or domain evidence; its baseline scores must be
+        # those of the context the features stage builds from all of it.
+        cfg = load_config(corpus.config_path)
+        ctx = pipeline._build_context(cfg, finished_run, pipeline._read_links(finished_run))
+        assert any(ctx.inlink_counts.values()) and ctx.domain_rank
+        queries = {q.query_id: q for q in pipeline._load_queries(cfg)}
+        rows = 0
+        for line in (finished_run / "runs.tsv").read_text(encoding="utf-8").splitlines():
+            system, qid, doc, score, _rank = line.split("\t")
+            if system != "rf":
+                assert score == repr(baseline_score(system, queries[int(qid)], doc, ctx)), line
+                rows += 1
+        assert rows > 0
 
     def test_manifest_entries_carry_stage_timings(self, finished_run):
         manifest = json.loads((finished_run / "manifest.json").read_text())
