@@ -505,7 +505,8 @@ class TestContentLinks:
 BASE = "http://a.de/dir/page.html"
 SECURE_BASE = "https://s.de/dir/"
 
-# (base, href, resolved): each href form the memo keys differently
+# (base, href, resolved): hrefs with and without their own authority, and bases
+# of several schemes, which the memo keys by
 RESOLUTION_TABLE = [
     (BASE, "x/y.html", "http://a.de/dir/x/y.html"),
     (BASE, "//host.de/p", "http://host.de/p"),
