@@ -8,7 +8,7 @@ document) pairs can be processed in parallel without coordination.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -20,7 +20,7 @@ from .anchor_index import (
     term_stats,
     tokenize_text,
 )
-from .ingest import STRATEGY_UNIQUE_PER_REVISION, LinkRecord, RevisionRecord, content_links
+from .ingest import RevisionRecord
 from .urls import normalize, tokenize_url, url_depth
 
 __all__ = [
@@ -157,7 +157,6 @@ class FeatureContext:
     stats: IndexStats
     page_rank: dict[str, float]
     domain_rank: dict[str, float]
-    inlink_counts: dict[str, int]
     revision_counts: dict[str, int]
     revision_times: dict[str, list[int]]
     has_query_component: dict[str, bool]
@@ -174,14 +173,12 @@ class FeatureContext:
     def build(
         cls,
         revisions: Iterable[RevisionRecord],
-        links: Iterable[LinkRecord],
         surrogates: dict[str, SurrogateDocument],
         stats: IndexStats,
         page_rank: dict[str, float] | None = None,
         domain_rank: dict[str, float] | None = None,
         news_domains: Iterable[str] = (),
         search_words: Iterable[str] | None = None,
-        inlink_dedup: str = STRATEGY_UNIQUE_PER_REVISION,
         bm25_k1: float = 1.2,
         bm25_b: float = 0.75,
     ) -> "FeatureContext":
@@ -202,7 +199,6 @@ class FeatureContext:
             if core not in url_tokens:
                 url_tokens[core] = tuple(tokenize_url(normalize(core)))
 
-        inlinks = Counter(link.target for link in content_links(links, inlink_dedup))
         if search_words is None:
             plain = DEFAULT_SEARCH_WORDS
             substrings = DEFAULT_SEARCH_SUBSTRINGS
@@ -215,7 +211,6 @@ class FeatureContext:
             stats=stats,
             page_rank=dict(page_rank or {}),
             domain_rank=dict(domain_rank or {}),
-            inlink_counts=dict(inlinks),
             revision_counts=dict(revision_counts),
             revision_times={k: sorted(v) for k, v in revision_times.items()},
             has_query_component=dict(has_query),
@@ -286,7 +281,7 @@ def extract_features(query: QueryRecord, doc_id: str, ctx: FeatureContext) -> Fe
         float(sum(1 for t in url_toks if t in q_set)),
         1.0 if domain in ctx.news_domains else 0.0,
         float(query.wiki_citation_counts.get(domain, 0)),
-        float(ctx.inlink_counts.get(doc_id, 0)),
+        float(total),  # inlink_count: one anchor instance per deduplicated content link
         float(ctx.page_rank.get(doc_id, 0.0)),
         float(ctx.domain_rank.get(domain, 0.0)),
         anchor_freq,

@@ -75,22 +75,24 @@ STAGE_ORDER = (
     "eval",
 )
 
-# stage -> artifacts it consumes, tagged with the stage that produces them
+# artifacts read by _build_context, tagged with the stage that produces them
+_CONTEXT_INPUTS = (
+    ("ingest", "revisions.tsv"),
+    ("graph", "nodes.tsv"),
+    ("graph", "page_rank.tsv"),
+    ("graph", "domain_nodes.tsv"),
+    ("graph", "domain_rank.tsv"),
+    ("index", "docs.tsv"),
+    ("index", "postings.tsv"),
+    ("index", "instances.tsv"),
+)
+# stage -> every artifact it opens
 _REQUIRES: dict[str, tuple[tuple[str, str], ...]] = {
     "ingest": (),
     "graph": (("ingest", "links.tsv"),),
     "index": (("ingest", "links.tsv"), ("ingest", "revisions.tsv")),
-    "stats": (
-        ("ingest", "links.tsv"),
-        ("ingest", "revisions.tsv"),
-        ("index", "docs.tsv"),
-    ),
-    "features": (
-        ("ingest", "revisions.tsv"),
-        ("ingest", "links.tsv"),
-        ("graph", "page_rank.tsv"),
-        ("index", "docs.tsv"),
-    ),
+    "stats": (("ingest", "links.tsv"), *_CONTEXT_INPUTS),
+    "features": _CONTEXT_INPUTS,
     "label": (("features", "features.txt"),),
     "train": (
         ("features", "features.txt"),
@@ -100,9 +102,8 @@ _REQUIRES: dict[str, tuple[tuple[str, str], ...]] = {
     "rank": (
         ("train", "forest.txt"),
         ("features", "features.txt"),
-        ("label", "labels.tsv"),
         ("label", "sample.tsv"),
-        ("index", "docs.tsv"),
+        *_CONTEXT_INPUTS,
     ),
     "eval": (("rank", "runs.tsv"), ("label", "labels.tsv")),
 }
@@ -161,6 +162,16 @@ class StageDataError(RuntimeError):
     """Data-level failure inside a stage; maps to exit status 2."""
 
 
+def _parse_int(key: str, raw: str, minimum: int | None) -> int:
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {raw!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     values: dict[str, str]
@@ -169,12 +180,17 @@ class RunConfig:
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.values.get(key, default)
 
-    def get_int(self, key: str, default: int) -> int:
+    def get_int(self, key: str, default: int, minimum: int | None = None) -> int:
         raw = self.get(key)
-        try:
-            return int(raw) if raw is not None else default
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
+        return default if raw is None else _parse_int(key, raw, minimum)
+
+    def get_int_list(self, key: str, default: str, minimum: int) -> list[int]:
+        """Comma-separated integers, each at least ``minimum``; at least one."""
+        raw = self.get(key, default)
+        values = [_parse_int(key, v.strip(), minimum) for v in raw.split(",") if v.strip()]
+        if not values:
+            raise ConfigError(f"{key} must list at least one integer, got {raw!r}")
+        return values
 
     def get_float(self, key: str, default: float) -> float:
         raw = self.get(key)
@@ -258,14 +274,18 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"{path}: key {key} set on line {first_line[key]} and again on line {line_no}")
+        first_line[key] = line_no
+        values[key] = value
     if seed_override is not None:
         values["seed"] = str(seed_override)
     return RunConfig(values, path.parent.resolve())
@@ -385,14 +405,11 @@ def _read_index(run_dir: Path):
 
 
 def _rank_map(run_dir: Path, nodes_name: str, ranks_name: str) -> dict[str, float]:
-    """Score by node name; empty while the graph stage has not run."""
-    try:
-        with open(run_dir / nodes_name, encoding="utf-8") as nodes, open(
-            run_dir / ranks_name, encoding="utf-8"
-        ) as ranks:
-            return graph.read_rank_map(nodes, ranks)
-    except FileNotFoundError:
-        return {}
+    """Score by node name."""
+    with open(run_dir / nodes_name, encoding="utf-8") as nodes, open(
+        run_dir / ranks_name, encoding="utf-8"
+    ) as ranks:
+        return graph.read_rank_map(nodes, ranks)
 
 
 def _load_queries(cfg: RunConfig) -> list[QueryRecord]:
@@ -413,21 +430,18 @@ def _load_queries(cfg: RunConfig) -> list[QueryRecord]:
     return sorted(queries, key=lambda q: q.query_id)
 
 
-def _build_context(cfg: RunConfig, run_dir: Path, links: list[ingest.LinkRecord]) -> FeatureContext:
-    revisions = _read_revisions(run_dir)
+def _build_context(cfg: RunConfig, run_dir: Path) -> FeatureContext:
     surrogates, stats = _read_index(run_dir)
     news_path = cfg.path("paths.news_domains")
     words_path = cfg.path("paths.search_words")
     return FeatureContext.build(
-        revisions,
-        links,
+        _read_revisions(run_dir),
         surrogates,
         stats,
         page_rank=_rank_map(run_dir, "nodes.tsv", "page_rank.tsv"),
         domain_rank=_rank_map(run_dir, "domain_nodes.tsv", "domain_rank.tsv"),
         news_domains=load_word_table(news_path) if news_path else (),
         search_words=load_word_table(words_path) if words_path else None,
-        inlink_dedup=cfg.get_choice("index.strategy"),
         bm25_k1=cfg.get_float("bm25.k1", 1.2),
         bm25_b=cfg.get_float("bm25.b", 0.75),
     )
@@ -543,7 +557,7 @@ def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 
     _atomic_write(run_dir / "anchor_dist.csv", write_dist)
 
-    ctx = _build_context(cfg, run_dir, links)
+    ctx = _build_context(cfg, run_dir)
     queries = _load_queries(cfg)
     serp_dir = cfg.path("paths.serp_dir")
     snapshots = labeling.load_snapshots(serp_dir) if serp_dir else {}
@@ -572,7 +586,7 @@ def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 
 
 def _stage_features(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
-    ctx = _build_context(cfg, run_dir, _read_links(run_dir))
+    ctx = _build_context(cfg, run_dir)
     queries = _load_queries(cfg)
     vectors = []
     for q in queries:
@@ -691,12 +705,15 @@ def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
         training.append(replace(vec, label=label))
     if not training:
         raise StageDataError("no labeled training examples in the pool")
+    bootstrap_fraction = cfg.get_float("rf.bootstrap_fraction", 1.0)
+    if not bootstrap_fraction > 0:  # also rejects nan
+        raise ConfigError(f"rf.bootstrap_fraction must be greater than 0, got {bootstrap_fraction!r}")
     base = ForestParams(
-        num_trees=cfg.get_int("rf.num_trees", 300),
-        bootstrap_fraction=cfg.get_float("rf.bootstrap_fraction", 1.0),
+        num_trees=cfg.get_int("rf.num_trees", 300, minimum=1),
+        bootstrap_fraction=bootstrap_fraction,
         seed=seed,
     )
-    min_leaf_grid = [int(v) for v in cfg.get("rf.grid.min_leaf", "1,5").split(",") if v]
+    min_leaf_grid = cfg.get_int_list("rf.grid.min_leaf", "1,5", minimum=1)
     fps_grid = [v.strip() for v in cfg.get("rf.grid.features_per_split", "sqrt,third").split(",") if v]
     grid = [
         replace(base, min_leaf=ml, features_per_split=fps)
@@ -704,7 +721,7 @@ def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
         for fps in fps_grid
     ]
     forest, report = cross_validate(
-        training, grid, k_folds=cfg.get_int("rf.folds", 5), seed=seed
+        training, grid, k_folds=cfg.get_int("rf.folds", 5, minimum=2), seed=seed
     )
     _atomic_write(run_dir / "forest.txt", lambda fh: write_forest(forest, fh))
     _atomic_write(
@@ -719,18 +736,7 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
         forest = read_forest(fh)
     vectors = {(v.query_id, v.doc_id): v for v in _read_vectors(run_dir)}
     pool = _read_pool(run_dir)
-    # The baselines read only the surrogates, the index statistics,
-    # page_rank and url_tokens, so no link or domain evidence is loaded.
-    surrogates, stats = _read_index(run_dir)
-    ctx = FeatureContext.build(
-        _read_revisions(run_dir),
-        (),
-        surrogates,
-        stats,
-        page_rank=_rank_map(run_dir, "nodes.tsv", "page_rank.tsv"),
-        bm25_k1=cfg.get_float("bm25.k1", 1.2),
-        bm25_b=cfg.get_float("bm25.b", 0.75),
-    )
+    ctx = _build_context(cfg, run_dir)
     queries = {q.query_id: q for q in _load_queries(cfg)}
     pooled = [
         vectors[(qid, doc)]

@@ -34,12 +34,10 @@ def make_context(
     stats = build_stats(surrogates)
     return FeatureContext.build(
         revisions,
-        links,
         surrogates,
         stats,
         page_rank=page_rank,
         domain_rank=domain_rank,
         news_domains=news_domains,
         search_words=search_words,
-        inlink_dedup=strategy,
     )

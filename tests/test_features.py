@@ -19,6 +19,7 @@ from archive_rank.features import (
     rev_duration,
     serialize_vectors,
 )
+from archive_rank.graph import inlink_count
 from conftest import DAY, T0, link, make_context, rev
 
 WEEK = 7 * DAY
@@ -111,6 +112,25 @@ class TestAnchorFeatures:
     def test_anchor_freq_zero_without_instances(self):
         ctx = make_context([rev("http://t.de/", T0)], [])
         assert extract_features(query(), "http://t.de/", ctx)["anchor_freq"] == 0.0
+
+    @pytest.mark.parametrize("strategy", ["unique_per_revision", "all"])
+    def test_inlink_count_matches_the_link_graph(self, strategy):
+        target, quiet, lost = "http://t.de/", "http://q.de/", "http://lost.de/"
+        revisions = [rev(target, T0), rev(quiet, T0), rev("http://s.de/", T0)]
+        links = [
+            link("http://s.de/", target, "Merkel", when=T0),
+            link("http://s.de/", target, "Merkel", when=T0),  # same revision, same anchor
+            link("http://s.de/", target, "Merkel", when=T0 + DAY),
+            link("http://s.de/", "http://t.de/?v=1", "Merkel", when=T0),
+            link("http://s.de/", target, pattern="IMG/src"),
+            link("http://s.de/", lost, "Merkel"),  # never archived
+        ]
+        ctx = make_context(revisions, links, strategy)
+        for doc in (target, quiet):
+            assert extract_features(query(), doc, ctx)["inlink_count"] == inlink_count(links, doc, strategy)
+        assert extract_features(query(), target, ctx)["inlink_count"] == (2.0 if strategy == "unique_per_revision" else 4.0)
+        with pytest.raises(UnknownDocument):
+            extract_features(query(), lost, ctx)
 
     def test_unknown_document_raises_with_id(self):
         ctx = make_context([rev("http://t.de/", T0)], [])

@@ -2,16 +2,20 @@ import gzip
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from archive_rank import anchor_index, pipeline
 from archive_rank.cli import main
+from archive_rank.features import FEATURE_NAMES, deserialize_vectors
 from archive_rank.forest import baseline_score
+from archive_rank.ingest import content_links
 from archive_rank.pipeline import (
     STAGE_ORDER,
     ConfigError,
@@ -195,11 +199,17 @@ class TestFullPipeline:
         assert (finished_run / "eval.csv").read_bytes() == before_eval
 
     def test_rank_baselines_equal_those_of_the_full_context(self, corpus, finished_run):
-        # rank loads no link or domain evidence; its baseline scores must be
-        # those of the context the features stage builds from all of it.
         cfg = load_config(corpus.config_path)
-        ctx = pipeline._build_context(cfg, finished_run, pipeline._read_links(finished_run))
-        assert any(ctx.inlink_counts.values()) and ctx.domain_rank
+        ctx = pipeline._build_context(cfg, finished_run)
+        # the inlink column comes from the surrogates; it must count the
+        # deduplicated content links of links.tsv
+        links = content_links(pipeline._read_links(finished_run), cfg.get_choice("index.strategy"))
+        inlinks = Counter(link.target for link in links)
+        column = FEATURE_NAMES.index("inlink_count")
+        with open(finished_run / "features.txt", encoding="utf-8") as fh:
+            vectors = list(deserialize_vectors(fh))
+        assert [v.values[column] for v in vectors] == [float(inlinks[v.doc_id]) for v in vectors]
+        assert any(v.values[column] for v in vectors)
         queries = {q.query_id: q for q in pipeline._load_queries(cfg)}
         rows = 0
         for line in (finished_run / "runs.tsv").read_text(encoding="utf-8").splitlines():
@@ -288,6 +298,26 @@ class TestCli:
         assert manifest["stages"][0]["seed"] == derive_seed(777, "ingest")
 
 
+def _config_with(corpus, line: str) -> Path:
+    """A copy of the corpus config with the key of ``line`` set by it."""
+    key = line.split("=")[0]
+    text = corpus.config_path.read_text(encoding="utf-8")
+    text, replaced = re.subn(rf"^{re.escape(key)}=.*$", line, text, flags=re.M)
+    assert replaced == 1, key
+    cfg_path = corpus.config_path.parent / f"bad-{key}.cfg"
+    cfg_path.write_text(text, encoding="utf-8")
+    return cfg_path
+
+
+def _exits_one_naming_the_key(corpus, finished_run, tmp_path, capsys, line, stage) -> Path:
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    rc = main([stage, "--config", str(_config_with(corpus, line)), "--run-dir", str(run_dir)])
+    assert rc == 1
+    assert line.split("=")[0] in capsys.readouterr().err
+    return run_dir
+
+
 @pytest.mark.parametrize(
     "line, stage",
     [
@@ -297,13 +327,55 @@ class TestCli:
     ],
 )
 def test_bad_enumerated_config_value_exits_one(corpus, finished_run, tmp_path, capsys, line, stage):
-    cfg_path = corpus.config_path.parent / f"bad-{line.split('=')[0]}.cfg"
-    cfg_path.write_text(corpus.config_path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    _exits_one_naming_the_key(corpus, finished_run, tmp_path, capsys, line, stage)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "rf.num_trees=0",
+        "rf.grid.min_leaf=0",
+        "rf.grid.min_leaf=1,2.5",
+        "rf.folds=1",
+        "rf.bootstrap_fraction=0",
+        "rf.bootstrap_fraction=nan",
+    ],
+)
+def test_out_of_range_forest_key_exits_one(corpus, finished_run, tmp_path, capsys, line):
+    run_dir = _exits_one_naming_the_key(corpus, finished_run, tmp_path, capsys, line, "train")
+    assert (run_dir / "forest.txt").read_bytes() == (finished_run / "forest.txt").read_bytes()
+
+
+def test_repeated_config_key_is_rejected_with_both_lines(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("seed=1\nrf.num_trees=10\n\nrf.num_trees = 20\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"rf\.num_trees set on line 2 and again on line 4"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("stage", STAGE_ORDER)
+def test_stage_needs_only_its_declared_inputs(corpus, finished_run, tmp_path, stage):
+    inputs = {artifact for _producer, artifact in pipeline._REQUIRES[stage]}
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for name in inputs:
+        shutil.copyfile(finished_run / name, run_dir / name)
+    run_stage(stage, load_config(corpus.config_path), run_dir)
+    outputs = {p.name for p in run_dir.iterdir()} - inputs - {"manifest.json"}
+    assert outputs and outputs <= set(ARTIFACTS)
+    for name in sorted(outputs):
+        assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stage", ["stats", "features", "rank"])
+@pytest.mark.parametrize("artifact", ["page_rank.tsv", "domain_rank.tsv", "postings.tsv"])
+def test_missing_context_input_exits_one_and_names_its_stage(corpus, finished_run, tmp_path, capsys, stage, artifact):
     run_dir = tmp_path / "run"
     shutil.copytree(finished_run, run_dir)
-    rc = main([stage, "--config", str(cfg_path), "--run-dir", str(run_dir)])
-    assert rc == 1
-    assert line.split("=")[0] in capsys.readouterr().err
+    (run_dir / artifact).unlink()
+    assert main([stage, "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 1
+    producer = "graph" if artifact.endswith("rank.tsv") else "index"
+    assert f"{artifact!r}: run stage '{producer}'" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_one_and_names_it(corpus, tmp_path, capsys):
