@@ -7,7 +7,14 @@ hyperlinks plus anchor texts out of the captured payloads.
 """
 import io
 
-from archive_rank.ingest import ParseStats, extract_links, filter_content_links, parse_arc_stream, parse_warc_stream
+from archive_rank.ingest import (
+    STRATEGY_ALL,
+    ParseStats,
+    content_links,
+    extract_links,
+    parse_arc_stream,
+    parse_warc_stream,
+)
 from archive_rank.synthetic import arc_file_bytes, arc_record_bytes, warc_file_bytes, warc_record_bytes
 
 # a WARC file with two captures and one crawl-bookkeeping record
@@ -26,14 +33,17 @@ print(f"WARC: {stats.emitted} responses, {stats.skipped} skipped, {stats.corrupt
 for record in records:
     print(f"  {record.target_uri}  t={record.capture_time}  status={record.http_status}")
 
-# link extraction keeps all fourteen tag patterns; the content filter
-# narrows to <a> hyperlinks, the only ones carrying anchor text
+# link extraction keeps all fourteen tag patterns; content links are the
+# <a> hyperlinks, the only ones carrying anchor text, with both ends
+# resolved to core URLs
 extraction = extract_links(html, records[0].target_uri, records[0].capture_time)
 print("\nextracted links:")
 for item in extraction.links:
     print(f"  {item.tag_pattern:10s} -> {item.target_url}  anchor={item.anchor_text!r}")
-content = filter_content_links(extraction.links)
-print(f"content links after filtering: {len(content)} of {len(extraction.links)}")
+content = content_links(extraction.links, STRATEGY_ALL)
+print(f"content links: {len(content)} of {len(extraction.links)}")
+for item in content:
+    print(f"  {item.source} -> {item.target}  anchor={item.anchor_text!r}")
 
 # the older ARC format: one header line per record
 arc = arc_file_bytes(

@@ -57,7 +57,6 @@ from .ingest import (
     ParseStats,
     RevisionRecord,
     extract_links,
-    filter_content_links,
     parse_arc_stream,
     parse_warc_stream,
 )
@@ -78,7 +77,6 @@ from .metrics import (
     mean_average_precision,
     ndcg_at_k,
     paired_significance,
-    permutation_pvalue,
     precision_at_k,
 )
 from .urls import NormalizedUrl, SuffixTable, core_url, domain_of, normalize, tokenize_url, url_depth

@@ -119,8 +119,6 @@ def pagerank(
 ) -> RankVector:
     """Power iteration with uniform teleport; dangling mass is spread
     uniformly each step, so scores stay a probability distribution."""
-    from scipy import sparse  # deferred: only the graph stage pays for importing scipy
-
     n = g.node_count
     if n == 0:
         raise GraphError("pagerank over an empty graph")
@@ -130,16 +128,17 @@ def pagerank(
         raise ValueError("tolerance must be positive")
     outdeg = np.bincount(g.src, minlength=n).astype(np.float64)
     has_out = outdeg > 0
-    weights = np.zeros(g.edge_count, dtype=np.float64)
-    if g.edge_count:
-        weights = 1.0 / outdeg[g.src]
-    transition = sparse.csr_matrix((weights, (g.dst, g.src)), shape=(n, n))
+    # in-edges grouped by target, by ascending source within a group: one fixed
+    # summation order, so the ranks are the same floats on every run
+    order = np.argsort(g.dst, kind="stable")
+    src, dst = g.src[order], g.dst[order]
+    weights = 1.0 / outdeg[src]
     scores = np.full(n, 1.0 / n)
     residual = 0.0
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         dangling = scores[~has_out].sum()
-        nxt = damping * (transition @ scores)
+        nxt = damping * np.bincount(dst, weights=weights * scores[src], minlength=n)
         nxt += (damping * dangling + (1.0 - damping)) / n
         residual = float(np.abs(nxt - scores).sum())
         scores = nxt

@@ -36,7 +36,6 @@ __all__ = [
     "parse_warc_stream",
     "parse_arc_stream",
     "extract_links",
-    "filter_content_links",
     "content_links",
     "revision_from_record",
     "write_revisions_tsv",
@@ -143,7 +142,9 @@ def content_links(links: Iterable[LinkRecord], strategy: str) -> list[ContentLin
 
     out: list[ContentLink] = []
     seen: set[tuple[str, int, str, str]] = set()
-    for link in filter_content_links(links):
+    for link in links:
+        if link.tag_pattern != "A/href":
+            continue
         source, target = resolve(link.source_full_url), resolve(link.target_url)
         if source is None or target is None:
             continue
@@ -596,11 +597,6 @@ def extract_links(
             )
     close_anchor(len(text))
     return result
-
-
-def filter_content_links(links: Iterable[LinkRecord]) -> list[LinkRecord]:
-    """Keep only links to content pages (the ``A/href`` pattern), in order."""
-    return [link for link in links if link.tag_pattern == "A/href"]
 
 
 def revision_from_record(record: ArchiveRecord, suffixes: SuffixTable | None = None) -> RevisionRecord:

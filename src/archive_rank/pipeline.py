@@ -22,6 +22,7 @@ import numpy as np
 
 from . import anchor_index, graph, ingest, labeling
 from .features import (
+    FEATURE_NAMES,
     FeatureContext,
     QueryRecord,
     candidate_docs,
@@ -184,20 +185,31 @@ class RunConfig:
         raw = self.get(key)
         return default if raw is None else _parse_int(key, raw, minimum)
 
-    def get_int_list(self, key: str, default: str, minimum: int) -> list[int]:
-        """Comma-separated integers, each at least ``minimum``; at least one."""
+    def get_list(self, key: str, default: str) -> list[str]:
+        """Comma-separated entries, blanks skipped; at least one."""
         raw = self.get(key, default)
-        values = [_parse_int(key, v.strip(), minimum) for v in raw.split(",") if v.strip()]
+        values = [v.strip() for v in raw.split(",") if v.strip()]
         if not values:
-            raise ConfigError(f"{key} must list at least one integer, got {raw!r}")
+            raise ConfigError(f"{key} must list at least one value, got {raw!r}")
         return values
 
-    def get_float(self, key: str, default: float) -> float:
+    def get_int_list(self, key: str, default: str, minimum: int) -> list[int]:
+        """Comma-separated integers, each at least ``minimum``; at least one."""
+        return [_parse_int(key, v, minimum) for v in self.get_list(key, default)]
+
+    def get_float(self, key: str, default: float, above: float | None = None, below: float | None = None) -> float:
+        """A number, strictly between ``above`` and ``below`` where given
+        (so never nan when bounded)."""
         raw = self.get(key)
         try:
-            return float(raw) if raw is not None else default
+            value = float(raw) if raw is not None else default
         except ValueError as exc:
             raise ConfigError(f"{key} must be a number, got {raw!r}") from exc
+        if above is not None and not value > above:
+            raise ConfigError(f"{key} must be greater than {above}, got {raw!r}")
+        if below is not None and not value < below:
+            raise ConfigError(f"{key} must be less than {below}, got {raw!r}")
+        return value
 
     def get_bool(self, key: str, default: bool) -> bool:
         raw = self.get(key)
@@ -492,6 +504,9 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 
 
 def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
+    damping = cfg.get_float("pagerank.damping", 0.85, above=0, below=1)
+    tolerance = cfg.get_float("pagerank.tolerance", 1e-9, above=0)
+    max_iter = cfg.get_int("pagerank.max_iterations", 100, minimum=1)
     suffixes = _suffix_table(cfg)
     page = graph.build_page_graph(_read_links(run_dir))
     if page.node_count == 0:
@@ -499,9 +514,6 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     domain = graph.project_domain_graph(
         page, lambda name: domain_of(normalize(name), suffixes)
     )
-    damping = cfg.get_float("pagerank.damping", 0.85)
-    tolerance = cfg.get_float("pagerank.tolerance", 1e-9)
-    max_iter = cfg.get_int("pagerank.max_iterations", 100)
     page_rank = graph.pagerank(page, damping, tolerance, max_iter)
     domain_rank = graph.pagerank(domain, damping, tolerance, max_iter)
 
@@ -692,6 +704,25 @@ def _label_for(cfg: RunConfig, labels, qid: int, doc: str) -> float | None:
 
 
 def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
+    base = ForestParams(
+        num_trees=cfg.get_int("rf.num_trees", 300, minimum=1),
+        bootstrap_fraction=cfg.get_float("rf.bootstrap_fraction", 1.0, above=0),
+        seed=seed,
+    )
+    min_leaf_grid = cfg.get_int_list("rf.grid.min_leaf", "1,5", minimum=1)
+    fps_grid = cfg.get_list("rf.grid.features_per_split", "sqrt,third")
+    fps_allowed = ("sqrt", "third", *map(str, range(1, len(FEATURE_NAMES) + 1)))
+    for fps in fps_grid:
+        if fps not in fps_allowed:
+            raise ConfigError(
+                f"rf.grid.features_per_split entries must be sqrt, third or 1..{len(FEATURE_NAMES)}, got {fps!r}"
+            )
+    grid = [
+        replace(base, min_leaf=ml, features_per_split=fps)
+        for ml in min_leaf_grid
+        for fps in fps_grid
+    ]
+    k_folds = cfg.get_int("rf.folds", 5, minimum=2)
     vectors = _read_vectors(run_dir)
     labels = _read_labels(run_dir)
     pooled_docs = {qid: set(docs) for qid, docs in _read_pool(run_dir).items()}
@@ -705,24 +736,7 @@ def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
         training.append(replace(vec, label=label))
     if not training:
         raise StageDataError("no labeled training examples in the pool")
-    bootstrap_fraction = cfg.get_float("rf.bootstrap_fraction", 1.0)
-    if not bootstrap_fraction > 0:  # also rejects nan
-        raise ConfigError(f"rf.bootstrap_fraction must be greater than 0, got {bootstrap_fraction!r}")
-    base = ForestParams(
-        num_trees=cfg.get_int("rf.num_trees", 300, minimum=1),
-        bootstrap_fraction=bootstrap_fraction,
-        seed=seed,
-    )
-    min_leaf_grid = cfg.get_int_list("rf.grid.min_leaf", "1,5", minimum=1)
-    fps_grid = [v.strip() for v in cfg.get("rf.grid.features_per_split", "sqrt,third").split(",") if v]
-    grid = [
-        replace(base, min_leaf=ml, features_per_split=fps)
-        for ml in min_leaf_grid
-        for fps in fps_grid
-    ]
-    forest, report = cross_validate(
-        training, grid, k_folds=cfg.get_int("rf.folds", 5, minimum=2), seed=seed
-    )
+    forest, report = cross_validate(training, grid, k_folds=k_folds, seed=seed)
     _atomic_write(run_dir / "forest.txt", lambda fh: write_forest(forest, fh))
     _atomic_write(
         run_dir / "cv_report.json",

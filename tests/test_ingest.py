@@ -25,7 +25,6 @@ from archive_rank.ingest import (
     ParseStats,
     content_links,
     extract_links,
-    filter_content_links,
     parse_arc_stream,
     parse_warc_stream,
     read_links_tsv,
@@ -432,24 +431,23 @@ class TestExtractLinks:
                 assert item.anchor_text == ""
 
 
-class TestFilterContentLinks:
+class TestContentLinks:
     def test_empty(self):
-        assert filter_content_links([]) == []
+        for strategy in (STRATEGY_ALL, STRATEGY_UNIQUE_PER_REVISION):
+            assert content_links([], strategy) == []
 
     def test_fourteen_pattern_document_keeps_only_the_anchor(self):
         links = extract_links(FOURTEEN_PATTERN_HTML, "http://a.de/", 7).links
-        kept = filter_content_links(links)
-        assert len(kept) == 1 and kept[0].tag_pattern == "A/href"
+        assert len(links) == 14
+        assert content_links(links, STRATEGY_ALL) == [ContentLink("http://a.de/", "http://a.de/page", 7, "Ein Link")]
 
     def test_order_preserved(self):
         records = [
             LinkRecord("http://s.de/", 1, f"http://t.de/{i}", "A/href", str(i)) for i in range(3)
         ] + [LinkRecord("http://s.de/", 1, "http://t.de/img", "IMG/src", "")] * 2
-        kept = filter_content_links(records)
-        assert [l.anchor_text for l in kept] == ["0", "1", "2"]
+        for strategy in (STRATEGY_ALL, STRATEGY_UNIQUE_PER_REVISION):
+            assert [l.anchor_text for l in content_links(records, strategy)] == ["0", "1", "2"]
 
-
-class TestContentLinks:
     def test_keeps_anchor_links_with_both_ends_resolved(self):
         records = [
             LinkRecord("http://S.de:80/a?r=1", 5, "http://T.de/p?q=2#top", "A/href", "t"),

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from archive_rank.metrics import (
     RankedRun,
+    _betainc,
     average_precision,
     mean_average_precision,
     ndcg_at_k,
     paired_significance,
-    permutation_pvalue,
     precision_at_k,
 )
 
@@ -21,6 +22,17 @@ def run_from_labels(labels_in_order, qid=1):
 
 # ---------------------------------------------------------------------------
 # independent brute-force reimplementations straight from the definitions
+
+
+def permutation_pvalue(metric_a, metric_b, draws=10000, seed=0):
+    """Sign-flip permutation test over the paired differences: a
+    distribution-free cross-check for the t-test."""
+    diff = np.asarray(metric_a, dtype=np.float64) - np.asarray(metric_b, dtype=np.float64)
+    observed = abs(diff.mean())
+    rng = np.random.default_rng(seed)
+    signs = rng.choice((-1.0, 1.0), size=(draws, len(diff)))
+    stats = np.abs((signs * diff).mean(axis=1))
+    return float((np.sum(stats >= observed) + 1.0) / (draws + 1.0))
 
 
 def brute_precision(labels, k):
@@ -171,6 +183,22 @@ class TestPairedSignificance:
             perm = permutation_pvalue(a, b, draws=10000, seed=1)
             assert t_test.p_value == pytest.approx(perm, abs=0.02)
 
+    def test_zero_mean_with_spread_gives_p_exactly_one(self):
+        result = paired_significance([1, -1], [0, 0])
+        assert result.t_statistic == 0.0 and result.p_value == 1.0
+        assert not result.degenerate_variance
+
+    def test_p_value_matches_scipy_betainc(self):
+        """The two-sided p of dof = n - 1 is I_x(dof/2, 1/2), x = dof/(dof + t^2)."""
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 5, 24, 101):
+            for _ in range(20):
+                diff = rng.normal(rng.normal(0, 0.3), 1.0, size=n)
+                result = paired_significance(diff, np.zeros(n))
+                dof = n - 1
+                expected = special.betainc(dof / 2, 0.5, dof / (dof + result.t_statistic**2))
+                assert result.p_value == pytest.approx(expected, rel=1e-11, abs=0)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             paired_significance([1, 2], [1, 2, 3])
@@ -178,3 +206,21 @@ class TestPairedSignificance:
     def test_single_pair_rejected(self):
         with pytest.raises(ValueError):
             paired_significance([1.0], [0.0])
+
+
+class TestBetainc:
+    def test_student_t_range_matches_scipy(self):
+        """dof 1..1000 and |t| from 1e-3 to 1e4, the p-values a paired
+        t-test asks for, within 1e-11 relative."""
+        t = np.geomspace(1e-3, 1e4, 60)
+        for dof in range(1, 1001):
+            x = dof / (dof + t * t)
+            expected = special.betainc(dof / 2, 0.5, x)
+            got = np.array([_betainc(dof / 2, 0.5, xi) for xi in x.tolist()])
+            tiny = expected < 1e-290  # scipy flushes these to zero
+            assert np.all(got[tiny] < 1e-290), dof
+            np.testing.assert_allclose(got[~tiny], expected[~tiny], rtol=1e-11, atol=0, err_msg=f"dof={dof}")
+
+    def test_ends_are_exact(self):
+        assert _betainc(3.0, 0.5, 0.0) == 0.0
+        assert _betainc(3.0, 0.5, 1.0) == 1.0

@@ -78,7 +78,7 @@ GOLDEN_DIGESTS = {
     "cv_report.json": "198489e89bbb0f9fd9363a1ad2c4606d4596847ed63869f554554957aef74971",
     "runs.tsv": "62b787a879c58c99ac8a2d74d752411f345a93daa31265dd1e394e9286853bd6",
     "eval.csv": "7f9775e87ef60600d7de7693f6ba92c5d985842292a22c1dd9cce9b35f004f22",
-    "sig.csv": "eb3fd6aa2d6485d0256912e57127fc9464a5fe770927b898c850dff03467bee5",
+    "sig.csv": "6f44b6f378e4b696e7f4444548b9aa9419bf11c22638279e72cd5d5fcfe19ea0",
 }
 
 
@@ -188,6 +188,15 @@ class TestFullPipeline:
         lines = (finished_run / "sig.csv").read_text().splitlines()
         assert lines[0] == "system_a,system_b,metric,t_statistic,p_value"
         assert len(lines) == 1 + 6 * 4  # all system pairs x four metrics
+
+    def test_sig_csv_p_values_match_scipy_betainc(self, finished_run):
+        from scipy import special
+
+        manifest = json.loads((finished_run / "manifest.json").read_text())
+        dof = manifest["stages"][-1]["row_counts"]["queries"] - 1
+        for line in (finished_run / "sig.csv").read_text().splitlines()[1:]:
+            t, p = map(float, line.split(",")[3:])
+            assert p == pytest.approx(special.betainc(dof / 2, 0.5, dof / (dof + t * t)), rel=1e-12, abs=0), line
 
     def test_rerunning_a_stage_is_byte_identical(self, corpus, finished_run):
         cfg = load_config(corpus.config_path)
@@ -339,11 +348,34 @@ def test_bad_enumerated_config_value_exits_one(corpus, finished_run, tmp_path, c
         "rf.folds=1",
         "rf.bootstrap_fraction=0",
         "rf.bootstrap_fraction=nan",
+        "rf.grid.features_per_split=foo",
+        "rf.grid.features_per_split=0",
+        "rf.grid.features_per_split=34",
+        "rf.grid.features_per_split=sqrt,2.5",
+        "rf.grid.features_per_split= , ",
+        "rf.grid.features_per_split=",
     ],
 )
 def test_out_of_range_forest_key_exits_one(corpus, finished_run, tmp_path, capsys, line):
     run_dir = _exits_one_naming_the_key(corpus, finished_run, tmp_path, capsys, line, "train")
     assert (run_dir / "forest.txt").read_bytes() == (finished_run / "forest.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "pagerank.max_iterations=0",
+        "pagerank.damping=0",
+        "pagerank.damping=1",
+        "pagerank.damping=nan",
+        "pagerank.tolerance=0",
+        "pagerank.tolerance=-1e-9",
+        "pagerank.tolerance=nan",
+    ],
+)
+def test_out_of_range_pagerank_key_exits_one(corpus, finished_run, tmp_path, capsys, line):
+    run_dir = _exits_one_naming_the_key(corpus, finished_run, tmp_path, capsys, line, "graph")
+    assert (run_dir / "page_rank.tsv").read_bytes() == (finished_run / "page_rank.tsv").read_bytes()
 
 
 def test_repeated_config_key_is_rejected_with_both_lines(tmp_path):
@@ -403,7 +435,7 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_scipy_stays_unloaded_outside_graph_and_eval(corpus, finished_run, tmp_path):
+def test_no_stage_loads_scipy(corpus, finished_run, tmp_path):
     run_dir = tmp_path / "run"
     shutil.copytree(finished_run, run_dir)
     code = (
@@ -412,12 +444,13 @@ def test_scipy_stays_unloaded_outside_graph_and_eval(corpus, finished_run, tmp_p
         "for stage in sys.argv[3:]:\n"
         "    assert main([stage, '--config', sys.argv[1], '--run-dir', sys.argv[2]]) == 0\n"
         "    print(stage, 'scipy' in sys.modules)\n"
+        "import scipy\n"
+        "print('control', 'scipy' in sys.modules)\n"  # shows the probe can see scipy
     )
-    stages = [s for s in STAGE_ORDER if s not in ("graph", "eval")] + ["eval"]  # eval shows the probe works
-    proc = _python(code, str(corpus.config_path), str(run_dir), *stages)
+    proc = _python(code, str(corpus.config_path), str(run_dir), *STAGE_ORDER)
     assert proc.returncode == 0, proc.stderr
     loaded = dict(line.split() for line in proc.stdout.splitlines() if line.split()[-1] in ("True", "False"))
-    assert loaded == {stage: str(stage == "eval") for stage in stages}
+    assert loaded == {**{stage: "False" for stage in STAGE_ORDER}, "control": "True"}
 
 
 def _write_corpus(root: Path, records: list[bytes]) -> Path:
