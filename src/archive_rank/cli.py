@@ -17,13 +17,19 @@ from .pipeline import (
 )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # a usage error is a validation error (exit 1), not argparse's exit 2,
+        # which this program reserves for data errors
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="archive-rank",
         description="Rank web-archive documents from non-content evidence.",
     )
-    parser.add_argument("stage", nargs="?", choices=STAGE_ORDER, help="pipeline stage to run")
-    parser.add_argument("--stage", dest="stage_flag", choices=STAGE_ORDER, help="alias for the positional stage")
+    parser.add_argument("stage", choices=STAGE_ORDER, help="pipeline stage to run")
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--run-dir", required=True, help="directory holding stage artifacts")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -31,17 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    stage = args.stage or args.stage_flag
-    if stage is None:
-        print("error: no stage given (positional or --stage)", file=sys.stderr)
-        return 1
-    if args.stage and args.stage_flag and args.stage != args.stage_flag:
-        print("error: positional stage and --stage disagree", file=sys.stderr)
-        return 1
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config, seed_override=args.seed)
-        counts = run_stage(stage, cfg, args.run_dir)
+        counts = run_stage(args.stage, cfg, args.run_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -49,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    print(f"{stage}: ok {summary}")
+    print(f"{args.stage}: ok {summary}")
     return 0
 
 

@@ -9,7 +9,7 @@ master seed and its tree index. Examples are canonically pre-sorted by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "CvReport",
     "train_forest",
     "cross_validate",
-    "default_param_grid",
     "baseline_score",
     "information_gain_ranking",
     "write_forest",
@@ -315,17 +314,9 @@ class CvReport:
         }
 
 
-def default_param_grid(base: ForestParams = ForestParams()) -> list[ForestParams]:
-    grid = []
-    for min_leaf in (1, 5):
-        for fps in ("sqrt", "third"):
-            grid.append(replace(base, min_leaf=min_leaf, features_per_split=fps))
-    return grid
-
-
 def cross_validate(
     examples: Sequence[FeatureVector],
-    param_grid: Sequence[ForestParams] | None = None,
+    param_grid: Sequence[ForestParams],
     k_folds: int = 5,
     seed: int = 0,
     ndcg_cutoff: int = 10,
@@ -336,7 +327,7 @@ def cross_validate(
     fold boundary. Ties between grid points resolve to the earlier entry.
     The returned forest is retrained on all examples with the winner.
     """
-    grid = list(param_grid) if param_grid is not None else default_param_grid()
+    grid = list(param_grid)
     if not grid:
         raise ValueError("empty parameter grid")
     ordered = _canonical_order(examples)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import resource
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,7 @@ __all__ = [
     "MissingStageError",
     "StageDataError",
     "RunConfig",
-    "CONFIG_KEYS",
+    "SETTINGS",
     "load_config",
     "run_stage",
     "STAGE_ORDER",
@@ -112,39 +113,92 @@ _REQUIRES: dict[str, tuple[tuple[str, str], ...]] = {
 _ARCHIVE_SUFFIXES = (".warc", ".warc.gz", ".arc", ".arc.gz")
 SYSTEMS = BASELINES + ("rf",)
 
-# Every key a stage reads; any other key in a config is rejected, so a
-# misspelt key cannot silently leave its default in place.
-CONFIG_KEYS = frozenset(
-    {
-        "seed",
-        *(
-            f"paths.{name}"
-            for name in (
-                "archives", "suffixes", "queries", "wiki_citations", "entity_types",
-                "news_domains", "search_words", "serp_dir", "judgments",
-            )
-        ),
-        "pagerank.damping",
-        "pagerank.tolerance",
-        "pagerank.max_iterations",
-        "bm25.k1",
-        "bm25.b",
-        "rf.num_trees",
-        "rf.bootstrap_fraction",
-        "rf.folds",
-        "rf.grid.min_leaf",
-        "rf.grid.features_per_split",
-        "sample.per_partition_min",
-        "sample.per_partition_max",
-        "stats.top_n_domains",
-        "stats.group_by_year",
-        "index.strategy",
-        "label.strategy",
-    }
-)
-# enumerated config keys -> accepted values, the default first
-_CHOICES = {"index.strategy": ingest.STRATEGIES, "label.strategy": ("soft", "manual")}
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+# Parsers of config values. Each returns the value or raises ValueError
+# with the rule the text broke; RunConfig names the key.
+def _number(kind: type, rule: str, ok=lambda value: True):
+    """An int or a finite float that satisfies ``ok``; nan fails every bound."""
+
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            value = None
+        if value is None or (kind is float and not math.isfinite(value)) or not ok(value):
+            raise ValueError(f"must be {rule}, got {raw!r}")
+        return value
+
+    return parse
+
+
+def _one_of(*values: str, rule: str = ""):
+    def parse(raw: str) -> str:
+        if raw not in values:
+            raise ValueError(f"must be {rule or 'one of ' + ', '.join(values)}, got {raw!r}")
+        return raw
+
+    return parse
+
+
+def _comma_list(entry):
+    """Comma-separated entries, blanks skipped, each parsed by ``entry``;
+    at least one."""
+
+    def parse(raw: str) -> list:
+        entries = [e.strip() for e in raw.split(",") if e.strip()]
+        if not entries:
+            raise ValueError(f"must list at least one value, got {raw!r}")
+        return [entry(e) for e in entries]
+
+    return parse
+
+
+def _yes_no(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word not in _TRUE + _FALSE:
+        raise ValueError(f"must be one of {', '.join(_TRUE + _FALSE)}, got {raw!r}")
+    return word in _TRUE
+
+
+def _int_at_least(low: int):
+    return _number(int, f"an integer of at least {low}", lambda v: v >= low)
+
+
+_PATH_KEYS = (
+    "archives", "suffixes", "queries", "wiki_citations", "entity_types",
+    "news_domains", "search_words", "serp_dir", "judgments",
+)
+_FEATURES_PER_SPLIT = _one_of(
+    "sqrt", "third", *map(str, range(1, len(FEATURE_NAMES) + 1)),
+    rule=f"sqrt, third or an integer from 1 to {len(FEATURE_NAMES)}",
+)
+
+# Every config key -> (parser, default text). Any other key is rejected, so
+# a misspelt key cannot silently leave its default in place. ``paths.*``
+# values stay raw text: they are resolved and checked when a stage runs.
+SETTINGS = {
+    "seed": (_number(int, "an integer"), "0"),
+    **{f"paths.{name}": (str, "") for name in _PATH_KEYS},
+    "pagerank.damping": (_number(float, "a number strictly between 0 and 1", lambda v: 0 < v < 1), "0.85"),
+    "pagerank.tolerance": (_number(float, "a number greater than 0", lambda v: v > 0), "1e-9"),
+    "pagerank.max_iterations": (_int_at_least(1), "100"),
+    "bm25.k1": (_number(float, "a number of at least 0", lambda v: v >= 0), "1.2"),
+    "bm25.b": (_number(float, "a number from 0 to 1", lambda v: 0 <= v <= 1), "0.75"),
+    "rf.num_trees": (_int_at_least(1), "300"),
+    "rf.bootstrap_fraction": (_number(float, "a number greater than 0", lambda v: v > 0), "1.0"),
+    "rf.folds": (_int_at_least(2), "5"),
+    "rf.grid.min_leaf": (_comma_list(_int_at_least(1)), "1,5"),
+    # entries stay the text written ("3"), as cv_report.json records them
+    "rf.grid.features_per_split": (_comma_list(_FEATURES_PER_SPLIT), "sqrt,third"),
+    "sample.per_partition_min": (_int_at_least(1), "20"),
+    "sample.per_partition_max": (_int_at_least(1), "50"),
+    "stats.top_n_domains": (_int_at_least(0), "0"),
+    "stats.group_by_year": (_yes_no, "true"),
+    "index.strategy": (_one_of(*ingest.STRATEGIES), ingest.STRATEGIES[0]),
+    "label.strategy": (_one_of("soft", "manual"), "soft"),
+}
 
 
 class ConfigError(ValueError):
@@ -163,79 +217,44 @@ class StageDataError(RuntimeError):
     """Data-level failure inside a stage; maps to exit status 2."""
 
 
-def _parse_int(key: str, raw: str, minimum: int | None) -> int:
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be at least {minimum}, got {raw!r}")
-    return value
-
-
 @dataclass
 class RunConfig:
+    """The raw ``values`` of a config, parsed and checked whole on
+    construction; ``cfg[key]`` is the parsed value or the key's default."""
+
     values: dict[str, str]
     base_dir: Path
+    parsed: dict[str, object] = field(init=False, repr=False)
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
+    def __post_init__(self) -> None:
+        unknown = sorted(set(self.values) - set(SETTINGS))
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        self.parsed = {}
+        for key, (parse, default) in SETTINGS.items():
+            try:
+                self.parsed[key] = parse(self.values.get(key, default))
+            except ValueError as exc:
+                raise ConfigError(f"{key} {exc}") from None
+        lo, hi = self["sample.per_partition_min"], self["sample.per_partition_max"]
+        if lo > hi:
+            raise ConfigError(
+                f"sample.per_partition_min ({lo}) must not exceed sample.per_partition_max ({hi})"
+            )
 
-    def get_int(self, key: str, default: int, minimum: int | None = None) -> int:
-        raw = self.get(key)
-        return default if raw is None else _parse_int(key, raw, minimum)
-
-    def get_list(self, key: str, default: str) -> list[str]:
-        """Comma-separated entries, blanks skipped; at least one."""
-        raw = self.get(key, default)
-        values = [v.strip() for v in raw.split(",") if v.strip()]
-        if not values:
-            raise ConfigError(f"{key} must list at least one value, got {raw!r}")
-        return values
-
-    def get_int_list(self, key: str, default: str, minimum: int) -> list[int]:
-        """Comma-separated integers, each at least ``minimum``; at least one."""
-        return [_parse_int(key, v, minimum) for v in self.get_list(key, default)]
-
-    def get_float(self, key: str, default: float, above: float | None = None, below: float | None = None) -> float:
-        """A number, strictly between ``above`` and ``below`` where given
-        (so never nan when bounded)."""
-        raw = self.get(key)
-        try:
-            value = float(raw) if raw is not None else default
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a number, got {raw!r}") from exc
-        if above is not None and not value > above:
-            raise ConfigError(f"{key} must be greater than {above}, got {raw!r}")
-        if below is not None and not value < below:
-            raise ConfigError(f"{key} must be less than {below}, got {raw!r}")
-        return value
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self.get(key)
-        if raw is None:
-            return default
-        if raw.strip().lower() not in _TRUE + _FALSE:
-            raise ConfigError(f"{key} must be one of {', '.join(_TRUE + _FALSE)}, got {raw!r}")
-        return raw.strip().lower() in _TRUE
-
-    def get_choice(self, key: str) -> str:
-        """Value of an enumerated key of ``_CHOICES``, or its default."""
-        raw = self.get(key, _CHOICES[key][0])
-        if raw not in _CHOICES[key]:
-            raise ConfigError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {raw!r}")
-        return raw
+    def __getitem__(self, key: str):
+        return self.parsed[key]
 
     def path(self, key: str) -> Path | None:
-        raw = self.get(key)
-        if raw is None or not raw.strip():
+        raw = self[key]
+        if not raw.strip():
             return None
         p = Path(raw)
         return p if p.is_absolute() else self.base_dir / p
 
     @property
     def seed(self) -> int:
-        return self.get_int("seed", 0)
+        return self["seed"]
 
     def canonical_text(self) -> str:
         return "".join(f"{k}={self.values[k]}\n" for k in sorted(self.values))
@@ -244,7 +263,7 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
     def archive_files(self) -> list[Path]:
-        raw = self.get("paths.archives", "")
+        raw = self["paths.archives"]
         files: list[Path] = []
         for entry in raw.split(","):
             entry = entry.strip()
@@ -259,11 +278,6 @@ class RunConfig:
             else:
                 files.append(p)
         return files
-
-    def validate_keys(self) -> None:
-        unknown = sorted(set(self.values) - CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
     def validate_paths(self) -> None:
         for key, raw in sorted(self.values.items()):
@@ -359,10 +373,7 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
     wall0, cpu0 = time.perf_counter(), time.process_time()
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    cfg.validate_keys()
     cfg.validate_paths()
-    for key in _CHOICES:
-        cfg.get_choice(key)
     input_digests = _check_requirements(stage, run_dir)
     seed = derive_seed(cfg.seed, stage)
     handler = _STAGES[stage]
@@ -454,8 +465,8 @@ def _build_context(cfg: RunConfig, run_dir: Path) -> FeatureContext:
         domain_rank=_rank_map(run_dir, "domain_nodes.tsv", "domain_rank.tsv"),
         news_domains=load_word_table(news_path) if news_path else (),
         search_words=load_word_table(words_path) if words_path else None,
-        bm25_k1=cfg.get_float("bm25.k1", 1.2),
-        bm25_b=cfg.get_float("bm25.b", 0.75),
+        bm25_k1=cfg["bm25.k1"],
+        bm25_b=cfg["bm25.b"],
     )
 
 
@@ -504,9 +515,9 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 
 
 def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
-    damping = cfg.get_float("pagerank.damping", 0.85, above=0, below=1)
-    tolerance = cfg.get_float("pagerank.tolerance", 1e-9, above=0)
-    max_iter = cfg.get_int("pagerank.max_iterations", 100, minimum=1)
+    damping = cfg["pagerank.damping"]
+    tolerance = cfg["pagerank.tolerance"]
+    max_iter = cfg["pagerank.max_iterations"]
     suffixes = _suffix_table(cfg)
     page = graph.build_page_graph(_read_links(run_dir))
     if page.node_count == 0:
@@ -538,7 +549,7 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 
 def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     surrogates = anchor_index.build_surrogates(
-        _read_links(run_dir), _read_revisions(run_dir), cfg.get_choice("index.strategy")
+        _read_links(run_dir), _read_revisions(run_dir), cfg["index.strategy"]
     )
     docs_buf, postings_buf, instances_buf = io.StringIO(), io.StringIO(), io.StringIO()
     anchor_index.write_index(surrogates, docs_buf, postings_buf, instances_buf)
@@ -557,9 +568,9 @@ def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     suffixes = _suffix_table(cfg)
     links = _read_links(run_dir)
-    top_n = cfg.get_int("stats.top_n_domains", 0) or None
+    top_n = cfg["stats.top_n_domains"] or None
     rows = anchor_index.anchor_distribution(links, False, top_n, suffixes)
-    if cfg.get_bool("stats.group_by_year", True):
+    if cfg["stats.group_by_year"]:
         rows += anchor_index.anchor_distribution(links, True, top_n, suffixes)
 
     def write_dist(fh):
@@ -620,8 +631,8 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     grouped = group_by_query(vectors)
     serp_dir = cfg.path("paths.serp_dir")
     snapshots = labeling.load_snapshots(serp_dir) if serp_dir else {}
-    lo = cfg.get_int("sample.per_partition_min", 20)
-    hi = cfg.get_int("sample.per_partition_max", 50)
+    lo = cfg["sample.per_partition_min"]
+    hi = cfg["sample.per_partition_max"]
 
     judgments_path = cfg.path("paths.judgments")
     manual: dict[tuple[int, str], float] = {}
@@ -698,31 +709,22 @@ def _read_pool(run_dir: Path) -> dict[int, list[str]]:
 
 def _label_for(cfg: RunConfig, labels, qid: int, doc: str) -> float | None:
     soft, man = labels.get((qid, doc), (0.0, None))
-    if cfg.get_choice("label.strategy") == "manual":
+    if cfg["label.strategy"] == "manual":
         return man
     return soft
 
 
 def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     base = ForestParams(
-        num_trees=cfg.get_int("rf.num_trees", 300, minimum=1),
-        bootstrap_fraction=cfg.get_float("rf.bootstrap_fraction", 1.0, above=0),
+        num_trees=cfg["rf.num_trees"],
+        bootstrap_fraction=cfg["rf.bootstrap_fraction"],
         seed=seed,
     )
-    min_leaf_grid = cfg.get_int_list("rf.grid.min_leaf", "1,5", minimum=1)
-    fps_grid = cfg.get_list("rf.grid.features_per_split", "sqrt,third")
-    fps_allowed = ("sqrt", "third", *map(str, range(1, len(FEATURE_NAMES) + 1)))
-    for fps in fps_grid:
-        if fps not in fps_allowed:
-            raise ConfigError(
-                f"rf.grid.features_per_split entries must be sqrt, third or 1..{len(FEATURE_NAMES)}, got {fps!r}"
-            )
     grid = [
         replace(base, min_leaf=ml, features_per_split=fps)
-        for ml in min_leaf_grid
-        for fps in fps_grid
+        for ml in cfg["rf.grid.min_leaf"]
+        for fps in cfg["rf.grid.features_per_split"]
     ]
-    k_folds = cfg.get_int("rf.folds", 5, minimum=2)
     vectors = _read_vectors(run_dir)
     labels = _read_labels(run_dir)
     pooled_docs = {qid: set(docs) for qid, docs in _read_pool(run_dir).items()}
@@ -736,7 +738,7 @@ def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
         training.append(replace(vec, label=label))
     if not training:
         raise StageDataError("no labeled training examples in the pool")
-    forest, report = cross_validate(training, grid, k_folds=k_folds, seed=seed)
+    forest, report = cross_validate(training, grid, k_folds=cfg["rf.folds"], seed=seed)
     _atomic_write(run_dir / "forest.txt", lambda fh: write_forest(forest, fh))
     _atomic_write(
         run_dir / "cv_report.json",

@@ -11,7 +11,6 @@ from archive_rank.forest import (
     ForestParams,
     baseline_score,
     cross_validate,
-    default_param_grid,
     information_gain_ranking,
     read_forest,
     train_forest,
@@ -221,13 +220,6 @@ class TestCrossValidate:
         vectors = one_dim_vectors(n=12, n_queries=3)
         with pytest.raises(ValueError):
             cross_validate(vectors, [ForestParams(num_trees=2)], k_folds=5)
-
-    def test_default_grid_shape(self):
-        grid = default_param_grid(ForestParams(num_trees=7))
-        assert len(grid) == 4
-        assert {p.min_leaf for p in grid} == {1, 5}
-        assert {p.features_per_split for p in grid} == {"sqrt", "third"}
-        assert all(p.num_trees == 7 for p in grid)
 
 
 class TestBaselines:

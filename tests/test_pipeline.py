@@ -20,6 +20,7 @@ from archive_rank.pipeline import (
     STAGE_ORDER,
     ConfigError,
     MissingStageError,
+    RunConfig,
     _atomic_write,
     derive_seed,
     load_config,
@@ -114,7 +115,7 @@ class TestConfig:
     def test_parse_and_relative_paths(self, corpus):
         cfg = load_config(corpus.config_path)
         assert cfg.seed == 42
-        assert cfg.get_float("pagerank.damping", 0.0) == 0.85
+        assert cfg["pagerank.damping"] == 0.85
         assert cfg.path("paths.queries").exists()
         assert len(cfg.archive_files()) == 3
 
@@ -140,7 +141,14 @@ class TestConfig:
             run_stage("ingest", cfg, tmp_path / "run")
 
     def test_synthetic_config_has_only_declared_keys(self, corpus):
-        load_config(corpus.config_path).validate_keys()
+        load_config(corpus.config_path)  # raises on an undeclared key
+
+    def test_defaults_apply_to_an_empty_config(self, tmp_path):
+        cfg = RunConfig({}, tmp_path)
+        assert cfg.seed == 0 and cfg["rf.num_trees"] == 300 and cfg["stats.group_by_year"] is True
+        assert cfg["rf.grid.min_leaf"] == [1, 5]
+        assert cfg["rf.grid.features_per_split"] == ["sqrt", "third"]
+        assert cfg.path("paths.queries") is None
 
     def test_stage_seed_derivation_is_salted(self):
         assert derive_seed(1, "ingest") != derive_seed(1, "graph")
@@ -212,7 +220,7 @@ class TestFullPipeline:
         ctx = pipeline._build_context(cfg, finished_run)
         # the inlink column comes from the surrogates; it must count the
         # deduplicated content links of links.tsv
-        links = content_links(pipeline._read_links(finished_run), cfg.get_choice("index.strategy"))
+        links = content_links(pipeline._read_links(finished_run), cfg["index.strategy"])
         inlinks = Counter(link.target for link in links)
         column = FEATURE_NAMES.index("inlink_count")
         with open(finished_run / "features.txt", encoding="utf-8") as fh:
@@ -266,10 +274,6 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("ingest: ok")
-        rc = main(
-            ["--stage", "graph", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]
-        )
-        assert rc == 0
 
     def test_missing_upstream_exits_one_and_names_stage(self, corpus, tmp_path, capsys):
         rc = main(
@@ -281,6 +285,19 @@ class TestCli:
     def test_no_stage_given(self, corpus, tmp_path, capsys):
         rc = main(["--config", str(corpus.config_path), "--run-dir", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ingest", "--run-dir", "run"],
+            ["compress", "--config", "config.txt", "--run-dir", "run"],
+            ["ingest", "--config", "config.txt", "--run-dir", "run", "--seed", "abc"],
+        ],
+        ids=["missing-config", "unknown-stage", "non-integer-seed"],
+    )
+    def test_usage_error_exits_one(self, capsys, args):
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_data_error_exits_two(self, corpus, tmp_path, capsys):
         run_dir = tmp_path / "broken"
@@ -348,6 +365,7 @@ def test_bad_enumerated_config_value_exits_one(corpus, finished_run, tmp_path, c
         "rf.folds=1",
         "rf.bootstrap_fraction=0",
         "rf.bootstrap_fraction=nan",
+        "rf.bootstrap_fraction=inf",
         "rf.grid.features_per_split=foo",
         "rf.grid.features_per_split=0",
         "rf.grid.features_per_split=34",
@@ -376,6 +394,43 @@ def test_out_of_range_forest_key_exits_one(corpus, finished_run, tmp_path, capsy
 def test_out_of_range_pagerank_key_exits_one(corpus, finished_run, tmp_path, capsys, line):
     run_dir = _exits_one_naming_the_key(corpus, finished_run, tmp_path, capsys, line, "graph")
     assert (run_dir / "page_rank.tsv").read_bytes() == (finished_run / "page_rank.tsv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "line, stage, artifact",
+    [
+        *(
+            (line, stage, artifact)
+            for line in ("bm25.k1=nan", "bm25.k1=-5", "bm25.k1=inf", "bm25.b=1.5")
+            for stage, artifact in (("features", "features.txt"), ("rank", "runs.tsv"))
+        ),
+        ("sample.per_partition_min=0", "label", "sample.tsv"),
+        ("sample.per_partition_max=0", "label", "sample.tsv"),
+        ("sample.per_partition_min=9", "label", "sample.tsv"),  # above the corpus's max of 3
+        ("stats.top_n_domains=-1", "stats", "anchor_dist.csv"),
+    ],
+)
+def test_out_of_range_key_exits_one_and_keeps_the_artifact(corpus, finished_run, tmp_path, capsys, line, stage, artifact):
+    run_dir = _exits_one_naming_the_key(corpus, finished_run, tmp_path, capsys, line, stage)
+    assert (run_dir / artifact).read_bytes() == (finished_run / artifact).read_bytes()
+
+
+def test_bad_forest_key_fails_ingest_before_it_writes(corpus, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    cfg_path = _config_with(corpus, "rf.num_trees=0")
+    assert main(["ingest", "--config", str(cfg_path), "--run-dir", str(run_dir)]) == 1
+    assert "rf.num_trees" in capsys.readouterr().err
+    assert not (run_dir / "revisions.tsv").exists()
+
+
+def test_readme_config_block_lists_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    written = dict(line.split("#")[0].strip().split("=", 1) for line in block.splitlines() if line.strip())
+    assert sorted(written) == sorted(pipeline.SETTINGS)
+    for key, (_parse, default) in pipeline.SETTINGS.items():
+        if key != "seed" and not key.startswith("paths."):
+            assert written[key] == default, key
 
 
 def test_repeated_config_key_is_rejected_with_both_lines(tmp_path):
