@@ -45,6 +45,6 @@ for doc_id, doc in surrogates.items():
     print(f"  {doc_id}: bm25={score:.4f} max_tf={ts.max_term_freq:.2f} len={ts.doc_len}")
 
 # how widely is each anchor text used? (frequency-of-frequency table)
-print("\nanchor spread (year, targets-per-anchor, anchors):")
+print("\nanchor spread (year, targets-per-anchor, anchors; year 0 = all years):")
 for row in anchor_distribution(links, group_by_year=True):
     print(" ", row)

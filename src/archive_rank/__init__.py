@@ -45,7 +45,6 @@ from .features import (
 from .forest import (
     Forest,
     ForestParams,
-    baseline_score,
     cross_validate,
     information_gain_ranking,
     train_forest,

@@ -182,19 +182,25 @@ def anchor_distribution(
 
     For each distinct anchor text, count how many distinct target core URLs
     it labels (k); report how many anchor texts share each k. Rows are
-    (year, k, count), with year 0 for ungrouped output. ``top_n_domains``
-    restricts to targets in the N domains holding the most member core
-    URLs (ties broken lexicographically).
+    (year, k, count): year 0 counts every link, and ``group_by_year`` adds
+    one block per capture year after it. ``top_n_domains`` restricts to
+    targets in the N domains holding the most member core URLs (ties broken
+    lexicographically).
     """
     pairs: list[tuple[int, str, str, str]] = []  # (year-or-0, anchor, target, domain)
     members: dict[str, set[str]] = defaultdict(set)
     domains: dict[str, str] = {}
+    years: dict[int, int] = {}  # by capture time, which every link of a revision shares
     for link in content_links(links, STRATEGY_ALL):
         if link.target not in domains:
             domains[link.target] = domain_of(normalize(link.target), suffixes)
         domain = domains[link.target]
         members[domain].add(link.target)
-        year = _year_of(link.capture_time) if group_by_year else 0
+        year = 0
+        if group_by_year:
+            if link.capture_time not in years:
+                years[link.capture_time] = _year_of(link.capture_time)
+            year = years[link.capture_time]
         pairs.append((year, link.anchor_text, link.target, domain))
 
     keep: set[str] | None = None
@@ -206,7 +212,9 @@ def anchor_distribution(
     for year, anchor, target, domain in pairs:
         if keep is not None and domain not in keep:
             continue
-        by_year[year][anchor].add(target)
+        by_year[0][anchor].add(target)
+        if group_by_year:
+            by_year[year][anchor].add(target)
 
     rows: list[tuple[int, int, int]] = []
     for year in sorted(by_year):

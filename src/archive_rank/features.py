@@ -166,8 +166,6 @@ class FeatureContext:
     news_domains: frozenset[str] = frozenset()
     search_words: frozenset[str] = DEFAULT_SEARCH_WORDS
     search_substrings: tuple[str, ...] = DEFAULT_SEARCH_SUBSTRINGS
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
 
     @classmethod
     def build(
@@ -179,8 +177,6 @@ class FeatureContext:
         domain_rank: dict[str, float] | None = None,
         news_domains: Iterable[str] = (),
         search_words: Iterable[str] | None = None,
-        bm25_k1: float = 1.2,
-        bm25_b: float = 0.75,
     ) -> "FeatureContext":
         revision_counts: dict[str, int] = defaultdict(int)
         revision_times: dict[str, set[int]] = defaultdict(set)
@@ -220,8 +216,6 @@ class FeatureContext:
             news_domains=frozenset(news_domains),
             search_words=plain,
             search_substrings=substrings,
-            bm25_k1=bm25_k1,
-            bm25_b=bm25_b,
         )
 
 

@@ -1,6 +1,6 @@
 """Bagged regression trees for pointwise rank learning, grouped
-cross-validation with top-10 NDCG model selection, single-evidence
-baselines, and information-gain feature ranking.
+cross-validation with top-10 NDCG model selection, and information-gain
+feature ranking.
 
 Training is deterministic: every tree derives its own generator from the
 master seed and its tree index. Examples are canonically pre-sorted by
@@ -14,8 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .anchor_index import bm25_score
-from .features import FEATURE_NAMES, FeatureContext, FeatureVector, QueryRecord
+from .features import FEATURE_NAMES, FeatureVector
 from .metrics import RankedRun, ndcg_at_k
 
 __all__ = [
@@ -24,14 +23,10 @@ __all__ = [
     "CvReport",
     "train_forest",
     "cross_validate",
-    "baseline_score",
     "information_gain_ranking",
     "write_forest",
     "read_forest",
-    "BASELINES",
 ]
-
-BASELINES = ("bm25", "pagerank", "query_in_url")
 
 _FOREST_MAGIC = "archive-rank-forest v1"
 
@@ -381,21 +376,6 @@ def _ndcg_by_query(model: Forest, held: Sequence[FeatureVector], cutoff: int) ->
         run = RankedRun.from_scores(qid, scores, labels)
         out[qid] = ndcg_at_k(run, cutoff)
     return out
-
-
-def baseline_score(which: str, query: QueryRecord, doc_id: str, ctx: FeatureContext) -> float:
-    """Single-evidence reference scorers: anchor BM25, document PageRank
-    (query independent), or query-term frequency in the tokenized URL."""
-    if which == "bm25":
-        return bm25_score(
-            query.tokens, ctx.surrogates.get(doc_id), ctx.stats, ctx.bm25_k1, ctx.bm25_b
-        )
-    if which == "pagerank":
-        return ctx.page_rank.get(doc_id, 0.0)
-    if which == "query_in_url":
-        needed = set(query.tokens)
-        return float(sum(1 for t in ctx.url_tokens.get(doc_id, ()) if t in needed))
-    raise ValueError(f"unknown baseline: {which!r}")
 
 
 # ---------------------------------------------------------------------------

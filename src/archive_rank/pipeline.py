@@ -37,14 +37,7 @@ from .features import (
     per_query_evidence_summary,
     serialize_vectors,
 )
-from .forest import (
-    BASELINES,
-    ForestParams,
-    baseline_score,
-    cross_validate,
-    read_forest,
-    write_forest,
-)
+from .forest import ForestParams, cross_validate, read_forest, write_forest
 from .metrics import (
     RankedRun,
     average_precision,
@@ -77,16 +70,16 @@ STAGE_ORDER = (
     "eval",
 )
 
-# artifacts read by _build_context, tagged with the stage that produces them
+# artifacts read by _read_index and _build_context, tagged with the stage
+# that produces them
+_INDEX_INPUTS = (("index", "docs.tsv"), ("index", "postings.tsv"), ("index", "instances.tsv"))
 _CONTEXT_INPUTS = (
     ("ingest", "revisions.tsv"),
     ("graph", "nodes.tsv"),
     ("graph", "page_rank.tsv"),
     ("graph", "domain_nodes.tsv"),
     ("graph", "domain_rank.tsv"),
-    ("index", "docs.tsv"),
-    ("index", "postings.tsv"),
-    ("index", "instances.tsv"),
+    *_INDEX_INPUTS,
 )
 # stage -> every artifact it opens
 _REQUIRES: dict[str, tuple[tuple[str, str], ...]] = {
@@ -105,13 +98,14 @@ _REQUIRES: dict[str, tuple[tuple[str, str], ...]] = {
         ("train", "forest.txt"),
         ("features", "features.txt"),
         ("label", "sample.tsv"),
-        *_CONTEXT_INPUTS,
+        *_INDEX_INPUTS,
     ),
     "eval": (("rank", "runs.tsv"), ("label", "labels.tsv")),
 }
 
 _ARCHIVE_SUFFIXES = (".warc", ".warc.gz", ".arc", ".arc.gz")
-SYSTEMS = BASELINES + ("rf",)
+# the learned ranker and the paper's single-evidence baselines
+SYSTEMS = ("bm25", "pagerank", "query_in_url", "rf")
 
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
@@ -381,7 +375,7 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
         counts = handler(cfg, run_dir, seed)
     except (ConfigError, StageDataError):
         raise
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, LookupError, OSError) as exc:
         raise StageDataError(f"stage {stage}: {exc}") from exc
     _append_manifest(
         run_dir,
@@ -465,8 +459,6 @@ def _build_context(cfg: RunConfig, run_dir: Path) -> FeatureContext:
         domain_rank=_rank_map(run_dir, "domain_nodes.tsv", "domain_rank.tsv"),
         news_domains=load_word_table(news_path) if news_path else (),
         search_words=load_word_table(words_path) if words_path else None,
-        bm25_k1=cfg["bm25.k1"],
-        bm25_b=cfg["bm25.b"],
     )
 
 
@@ -484,7 +476,8 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     resolver = ingest.HrefResolver()
     for path in files:
         stats = ingest.ParseStats()
-        parser = ingest.parse_arc_stream if ".arc" in path.name else ingest.parse_warc_stream
+        is_arc = path.name.endswith((".arc", ".arc.gz"))
+        parser = ingest.parse_arc_stream if is_arc else ingest.parse_warc_stream
         with open(path, "rb") as fh:
             for record in parser(fh, stats):
                 status = record.http_status
@@ -566,12 +559,10 @@ def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 
 
 def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
-    suffixes = _suffix_table(cfg)
-    links = _read_links(run_dir)
     top_n = cfg["stats.top_n_domains"] or None
-    rows = anchor_index.anchor_distribution(links, False, top_n, suffixes)
-    if cfg["stats.group_by_year"]:
-        rows += anchor_index.anchor_distribution(links, True, top_n, suffixes)
+    rows = anchor_index.anchor_distribution(
+        _read_links(run_dir), cfg["stats.group_by_year"], top_n, _suffix_table(cfg)
+    )
 
     def write_dist(fh):
         fh.write("year,k,count\n")
@@ -748,45 +739,43 @@ def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 
 
 def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
+    """Score every pooled (query, document) row once per system: the forest,
+    anchor BM25 over the index, and the ``pagerank_core`` and
+    ``query_in_url`` columns of the row's feature vector."""
     with open(run_dir / "forest.txt", encoding="utf-8") as fh:
         forest = read_forest(fh)
     vectors = {(v.query_id, v.doc_id): v for v in _read_vectors(run_dir)}
     pool = _read_pool(run_dir)
-    ctx = _build_context(cfg, run_dir)
-    queries = {q.query_id: q for q in _load_queries(cfg)}
+    surrogates, stats = _read_index(run_dir)
+    query_tokens = {q.query_id: q.tokens for q in _load_queries(cfg)}
     pooled = [
         vectors[(qid, doc)]
         for qid in sorted(pool)
-        if qid in queries
+        if qid in query_tokens
         for doc in pool[qid]
         if (qid, doc) in vectors
     ]
-    rf_scores: dict[tuple[int, str], float] = {}
-    if pooled:
-        predicted = forest.predict_matrix([v.values for v in pooled]).tolist()
-        rf_scores = {(v.query_id, v.doc_id): score for v, score in zip(pooled, predicted)}
+    k1, b = cfg["bm25.k1"], cfg["bm25.b"]
+    scores = {
+        "bm25": [
+            anchor_index.bm25_score(query_tokens[v.query_id], surrogates.get(v.doc_id), stats, k1, b)
+            for v in pooled
+        ],
+        "pagerank": [v["pagerank_core"] for v in pooled],
+        "query_in_url": [v["query_in_url"] for v in pooled],
+        "rf": forest.predict_matrix([v.values for v in pooled]).tolist() if pooled else [],
+    }
     lines: list[str] = []
-    rows = 0
     for system in SYSTEMS:
-        for qid in sorted(pool):
-            query = queries.get(qid)
-            if query is None:
-                continue
-            scores: dict[str, float] = {}
-            for doc in pool[qid]:
-                vec = vectors.get((qid, doc))
-                if vec is None:
-                    continue
-                if system == "rf":
-                    scores[doc] = rf_scores[(qid, doc)]
-                else:
-                    scores[doc] = baseline_score(system, query, doc, ctx)
-            ordered = sorted(scores, key=lambda d: (-scores[d], d))
+        by_query: dict[int, dict[str, float]] = {}
+        for v, score in zip(pooled, scores[system]):
+            by_query.setdefault(v.query_id, {})[v.doc_id] = score
+        for qid, by_doc in by_query.items():  # in query order, as pooled is
+            ordered = sorted(by_doc, key=lambda d: (-by_doc[d], d))
             for rank, doc in enumerate(ordered, start=1):
-                lines.append(f"{system}\t{qid}\t{doc}\t{scores[doc]!r}\t{rank}\n")
-                rows += 1
+                lines.append(f"{system}\t{qid}\t{doc}\t{by_doc[doc]!r}\t{rank}\n")
     _atomic_write(run_dir / "runs.tsv", lambda fh: fh.writelines(lines))
-    return {"run_rows": rows, "systems": len(SYSTEMS)}
+    return {"run_rows": len(lines), "systems": len(SYSTEMS)}
 
 
 def _stage_eval(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:

@@ -161,6 +161,15 @@ class TestBm25:
                     )
                 assert bm25_score(query, doc, stats, k1=k1) == pytest.approx(expected, abs=1e-12)
 
+    def test_anchorless_document_scores_zero_bm25(self):
+        revisions = [rev("http://a.de/angela/merkel", T0), rev("http://b.de/x", T0)]
+        links = [link("http://s.de/", "http://a.de/angela/merkel", "Angela Merkel", when=T0)]
+        surrogates = build_surrogates(links, revisions)
+        stats = build_stats(surrogates)
+        query = tokenize_text("angela merkel")
+        assert bm25_score(query, surrogates.get("http://b.de/x"), stats) == 0.0
+        assert bm25_score(query, surrogates["http://a.de/angela/merkel"], stats) > 0.0
+
     def test_empty_query_scores_zero_everywhere(self):
         surrogates, stats = two_doc_index()
         for doc in surrogates.values():
@@ -230,11 +239,13 @@ class TestAnchorDistribution:
             link("http://s2.de/", "http://x.de/", "b", when=year_2013),
         ]
         rows = anchor_distribution(links, group_by_year=True)
+        assert [year for year, _k, _count in rows] == sorted(year for year, _k, _count in rows)
+        assert [row for row in rows if row[0] == 0] == anchor_distribution(links)
         per_year = {}
         for year, k, count in rows:
             per_year.setdefault(year, 0)
             per_year[year] += k * count
-        # brute force: distinct (anchor, target) pairs per year
+        # brute force: distinct (anchor, target) pairs per year, and over all years as year 0
         brute = Counter()
         for l in links:
             year = 2007 if l.source_capture_time == year_2007 else 2013
@@ -245,6 +256,7 @@ class TestAnchorDistribution:
                     if (2007 if x.source_capture_time == year_2007 else 2013) == year
                 }
             )
+        brute[0] = len({(x.anchor_text, x.target_url) for x in links})
         assert per_year == dict(brute)
 
     def test_top_domain_restriction(self):

@@ -89,6 +89,29 @@ class TestUrlFeatures:
         assert extract_features(query(), "http://a.de/x/y/z.html", ctx)["url_depth"] == 3.0
 
 
+class TestBaselineColumns:
+    """The rank stage's pagerank and query_in_url baselines are these columns."""
+
+    def _ctx(self):
+        revisions = [rev("http://a.de/angela/merkel", T0), rev("http://b.de/x", T0)]
+        return make_context(
+            revisions, [], page_rank={"http://a.de/angela/merkel": 0.6, "http://b.de/x": 0.4}
+        )
+
+    def test_pagerank_is_query_independent(self):
+        ctx = self._ctx()
+        doc = "http://a.de/angela/merkel"
+        q1, q2 = query(), query("uwe seeler", "sport_player", qid=2)
+        assert extract_features(q1, doc, ctx)["pagerank_core"] == 0.6
+        assert extract_features(q2, doc, ctx)["pagerank_core"] == 0.6
+
+    def test_query_in_url_monotone_in_hits(self):
+        ctx = self._ctx()
+        assert extract_features(query(), "http://a.de/angela/merkel", ctx)["query_in_url"] == 2.0
+        assert extract_features(query("angela"), "http://a.de/angela/merkel", ctx)["query_in_url"] == 1.0
+        assert extract_features(query(), "http://b.de/x", ctx)["query_in_url"] == 0.0
+
+
 class TestAnchorFeatures:
     def test_anchor_freq_fraction(self):
         target = "http://t.de/"

@@ -9,14 +9,12 @@ from archive_rank.features import FeatureVector
 from archive_rank.forest import (
     Forest,
     ForestParams,
-    baseline_score,
     cross_validate,
     information_gain_ranking,
     read_forest,
     train_forest,
     write_forest,
 )
-from conftest import T0, link, make_context, rev
 
 
 def vec(qid, doc, label, values):
@@ -220,41 +218,6 @@ class TestCrossValidate:
         vectors = one_dim_vectors(n=12, n_queries=3)
         with pytest.raises(ValueError):
             cross_validate(vectors, [ForestParams(num_trees=2)], k_folds=5)
-
-
-class TestBaselines:
-    def _ctx(self):
-        revisions = [rev("http://a.de/angela/merkel", T0), rev("http://b.de/x", T0)]
-        links = [link("http://s.de/", "http://a.de/angela/merkel", "Angela Merkel", when=T0)]
-        return make_context(
-            revisions, links, page_rank={"http://a.de/angela/merkel": 0.6, "http://b.de/x": 0.4}
-        )
-
-    def test_pagerank_is_query_independent(self):
-        from archive_rank.features import QueryRecord
-
-        ctx = self._ctx()
-        q1 = QueryRecord(1, "angela merkel", "politician")
-        q2 = QueryRecord(2, "uwe seeler", "sport_player")
-        doc = "http://a.de/angela/merkel"
-        assert baseline_score("pagerank", q1, doc, ctx) == baseline_score("pagerank", q2, doc, ctx)
-
-    def test_anchorless_document_scores_zero_bm25(self):
-        from archive_rank.features import QueryRecord
-
-        ctx = self._ctx()
-        q = QueryRecord(1, "angela merkel", "politician")
-        assert baseline_score("bm25", q, "http://b.de/x", ctx) == 0.0
-        assert baseline_score("bm25", q, "http://a.de/angela/merkel", ctx) > 0.0
-
-    def test_query_in_url_monotone_in_hits(self):
-        from archive_rank.features import QueryRecord
-
-        ctx = self._ctx()
-        q = QueryRecord(1, "angela merkel", "politician")
-        two = baseline_score("query_in_url", q, "http://a.de/angela/merkel", ctx)
-        zero = baseline_score("query_in_url", q, "http://b.de/x", ctx)
-        assert two == 2.0 and zero == 0.0
 
 
 class TestInformationGain:

@@ -14,7 +14,6 @@ import pytest
 from archive_rank import anchor_index, pipeline
 from archive_rank.cli import main
 from archive_rank.features import FEATURE_NAMES, deserialize_vectors
-from archive_rank.forest import baseline_score
 from archive_rank.ingest import content_links
 from archive_rank.pipeline import (
     STAGE_ORDER,
@@ -27,6 +26,7 @@ from archive_rank.pipeline import (
     run_stage,
 )
 from archive_rank.synthetic import make_synthetic_archive, warc_record_bytes
+from archive_rank.urls import normalize, tokenize_url
 
 ARTIFACTS = (
     "revisions.tsv",
@@ -217,7 +217,6 @@ class TestFullPipeline:
 
     def test_rank_baselines_equal_those_of_the_full_context(self, corpus, finished_run):
         cfg = load_config(corpus.config_path)
-        ctx = pipeline._build_context(cfg, finished_run)
         # the inlink column comes from the surrogates; it must count the
         # deduplicated content links of links.tsv
         links = content_links(pipeline._read_links(finished_run), cfg["index.strategy"])
@@ -227,14 +226,27 @@ class TestFullPipeline:
             vectors = list(deserialize_vectors(fh))
         assert [v.values[column] for v in vectors] == [float(inlinks[v.doc_id]) for v in vectors]
         assert any(v.values[column] for v in vectors)
+        # each baseline row against its definition, from the upstream artifacts
+        page_rank = pipeline._rank_map(finished_run, "nodes.tsv", "page_rank.tsv")
+        surrogates, stats = pipeline._read_index(finished_run)
         queries = {q.query_id: q for q in pipeline._load_queries(cfg)}
-        rows = 0
+        rows = Counter()
         for line in (finished_run / "runs.tsv").read_text(encoding="utf-8").splitlines():
             system, qid, doc, score, _rank = line.split("\t")
-            if system != "rf":
-                assert score == repr(baseline_score(system, queries[int(qid)], doc, ctx)), line
-                rows += 1
-        assert rows > 0
+            tokens = queries[int(qid)].tokens
+            if system == "pagerank":
+                expected = page_rank.get(doc, 0.0)
+            elif system == "query_in_url":
+                expected = float(sum(1 for t in tokenize_url(normalize(doc)) if t in set(tokens)))
+            elif system == "bm25":
+                expected = anchor_index.bm25_score(
+                    tokens, surrogates.get(doc), stats, cfg["bm25.k1"], cfg["bm25.b"]
+                )
+            else:
+                continue
+            assert score == repr(expected), line
+            rows[system] += 1
+        assert sorted(rows) == ["bm25", "pagerank", "query_in_url"] and len(set(rows.values())) == 1, rows
 
     def test_manifest_entries_carry_stage_timings(self, finished_run):
         manifest = json.loads((finished_run / "manifest.json").read_text())
@@ -454,8 +466,17 @@ def test_stage_needs_only_its_declared_inputs(corpus, finished_run, tmp_path, st
         assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("stage", ["stats", "features", "rank"])
-@pytest.mark.parametrize("artifact", ["page_rank.tsv", "domain_rank.tsv", "postings.tsv"])
+_MISSING_INPUTS = [
+    *((artifact, stage) for artifact in ("page_rank.tsv", "domain_rank.tsv") for stage in ("features", "stats")),
+    *(("postings.tsv", stage) for stage in ("features", "rank", "stats")),
+    ("docs.tsv", "rank"),
+    ("instances.tsv", "rank"),
+]
+
+
+@pytest.mark.parametrize(
+    "artifact, stage", _MISSING_INPUTS, ids=[f"{artifact}-{stage}" for artifact, stage in _MISSING_INPUTS]
+)
 def test_missing_context_input_exits_one_and_names_its_stage(corpus, finished_run, tmp_path, capsys, stage, artifact):
     run_dir = tmp_path / "run"
     shutil.copytree(finished_run, run_dir)
@@ -463,6 +484,51 @@ def test_missing_context_input_exits_one_and_names_its_stage(corpus, finished_ru
     assert main([stage, "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 1
     producer = "graph" if artifact.endswith("rank.tsv") else "index"
     assert f"{artifact!r}: run stage '{producer}'" in capsys.readouterr().err
+
+
+def _cut_forest(text: str) -> str:
+    return "".join(text.splitlines(keepends=True)[:5]) + "tree\n"
+
+
+def _first_row_to(row: str):
+    return lambda text: row + "\n" + text.split("\n", 1)[1]
+
+
+@pytest.mark.parametrize(
+    "artifact, damage, stage",
+    [
+        ("forest.txt", _cut_forest, "rank"),
+        ("page_rank.tsv", _first_row_to("7"), "features"),
+        ("postings.tsv", _first_row_to("term"), "rank"),
+    ],
+    ids=["forest-cut", "page-rank-row", "postings-row"],
+)
+def test_damaged_artifact_exits_two_without_a_traceback(corpus, finished_run, tmp_path, artifact, damage, stage):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    path = run_dir / artifact
+    path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+    proc = _python(
+        "import sys; from archive_rank.cli import main; sys.exit(main(sys.argv[1:]))",
+        stage, "--config", str(corpus.config_path), "--run-dir", str(run_dir),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("data error: ") and "Traceback" not in proc.stderr
+
+
+def test_ingest_picks_the_parser_by_file_suffix(corpus, finished_run, tmp_path):
+    # names that hold ".arc" but end in ".warc.gz" are WARC files
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus.config_path.parent, root)
+    warcs = sorted((root / "archives").glob("*.warc.gz"))
+    assert len(warcs) == 2
+    for path in warcs:
+        path.rename(path.with_name("my.archive." + path.name))
+    run_dir = tmp_path / "run"
+    assert main(["ingest", "--config", str(root / corpus.config_path.name), "--run-dir", str(run_dir)]) == 0
+    assert _row_counts(run_dir)["corrupt"] == 0
+    for name in ("revisions.tsv", "links.tsv"):
+        assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
 
 
 def test_unknown_config_key_exits_one_and_names_it(corpus, tmp_path, capsys):
