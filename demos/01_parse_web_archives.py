@@ -8,7 +8,6 @@ hyperlinks plus anchor texts out of the captured payloads.
 import io
 
 from archive_rank.ingest import (
-    STRATEGY_ALL,
     ParseStats,
     content_links,
     extract_links,
@@ -35,15 +34,16 @@ for record in records:
 
 # link extraction keeps all fourteen tag patterns; content links are the
 # <a> hyperlinks, the only ones carrying anchor text, with both ends
-# resolved to core URLs
+# resolved to core URLs and registrable domains (ingest writes them to
+# content_links.tsv, which graph, index and stats read)
 extraction = extract_links(html, records[0].target_uri, records[0].capture_time)
 print("\nextracted links:")
 for item in extraction.links:
     print(f"  {item.tag_pattern:10s} -> {item.target_url}  anchor={item.anchor_text!r}")
-content = content_links(extraction.links, STRATEGY_ALL)
+content = content_links(extraction.links)
 print(f"content links: {len(content)} of {len(extraction.links)}")
 for item in content:
-    print(f"  {item.source} -> {item.target}  anchor={item.anchor_text!r}")
+    print(f"  {item.source} ({item.source_domain}) -> {item.target} ({item.target_domain})  anchor={item.anchor_text!r}")
 
 # the older ARC format: one header line per record
 arc = arc_file_bytes(

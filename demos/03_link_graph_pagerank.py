@@ -4,12 +4,13 @@ Link graphs and PageRank
 
 Content links induce a directed graph over core URLs; projecting its
 nodes to registrable domains gives a second, coarser authority signal.
+``content_links`` resolves both ends of every link, core URL and domain,
+once; the graph reads only its result.
 """
 import numpy as np
 
 from archive_rank.graph import build_page_graph, inlink_count, pagerank, project_domain_graph
-from archive_rank.ingest import LinkRecord
-from archive_rank.urls import domain_of, normalize
+from archive_rank.ingest import LinkRecord, content_links
 
 
 def L(src, dst, when=0):
@@ -25,7 +26,8 @@ links = [
     L("http://forum.de/t2", "http://blog.de/a"),
 ]
 
-page = build_page_graph(links)
+content = content_links(links)
+page = build_page_graph(content)
 print(f"page graph: {page.node_count} nodes, {page.edge_count} edges")
 print("inlinks of zeitung.de/merkel:", inlink_count(links, "http://zeitung.de/merkel"))
 
@@ -36,7 +38,9 @@ for i in order:
     print(f"  {ranks.scores[i]:.4f}  {page.names[i]}")
 print("score mass:", round(float(ranks.scores.sum()), 12))
 
-domains = project_domain_graph(page, lambda name: domain_of(normalize(name)))
+domain_by_core = {link.source: link.source_domain for link in content}
+domain_by_core.update((link.target, link.target_domain) for link in content)
+domains = project_domain_graph(page, domain_by_core.__getitem__)
 domain_ranks = pagerank(domains)
 print(f"\ndomain projection: {domains.node_count} nodes, {domains.edge_count} edges")
 for i in np.argsort(-domain_ranks.scores):

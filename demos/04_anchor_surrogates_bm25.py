@@ -5,6 +5,8 @@ Anchor-text surrogates and BM25
 A document's searchable stand-in is the concatenation of the anchor
 texts pointing at it. Two aggregation strategies exist: keep one unique
 anchor per (source revision, target) pair, or keep every occurrence.
+``content_links`` resolves the links once and flags the first of each
+repeat; both strategies read its result.
 """
 from archive_rank.anchor_index import (
     anchor_distribution,
@@ -14,7 +16,7 @@ from archive_rank.anchor_index import (
     term_stats,
     tokenize_text,
 )
-from archive_rank.ingest import LinkRecord, RevisionRecord
+from archive_rank.ingest import LinkRecord, RevisionRecord, content_links
 
 DAY = 86400
 T0 = 1_230_000_000  # late 2008
@@ -29,13 +31,15 @@ links = [
     LinkRecord("http://s2.de/", T0 + 30 * DAY, "http://zeitung.de/merkel", "A/href", "die Kanzlerin"),
     LinkRecord("http://s3.de/", T0 + 90 * DAY, "http://blog.de/kanzlerin", "A/href", "Merkel Kommentar"),
 ]
+content = content_links(links)
+print("first of its repeat:", [link.first for link in content])
 
 for strategy in ("unique_per_revision", "all"):
-    surrogates = build_surrogates(links, revisions, strategy)
+    surrogates = build_surrogates(content, revisions, strategy)
     doc = surrogates["http://zeitung.de/merkel"]
     print(f"{strategy}: {len(doc.anchor_instances)} instances, terms {doc.term_freqs}")
 
-surrogates = build_surrogates(links, revisions, "unique_per_revision")
+surrogates = build_surrogates(content, revisions, "unique_per_revision")
 stats = build_stats(surrogates)
 query = tokenize_text("Angela Merkel")
 print(f"\nindex: N={stats.num_docs}, avgdl={stats.avg_doc_length:.2f}")
@@ -46,5 +50,5 @@ for doc_id, doc in surrogates.items():
 
 # how widely is each anchor text used? (frequency-of-frequency table)
 print("\nanchor spread (year, targets-per-anchor, anchors; year 0 = all years):")
-for row in anchor_distribution(links, group_by_year=True):
+for row in anchor_distribution(content, group_by_year=True):
     print(" ", row)

@@ -52,9 +52,11 @@ from .forest import (
 from .graph import Graph, RankVector, build_page_graph, inlink_count, pagerank, project_domain_graph
 from .ingest import (
     ArchiveRecord,
+    ContentLink,
     LinkRecord,
     ParseStats,
     RevisionRecord,
+    content_links,
     extract_links,
     parse_arc_stream,
     parse_warc_stream,

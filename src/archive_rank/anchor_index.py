@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .ingest import STRATEGY_ALL, STRATEGY_UNIQUE_PER_REVISION  # link strategies, re-exported
-from .ingest import LinkRecord, RevisionRecord, _escape, _unescape, content_links
-from .urls import SuffixTable, domain_of, normalize
+from .ingest import ContentLink, RevisionRecord, _escape, _unescape, counted_links
 
 __all__ = [
     "STRATEGY_UNIQUE_PER_REVISION",
@@ -78,7 +77,7 @@ class TermStats(NamedTuple):
 
 
 def build_surrogates(
-    links: Iterable[LinkRecord],
+    links: Iterable[ContentLink],
     revisions: Iterable[RevisionRecord],
     strategy: str = STRATEGY_UNIQUE_PER_REVISION,
 ) -> dict[str, SurrogateDocument]:
@@ -87,9 +86,9 @@ def build_surrogates(
     Only archived targets (those with at least one revision) are indexed,
     and targets without a single anchor instance are excluded; they stay
     reachable through the revision records themselves. Links are
-    deduplicated by ``strategy`` (see :func:`archive_rank.ingest.content_links`).
+    deduplicated by ``strategy`` (see :func:`archive_rank.ingest.counted_links`).
     """
-    links = content_links(links, strategy)
+    links = counted_links(links, strategy)
     times: dict[str, set[int]] = defaultdict(set)
     for rev in revisions:
         times[rev.core_url].add(rev.capture_time)
@@ -173,10 +172,9 @@ def term_stats(
 
 
 def anchor_distribution(
-    links: Iterable[LinkRecord],
+    links: Iterable[ContentLink],
     group_by_year: bool = False,
     top_n_domains: int | None = None,
-    suffixes: SuffixTable | None = None,
 ) -> list[tuple[int, int, int]]:
     """Frequency-of-frequency table of anchor-text spread.
 
@@ -189,19 +187,15 @@ def anchor_distribution(
     """
     pairs: list[tuple[int, str, str, str]] = []  # (year-or-0, anchor, target, domain)
     members: dict[str, set[str]] = defaultdict(set)
-    domains: dict[str, str] = {}
     years: dict[int, int] = {}  # by capture time, which every link of a revision shares
-    for link in content_links(links, STRATEGY_ALL):
-        if link.target not in domains:
-            domains[link.target] = domain_of(normalize(link.target), suffixes)
-        domain = domains[link.target]
-        members[domain].add(link.target)
+    for link in links:
+        members[link.target_domain].add(link.target)
         year = 0
         if group_by_year:
             if link.capture_time not in years:
                 years[link.capture_time] = _year_of(link.capture_time)
             year = years[link.capture_time]
-        pairs.append((year, link.anchor_text, link.target, domain))
+        pairs.append((year, link.anchor_text, link.target, link.target_domain))
 
     keep: set[str] | None = None
     if top_n_domains is not None:

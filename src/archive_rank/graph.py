@@ -11,7 +11,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .ingest import STRATEGY_ALL, LinkRecord, content_links
+from .ingest import STRATEGY_ALL, ContentLink, LinkRecord, content_links, counted_links
 from .urls import core_url_str
 
 __all__ = [
@@ -91,9 +91,9 @@ class RankVector:
     residual: float
 
 
-def build_page_graph(links: Iterable[LinkRecord]) -> Graph:
-    """Graph over core URLs of content-link sources and targets."""
-    return Graph.from_edges((link.source, link.target) for link in content_links(links, STRATEGY_ALL))
+def build_page_graph(links: Iterable[ContentLink]) -> Graph:
+    """Graph over the core URLs of content-link sources and targets."""
+    return Graph.from_edges((link.source, link.target) for link in links)
 
 
 def project_domain_graph(g: Graph, domain_fn: Callable[[str], str]) -> Graph:
@@ -105,10 +105,10 @@ def project_domain_graph(g: Graph, domain_fn: Callable[[str], str]) -> Graph:
 
 
 def inlink_count(links: Iterable[LinkRecord], doc: str, dedup: str = STRATEGY_ALL) -> int:
-    """Number of content links pointing at ``doc`` (a core URL), after the
-    ``dedup`` strategy of :func:`archive_rank.ingest.content_links`."""
+    """Number of content links pointing at ``doc`` (a core URL) that the
+    ``dedup`` strategy counts (see :func:`archive_rank.ingest.counted_links`)."""
     target = core_url_str(doc)
-    return sum(1 for link in content_links(links, dedup) if link.target == target)
+    return sum(1 for link in counted_links(content_links(links), dedup) if link.target == target)
 
 
 def pagerank(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import io
 import re
+import sys
 import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -37,11 +38,14 @@ __all__ = [
     "parse_arc_stream",
     "extract_links",
     "content_links",
+    "counted_links",
     "revision_from_record",
     "write_revisions_tsv",
     "read_revisions_tsv",
     "write_links_tsv",
     "read_links_tsv",
+    "write_content_links_tsv",
+    "read_content_links_tsv",
 ]
 
 RESPONSE = "response"
@@ -113,31 +117,41 @@ STRATEGIES = (STRATEGY_UNIQUE_PER_REVISION, STRATEGY_ALL)
 
 
 class ContentLink(NamedTuple):
-    """A content link with both ends resolved to core URLs."""
+    """A content link with both ends resolved to core URLs and their
+    registrable domains. ``first`` marks the first of the links that share
+    one (source revision, target core URL, anchor text)."""
 
     source: str
     target: str
     capture_time: int
+    first: bool
+    source_domain: str
+    target_domain: str
     anchor_text: str
 
 
-def content_links(links: Iterable[LinkRecord], strategy: str) -> list[ContentLink]:
-    """The ``A/href`` links, in order, with both ends resolved to core URLs.
+def content_links(links: Iterable[LinkRecord], suffixes: SuffixTable | None = None) -> list[ContentLink]:
+    """The ``A/href`` links, in order, with both ends resolved to core URLs
+    and their registrable domains under ``suffixes``.
 
-    Each distinct URL string is resolved once per call; a link with an end
-    that does not parse is dropped. Under ``unique_per_revision`` repeats of
-    one (source revision, target core URL, anchor text) keep the first.
+    Each distinct URL string is resolved once per call, and each distinct
+    core URL's domain is looked up once; a link with an end that does not
+    parse is dropped. Of the links sharing one (source full URL, capture
+    time, target core URL, anchor text), the first is flagged ``first``.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy: {strategy!r}")
-    cores: dict[str, str | None] = {}
+    cores: dict[str, tuple[str, str] | None] = {}  # URL -> (core URL, its domain)
+    domains: dict[str, str] = {}
 
-    def resolve(url: str) -> str | None:
+    def resolve(url: str) -> tuple[str, str] | None:
         if url not in cores:
             try:
-                cores[url] = core_url_str(url)
+                core = core_url_str(url)
             except UrlError:
                 cores[url] = None
+                return None
+            if core not in domains:
+                domains[core] = domain_of(normalize(core), suffixes)
+            cores[url] = (core, domains[core])
         return cores[url]
 
     out: list[ContentLink] = []
@@ -148,13 +162,23 @@ def content_links(links: Iterable[LinkRecord], strategy: str) -> list[ContentLin
         source, target = resolve(link.source_full_url), resolve(link.target_url)
         if source is None or target is None:
             continue
-        if strategy == STRATEGY_UNIQUE_PER_REVISION:
-            key = (link.source_full_url, link.source_capture_time, target, link.anchor_text)
-            if key in seen:
-                continue
-            seen.add(key)
-        out.append(ContentLink(source, target, link.source_capture_time, link.anchor_text))
+        key = (link.source_full_url, link.source_capture_time, target[0], link.anchor_text)
+        first = key not in seen
+        seen.add(key)
+        out.append(
+            ContentLink(
+                source[0], target[0], link.source_capture_time, first, source[1], target[1], link.anchor_text
+            )
+        )
     return out
+
+
+def counted_links(content: Iterable[ContentLink], strategy: str) -> list[ContentLink]:
+    """The content links a dedup ``strategy`` counts: every one under
+    ``all``, the ``first`` of each repeat under ``unique_per_revision``."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy: {strategy!r}")
+    return [link for link in content if strategy == STRATEGY_ALL or link.first]
 
 
 @dataclass
@@ -662,3 +686,33 @@ def read_links_tsv(fh) -> Iterator[LinkRecord]:
             continue
         source, when, target, pattern, anchor = line.split("\t")
         yield LinkRecord(source, int(when), target, pattern, _unescape(anchor))
+
+
+def write_content_links_tsv(links: Iterable[ContentLink], fh) -> int:
+    count = 0
+    for link in links:
+        fh.write(
+            f"{link.source}\t{link.target}\t{link.capture_time}\t{int(link.first)}"
+            f"\t{link.source_domain}\t{link.target_domain}\t{_escape(link.anchor_text)}\n"
+        )
+        count += 1
+    return count
+
+
+_FLAG = {"0": False, "1": True}
+
+
+def read_content_links_tsv(fh) -> Iterator[ContentLink]:
+    """Rows of :func:`write_content_links_tsv`. The table repeats each core
+    URL, domain and anchor text many times; each is read into one shared
+    string."""
+    share = sys.intern
+    for line in fh:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        source, target, when, first, source_domain, target_domain, anchor = line.split("\t")
+        yield ContentLink(
+            share(source), share(target), int(when), _FLAG[first],
+            share(source_domain), share(target_domain), share(_unescape(anchor)),
+        )

@@ -45,7 +45,7 @@ from .metrics import (
     paired_significance,
     precision_at_k,
 )
-from .urls import SuffixTable, UrlError, domain_of, normalize
+from .urls import SuffixTable, UrlError
 
 __all__ = [
     "ConfigError",
@@ -84,9 +84,9 @@ _CONTEXT_INPUTS = (
 # stage -> every artifact it opens
 _REQUIRES: dict[str, tuple[tuple[str, str], ...]] = {
     "ingest": (),
-    "graph": (("ingest", "links.tsv"),),
-    "index": (("ingest", "links.tsv"), ("ingest", "revisions.tsv")),
-    "stats": (("ingest", "links.tsv"), *_CONTEXT_INPUTS),
+    "graph": (("ingest", "content_links.tsv"),),
+    "index": (("ingest", "content_links.tsv"), ("ingest", "revisions.tsv")),
+    "stats": (("ingest", "content_links.tsv"), *_CONTEXT_INPUTS),
     "features": _CONTEXT_INPUTS,
     "label": (("features", "features.txt"),),
     "train": (
@@ -293,9 +293,13 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -366,7 +370,10 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {', '.join(STAGE_ORDER)}")
     wall0, cpu0 = time.perf_counter(), time.process_time()
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"run directory {run_dir} is not a directory") from None
     cfg.validate_paths()
     input_digests = _check_requirements(stage, run_dir)
     seed = derive_seed(cfg.seed, stage)
@@ -409,9 +416,9 @@ def _read_revisions(run_dir: Path) -> list[ingest.RevisionRecord]:
         return list(ingest.read_revisions_tsv(fh))
 
 
-def _read_links(run_dir: Path) -> list[ingest.LinkRecord]:
-    with open(run_dir / "links.tsv", encoding="utf-8") as fh:
-        return list(ingest.read_links_tsv(fh))
+def _read_content_links(run_dir: Path) -> list[ingest.ContentLink]:
+    with open(run_dir / "content_links.tsv", encoding="utf-8") as fh:
+        return list(ingest.read_content_links_tsv(fh))
 
 
 def _read_index(run_dir: Path):
@@ -504,20 +511,22 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     links.sort(key=lambda l: (l.source_full_url, l.source_capture_time, l.target_url, l.tag_pattern, l.anchor_text))
     _atomic_write(run_dir / "revisions.tsv", lambda fh: ingest.write_revisions_tsv(revisions, fh))
     _atomic_write(run_dir / "links.tsv", lambda fh: ingest.write_links_tsv(links, fh))
-    return {"revisions": len(revisions), "links": len(links), **totals}
+    content = ingest.content_links(links, suffixes)
+    _atomic_write(run_dir / "content_links.tsv", lambda fh: ingest.write_content_links_tsv(content, fh))
+    return {"revisions": len(revisions), "links": len(links), "content_links": len(content), **totals}
 
 
 def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     damping = cfg["pagerank.damping"]
     tolerance = cfg["pagerank.tolerance"]
     max_iter = cfg["pagerank.max_iterations"]
-    suffixes = _suffix_table(cfg)
-    page = graph.build_page_graph(_read_links(run_dir))
+    content = _read_content_links(run_dir)
+    page = graph.build_page_graph(content)
     if page.node_count == 0:
         raise StageDataError("no content links: the page graph is empty")
-    domain = graph.project_domain_graph(
-        page, lambda name: domain_of(normalize(name), suffixes)
-    )
+    domains = {link.source: link.source_domain for link in content}
+    domains.update((link.target, link.target_domain) for link in content)
+    domain = graph.project_domain_graph(page, domains.__getitem__)
     page_rank = graph.pagerank(page, damping, tolerance, max_iter)
     domain_rank = graph.pagerank(domain, damping, tolerance, max_iter)
 
@@ -542,7 +551,7 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 
 def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     surrogates = anchor_index.build_surrogates(
-        _read_links(run_dir), _read_revisions(run_dir), cfg["index.strategy"]
+        _read_content_links(run_dir), _read_revisions(run_dir), cfg["index.strategy"]
     )
     docs_buf, postings_buf, instances_buf = io.StringIO(), io.StringIO(), io.StringIO()
     anchor_index.write_index(surrogates, docs_buf, postings_buf, instances_buf)
@@ -561,7 +570,7 @@ def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     top_n = cfg["stats.top_n_domains"] or None
     rows = anchor_index.anchor_distribution(
-        _read_links(run_dir), cfg["stats.group_by_year"], top_n, _suffix_table(cfg)
+        _read_content_links(run_dir), cfg["stats.group_by_year"], top_n
     )
 
     def write_dist(fh):

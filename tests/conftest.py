@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from archive_rank.anchor_index import build_stats, build_surrogates
 from archive_rank.features import FeatureContext
-from archive_rank.ingest import LinkRecord, RevisionRecord
+from archive_rank.ingest import LinkRecord, RevisionRecord, content_links
 
 DAY = 24 * 3600
 T0 = 1_200_000_000  # 2008-01-10T21:20:00Z
@@ -30,7 +30,7 @@ def make_context(
     news_domains=(),
     search_words=None,
 ) -> FeatureContext:
-    surrogates = build_surrogates(links, revisions, strategy)
+    surrogates = build_surrogates(content_links(links), revisions, strategy)
     stats = build_stats(surrogates)
     return FeatureContext.build(
         revisions,

@@ -27,6 +27,7 @@ from archive_rank.graph import Graph, pagerank
 from archive_rank.ingest import (
     PATTERN_TOKENS,
     ParseStats,
+    content_links,
     extract_links,
     parse_arc_stream,
     parse_warc_stream,
@@ -197,7 +198,7 @@ def test_criterion_3_bm25_and_term_stats_oracle():
                 tokens.extend(words)
                 links.append(link(f"http://s{i}-{a}.de/", doc_id, " ".join(words), when=T0 + a))
             token_lists[doc_id] = tokens
-        surrogates = build_surrogates(links, revisions, "all")
+        surrogates = build_surrogates(content_links(links), revisions, "all")
         stats = build_stats(surrogates)
 
         # brute-force df and average length from the raw token lists
@@ -264,7 +265,7 @@ def test_criterion_4_metric_oracle():
         link("http://s2.de/", "http://t.de/", "angela merkel", when=T0 + 1),
         link("http://s3.de/", "http://u.de/", "other", when=T0),
     ]
-    surrogates = build_surrogates(links, revisions)
+    surrogates = build_surrogates(content_links(links), revisions)
     stats = build_stats(surrogates)
     assert bm25_score(["angela"], surrogates["http://t.de/"], stats) == pytest.approx(0.8355, abs=1e-4)
     report(4, "metric oracle")

@@ -16,6 +16,7 @@ from archive_rank.anchor_index import (
     tokenize_text,
     write_index,
 )
+from archive_rank.ingest import content_links
 from conftest import DAY, T0, link, rev
 
 
@@ -39,8 +40,8 @@ class TestBuildSurrogates:
             link("http://s.de/", "http://t.de/", "x", when=T0),
             link("http://s.de/", "http://t.de/", "x", when=T0),
         ]
-        s1 = build_surrogates(links, revisions, "unique_per_revision")
-        s2 = build_surrogates(links, revisions, "all")
+        s1 = build_surrogates(content_links(links), revisions, "unique_per_revision")
+        s2 = build_surrogates(content_links(links), revisions, "all")
         assert len(s1["http://t.de/"].anchor_instances) == 1
         assert len(s2["http://t.de/"].anchor_instances) == 2
 
@@ -53,24 +54,24 @@ class TestBuildSurrogates:
             link("http://s1.de/", "http://t.de/", "Angela Merkel", when=T0),
             link("http://s2.de/", "http://t.de/", "Merkel", when=T0 + DAY),
         ]
-        doc = build_surrogates(links, revisions)["http://t.de/"]
+        doc = build_surrogates(content_links(links), revisions)["http://t.de/"]
         assert doc.term_freqs == {"angela": 1, "merkel": 2}
         assert doc.length == 3
 
     def test_unarchived_targets_not_indexed(self):
         links = [link("http://s.de/", "http://nowhere.de/", "x")]
-        assert build_surrogates(links, [rev("http://t.de/", T0)]) == {}
+        assert build_surrogates(content_links(links), [rev("http://t.de/", T0)]) == {}
 
     def test_zero_anchor_documents_excluded(self):
         revisions = [rev("http://t.de/", T0), rev("http://quiet.de/", T0)]
         links = [link("http://s.de/", "http://t.de/", "x")]
-        surrogates = build_surrogates(links, revisions)
+        surrogates = build_surrogates(content_links(links), revisions)
         assert set(surrogates) == {"http://t.de/"}
 
     def test_revision_times_sorted_unique(self):
         revisions = [rev("http://t.de/", T0 + DAY), rev("http://t.de/", T0), rev("http://t.de/", T0)]
         links = [link("http://s.de/", "http://t.de/", "x")]
-        doc = build_surrogates(links, revisions)["http://t.de/"]
+        doc = build_surrogates(content_links(links), revisions)["http://t.de/"]
         assert doc.revision_times == [T0, T0 + DAY]
 
     def test_token_cap_counts_truncation(self, monkeypatch):
@@ -82,7 +83,7 @@ class TestBuildSurrogates:
             link(f"http://s{i}.de/", "http://t.de/", "angela merkel", when=T0 + i)
             for i in range(3)
         ]
-        doc = module.build_surrogates(links, revisions)["http://t.de/"]
+        doc = module.build_surrogates(content_links(links), revisions)["http://t.de/"]
         assert doc.length == 3
         assert doc.truncated_tokens == 3
 
@@ -98,8 +99,8 @@ class TestBuildSurrogates:
             link(f"http://s{s}.de/", f"http://t{t}.de/", f"anchor{a}", when=T0)
             for s, a, t in raw
         ]
-        s1 = build_surrogates(links, revisions, "unique_per_revision")
-        s2 = build_surrogates(links, revisions, "all")
+        s1 = build_surrogates(content_links(links), revisions, "unique_per_revision")
+        s2 = build_surrogates(content_links(links), revisions, "all")
         for doc_id, doc2 in s2.items():
             n1 = len(s1[doc_id].anchor_instances)
             assert n1 <= len(doc2.anchor_instances)
@@ -116,7 +117,7 @@ def two_doc_index():
         link("http://s2.de/", "http://t.de/", "angela merkel", when=T0 + DAY),
         link("http://s3.de/", "http://u.de/", "other", when=T0),
     ]
-    surrogates = build_surrogates(links, revisions)
+    surrogates = build_surrogates(content_links(links), revisions)
     return surrogates, build_stats(surrogates)
 
 
@@ -144,7 +145,7 @@ class TestBm25:
                 links.append(
                     link(f"http://s{j}.de/", f"http://d{i}.de/", words[j % 4] + " " + words[(j + i) % 4], when=T0 + j)
                 )
-        surrogates = build_surrogates(links, revisions)
+        surrogates = build_surrogates(content_links(links), revisions)
         stats = build_stats(surrogates)
         query = ["alpha", "gamma"]
         for k1 in (0.6, 1.2, 2.4):
@@ -164,7 +165,7 @@ class TestBm25:
     def test_anchorless_document_scores_zero_bm25(self):
         revisions = [rev("http://a.de/angela/merkel", T0), rev("http://b.de/x", T0)]
         links = [link("http://s.de/", "http://a.de/angela/merkel", "Angela Merkel", when=T0)]
-        surrogates = build_surrogates(links, revisions)
+        surrogates = build_surrogates(content_links(links), revisions)
         stats = build_stats(surrogates)
         query = tokenize_text("angela merkel")
         assert bm25_score(query, surrogates.get("http://b.de/x"), stats) == 0.0
@@ -194,7 +195,7 @@ class TestTermStats:
             link(f"http://s{i}.de/", "http://v.de/", "angela", when=T0 + i) for i in range(4)
         ]
         revisions = [rev("http://v.de/", T0)]
-        doc = build_surrogates(links_extra, revisions)["http://v.de/"]
+        doc = build_surrogates(content_links(links_extra), revisions)["http://v.de/"]
         assert term_stats(doc, stats, ["angela"]).max_term_freq == pytest.approx(2.0)
 
     def test_document_not_in_index(self):
@@ -221,11 +222,11 @@ class TestAnchorDistribution:
             link("http://s.de/", "http://y.de/", "a", when=T0),
             link("http://s.de/", "http://x.de/", "b", when=T0),
         ]
-        rows = anchor_distribution(links)
+        rows = anchor_distribution(content_links(links))
         assert rows == [(0, 1, 1), (0, 2, 1)]
 
     def test_single_link(self):
-        rows = anchor_distribution([link("http://s.de/", "http://x.de/", "a")])
+        rows = anchor_distribution(content_links([link("http://s.de/", "http://x.de/", "a")]))
         assert rows == [(0, 1, 1)]
 
     def test_yearly_grouping_matches_bruteforce_recount(self):
@@ -238,9 +239,9 @@ class TestAnchorDistribution:
             link("http://s.de/", "http://z.de/", "b", when=year_2013),
             link("http://s2.de/", "http://x.de/", "b", when=year_2013),
         ]
-        rows = anchor_distribution(links, group_by_year=True)
+        rows = anchor_distribution(content_links(links), group_by_year=True)
         assert [year for year, _k, _count in rows] == sorted(year for year, _k, _count in rows)
-        assert [row for row in rows if row[0] == 0] == anchor_distribution(links)
+        assert [row for row in rows if row[0] == 0] == anchor_distribution(content_links(links))
         per_year = {}
         for year, k, count in rows:
             per_year.setdefault(year, 0)
@@ -263,8 +264,8 @@ class TestAnchorDistribution:
         links = [
             link("http://s.de/", f"http://big.de/{i}", "a", when=T0) for i in range(5)
         ] + [link("http://s.de/", "http://small.de/1", "a", when=T0)]
-        unrestricted = anchor_distribution(links)
-        top1 = anchor_distribution(links, top_n_domains=1)
+        unrestricted = anchor_distribution(content_links(links))
+        top1 = anchor_distribution(content_links(links), top_n_domains=1)
         assert unrestricted == [(0, 6, 1)]
         assert top1 == [(0, 5, 1)]
 
@@ -281,7 +282,7 @@ class TestAnchorDistribution:
             )
             for _ in range(60)
         ]
-        rows = anchor_distribution(links)
+        rows = anchor_distribution(content_links(links))
         mass = sum(k * count for _y, k, count in rows)
         distinct = len({(l.anchor_text, l.target_url) for l in links})
         assert mass == distinct

@@ -16,6 +16,7 @@ from archive_rank.graph import (
     write_graph,
     write_ranks,
 )
+from archive_rank.ingest import content_links
 from conftest import link
 
 
@@ -61,11 +62,13 @@ def csr_pagerank(g: Graph, damping: float, tolerance: float, max_iterations: int
 class TestBuildPageGraph:
     def test_parallel_edges_collapse(self):
         g = build_page_graph(
-            [
-                link("http://a.de/", "http://b.de/"),
-                link("http://a.de/", "http://b.de/"),
-                link("http://b.de/", "http://a.de/"),
-            ]
+            content_links(
+                [
+                    link("http://a.de/", "http://b.de/"),
+                    link("http://a.de/", "http://b.de/"),
+                    link("http://b.de/", "http://a.de/"),
+                ]
+            )
         )
         assert g.node_count == 2 and g.edge_count == 2
 
@@ -79,11 +82,11 @@ class TestBuildPageGraph:
             link("http://a.de/x?r=2", "http://b.de/", when=2),
             link("http://a.de/x?r=3", "http://b.de/", when=3),
         ]
-        g = build_page_graph(links)
+        g = build_page_graph(content_links(links))
         assert g.node_count == 2 and g.edge_count == 1
 
     def test_self_loops_dropped(self):
-        g = build_page_graph([link("http://a.de/x?q=1", "http://a.de/x")])
+        g = build_page_graph(content_links([link("http://a.de/x?q=1", "http://a.de/x")]))
         assert g.edge_count == 0
 
 

@@ -24,12 +24,15 @@ from archive_rank.ingest import (
     LinkRecord,
     ParseStats,
     content_links,
+    counted_links,
     extract_links,
     parse_arc_stream,
     parse_warc_stream,
+    read_content_links_tsv,
     read_links_tsv,
     read_revisions_tsv,
     revision_from_record,
+    write_content_links_tsv,
     write_links_tsv,
     write_revisions_tsv,
     _resolve,
@@ -433,30 +436,32 @@ class TestExtractLinks:
 
 class TestContentLinks:
     def test_empty(self):
+        assert content_links([]) == []
         for strategy in (STRATEGY_ALL, STRATEGY_UNIQUE_PER_REVISION):
-            assert content_links([], strategy) == []
+            assert counted_links([], strategy) == []
 
     def test_fourteen_pattern_document_keeps_only_the_anchor(self):
         links = extract_links(FOURTEEN_PATTERN_HTML, "http://a.de/", 7).links
         assert len(links) == 14
-        assert content_links(links, STRATEGY_ALL) == [ContentLink("http://a.de/", "http://a.de/page", 7, "Ein Link")]
+        assert content_links(links) == [
+            ContentLink("http://a.de/", "http://a.de/page", 7, True, "a.de", "a.de", "Ein Link")
+        ]
 
     def test_order_preserved(self):
         records = [
             LinkRecord("http://s.de/", 1, f"http://t.de/{i}", "A/href", str(i)) for i in range(3)
         ] + [LinkRecord("http://s.de/", 1, "http://t.de/img", "IMG/src", "")] * 2
         for strategy in (STRATEGY_ALL, STRATEGY_UNIQUE_PER_REVISION):
-            assert [l.anchor_text for l in content_links(records, strategy)] == ["0", "1", "2"]
+            assert [l.anchor_text for l in counted_links(content_links(records), strategy)] == ["0", "1", "2"]
 
     def test_keeps_anchor_links_with_both_ends_resolved(self):
         records = [
-            LinkRecord("http://S.de:80/a?r=1", 5, "http://T.de/p?q=2#top", "A/href", "t"),
+            LinkRecord("http://S.de:80/a?r=1", 5, "http://www.T.co.uk/p?q=2#top", "A/href", "t"),
             LinkRecord("http://s.de/", 5, "http://t.de/logo.png", "IMG/src", ""),
         ]
-        for strategy in (STRATEGY_ALL, STRATEGY_UNIQUE_PER_REVISION):
-            assert content_links(records, strategy) == [
-                ContentLink("http://s.de/a", "http://t.de/p", 5, "t")
-            ]
+        assert content_links(records) == [
+            ContentLink("http://s.de/a", "http://www.t.co.uk/p", 5, True, "s.de", "t.co.uk", "t")
+        ]
 
     def test_links_with_an_unparseable_end_dropped(self):
         records = [
@@ -465,11 +470,11 @@ class TestContentLinks:
             LinkRecord("http://s.de/", 1, "http://[broken/", "A/href", "c"),
             LinkRecord("http://s.de/", 1, "http://t.de/", "A/href", "d"),
         ]
-        assert [l.anchor_text for l in content_links(records, STRATEGY_ALL)] == ["d"]
+        assert [l.anchor_text for l in content_links(records)] == ["d"]
 
     def test_unique_per_revision_key(self):
         """One link per (source full URL, capture time, target core URL,
-        anchor text); the first occurrence is kept, in input order."""
+        anchor text); the first occurrence is flagged, in input order."""
         base = LinkRecord("http://s.de/?r=1", 1, "http://t.de/?a", "A/href", "x")
         records = [
             base,
@@ -480,13 +485,27 @@ class TestContentLinks:
             replace(base, anchor_text="y"),
             base,
         ]
-        unique = content_links(records, STRATEGY_UNIQUE_PER_REVISION)
-        assert len(unique) == 5 and unique[0] == content_links([base], STRATEGY_ALL)[0]
-        assert len(content_links(records, STRATEGY_ALL)) == 7
+        content = content_links(records)
+        assert [l.first for l in content] == [True, False, True, True, True, True, False]
+        unique = counted_links(content, STRATEGY_UNIQUE_PER_REVISION)
+        assert len(unique) == 5 and unique[0] == content_links([base])[0]
+        assert counted_links(content, STRATEGY_ALL) == content
+
+    def test_flag_survives_interleaving_and_other_patterns(self):
+        """A repeat is flagged by its key alone: links in between, and
+        links of other tag patterns, do not reset it."""
+        a = LinkRecord("http://s.de/", 1, "http://t.de/", "A/href", "x")
+        b = LinkRecord("http://s.de/", 1, "http://u.de/", "A/href", "x")
+        img = LinkRecord("http://s.de/", 1, "http://t.de/", "IMG/src", "")
+        content = content_links([a, b, img, a, b, a])
+        assert [(l.target, l.first) for l in content] == [
+            ("http://t.de/", True), ("http://u.de/", True),
+            ("http://t.de/", False), ("http://u.de/", False), ("http://t.de/", False),
+        ]
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            content_links([], "per_source")
+            counted_links([], "per_source")
 
     def test_each_distinct_url_resolved_once(self, monkeypatch):
         calls = []
@@ -496,8 +515,46 @@ class TestContentLinks:
             LinkRecord(f"http://s{i % 2}.de/", i, f"http://t.de/{i % 3}", "A/href", str(i))
             for i in range(60)
         ]
-        assert len(content_links(records, STRATEGY_ALL)) == 60
+        assert len(content_links(records)) == 60
         assert sorted(calls) == sorted({u for r in records for u in (r.source_full_url, r.target_url)})
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["http", "https", "HTTP"]),
+                st.lists(st.sampled_from(["www", "a", "B", "co", "uk", "de", "com", "x-y"]), min_size=1, max_size=4),
+                st.sampled_from(["", ":80", ":8080", ":443"]),
+                st.sampled_from(["", "/", "/p", "/p/q.html"]),
+                st.sampled_from(["", "?r=1", "#f"]),
+            ).map(lambda t: f"{t[0]}://{'.'.join(t[1])}{t[2]}{t[3]}{t[4]}")
+            | st.sampled_from(["http://10.0.0.1/x", "http://[::1]:8080/", "http://localhost/", "mailto:a@b.de"]),
+            min_size=2,
+            max_size=12,
+        ),
+        st.sampled_from([None, ("de",), ("co.uk", "uk", "de"), ("com", "x-y.com")]),
+    )
+    def test_domains_are_those_of_each_core_url(self, raw_urls, suffixes):
+        table = urls.SuffixTable(suffixes) if suffixes else None
+        records = [
+            LinkRecord(source, i, target, "A/href", "x")
+            for i, (source, target) in enumerate(zip(raw_urls, raw_urls[1:]))
+        ]
+        content = content_links(records, table)
+        for link in content:
+            for core, domain in ((link.source, link.source_domain), (link.target, link.target_domain)):
+                assert domain == urls.domain_of(urls.normalize(core), table)
+        resolvable = [r for r in records if _parses(r.source_full_url) and _parses(r.target_url)]
+        assert [(l.source, l.target) for l in content] == [
+            (urls.core_url_str(r.source_full_url), urls.core_url_str(r.target_url)) for r in resolvable
+        ]
+
+
+def _parses(url: str) -> bool:
+    try:
+        urls.core_url_str(url)
+    except urls.UrlError:
+        return False
+    return True
 
 
 BASE = "http://a.de/dir/page.html"
@@ -611,6 +668,18 @@ class TestTsvRoundTrip:
         assert "\\t" in buf.getvalue() and "\\n" in buf.getvalue()
         buf.seek(0)
         assert list(read_links_tsv(buf)) == [tricky]
+
+    def test_content_links_with_escapes(self):
+        rows = [
+            ContentLink("http://s.de/", "http://t.de/", 5, True, "s.de", "t.de", "a\tb\nc\\d\re"),
+            ContentLink("http://s.de/", "http://t.de/", 5, False, "s.de", "t.de", "\\t is not a tab"),
+            ContentLink("http://s.de/x", "http://u.co.uk/", 6, True, "s.de", "u.co.uk", ""),
+        ]
+        buf = io.StringIO()
+        assert write_content_links_tsv(rows, buf) == 3
+        assert buf.getvalue().count("\n") == 3 and buf.getvalue().count("\t") == 3 * 6
+        buf.seek(0)
+        assert list(read_content_links_tsv(buf)) == rows
 
 
 def test_bounded_memory_parse():

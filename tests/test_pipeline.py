@@ -1,5 +1,6 @@
 import gzip
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,10 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from archive_rank import anchor_index, pipeline
+from archive_rank import anchor_index, ingest, pipeline
 from archive_rank.cli import main
 from archive_rank.features import FEATURE_NAMES, deserialize_vectors
-from archive_rank.ingest import content_links
 from archive_rank.pipeline import (
     STAGE_ORDER,
     ConfigError,
@@ -31,6 +31,7 @@ from archive_rank.urls import normalize, tokenize_url
 ARTIFACTS = (
     "revisions.tsv",
     "links.tsv",
+    "content_links.tsv",
     "graph.tsv",
     "nodes.tsv",
     "page_rank.tsv",
@@ -56,10 +57,12 @@ ARTIFACTS = (
 
 # sha256 of every artifact but manifest.json (which gains counters over
 # time) for the ``finished_run`` corpus, taken before link resolution and
-# dedup were folded into ``ingest.content_links``.
+# dedup were folded into ``ingest.content_links``; ``content_links.tsv``,
+# the table it writes since, was added later.
 GOLDEN_DIGESTS = {
     "revisions.tsv": "22cf4675a71f080e111a0f868b038856d1a50edb10b66ca85f64bea88de76bf4",
     "links.tsv": "6166bcc5c39afecabd60e75f5fb3c25a741d48e895490ff6d18c0ae3c5fe07d4",
+    "content_links.tsv": "560819041413ffc960b3d3cdf56011f239646d4592a288707064917634cc4049",
     "graph.tsv": "89d36b14098659f2352ce384175fbc80d5c4d9cffbe91ca84e2c74973ef60277",
     "nodes.tsv": "ac0a63e61c69e22f7af85563475a35895badfa32bf766ed4166ea86c698d439c",
     "page_rank.tsv": "fe777961b05e7971016b74832b93420123e1e6db321aba7ad870f6cfb4c0bb72",
@@ -219,7 +222,8 @@ class TestFullPipeline:
         cfg = load_config(corpus.config_path)
         # the inlink column comes from the surrogates; it must count the
         # deduplicated content links of links.tsv
-        links = content_links(pipeline._read_links(finished_run), cfg["index.strategy"])
+        with open(finished_run / "links.tsv", encoding="utf-8") as fh:
+            links = ingest.counted_links(ingest.content_links(ingest.read_links_tsv(fh)), cfg["index.strategy"])
         inlinks = Counter(link.target for link in links)
         column = FEATURE_NAMES.index("inlink_count")
         with open(finished_run / "features.txt", encoding="utf-8") as fh:
@@ -311,10 +315,32 @@ class TestCli:
         assert main(args) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "content", [b"seed=1\npaths.archives=caf\xe9\n", None], ids=["non-utf8-byte", "directory"]
+    )
+    def test_unreadable_config_exits_one_and_names_the_file(self, tmp_path, capsys, content):
+        path = tmp_path / "config.txt"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["ingest", "--config", str(path), "--run-dir", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {path}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_run_dir_that_is_a_file_exits_one_and_names_it(self, corpus, tmp_path, capsys, below):
+        blocker = tmp_path / "run"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        run_dir = blocker / "sub" if below else blocker
+        assert main(["ingest", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 1
+        assert capsys.readouterr().err == f"error: run directory {run_dir} is not a directory\n"
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
     def test_data_error_exits_two(self, corpus, tmp_path, capsys):
         run_dir = tmp_path / "broken"
         run_dir.mkdir()
-        (run_dir / "links.tsv").write_text("")  # graph stage finds no content links
+        (run_dir / "content_links.tsv").write_text("")  # graph stage finds no content links
         rc = main(["graph", "--config", str(corpus.config_path), "--run-dir", str(run_dir)])
         assert rc == 2
 
@@ -467,6 +493,7 @@ def test_stage_needs_only_its_declared_inputs(corpus, finished_run, tmp_path, st
 
 
 _MISSING_INPUTS = [
+    *(("content_links.tsv", stage) for stage in ("graph", "index", "stats")),
     *((artifact, stage) for artifact in ("page_rank.tsv", "domain_rank.tsv") for stage in ("features", "stats")),
     *(("postings.tsv", stage) for stage in ("features", "rank", "stats")),
     ("docs.tsv", "rank"),
@@ -482,7 +509,7 @@ def test_missing_context_input_exits_one_and_names_its_stage(corpus, finished_ru
     shutil.copytree(finished_run, run_dir)
     (run_dir / artifact).unlink()
     assert main([stage, "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 1
-    producer = "graph" if artifact.endswith("rank.tsv") else "index"
+    producer = {"content_links.tsv": "ingest", "page_rank.tsv": "graph", "domain_rank.tsv": "graph"}.get(artifact, "index")
     assert f"{artifact!r}: run stage '{producer}'" in capsys.readouterr().err
 
 
@@ -500,8 +527,19 @@ def _first_row_to(row: str):
         ("forest.txt", _cut_forest, "rank"),
         ("page_rank.tsv", _first_row_to("7"), "features"),
         ("postings.tsv", _first_row_to("term"), "rank"),
+        *(
+            ("content_links.tsv", _first_row_to(row), stage)
+            for row, stage in (
+                ("http://s.de/\thttp://t.de/", "graph"),
+                ("http://s.de/\thttp://t.de/\tnoon\t1\ts.de\tt.de\tx", "index"),
+                ("http://s.de/\thttp://t.de/\t5\tyes\ts.de\tt.de\tx", "stats"),
+            )
+        ),
     ],
-    ids=["forest-cut", "page-rank-row", "postings-row"],
+    ids=[
+        "forest-cut", "page-rank-row", "postings-row",
+        "content-links-short-row-graph", "content-links-time-index", "content-links-flag-stats",
+    ],
 )
 def test_damaged_artifact_exits_two_without_a_traceback(corpus, finished_run, tmp_path, artifact, damage, stage):
     run_dir = tmp_path / "run"
@@ -527,7 +565,7 @@ def test_ingest_picks_the_parser_by_file_suffix(corpus, finished_run, tmp_path):
     run_dir = tmp_path / "run"
     assert main(["ingest", "--config", str(root / corpus.config_path.name), "--run-dir", str(run_dir)]) == 0
     assert _row_counts(run_dir)["corrupt"] == 0
-    for name in ("revisions.tsv", "links.tsv"):
+    for name in ("revisions.tsv", "links.tsv", "content_links.tsv"):
         assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
 
 
@@ -616,10 +654,12 @@ def test_graph_drops_an_unparseable_link_target(tmp_path):
     config = _write_corpus(tmp_path / "corpus", [])
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    (run_dir / "links.tsv").write_text(
+    links = io.StringIO(
         "http://s.de/\t1\thttp://t.de/\tA/href\tok\n"
-        "http://s.de/\t1\thttp://[broken/\tA/href\tbad\n",
-        encoding="utf-8",
+        "http://s.de/\t1\thttp://[broken/\tA/href\tbad\n"
     )
+    # what ingest writes for these links.tsv rows
+    with open(run_dir / "content_links.tsv", "w", encoding="utf-8") as fh:
+        assert ingest.write_content_links_tsv(ingest.content_links(ingest.read_links_tsv(links)), fh) == 1
     assert main(["graph", "--config", str(config), "--run-dir", str(run_dir)]) == 0
     assert _row_counts(run_dir)["page_edges"] == 1
