@@ -17,7 +17,8 @@ The package splits into small composable layers:
 - :mod:`archive_rank.forest` trains the bagged regression-tree ranker;
   :mod:`archive_rank.metrics` evaluates it;
 - :mod:`archive_rank.pipeline` / :mod:`archive_rank.cli` tie the stages
-  together over a run directory.
+  together over a run directory; :mod:`archive_rank.tables` reads the
+  lines of its text tables.
 """
 
 from .anchor_index import (

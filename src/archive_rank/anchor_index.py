@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .ingest import STRATEGY_ALL, STRATEGY_UNIQUE_PER_REVISION  # link strategies, re-exported
-from .ingest import ContentLink, RevisionRecord, _escape, _unescape, counted_links
+from .ingest import ContentLink, RevisionRecord, counted_links
+from .tables import escape, rows, unescape
 
 __all__ = [
     "STRATEGY_UNIQUE_PER_REVISION",
@@ -233,7 +234,7 @@ def write_index(surrogates: dict[str, SurrogateDocument], docs_fh, postings_fh, 
         doc = surrogates[doc_id]
         docs_fh.write(f"{doc_id}\t{doc.length}\t{len(doc.revision_times)}\n")
         for anchor, when in doc.anchor_instances:
-            instances_fh.write(f"{doc_id}\t{when}\t{_escape(anchor)}\n")
+            instances_fh.write(f"{doc_id}\t{when}\t{escape(anchor)}\n")
     postings: dict[str, list[tuple[str, int]]] = defaultdict(list)
     for doc_id in by_id:
         for term, tf in surrogates[doc_id].term_freqs.items():
@@ -247,29 +248,16 @@ def read_index(docs_fh, postings_fh, instances_fh) -> tuple[dict[str, SurrogateD
     """Rebuild surrogates (without revision timestamps, which live in the
     revisions table) and collection statistics from the persisted files."""
     surrogates: dict[str, SurrogateDocument] = {}
-    for line in docs_fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        doc_id, length, _revs = line.split("\t")
+    for doc_id, length, _revs in rows(docs_fh):
         surrogates[doc_id] = SurrogateDocument(doc_id=doc_id, length=int(length))
     df: dict[str, int] = {}
-    for line in postings_fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        term, count, entries = parts[0], int(parts[1]), parts[2:]
-        df[term] = count
+    for term, count, *entries in rows(postings_fh):
+        df[term] = int(count)
         for entry in entries:
             doc_id, tf = entry.rsplit(":", 1)
             surrogates[doc_id].term_freqs[term] = int(tf)
-    for line in instances_fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        doc_id, when, anchor = line.split("\t")
-        surrogates[doc_id].anchor_instances.append((_unescape(anchor), int(when)))
+    for doc_id, when, anchor in rows(instances_fh):
+        surrogates[doc_id].anchor_instances.append((unescape(anchor), int(when)))
     n = len(surrogates)
     avg = sum(d.length for d in surrogates.values()) / n if n else 0.0
     return surrogates, IndexStats(num_docs=n, avg_doc_length=avg, doc_freq=df)

@@ -8,7 +8,7 @@ document) pairs can be processed in parallel without coordination.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -21,6 +21,7 @@ from .anchor_index import (
     tokenize_text,
 )
 from .ingest import RevisionRecord
+from .tables import entries, rows
 from .urls import normalize, tokenize_url, url_depth
 
 __all__ = [
@@ -389,30 +390,20 @@ def group_by_query(vectors: Iterable[FeatureVector]) -> dict[int, list[FeatureVe
 
 
 def load_queries(path, citations: dict[int, dict[str, int]] | None = None) -> list[QueryRecord]:
-    """queries.tsv: query_id <TAB> text <TAB> entity_type."""
-    out = []
+    """queries.tsv: query_id <TAB> text <TAB> entity_type; each id once."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            qid_s, text, etype = line.split("\t")
-            qid = int(qid_s)
-            out.append(
-                QueryRecord(qid, text, etype, dict((citations or {}).get(qid, {})))
-            )
-    return out
+        table = [(int(qid), text, etype) for qid, text, etype in rows(fh, comments=True)]
+    repeated = [qid for qid, n in Counter(qid for qid, _text, _etype in table).items() if n > 1]
+    if repeated:
+        raise ValueError(f"query id {repeated[0]} appears more than once in {path}")
+    return [QueryRecord(qid, text, etype, dict((citations or {}).get(qid, {}))) for qid, text, etype in table]
 
 
 def load_wiki_citations(path) -> dict[int, dict[str, int]]:
     """wiki citation counts: query_id <TAB> domain <TAB> count."""
     out: dict[int, dict[str, int]] = defaultdict(dict)
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            qid, domain, count = line.split("\t")
+        for qid, domain, count in rows(fh, comments=True):
             out[int(qid)][domain] = int(count)
     return dict(out)
 
@@ -420,13 +411,8 @@ def load_wiki_citations(path) -> dict[int, dict[str, int]]:
 def load_word_table(path) -> frozenset[str]:
     """One entry per line; entries ending in '=' act as raw substring
     patterns against the unsplit URL, everything else matches whole tokens."""
-    entries = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                entries.add(line.lower())
-    return frozenset(entries)
+        return frozenset(entry.lower() for entry in entries(fh))
 
 
 def load_entity_types(path) -> tuple[str, ...]:
@@ -434,13 +420,9 @@ def load_entity_types(path) -> tuple[str, ...]:
     closed built-in category list, so a loaded table may only name types
     from that list (it exists to validate query files against a run's
     configuration)."""
-    out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line not in ENTITY_TYPES:
-                raise ValueError(f"unknown entity type in {path}: {line!r}")
-            out.append(line)
-    return tuple(out)
+        types = tuple(entries(fh))
+    for name in types:
+        if name not in ENTITY_TYPES:
+            raise ValueError(f"unknown entity type in {path}: {name!r}")
+    return types

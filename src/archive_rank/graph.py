@@ -12,6 +12,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .ingest import STRATEGY_ALL, ContentLink, LinkRecord, content_links, counted_links
+from .tables import rows
 from .urls import core_url_str
 
 __all__ = [
@@ -175,8 +176,7 @@ def read_graph(graph_fh, nodes_fh) -> Graph:
 
 def read_nodes(fh) -> tuple[str, ...]:
     """Node names in id order, as :func:`write_graph` writes them."""
-    rows = (line.rstrip("\n").split("\t", 1) for line in fh if line.strip())
-    return tuple(name for _idx, name in rows)
+    return tuple(name for _idx, name in rows(fh))
 
 
 def write_ranks(rank: RankVector, fh) -> None:

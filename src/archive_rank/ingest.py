@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 from urllib.parse import urljoin, urlsplit
 
+from .tables import escape, rows, unescape
 from .urls import SuffixTable, UrlError, core_url, core_url_str, domain_of, normalize
 
 __all__ = [
@@ -47,9 +48,6 @@ __all__ = [
     "write_content_links_tsv",
     "read_content_links_tsv",
 ]
-
-RESPONSE = "response"
-OTHER = "other"
 
 # lowercase tag -> attribute carrying the link target; one row per link type
 LINK_PATTERNS = {
@@ -81,11 +79,9 @@ class ArchiveRecord:
 
     target_uri: str
     capture_time: int  # epoch seconds, UTC
-    record_kind: str  # RESPONSE or OTHER
     mime_type: str
     http_status: int | None
     payload: bytes
-    container_format: str  # "warc" or "arc"
 
 
 @dataclass(frozen=True)
@@ -340,7 +336,7 @@ def _warc_records(reader: _LineReader, stats: ParseStats) -> Iterator[ArchiveRec
             stats.corrupt += 1  # truncated final record; end cleanly
             return
         kind = headers.get("warc-type", "").strip().lower()
-        if kind != RESPONSE:
+        if kind != "response":
             stats.skipped += 1
             continue
         target = headers.get("warc-target-uri", "").strip()
@@ -350,7 +346,7 @@ def _warc_records(reader: _LineReader, stats: ParseStats) -> Iterator[ArchiveRec
             continue
         status, mime, body = _split_http_payload(block)
         stats.emitted += 1
-        yield ArchiveRecord(target, capture, RESPONSE, mime, status, body, "warc")
+        yield ArchiveRecord(target, capture, mime, status, body)
 
 
 def _is_warc_marker(line: bytes) -> bool:
@@ -454,7 +450,7 @@ def _arc_records(reader: _LineReader, stats: ParseStats) -> Iterator[ArchiveReco
             continue
         status, payload_mime, body = _split_http_payload(block)
         stats.emitted += 1
-        yield ArchiveRecord(url, when, RESPONSE, payload_mime or mime, status, body, "arc")
+        yield ArchiveRecord(url, when, payload_mime or mime, status, body)
 
 
 # ---------------------------------------------------------------------------
@@ -635,20 +631,7 @@ def revision_from_record(record: ArchiveRecord, suffixes: SuffixTable | None = N
 
 
 # ---------------------------------------------------------------------------
-# TSV persistence (UTF-8, LF line endings)
-
-_UNESCAPE = re.compile(r"\\([\\tnr])")
-_UNESCAPE_MAP = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n").replace("\r", "\\r")
-    )
-
-
-def _unescape(text: str) -> str:
-    return _UNESCAPE.sub(lambda m: _UNESCAPE_MAP[m.group(1)], text)
+# TSV persistence (UTF-8, LF line endings; see archive_rank.tables)
 
 
 def write_revisions_tsv(revisions: Iterable[RevisionRecord], fh) -> int:
@@ -660,11 +643,7 @@ def write_revisions_tsv(revisions: Iterable[RevisionRecord], fh) -> int:
 
 
 def read_revisions_tsv(fh) -> Iterator[RevisionRecord]:
-    for line in fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        core, full, when, domain = line.split("\t")
+    for core, full, when, domain in rows(fh):
         yield RevisionRecord(core, full, int(when), domain)
 
 
@@ -673,19 +652,15 @@ def write_links_tsv(links: Iterable[LinkRecord], fh) -> int:
     for link in links:
         fh.write(
             f"{link.source_full_url}\t{link.source_capture_time}\t{link.target_url}"
-            f"\t{link.tag_pattern}\t{_escape(link.anchor_text)}\n"
+            f"\t{link.tag_pattern}\t{escape(link.anchor_text)}\n"
         )
         count += 1
     return count
 
 
 def read_links_tsv(fh) -> Iterator[LinkRecord]:
-    for line in fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        source, when, target, pattern, anchor = line.split("\t")
-        yield LinkRecord(source, int(when), target, pattern, _unescape(anchor))
+    for source, when, target, pattern, anchor in rows(fh):
+        yield LinkRecord(source, int(when), target, pattern, unescape(anchor))
 
 
 def write_content_links_tsv(links: Iterable[ContentLink], fh) -> int:
@@ -693,7 +668,7 @@ def write_content_links_tsv(links: Iterable[ContentLink], fh) -> int:
     for link in links:
         fh.write(
             f"{link.source}\t{link.target}\t{link.capture_time}\t{int(link.first)}"
-            f"\t{link.source_domain}\t{link.target_domain}\t{_escape(link.anchor_text)}\n"
+            f"\t{link.source_domain}\t{link.target_domain}\t{escape(link.anchor_text)}\n"
         )
         count += 1
     return count
@@ -707,12 +682,8 @@ def read_content_links_tsv(fh) -> Iterator[ContentLink]:
     URL, domain and anchor text many times; each is read into one shared
     string."""
     share = sys.intern
-    for line in fh:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        source, target, when, first, source_domain, target_domain, anchor = line.split("\t")
+    for source, target, when, first, source_domain, target_domain, anchor in rows(fh):
         yield ContentLink(
             share(source), share(target), int(when), _FLAG[first],
-            share(source_domain), share(target_domain), share(_unescape(anchor)),
+            share(source_domain), share(target_domain), share(unescape(anchor)),
         )

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .tables import rows
 from .urls import UrlError, core_url_str
 
 __all__ = [
@@ -277,12 +278,8 @@ def load_snapshots(serp_dir) -> dict[int, list[ResultSnapshot]]:
 
 def load_judgments(path) -> list[ManualJudgment]:
     """judgments.tsv: query_id <TAB> doc_id <TAB> assessor_id <TAB> grade."""
-    out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            qid, doc_id, assessor, grade = line.split("\t")
-            out.append(ManualJudgment(int(qid), doc_id, assessor, int(grade)))
-    return out
+        return [
+            ManualJudgment(int(qid), doc_id, assessor, int(grade))
+            for qid, doc_id, assessor, grade in rows(fh, comments=True)
+        ]

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import anchor_index, graph, ingest, labeling
+from . import anchor_index, graph, ingest, labeling, tables
 from .features import (
     FEATURE_NAMES,
     FeatureContext,
@@ -341,13 +341,19 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _append_manifest(run_dir: Path, entry: dict) -> None:
+def _read_manifest(run_dir: Path) -> dict:
+    """The run's manifest, or an empty one; a file that is not a JSON object
+    with a ``stages`` list is a :class:`StageDataError`."""
     path = run_dir / "manifest.json"
-    data = {"stages": []}
-    if path.exists():
+    if not path.exists():
+        return {"stages": []}
+    try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    data["stages"].append(entry)
-    _atomic_write(path, lambda fh: fh.write(json.dumps(data, indent=2) + "\n"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise StageDataError(f"{path}: not a readable JSON manifest: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("stages"), list):
+        raise StageDataError(f"{path}: not a manifest (expected an object with a 'stages' list)")
+    return data
 
 
 def _check_requirements(stage: str, run_dir: Path) -> dict[str, str]:
@@ -376,6 +382,7 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
         raise ConfigError(f"run directory {run_dir} is not a directory") from None
     cfg.validate_paths()
     input_digests = _check_requirements(stage, run_dir)
+    manifest = _read_manifest(run_dir)
     seed = derive_seed(cfg.seed, stage)
     handler = _STAGES[stage]
     try:
@@ -384,8 +391,7 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
         raise
     except (ValueError, LookupError, OSError) as exc:
         raise StageDataError(f"stage {stage}: {exc}") from exc
-    _append_manifest(
-        run_dir,
+    manifest["stages"].append(
         {
             "stage": stage,
             "seed": seed,
@@ -397,8 +403,9 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
             "wall_s": round(time.perf_counter() - wall0, 6),
             "cpu_s": round(time.process_time() - cpu0, 6),
             "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        },
+        }
     )
+    _atomic_write(run_dir / "manifest.json", lambda fh: fh.write(json.dumps(manifest, indent=2) + "\n"))
     return counts
 
 
@@ -572,14 +579,6 @@ def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     rows = anchor_index.anchor_distribution(
         _read_content_links(run_dir), cfg["stats.group_by_year"], top_n
     )
-
-    def write_dist(fh):
-        fh.write("year,k,count\n")
-        for year, k, count in rows:
-            fh.write(f"{year},{k},{count}\n")
-
-    _atomic_write(run_dir / "anchor_dist.csv", write_dist)
-
     ctx = _build_context(cfg, run_dir)
     queries = _load_queries(cfg)
     serp_dir = cfg.path("paths.serp_dir")
@@ -600,10 +599,17 @@ def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
                     f"{q.query_id},{set_name},{evidence},{s.mean!r},{s.median!r},{s.q1!r},{s.q3!r}\n"
                 )
 
+    def write_dist(fh):
+        fh.write("year,k,count\n")
+        for year, k, count in rows:
+            fh.write(f"{year},{k},{count}\n")
+
     def write_summary(fh):
         fh.write("query_id,result_set,evidence,mean,median,q1,q3\n")
         fh.writelines(summary_rows)
 
+    # both written last, so a stage that fails leaves neither replaced
+    _atomic_write(run_dir / "anchor_dist.csv", write_dist)
     _atomic_write(run_dir / "evidence_summary.csv", write_summary)
     return {"distribution_rows": len(rows), "evidence_rows": len(summary_rows)}
 
@@ -684,25 +690,17 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 
 
 def _read_labels(run_dir: Path) -> dict[tuple[int, str], tuple[float, float | None]]:
-    out: dict[tuple[int, str], tuple[float, float | None]] = {}
     with open(run_dir / "labels.tsv", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            qid, doc, soft, man = line.split("\t")
-            out[(int(qid), doc)] = (float(soft), None if man == "-" else float(man))
-    return out
+        return {
+            (int(qid), doc): (float(soft), None if man == "-" else float(man))
+            for qid, doc, soft, man in tables.rows(fh)
+        }
 
 
 def _read_pool(run_dir: Path) -> dict[int, list[str]]:
     pool: dict[int, list[str]] = {}
     with open(run_dir / "sample.tsv", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            qid, doc, _prov = line.split("\t")
+        for qid, doc, _prov in tables.rows(fh):
             pool.setdefault(int(qid), []).append(doc)
     return pool
 
@@ -791,11 +789,7 @@ def _stage_eval(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     labels = _read_labels(run_dir)
     runs: dict[str, dict[int, list[tuple[str, float, int]]]] = {}
     with open(run_dir / "runs.tsv", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            system, qid_s, doc, score, rank = line.split("\t")
+        for system, qid_s, doc, score, rank in tables.rows(fh):
             runs.setdefault(system, {}).setdefault(int(qid_s), []).append(
                 (doc, float(score), int(rank))
             )

@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass, replace
 from urllib.parse import urlsplit
 
+from .tables import entries
+
 __all__ = [
     "UrlError",
     "NormalizedUrl",
@@ -159,13 +161,8 @@ class SuffixTable:
     @classmethod
     def from_file(cls, path) -> "SuffixTable":
         """Load one suffix per line; blank lines and '#' comments ignored."""
-        entries = []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    entries.append(line)
-        return cls(tuple(entries) or DEFAULT_SUFFIXES)
+            return cls(tuple(entries(fh)) or DEFAULT_SUFFIXES)
 
     def registrable_domain(self, host: str) -> str:
         host = host.lower().strip(".")

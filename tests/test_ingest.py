@@ -68,7 +68,6 @@ class TestWarc:
         rec = records[0]
         assert rec.target_uri == "http://a.de/x?q=1"
         assert rec.capture_time == 1235991600  # 2009-03-02T11:00:00Z
-        assert rec.record_kind == "response"
         assert rec.http_status == 200
         assert stats.emitted == 1 and stats.skipped == 0 and stats.corrupt == 0
 

@@ -663,3 +663,92 @@ def test_graph_drops_an_unparseable_link_target(tmp_path):
         assert ingest.write_content_links_tsv(ingest.content_links(ingest.read_links_tsv(links)), fh) == 1
     assert main(["graph", "--config", str(config), "--run-dir", str(run_dir)]) == 0
     assert _row_counts(run_dir)["page_edges"] == 1
+
+
+def _assert_untouched(run_dir: Path, finished_run: Path, but: str = "") -> None:
+    """Every file of the finished run, save ``but``, is in ``run_dir`` with its bytes."""
+    assert {p.name for p in run_dir.iterdir()} == {p.name for p in finished_run.iterdir()}
+    for path in sorted(finished_run.iterdir()):
+        if path.name != but:
+            assert (run_dir / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+# each run-directory table that rows() reads, and a stage that reads it
+_RUN_TABLES = [
+    ("revisions.tsv", "index"),
+    ("content_links.tsv", "graph"),
+    ("nodes.tsv", "features"),
+    ("domain_nodes.tsv", "features"),
+    ("docs.tsv", "rank"),
+    ("postings.tsv", "rank"),
+    ("instances.tsv", "rank"),
+    ("sample.tsv", "rank"),
+    ("labels.tsv", "eval"),
+    ("runs.tsv", "eval"),
+]
+
+
+@pytest.mark.parametrize("artifact, stage", _RUN_TABLES, ids=[f"{a}-{s}" for a, s in _RUN_TABLES])
+@pytest.mark.parametrize("damage", ["blank", "comment", "extra-field"])
+def test_run_table_line_format_at_its_stage(corpus, finished_run, tmp_path, capsys, artifact, stage, damage):
+    # blank lines are skipped; a '#' row or a row with one field too many is damage
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    path = run_dir / artifact
+    text = path.read_text(encoding="utf-8")
+    path.write_text(
+        {
+            "blank": "\n" + text.replace("\n", "\n\n", 1) + "\n",
+            "comment": "# comment\n" + text,
+            "extra-field": text.replace("\n", "\tx\n", 1),
+        }[damage],
+        encoding="utf-8",
+    )
+    rc = main([stage, "--config", str(corpus.config_path), "--run-dir", str(run_dir)])
+    err = capsys.readouterr().err
+    path.write_text(text, encoding="utf-8")
+    if damage == "blank":
+        assert rc == 0, err
+        _assert_untouched(run_dir, finished_run, but="manifest.json")
+    else:
+        assert rc == 2 and err.startswith(f"data error: stage {stage}: ") and "Traceback" not in err
+        _assert_untouched(run_dir, finished_run)
+
+
+def test_stats_replaces_neither_output_when_its_context_is_damaged(corpus, finished_run, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    (run_dir / "content_links.tsv").write_text("", encoding="utf-8")  # an anchor distribution of no rows
+    (run_dir / "nodes.tsv").write_text("# comment\n", encoding="utf-8")
+    assert main(["stats", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    for name in ("anchor_dist.csv", "evidence_summary.csv"):
+        assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("content", ["garbage", "{}", '{"stages": {}}', "[]"])
+def test_damaged_manifest_exits_two_before_the_stage_writes(corpus, finished_run, tmp_path, capsys, content):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    (run_dir / "manifest.json").write_text(content, encoding="utf-8")
+    (run_dir / "eval.csv").unlink()
+    assert main(["eval", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "manifest.json" in err and "Traceback" not in err
+    assert not (run_dir / "eval.csv").exists()
+    assert (run_dir / "manifest.json").read_text(encoding="utf-8") == content
+    assert (run_dir / "sig.csv").read_bytes() == (finished_run / "sig.csv").read_bytes()
+
+
+@pytest.mark.parametrize("stage", ["stats", "features", "rank"])
+def test_repeated_query_id_exits_two_before_the_stage_writes(corpus, finished_run, tmp_path, capsys, stage):
+    queries = corpus.config_path.parent / "resources" / "queries.tsv"
+    text = queries.read_text(encoding="utf-8")
+    repeated = queries.with_name("queries-repeated.tsv")
+    repeated.write_text(text + text.splitlines(keepends=True)[0], encoding="utf-8")
+    config = _config_with(corpus, f"paths.queries=resources/{repeated.name}")
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    assert main([stage, "--config", str(config), "--run-dir", str(run_dir)]) == 2
+    qid = text.split("\t", 1)[0]
+    assert f"query id {qid} appears more than once" in capsys.readouterr().err
+    _assert_untouched(run_dir, finished_run)
