@@ -129,116 +129,202 @@ class Forest:
         return dict(zip(self.feature_names, shares.tolist()))
 
 
-class _TreeBuilder:
-    """Stateless over builds: every call returns the tree plus its own
-    importance tally."""
+# Rows x candidate features scored together in one batch of trees: the
+# largest sort key array of a batch, which bounds the memory of training.
+_BATCH_ELEMENTS = 65_536
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, params: ForestParams, m_features: int):
-        self.X = X
-        self.y = y
-        self.params = params
-        self.m = m_features
 
-    def build(self, rng: np.random.Generator) -> tuple[_Tree, np.ndarray]:
-        importance = np.zeros(self.X.shape[1])
-        n = self.X.shape[0]
-        size = max(1, int(round(self.params.bootstrap_fraction * n)))
-        sample = rng.integers(0, n, size=size)
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[float] = []
-        # stack of (row indices, depth, parent slot, is_left)
-        stack: list[tuple[np.ndarray, int, int, bool]] = [(np.asarray(sample), 0, -1, False)]
-        while stack:
-            idx, depth, parent, is_left = stack.pop()
-            node_id = len(feature)
-            if parent >= 0:
-                if is_left:
-                    left[parent] = node_id
-                else:
-                    right[parent] = node_id
-            ys = self.y[idx]
-            mean = float(ys.sum()) / len(idx)
-            split = self._find_split(idx, ys, depth, rng)
-            if split is None:
-                feature.append(-1)
-                threshold.append(0.0)
-                left.append(-1)
-                right.append(-1)
-                value.append(mean)
-                continue
-            f, thr, mask, gain = split
-            importance[f] += gain
-            feature.append(f)
-            threshold.append(thr)
-            left.append(-1)
-            right.append(-1)
-            value.append(mean)
-            # push right first so the left child is built (and numbered) first
-            stack.append((idx[~mask], depth + 1, node_id, False))
-            stack.append((idx[mask], depth + 1, node_id, True))
-        tree = _Tree(
-            np.asarray(feature, dtype=np.int32),
-            np.asarray(threshold, dtype=np.float64),
-            np.asarray(left, dtype=np.int32),
-            np.asarray(right, dtype=np.int32),
-            np.asarray(value, dtype=np.float64),
-        )
-        return tree, importance
+def _value_codes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's dense rank within its column, and the columns' sorted
+    distinct values (row f, padded with nan to the widest column)."""
+    codes = np.empty(X.shape, dtype=np.int64)
+    tables = []
+    for f in range(X.shape[1]):
+        table, codes[:, f] = np.unique(X[:, f], return_inverse=True)
+        tables.append(table)
+    values = np.full((X.shape[1], max(len(t) for t in tables)), np.nan)
+    for f, table in enumerate(tables):
+        values[f, : len(table)] = table
+    return codes, values
 
-    def _find_split(
-        self, idx: np.ndarray, ys: np.ndarray, depth: int, rng: np.random.Generator
-    ) -> tuple[int, float, np.ndarray, float] | None:
-        """Best variance-reduction cut over a random feature subset, scored
-        for all candidates at once. Ties go to the first cut within a
-        feature, then to the first candidate in draw order."""
-        n = len(idx)
-        min_leaf = self.params.min_leaf
-        if n < 2 * min_leaf:
-            return None
-        if self.params.max_depth is not None and depth >= self.params.max_depth:
-            return None
-        if (ys == ys[0]).all():
-            return None
-        n_features = self.X.shape[1]
-        candidates = rng.choice(n_features, size=min(self.m, n_features), replace=False)
-        total_sum = ys.sum()
-        total_sq = float(ys @ ys)
-        parent_sse = total_sq - total_sum * total_sum / n
-        xs = self.X[idx[:, None], candidates]  # rows x candidates
-        order = xs.argsort(axis=0, kind="stable")
-        xs_sorted = xs[order, np.arange(len(candidates))]
-        ys_sorted = ys[order]
-        csum = ys_sorted.cumsum(axis=0)
-        csq = (ys_sorted * ys_sorted).cumsum(axis=0)
-        # a cut at position p puts the p smallest rows left, min_leaf <= p <= n - min_leaf
-        left_n = np.arange(min_leaf, n - min_leaf + 1, dtype=np.float64)[:, None]
-        left_sum = csum[min_leaf - 1 : n - min_leaf]
-        left_sq = csq[min_leaf - 1 : n - min_leaf]
+
+def _best_cuts(
+    codes: np.ndarray,
+    values: np.ndarray,
+    rows: np.ndarray,
+    node: np.ndarray,
+    cand: np.ndarray,
+    y_rows: np.ndarray,
+    count: np.ndarray,
+    total: np.ndarray,
+    total_sq: np.ndarray,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squared error over every cut of every candidate of each node,
+    with the candidate slot and the threshold of that cut.
+
+    ``rows`` with ``node`` and ``y_rows`` are the live rows, ``cand`` is
+    (nodes x candidates) and ``count``/``total``/``total_sq`` are per node.
+    One sort of the (node, slot, code) keys groups the rows into bins; a
+    cut falls between two adjacent distinct values of the node. Ties go to
+    the first cut within a candidate, then to the first candidate drawn.
+    """
+    n_nodes, m = cand.shape
+    width = values.shape[1]
+    # Sort keys (node, slot, code) with the row's position in the low bits:
+    # every key is then distinct, so one plain sort keeps the rows of a bin
+    # in row order, and that fixes the order in which each bin is summed.
+    shift = max(len(rows) - 1, 1).bit_length()
+    if (n_nodes * m * width) >> (62 - shift):
+        raise OverflowError("too many nodes and values for one batch")
+    row_key = ((node * (m * width)) << shift) + np.arange(len(rows))
+    slot_key = (np.arange(m) * width) << shift
+    tagged = (codes[rows[:, None], cand[node]] << shift) + row_key[:, None] + slot_key
+    tagged = np.sort(tagged.ravel())
+    keys = tagged >> shift
+    weights = y_rows[tagged & ((1 << shift) - 1)]
+    change = np.empty(len(keys), dtype=bool)
+    change[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    first = np.flatnonzero(change)
+    bins = keys[first]
+    bin_of = np.cumsum(change) - 1
+    bin_n = np.diff(first, append=len(keys))
+    bin_sum = np.bincount(bin_of, weights=weights)
+    bin_sq = np.bincount(bin_of, weights=weights * weights)
+    n_bins = np.bincount(bins // width, minlength=n_nodes * m)
+    start = np.cumsum(n_bins) - n_bins
+    seg_sse = np.full(n_nodes * m, np.inf)
+    seg_cut = np.zeros(n_nodes * m, dtype=np.int64)
+    # Segments are scanned in rows of 2**scale: their bin count padded to the
+    # next power of two, and to at least 8. Each running sum then starts from
+    # zero in its own segment, so a cut's statistics do not depend on where
+    # its segment lies in the batch.
+    scale = np.maximum(np.frexp(n_bins - 1)[1], 3)
+    for e in np.unique(scale[n_bins > 1]):
+        seg = np.flatnonzero((scale == e) & (n_bins > 1))
+        offset = np.arange(1 << int(e))
+        inside = offset < n_bins[seg, None]
+        at = np.where(inside, start[seg, None] + offset, 0)
+        left_n = np.where(inside, bin_n[at], 0).cumsum(axis=1)
+        left_sum = np.where(inside, bin_sum[at], 0.0).cumsum(axis=1)
+        left_sq = np.where(inside, bin_sq[at], 0.0).cumsum(axis=1)
+        nd = seg[:, None] // m
+        right_n = count[nd] - left_n
         sse = (
             left_sq
             - left_sum * left_sum / left_n
-            + (total_sq - left_sq)
-            - (total_sum - left_sum) ** 2 / (n - left_n)
+            + (total_sq[nd] - left_sq)
+            - (total[nd] - left_sum) ** 2 / np.maximum(right_n, 1)
         )
-        upper = xs_sorted[min_leaf : n - min_leaf + 1]
-        lower = xs_sorted[min_leaf - 1 : n - min_leaf]
-        sse[~(upper > lower)] = np.inf  # no cut between equal values
-        column_sse = sse.min(axis=0)
-        j = int(column_sse.argmin())
-        if column_sse[j] == np.inf:
-            return None
-        gain = parent_sse - float(column_sse[j])
-        if gain <= 0.0:
-            return None
-        cut = int(sse[:, j].argmin())
-        thr = float((lower[cut, j] + upper[cut, j]) / 2.0)
-        mask = xs[:, j] <= thr
-        if not mask.any() or mask.all():
-            return None
-        return int(candidates[j]), thr, mask, gain
+        ok = (offset < n_bins[seg, None] - 1) & (left_n >= min_leaf) & (right_n >= min_leaf)
+        sse[~ok] = np.inf
+        cut = sse.argmin(axis=1)
+        seg_sse[seg] = sse[np.arange(len(seg)), cut]
+        seg_cut[seg] = start[seg] + cut
+    sse = seg_sse.reshape(n_nodes, m)
+    slot = sse.argmin(axis=1)
+    best = sse[np.arange(n_nodes), slot]
+    feature = cand[np.arange(n_nodes), slot]
+    b = seg_cut[np.arange(n_nodes) * m + slot]
+    lower = values[feature, bins[b] % width]
+    upper = values[feature, bins[np.minimum(b + 1, len(bins) - 1)] % width]
+    mid = (lower + upper) / 2.0
+    # a midpoint that rounds up to the upper value would send it left too
+    return best, feature, np.where(mid < upper, mid, lower)
+
+
+def _grow_batch(
+    X: np.ndarray,
+    y: np.ndarray,
+    codes: np.ndarray,
+    values: np.ndarray,
+    params: ForestParams,
+    m: int,
+    tree_indices: range,
+) -> list[tuple[_Tree, np.ndarray]]:
+    """Grow the trees ``tree_indices`` together, one level at a time; each
+    tree comes with its own importance tally.
+
+    Tree k draws from ``SeedSequence((seed, k))``: first its bootstrap
+    sample, then at each level one candidate matrix for all of its nodes
+    that are searched there, in node order. So a tree does not depend on
+    the batch it grows in. Nodes are numbered breadth-first.
+    """
+    n, n_features = X.shape
+    n_trees = len(tree_indices)
+    rngs = [np.random.default_rng(np.random.SeedSequence((params.seed, k))) for k in tree_indices]
+    size = max(1, int(round(params.bootstrap_fraction * n)))
+    rows = np.concatenate([rng.integers(0, n, size=size) for rng in rngs])
+    node = np.repeat(np.arange(n_trees), size)  # each row's open node
+    tree = np.arange(n_trees)  # each open node's tree, in (tree, node id) order
+    next_id = np.ones(n_trees, dtype=np.int64)
+    importance = np.zeros((n_trees, n_features))
+    levels: list[tuple[np.ndarray, ...]] = []
+    depth = 0
+    while len(tree):
+        n_open = len(tree)
+        y_rows = y[rows]
+        count = np.bincount(node, minlength=n_open)
+        total = np.bincount(node, weights=y_rows, minlength=n_open)
+        total_sq = np.bincount(node, weights=y_rows * y_rows, minlength=n_open)
+        low = np.full(n_open, np.inf)
+        high = np.full(n_open, -np.inf)
+        np.minimum.at(low, node, y_rows)
+        np.maximum.at(high, node, y_rows)
+        searched = (count >= 2 * params.min_leaf) & (low < high)
+        searched &= params.max_depth is None or depth < params.max_depth
+        feature = np.full(n_open, -1, dtype=np.int32)
+        threshold = np.zeros(n_open)
+        split = np.zeros(n_open, dtype=bool)
+        at = np.flatnonzero(searched)
+        if len(at):
+            per_tree = np.bincount(tree[at], minlength=n_trees)
+            cand = np.concatenate(
+                [
+                    rngs[t].random((k, n_features)).argsort(axis=1)[:, :m]
+                    for t, k in enumerate(per_tree.tolist())
+                    if k
+                ]
+            )
+            live = searched[node]
+            position = np.cumsum(searched) - 1
+            best, f, thr = _best_cuts(
+                codes, values, rows[live], position[node[live]], cand,
+                y_rows[live], count[at], total[at], total_sq[at], params.min_leaf,
+            )
+            gain = total_sq[at] - total[at] * total[at] / count[at] - best
+            won = gain > 0.0  # an infinite best leaves the node a leaf
+            split[at[won]] = True
+            feature[at[won]] = f[won]
+            threshold[at[won]] = thr[won]
+            np.add.at(importance, (tree[at[won]], f[won]), gain[won])
+        parents = tree[split]
+        splits = np.bincount(parents, minlength=n_trees)
+        rank = np.arange(len(parents)) - (np.cumsum(splits) - splits)[parents]
+        left = np.full(n_open, -1, dtype=np.int32)
+        right = np.full(n_open, -1, dtype=np.int32)
+        left[split] = next_id[parents] + 2 * rank
+        right[split] = left[split] + 1
+        next_id += 2 * splits
+        levels.append((tree, feature, threshold, left, right, total / count))
+        child = np.full(n_open, -1)
+        child[split] = 2 * np.arange(len(parents))
+        live = split[node]
+        rows, node = rows[live], node[live]
+        go_right = X[rows, feature[node]] > threshold[node]
+        node = child[node] + go_right
+        tree = np.repeat(parents, 2)
+        depth += 1
+    columns = [np.concatenate(c) for c in zip(*levels)]
+    order = np.argsort(columns[0], kind="stable")
+    ends = np.cumsum(next_id)
+    out = []
+    for k in range(n_trees):
+        part = order[ends[k] - next_id[k] : ends[k]]
+        _, f, thr, lo, hi, val = (c[part] for c in columns)
+        out.append((_Tree(f, thr, lo, hi, val), importance[k]))
+    return out
 
 
 def _canonical_order(vectors: Sequence[FeatureVector]) -> list[FeatureVector]:
@@ -270,7 +356,9 @@ def train_forest(
 
     Each tree sees its own bootstrap sample and considers a per-node random
     feature subset, choosing the best variance-reduction split. Per-tree
-    seeds derive from (master seed, tree index).
+    seeds derive from (master seed, tree index). Trees grow in batches of
+    at most ``_BATCH_ELEMENTS`` rows x candidates; the batching does not
+    change the forest.
     """
     if len(examples) < 2:
         raise ValueError("need at least two training examples")
@@ -278,15 +366,16 @@ def train_forest(
     X, y = _as_arrays(ordered)
     names = _default_names(X.shape[1], feature_names)
     m = params.resolve_features_per_split(X.shape[1])
-    builder = _TreeBuilder(X, y, params, m)
-
+    codes, values = _value_codes(X)
+    size = max(1, int(round(params.bootstrap_fraction * len(X))))
+    per_batch = max(1, _BATCH_ELEMENTS // (size * m))
     trees = []
     importance = np.zeros(X.shape[1])
-    for tree_index in range(params.num_trees):
-        rng = np.random.default_rng(np.random.SeedSequence((params.seed, tree_index)))
-        tree, imp = builder.build(rng)
-        trees.append(tree)
-        importance += imp
+    for first in range(0, params.num_trees, per_batch):
+        batch = range(first, min(first + per_batch, params.num_trees))
+        for tree, imp in _grow_batch(X, y, codes, values, params, m, batch):
+            trees.append(tree)
+            importance += imp
     return Forest(trees, params, names, importance)
 
 
@@ -365,14 +454,16 @@ def cross_validate(
 
 
 def _ndcg_by_query(model: Forest, held: Sequence[FeatureVector], cutoff: int) -> dict[int, float]:
-    by_query: dict[int, list[FeatureVector]] = {}
-    for vec in held:
-        by_query.setdefault(vec.query_id, []).append(vec)
+    # one prediction over the whole held-out fold: a row's score does not
+    # depend on the rows scored with it
+    predicted = model.predict_matrix([v.values for v in held]).tolist()
+    by_query: dict[int, list[tuple[FeatureVector, float]]] = {}
+    for vec, score in zip(held, predicted):
+        by_query.setdefault(vec.query_id, []).append((vec, score))
     out = {}
-    for qid, vecs in by_query.items():
-        predicted = model.predict_matrix([v.values for v in vecs]).tolist()
-        scores = {v.doc_id: score for v, score in zip(vecs, predicted)}
-        labels = {v.doc_id: v.label for v in vecs}
+    for qid, scored in by_query.items():
+        scores = {v.doc_id: score for v, score in scored}
+        labels = {v.doc_id: v.label for v, _ in scored}
         run = RankedRun.from_scores(qid, scores, labels)
         out[qid] = ndcg_at_k(run, cutoff)
     return out

@@ -443,13 +443,16 @@ def _rank_map(run_dir: Path, nodes_name: str, ranks_name: str) -> dict[str, floa
         return graph.read_rank_map(nodes, ranks)
 
 
-def _load_queries(cfg: RunConfig) -> list[QueryRecord]:
+def _query_table(cfg: RunConfig) -> tuple[list[QueryRecord], int]:
+    """The valid queries by id, and how many were dropped as invalid (a
+    comma or a round bracket in the text)."""
     qpath = cfg.path("paths.queries")
     if qpath is None:
         raise ConfigError("paths.queries is required for this stage")
     cit_path = cfg.path("paths.wiki_citations")
     citations = load_wiki_citations(cit_path) if cit_path else {}
-    queries = [q for q in load_queries(qpath, citations) if q.valid]
+    table = load_queries(qpath, citations)
+    queries = [q for q in table if q.valid]
     types_path = cfg.path("paths.entity_types")
     if types_path is not None:
         allowed = set(load_entity_types(types_path))
@@ -458,7 +461,11 @@ def _load_queries(cfg: RunConfig) -> list[QueryRecord]:
             raise StageDataError(f"query entity types outside the configured list: {outside}")
     if not queries:
         raise StageDataError("no valid queries in the query table")
-    return sorted(queries, key=lambda q: q.query_id)
+    return sorted(queries, key=lambda q: q.query_id), len(table) - len(queries)
+
+
+def _load_queries(cfg: RunConfig) -> list[QueryRecord]:
+    return _query_table(cfg)[0]
 
 
 def _build_context(cfg: RunConfig, run_dir: Path) -> FeatureContext:
@@ -580,7 +587,7 @@ def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
         _read_content_links(run_dir), cfg["stats.group_by_year"], top_n
     )
     ctx = _build_context(cfg, run_dir)
-    queries = _load_queries(cfg)
+    queries, invalid = _query_table(cfg)
     serp_dir = cfg.path("paths.serp_dir")
     snapshots = labeling.load_snapshots(serp_dir) if serp_dir else {}
     summary_rows: list[str] = []
@@ -611,12 +618,16 @@ def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     # both written last, so a stage that fails leaves neither replaced
     _atomic_write(run_dir / "anchor_dist.csv", write_dist)
     _atomic_write(run_dir / "evidence_summary.csv", write_summary)
-    return {"distribution_rows": len(rows), "evidence_rows": len(summary_rows)}
+    return {
+        "distribution_rows": len(rows),
+        "evidence_rows": len(summary_rows),
+        "invalid_queries": invalid,
+    }
 
 
 def _stage_features(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     ctx = _build_context(cfg, run_dir)
-    queries = _load_queries(cfg)
+    queries, invalid = _query_table(cfg)
     vectors = []
     for q in queries:
         for doc_id in candidate_docs(q, ctx):
@@ -624,7 +635,7 @@ def _stage_features(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     if not vectors:
         raise StageDataError("no (query, document) candidates to featurize")
     _atomic_write(run_dir / "features.txt", lambda fh: serialize_vectors(vectors, fh))
-    return {"vectors": len(vectors), "queries": len(queries)}
+    return {"vectors": len(vectors), "queries": len(queries), "invalid_queries": invalid}
 
 
 def _read_vectors(run_dir: Path):
@@ -727,11 +738,13 @@ def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     labels = _read_labels(run_dir)
     pooled_docs = {qid: set(docs) for qid, docs in _read_pool(run_dir).items()}
     training = []
+    unlabeled = 0  # pooled rows without a manual grade
     for vec in vectors:
         if vec.doc_id not in pooled_docs.get(vec.query_id, ()):
             continue
         label = _label_for(cfg, labels, vec.query_id, vec.doc_id)
         if label is None:
+            unlabeled += 1
             continue
         training.append(replace(vec, label=label))
     if not training:
@@ -742,7 +755,11 @@ def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
         run_dir / "cv_report.json",
         lambda fh: fh.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"),
     )
-    return {"training_examples": len(training), "trees": forest.params.num_trees}
+    return {
+        "training_examples": len(training),
+        "trees": forest.params.num_trees,
+        "unlabeled": unlabeled,
+    }
 
 
 def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from archive_rank import forest as forest_module
 from archive_rank.features import FeatureVector
 from archive_rank.forest import (
     Forest,
@@ -15,6 +16,7 @@ from archive_rank.forest import (
     train_forest,
     write_forest,
 )
+from archive_rank.metrics import RankedRun, ndcg_at_k
 
 
 def vec(qid, doc, label, values):
@@ -47,6 +49,105 @@ def golden_vectors():
         label = float((i % 5 in (0, 4)) + 0.5 * (i % 3 == 0))
         out.append(vec(i % 6 + 1, f"http://d{i:02d}.de/", label, [a, a, b, c]))
     return out
+
+
+def soft_golden_vectors():
+    """The golden vectors with labels whose sums round, so that a cut's
+    statistics depend on the order and grouping of its additions."""
+    return [
+        vec(v.query_id, v.doc_id, 1.0 / (1 + int(v.values[0]) + int(v.values[2])) + 0.1 * v.values[3], v.values)
+        for v in golden_vectors()
+    ]
+
+
+def reference_cut(xs, ys, total, total_sq, min_leaf):
+    """Least squared error of a cut of one feature within one node, and the
+    cut's threshold: the bins are the node's distinct values, summed in row
+    order, and a cut lies between two adjacent bins."""
+    values, code = np.unique(xs, return_inverse=True)
+    if len(values) < 2:
+        return np.inf, None
+    left_n = np.cumsum(np.bincount(code))[:-1]
+    left_sum = np.cumsum(np.bincount(code, weights=ys))[:-1]
+    left_sq = np.cumsum(np.bincount(code, weights=ys * ys))[:-1]
+    n = len(ys)
+    sse = (
+        left_sq
+        - left_sum * left_sum / left_n
+        + (total_sq - left_sq)
+        - (total - left_sum) ** 2 / (n - left_n)
+    )
+    sse[(left_n < min_leaf) | (n - left_n < min_leaf)] = np.inf
+    cut = int(sse.argmin())
+    mid = (values[cut] + values[cut + 1]) / 2.0
+    return sse[cut], (mid if mid < values[cut + 1] else values[cut])
+
+
+def reference_forest(vectors, params):
+    """Grow each tree on its own, node by node in breadth-first order,
+    consuming the draws ``train_forest`` documents: the bootstrap sample,
+    then per level one candidate matrix for the nodes searched there.
+
+    Returns the trees as dicts of node lists (with each node's candidates,
+    or None) and the summed importances."""
+    ordered = sorted(vectors, key=lambda v: (v.query_id, v.doc_id))
+    X = np.array([v.values for v in ordered])
+    y = np.array([v.label for v in ordered])
+    n, n_features = X.shape
+    m = params.resolve_features_per_split(n_features)
+    size = max(1, int(round(params.bootstrap_fraction * n)))
+    trees, importance = [], np.zeros(n_features)
+    for k in range(params.num_trees):
+        rng = np.random.default_rng(np.random.SeedSequence((params.seed, k)))
+        level = [rng.integers(0, n, size=size)]
+        tree = {key: [] for key in ("feature", "threshold", "left", "right", "value", "candidates")}
+        tree_importance = np.zeros(n_features)
+        next_id, depth = 1, 0
+        while level:
+            searched = [
+                len(idx) >= 2 * params.min_leaf
+                and (y[idx] != y[idx][0]).any()
+                and (params.max_depth is None or depth < params.max_depth)
+                for idx in level
+            ]
+            if any(searched):
+                draws = iter(rng.random((sum(searched), n_features)).argsort(axis=1)[:, :m])
+            next_level = []
+            for idx, search in zip(level, searched):
+                ys = y[idx]
+                total, total_sq = np.cumsum(ys)[-1], np.cumsum(ys * ys)[-1]
+                feature, threshold, left, right = -1, 0.0, -1, -1
+                candidates = next(draws) if search else None
+                if search:
+                    best, best_f, best_thr = np.inf, None, None
+                    for f in candidates:
+                        sse, thr = reference_cut(X[idx, f], ys, total, total_sq, params.min_leaf)
+                        if sse < best:
+                            best, best_f, best_thr = sse, int(f), thr
+                    gain = total_sq - total * total / len(idx) - best
+                    if gain > 0.0:
+                        feature, threshold, left, right = best_f, best_thr, next_id, next_id + 1
+                        next_id += 2
+                        tree_importance[feature] += gain
+                        go_left = X[idx, feature] <= threshold
+                        next_level += [idx[go_left], idx[~go_left]]
+                for key, value in zip(
+                    tree, (feature, threshold, left, right, total / len(idx), candidates)
+                ):
+                    tree[key].append(value)
+            level, depth = next_level, depth + 1
+        trees.append(tree)
+        importance += tree_importance
+    return trees, importance
+
+
+def forest_bytes(forest):
+    buf = io.StringIO()
+    write_forest(forest, buf)
+    return buf.getvalue().encode("utf-8")
+
+
+GOLDEN_NAMES = ("a", "a_copy", "b", "c")
 
 
 def stump_oracle(vectors):
@@ -95,7 +196,7 @@ class TestTrainForest:
         [
             (
                 ForestParams(num_trees=12, seed=7),
-                "4ccad010d8da4051964e198e63efa8cab66f3dae29ea4682bbc32b2c5c9999d5",
+                "7284106463032a712955c848c222c826c8c89515da070fec21cda93c98eafbc0",
             ),
             (
                 ForestParams(
@@ -106,7 +207,7 @@ class TestTrainForest:
                     bootstrap_fraction=0.75,
                     max_depth=4,
                 ),
-                "fb713264c583d0e6e999ecbd2de4377ff7793421573a63b70fd092f769234a66",
+                "6a3c702edb21a56b5da18fbe2faeba481711dae7b8fd3d213c6ee223a9ec631a",
             ),
         ],
         ids=["defaults", "shallow-third"],
@@ -114,7 +215,8 @@ class TestTrainForest:
     def test_golden_forest_bytes(self, params, digest):
         """Pins the serialized forest, split tie-breaks included: the first
         cut within a feature, then the first candidate feature drawn. The
-        digests were taken from the per-feature loop implementation."""
+        digests were taken from ``reference_forest``, the per-node builder,
+        written out with ``write_forest``."""
         buf = io.StringIO()
         write_forest(train_forest(golden_vectors(), params, ("a", "a_copy", "b", "c")), buf)
         assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
@@ -151,6 +253,76 @@ class TestTrainForest:
             return float(np.mean(values))
 
         assert mean_mse(24) <= mean_mse(3)
+
+
+BUILDER_PARAMS = [
+    ForestParams(num_trees=12, seed=7),
+    ForestParams(num_trees=12, seed=8, min_leaf=3, features_per_split="third",
+                 bootstrap_fraction=0.75, max_depth=4),
+    ForestParams(num_trees=8, seed=9, features_per_split=2, bootstrap_fraction=1.5),
+]
+
+
+class TestLevelBuilder:
+    """``train_forest`` grows the trees of a batch together, level by level;
+    a plain per-node builder is its reference."""
+
+    @pytest.mark.parametrize("params", BUILDER_PARAMS, ids=["defaults", "shallow-third", "two-oversampled"])
+    @pytest.mark.parametrize("data", [golden_vectors, soft_golden_vectors], ids=["golden", "soft"])
+    def test_equals_per_node_reference(self, params, data):
+        vectors = data()
+        forest = train_forest(vectors, params, GOLDEN_NAMES)
+        trees, importance = reference_forest(vectors, params)
+        assert len(forest.trees) == len(trees)
+        for tree, ref in zip(forest.trees, trees):
+            for key in ("feature", "threshold", "left", "right"):
+                assert getattr(tree, key).tolist() == ref[key], key
+            np.testing.assert_allclose(tree.value, ref["value"], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(forest.importances, importance, rtol=1e-12, atol=0)
+        assert sum(int((t.feature >= 0).sum()) for t in forest.trees) > len(forest.trees)
+
+    @pytest.mark.parametrize("cap", [1, 10**9], ids=["one-tree", "all-trees"])
+    @pytest.mark.parametrize("data", [golden_vectors, soft_golden_vectors], ids=["golden", "soft"])
+    def test_output_does_not_depend_on_batch_cap(self, cap, data, monkeypatch):
+        params = ForestParams(num_trees=12, seed=7)
+        default = forest_bytes(train_forest(data(), params, GOLDEN_NAMES))
+        monkeypatch.setattr(forest_module, "_BATCH_ELEMENTS", cap)
+        assert forest_bytes(train_forest(data(), params, GOLDEN_NAMES)) == default
+
+    def test_trees_grow_in_batches_under_the_cap(self, monkeypatch):
+        batches = []
+        grow = forest_module._grow_batch
+        monkeypatch.setattr(
+            forest_module, "_grow_batch", lambda *args: batches.append(args[-1]) or grow(*args)
+        )
+        monkeypatch.setattr(forest_module, "_BATCH_ELEMENTS", 48 * 2 * 5)
+        train_forest(golden_vectors(), ForestParams(num_trees=12, seed=7), GOLDEN_NAMES)
+        assert batches == [range(0, 5), range(5, 10), range(10, 12)]
+
+    def test_first_trees_equal_a_smaller_forest(self):
+        vectors = soft_golden_vectors()
+        small = train_forest(vectors, ForestParams(num_trees=5, seed=3), GOLDEN_NAMES)
+        large = train_forest(vectors, ForestParams(num_trees=12, seed=3), GOLDEN_NAMES)
+        for a, b in zip(small.trees, large.trees[:5]):
+            for key in ("feature", "threshold", "left", "right", "value"):
+                assert getattr(a, key).tolist() == getattr(b, key).tolist(), key
+
+    @pytest.mark.parametrize("data", [golden_vectors, soft_golden_vectors], ids=["golden", "soft"])
+    def test_duplicate_column_ties_go_to_the_first_drawn(self, data):
+        """Columns a and a_copy are equal, so wherever both are candidates
+        their cuts tie exactly, and the one drawn first must win. Under the
+        soft labels, statistics that depended on where a segment lies in
+        its batch would break some of these ties the other way."""
+        params = ForestParams(num_trees=200, seed=11, features_per_split=3)
+        forest = train_forest(data(), params, GOLDEN_NAMES)
+        trees, _ = reference_forest(data(), params)
+        ties = 0
+        for tree, ref in zip(forest.trees, trees):
+            for f, candidates in zip(tree.feature.tolist(), ref["candidates"]):
+                if f in (0, 1) and candidates is not None and {0, 1} <= set(candidates.tolist()):
+                    ties += 1
+                    assert f == next(c for c in candidates.tolist() if c in (0, 1))
+        assert ties > 10
 
 
 class TestPredict:
@@ -213,6 +385,25 @@ class TestCrossValidate:
         assert r1.fold_of_query == r2.fold_of_query
         # grouping: all rows of one query share that query's fold by construction
         assert set(r1.fold_of_query.values()) <= set(range(5))
+
+    def test_fold_wide_scores_equal_per_query_scores(self):
+        """Cross-validation scores a held-out fold in one call; each row's
+        score is the same bits as when its query is scored alone."""
+        vectors = soft_golden_vectors()
+        forest = train_forest(vectors, ForestParams(num_trees=15, seed=4), GOLDEN_NAMES)
+        fold_wide = forest.predict_matrix([v.values for v in vectors]).tolist()
+        by_query = {}
+        for v in vectors:
+            by_query.setdefault(v.query_id, []).append(v)
+        expected_ndcg = {}
+        for qid, vecs in by_query.items():
+            scores = forest.predict_matrix([v.values for v in vecs]).tolist()
+            assert scores == [fold_wide[vectors.index(v)] for v in vecs]
+            run = RankedRun.from_scores(
+                qid, dict(zip((v.doc_id for v in vecs), scores)), {v.doc_id: v.label for v in vecs}
+            )
+            expected_ndcg[qid] = ndcg_at_k(run, 10)
+        assert forest_module._ndcg_by_query(forest, vectors, 10) == expected_ndcg
 
     def test_fewer_queries_than_folds_rejected(self):
         vectors = one_dim_vectors(n=12, n_queries=3)

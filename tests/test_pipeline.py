@@ -58,7 +58,10 @@ ARTIFACTS = (
 # sha256 of every artifact but manifest.json (which gains counters over
 # time) for the ``finished_run`` corpus, taken before link resolution and
 # dedup were folded into ``ingest.content_links``; ``content_links.tsv``,
-# the table it writes since, was added later.
+# the table it writes since, was added later. The digests of the forest
+# and of what is scored with it (``forest.txt``, ``cv_report.json``,
+# ``runs.tsv``, ``eval.csv``, ``sig.csv``) were taken with every fit made
+# by the per-node reference builder of ``tests/test_forest.py``.
 GOLDEN_DIGESTS = {
     "revisions.tsv": "22cf4675a71f080e111a0f868b038856d1a50edb10b66ca85f64bea88de76bf4",
     "links.tsv": "6166bcc5c39afecabd60e75f5fb3c25a741d48e895490ff6d18c0ae3c5fe07d4",
@@ -78,11 +81,11 @@ GOLDEN_DIGESTS = {
     "labels.tsv": "773e65f936800bccd5cf9912ab0a68fbb06bb885dbd2a7c784e2a998ef19c7eb",
     "sample.tsv": "8faeaf004a7db83be34e08c9c410994cf0731a49c0489581a521e5bd22f3243b",
     "kappa_report.json": "08e8943c196d69c4399667b5466d667f30244fe9cdf8c8e67eeb61a65b227318",
-    "forest.txt": "514960d6a39907eb346744d1a4034551a48440fadfed53f6472adcccffb55d72",
-    "cv_report.json": "198489e89bbb0f9fd9363a1ad2c4606d4596847ed63869f554554957aef74971",
-    "runs.tsv": "62b787a879c58c99ac8a2d74d752411f345a93daa31265dd1e394e9286853bd6",
-    "eval.csv": "7f9775e87ef60600d7de7693f6ba92c5d985842292a22c1dd9cce9b35f004f22",
-    "sig.csv": "6f44b6f378e4b696e7f4444548b9aa9419bf11c22638279e72cd5d5fcfe19ea0",
+    "forest.txt": "68d6ffe8ca3b90e9e7d777a68ad5404eba6286c568fce0fdbd0977f5dd22d50c",
+    "cv_report.json": "c251e705e4fa0234f8b67dc9cfe3a551cda11f94e03a35b7bb7076b6081d2579",
+    "runs.tsv": "1fe1e649595c756b4edbd4befeefdac1f1d58931320cf6dd4609f206fbb1b882",
+    "eval.csv": "eaca37ebb907164c51a8b8a12989fa5842f57111ef819a20e9907207133c39ba",
+    "sig.csv": "99a45edcbea35b294a14ad89a7543ec8450e6be539956e3db326881357d3130f",
 }
 
 
@@ -362,13 +365,14 @@ class TestCli:
         assert manifest["stages"][0]["seed"] == derive_seed(777, "ingest")
 
 
-def _config_with(corpus, line: str) -> Path:
-    """A copy of the corpus config with the key of ``line`` set by it."""
-    key = line.split("=")[0]
+def _config_with(corpus, *lines: str) -> Path:
+    """A copy of the corpus config with the key of each line set by it."""
+    keys = [line.split("=")[0] for line in lines]
     text = corpus.config_path.read_text(encoding="utf-8")
-    text, replaced = re.subn(rf"^{re.escape(key)}=.*$", line, text, flags=re.M)
-    assert replaced == 1, key
-    cfg_path = corpus.config_path.parent / f"bad-{key}.cfg"
+    for key, line in zip(keys, lines):
+        text, replaced = re.subn(rf"^{re.escape(key)}=.*$", line, text, flags=re.M)
+        assert replaced == 1, key
+    cfg_path = corpus.config_path.parent / f"bad-{'-'.join(keys)}.cfg"
     cfg_path.write_text(text, encoding="utf-8")
     return cfg_path
 
@@ -752,3 +756,93 @@ def test_repeated_query_id_exits_two_before_the_stage_writes(corpus, finished_ru
     qid = text.split("\t", 1)[0]
     assert f"query id {qid} appears more than once" in capsys.readouterr().err
     _assert_untouched(run_dir, finished_run)
+
+
+@pytest.mark.parametrize("stage", ["stats", "features"])
+def test_invalid_query_is_counted(corpus, finished_run, tmp_path, capsys, stage):
+    assert _row_counts_of(finished_run, stage)["invalid_queries"] == 0
+    queries = corpus.config_path.parent / "resources" / "queries.tsv"
+    text = queries.read_text(encoding="utf-8")
+    entity_type = text.splitlines()[0].split("\t")[2]
+    extended = queries.with_name("queries-invalid.tsv")
+    extended.write_text(text + f"99\tSmith, John\t{entity_type}\n", encoding="utf-8")
+    config = _config_with(corpus, f"paths.queries=resources/{extended.name}")
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    assert main([stage, "--config", str(config), "--run-dir", str(run_dir)]) == 0
+    assert "invalid_queries=1" in capsys.readouterr().out.split()
+    assert _row_counts(run_dir)["invalid_queries"] == 1
+    _assert_untouched(run_dir, finished_run, but="manifest.json")
+
+
+def _row_counts_of(run_dir: Path, stage: str) -> dict[str, int]:
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    return next(e["row_counts"] for e in manifest["stages"] if e["stage"] == stage)
+
+
+def test_train_counts_pooled_rows_without_a_manual_grade(corpus, finished_run, tmp_path, capsys):
+    """Under ``label.strategy=manual`` a pooled row with no grade is left out
+    of training, and counted."""
+    assert _row_counts_of(finished_run, "train")["unlabeled"] == 0
+    judgments = corpus.config_path.parent / "judgments.tsv"
+    lines = judgments.read_text(encoding="utf-8").splitlines(keepends=True)
+    ungraded_query = lines[0].split("\t")[0]
+    partial = judgments.with_name("judgments-partial.tsv")
+    partial.write_text("".join(l for l in lines if l.split("\t")[0] != ungraded_query), encoding="utf-8")
+    config = _config_with(corpus, "label.strategy=manual", f"paths.judgments={partial.name}")
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    for stage in ("label", "train"):
+        assert main([stage, "--config", str(config), "--run-dir", str(run_dir)]) == 0
+    with open(run_dir / "sample.tsv", encoding="utf-8") as fh:
+        pooled = [line.split("\t")[0] for line in fh]
+    expected = pooled.count(ungraded_query)
+    assert 0 < expected < len(pooled)
+    assert f"unlabeled={expected}" in capsys.readouterr().out.split()
+    counts = _row_counts(run_dir)
+    assert counts["unlabeled"] == expected
+    assert counts["training_examples"] == len(pooled) - expected
+
+
+_HASH_SEED_RUN = (
+    "import sys\n"
+    "from archive_rank.cli import main\n"
+    "from archive_rank.pipeline import STAGE_ORDER\n"
+    "for stage in STAGE_ORDER:\n"
+    "    assert main([stage, '--config', sys.argv[1], '--run-dir', sys.argv[2]]) == 0, stage\n"
+)
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    """The nine stages, run under two string-hash seeds, write the same
+    bytes to every artifact but the manifest (which holds timings)."""
+    corpus = make_synthetic_archive(
+        tmp_path / "corpus",
+        num_queries=5,
+        good_per_query=3,
+        chaff_per_query=6,
+        spam_per_query=1,
+        boosted_per_query=1,
+        sources=20,
+        feeder_inlinks=10,
+        filler_docs=20,
+        rf_num_trees=4,
+        per_partition=(1, 2),
+        seed=5,
+    )
+    procs = {}
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+        procs[hash_seed] = subprocess.Popen(
+            [sys.executable, "-c", _HASH_SEED_RUN, str(corpus.config_path), str(tmp_path / hash_seed)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+    for proc in procs.values():
+        _out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    assert set(names) == set(ARTIFACTS)
+    for name in names:
+        if name != "manifest.json":
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
