@@ -129,8 +129,9 @@ class Forest:
         return dict(zip(self.feature_names, shares.tolist()))
 
 
-# Rows x candidate features scored together in one batch of trees: the
-# largest sort key array of a batch, which bounds the memory of training.
+# Rows x candidate features scored together in one batch of trees (a batch
+# has at least one tree): the largest sort key array of a batch, which
+# bounds the memory of training.
 _BATCH_ELEMENTS = 65_536
 
 
