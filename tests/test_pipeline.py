@@ -758,6 +758,11 @@ def test_repeated_query_id_exits_two_before_the_stage_writes(corpus, finished_ru
     _assert_untouched(run_dir, finished_run)
 
 
+def _row_counts_of(run_dir: Path, stage: str) -> dict[str, int]:
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    return next(e["row_counts"] for e in manifest["stages"] if e["stage"] == stage)
+
+
 @pytest.mark.parametrize("stage", ["stats", "features"])
 def test_invalid_query_is_counted(corpus, finished_run, tmp_path, capsys, stage):
     assert _row_counts_of(finished_run, stage)["invalid_queries"] == 0
@@ -775,11 +780,6 @@ def test_invalid_query_is_counted(corpus, finished_run, tmp_path, capsys, stage)
     _assert_untouched(run_dir, finished_run, but="manifest.json")
 
 
-def _row_counts_of(run_dir: Path, stage: str) -> dict[str, int]:
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    return next(e["row_counts"] for e in manifest["stages"] if e["stage"] == stage)
-
-
 def test_train_counts_pooled_rows_without_a_manual_grade(corpus, finished_run, tmp_path, capsys):
     """Under ``label.strategy=manual`` a pooled row with no grade is left out
     of training, and counted."""
@@ -788,7 +788,7 @@ def test_train_counts_pooled_rows_without_a_manual_grade(corpus, finished_run, t
     lines = judgments.read_text(encoding="utf-8").splitlines(keepends=True)
     ungraded_query = lines[0].split("\t")[0]
     partial = judgments.with_name("judgments-partial.tsv")
-    partial.write_text("".join(l for l in lines if l.split("\t")[0] != ungraded_query), encoding="utf-8")
+    partial.write_text("".join(line for line in lines if line.split("\t")[0] != ungraded_query), encoding="utf-8")
     config = _config_with(corpus, "label.strategy=manual", f"paths.judgments={partial.name}")
     run_dir = tmp_path / "run"
     shutil.copytree(finished_run, run_dir)
