@@ -293,34 +293,12 @@ def extract_features(query: QueryRecord, doc_id: str, ctx: FeatureContext) -> Fe
     return FeatureVector(query.query_id, doc_id, 0.0, tuple(values))
 
 
-def per_query_evidence_summary(
-    result_docs: Iterable[str],
-    which: str,
-    ctx: FeatureContext,
-    query: QueryRecord | None = None,
-) -> EvidenceSummary:
-    """Aggregate one evidence dimension over a query's result set.
-
-    ``anchor_query_freq`` is the count of anchor instances containing all
-    query tokens (the raw endorsement count, not the fraction) and needs
-    the query. Quartiles use linear interpolation.
-    """
-    docs = list(result_docs)
-    if not docs:
+def per_query_evidence_summary(values: Iterable[float]) -> EvidenceSummary:
+    """Mean, median and quartiles of one evidence over a query's result
+    set, one value per document. Quartiles use linear interpolation."""
+    arr = np.asarray(list(values), dtype=np.float64)
+    if not arr.size:
         raise ValueError("empty result set")
-    if which == "url_depth":
-        values = [float(url_depth(normalize(d))) for d in docs]
-    elif which == "revision_count":
-        values = [float(ctx.revision_counts.get(d, 0)) for d in docs]
-    elif which == "anchor_query_freq":
-        if query is None:
-            raise ValueError("anchor_query_freq needs the query")
-        values = [
-            float(_anchor_query_hits(ctx.surrogates.get(d), query.tokens)[0]) for d in docs
-        ]
-    else:
-        raise ValueError(f"unknown evidence: {which!r}")
-    arr = np.asarray(values, dtype=np.float64)
     q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0], method="linear")
     return EvidenceSummary(float(arr.mean()), float(med), float(q1), float(q3))
 

@@ -126,14 +126,17 @@ class ContentLink(NamedTuple):
     anchor_text: str
 
 
-def content_links(links: Iterable[LinkRecord], suffixes: SuffixTable | None = None) -> list[ContentLink]:
+def content_links(
+    links: Iterable[LinkRecord], suffixes: SuffixTable | None = None, counts: dict[str, int] | None = None
+) -> list[ContentLink]:
     """The ``A/href`` links, in order, with both ends resolved to core URLs
     and their registrable domains under ``suffixes``.
 
     Each distinct URL string is resolved once per call, and each distinct
     core URL's domain is looked up once; a link with an end that does not
-    parse is dropped. Of the links sharing one (source full URL, capture
-    time, target core URL, anchor text), the first is flagged ``first``.
+    parse is dropped, and counted under ``bad_link_end`` in ``counts`` when
+    given. Of the links sharing one (source full URL, capture time, target
+    core URL, anchor text), the first is flagged ``first``.
     """
     cores: dict[str, tuple[str, str] | None] = {}  # URL -> (core URL, its domain)
     domains: dict[str, str] = {}
@@ -157,6 +160,8 @@ def content_links(links: Iterable[LinkRecord], suffixes: SuffixTable | None = No
             continue
         source, target = resolve(link.source_full_url), resolve(link.target_url)
         if source is None or target is None:
+            if counts is not None:
+                counts["bad_link_end"] = counts.get("bad_link_end", 0) + 1
             continue
         key = (link.source_full_url, link.source_capture_time, target[0], link.anchor_text)
         first = key not in seen

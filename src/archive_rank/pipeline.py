@@ -70,24 +70,22 @@ STAGE_ORDER = (
     "eval",
 )
 
-# artifacts read by _read_index and _build_context, tagged with the stage
-# that produces them
+# artifacts read by _read_index, tagged with the stage that produces them
 _INDEX_INPUTS = (("index", "docs.tsv"), ("index", "postings.tsv"), ("index", "instances.tsv"))
-_CONTEXT_INPUTS = (
-    ("ingest", "revisions.tsv"),
-    ("graph", "nodes.tsv"),
-    ("graph", "page_rank.tsv"),
-    ("graph", "domain_nodes.tsv"),
-    ("graph", "domain_rank.tsv"),
-    *_INDEX_INPUTS,
-)
 # stage -> every artifact it opens
 _REQUIRES: dict[str, tuple[tuple[str, str], ...]] = {
     "ingest": (),
     "graph": (("ingest", "content_links.tsv"),),
     "index": (("ingest", "content_links.tsv"), ("ingest", "revisions.tsv")),
-    "stats": (("ingest", "content_links.tsv"), *_CONTEXT_INPUTS),
-    "features": _CONTEXT_INPUTS,
+    "stats": (("ingest", "content_links.tsv"),),
+    "features": (  # what _build_context reads
+        ("ingest", "revisions.tsv"),
+        ("graph", "nodes.tsv"),
+        ("graph", "page_rank.tsv"),
+        ("graph", "domain_nodes.tsv"),
+        ("graph", "domain_rank.tsv"),
+        *_INDEX_INPUTS,
+    ),
     "label": (("features", "features.txt"),),
     "train": (
         ("features", "features.txt"),
@@ -464,10 +462,6 @@ def _query_table(cfg: RunConfig) -> tuple[list[QueryRecord], int]:
     return sorted(queries, key=lambda q: q.query_id), len(table) - len(queries)
 
 
-def _load_queries(cfg: RunConfig) -> list[QueryRecord]:
-    return _query_table(cfg)[0]
-
-
 def _build_context(cfg: RunConfig, run_dir: Path) -> FeatureContext:
     surrogates, stats = _read_index(run_dir)
     news_path = cfg.path("paths.news_domains")
@@ -492,7 +486,9 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     files = cfg.archive_files()
     revisions: list[ingest.RevisionRecord] = []
     links: list[ingest.LinkRecord] = []
-    counters = ("emitted", "skipped", "corrupt", "non_2xx", "decode_failed", "bad_url", "truncated_anchors")
+    counters = (
+        "emitted", "skipped", "corrupt", "non_2xx", "decode_failed", "bad_url", "truncated_anchors", "bad_link_end"
+    )
     totals = dict.fromkeys(counters, 0)
     resolver = ingest.HrefResolver()
     for path in files:
@@ -525,7 +521,7 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     links.sort(key=lambda l: (l.source_full_url, l.source_capture_time, l.target_url, l.tag_pattern, l.anchor_text))
     _atomic_write(run_dir / "revisions.tsv", lambda fh: ingest.write_revisions_tsv(revisions, fh))
     _atomic_write(run_dir / "links.tsv", lambda fh: ingest.write_links_tsv(links, fh))
-    content = ingest.content_links(links, suffixes)
+    content = ingest.content_links(links, suffixes, totals)
     _atomic_write(run_dir / "content_links.tsv", lambda fh: ingest.write_content_links_tsv(content, fh))
     return {"revisions": len(revisions), "links": len(links), "content_links": len(content), **totals}
 
@@ -586,56 +582,68 @@ def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     rows = anchor_index.anchor_distribution(
         _read_content_links(run_dir), cfg["stats.group_by_year"], top_n
     )
-    ctx = _build_context(cfg, run_dir)
-    queries, invalid = _query_table(cfg)
-    serp_dir = cfg.path("paths.serp_dir")
-    snapshots = labeling.load_snapshots(serp_dir) if serp_dir else {}
-    summary_rows: list[str] = []
-    for q in queries:
-        result_sets = {"A": candidate_docs(q, ctx)}
-        if q.query_id in snapshots:
-            merged = labeling.merge_snapshots(snapshots[q.query_id])
-            result_sets["B"] = sorted(labeling.intersect_with_index(merged, result_sets["A"]))
-        for set_name in sorted(result_sets):
-            docs = result_sets[set_name]
-            if not docs:
-                continue
-            for evidence in ("url_depth", "revision_count", "anchor_query_freq"):
-                s = per_query_evidence_summary(docs, evidence, ctx, q)
-                summary_rows.append(
-                    f"{q.query_id},{set_name},{evidence},{s.mean!r},{s.median!r},{s.q1!r},{s.q3!r}\n"
-                )
 
     def write_dist(fh):
         fh.write("year,k,count\n")
         for year, k, count in rows:
             fh.write(f"{year},{k},{count}\n")
 
+    _atomic_write(run_dir / "anchor_dist.csv", write_dist)
+    return {"distribution_rows": len(rows)}
+
+
+# The evidences of the paper's study, each read off a feature vector.
+# anchor_freq is the share of the inlink_count anchor instances that hold
+# every query token, so their product, rounded, is the count of those.
+_EVIDENCE = (
+    ("url_depth", lambda v: v["url_depth"]),
+    ("revision_count", lambda v: v["revision_count"]),
+    ("anchor_query_freq", lambda v: round(v["anchor_freq"] * v["inlink_count"])),
+)
+
+
+def _stage_features(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
+    """Feature vectors of every (query, candidate) pair, and the evidence
+    summaries over each query's candidates (set A) and over those of them
+    in the query's snapshots (set B)."""
+    ctx = _build_context(cfg, run_dir)
+    queries, invalid = _query_table(cfg)
+    serp_dir = cfg.path("paths.serp_dir")
+    snapshots = labeling.load_snapshots(serp_dir) if serp_dir else {}
+    vectors = []
+    summary_rows: list[str] = []
+    for q in queries:
+        candidates = [extract_features(q, doc_id, ctx) for doc_id in candidate_docs(q, ctx)]
+        vectors.extend(candidates)
+        result_sets = {"A": candidates}
+        if q.query_id in snapshots:
+            merged = labeling.merge_snapshots(snapshots[q.query_id])
+            kept = labeling.intersect_with_index(merged, [v.doc_id for v in candidates])
+            result_sets["B"] = [v for v in candidates if v.doc_id in kept]  # sorted, as A is
+        for set_name, vecs in result_sets.items():
+            if not vecs:
+                continue
+            for evidence, value in _EVIDENCE:
+                s = per_query_evidence_summary(value(v) for v in vecs)
+                summary_rows.append(
+                    f"{q.query_id},{set_name},{evidence},{s.mean!r},{s.median!r},{s.q1!r},{s.q3!r}\n"
+                )
+    if not vectors:
+        raise StageDataError("no (query, document) candidates to featurize")
+
     def write_summary(fh):
         fh.write("query_id,result_set,evidence,mean,median,q1,q3\n")
         fh.writelines(summary_rows)
 
     # both written last, so a stage that fails leaves neither replaced
-    _atomic_write(run_dir / "anchor_dist.csv", write_dist)
+    _atomic_write(run_dir / "features.txt", lambda fh: serialize_vectors(vectors, fh))
     _atomic_write(run_dir / "evidence_summary.csv", write_summary)
     return {
-        "distribution_rows": len(rows),
+        "vectors": len(vectors),
         "evidence_rows": len(summary_rows),
+        "queries": len(queries),
         "invalid_queries": invalid,
     }
-
-
-def _stage_features(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
-    ctx = _build_context(cfg, run_dir)
-    queries, invalid = _query_table(cfg)
-    vectors = []
-    for q in queries:
-        for doc_id in candidate_docs(q, ctx):
-            vectors.append(extract_features(q, doc_id, ctx))
-    if not vectors:
-        raise StageDataError("no (query, document) candidates to featurize")
-    _atomic_write(run_dir / "features.txt", lambda fh: serialize_vectors(vectors, fh))
-    return {"vectors": len(vectors), "queries": len(queries), "invalid_queries": invalid}
 
 
 def _read_vectors(run_dir: Path):
@@ -771,7 +779,7 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     vectors = {(v.query_id, v.doc_id): v for v in _read_vectors(run_dir)}
     pool = _read_pool(run_dir)
     surrogates, stats = _read_index(run_dir)
-    query_tokens = {q.query_id: q.tokens for q in _load_queries(cfg)}
+    query_tokens = {q.query_id: q.tokens for q in _query_table(cfg)[0]}
     pooled = [
         vectors[(qid, doc)]
         for qid in sorted(pool)

@@ -1,8 +1,9 @@
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from archive_rank import pipeline
 from archive_rank.features import (
     BASE_FEATURES,
     ENTITY_TYPES,
@@ -190,48 +191,44 @@ class TestGapCounts:
 
 
 class TestEvidenceSummary:
-    def _ctx(self):
-        revisions = [
-            rev("http://a.de/1", T0),
-            rev("http://a.de/1", T0 + DAY),
-            rev("http://a.de/2/x", T0),
-            rev("http://a.de/3/x/y", T0),
-        ]
-        return make_context(revisions, [])
-
     def test_mean_and_median(self):
-        ctx = self._ctx()
-        s = per_query_evidence_summary(
-            ["http://a.de/1", "http://a.de/2/x", "http://a.de/3/x/y"], "url_depth", ctx
-        )
+        s = per_query_evidence_summary([1.0, 2.0, 3.0])
         assert s.mean == pytest.approx(2.0)
         assert s.median == pytest.approx(2.0)
 
     def test_interpolated_median(self):
-        ctx = make_context(
-            [rev(f"http://a.de/{'x/' * d}p", T0) for d in (1, 1, 11, 11)], []
-        )
-        docs = sorted(ctx.revision_counts)
-        s = per_query_evidence_summary(docs, "url_depth", ctx)
+        s = per_query_evidence_summary([2.0, 2.0, 12.0, 12.0])
         assert s.median == pytest.approx((2 + 12) / 2)
 
     def test_constant_values_zero_width_quartiles(self):
-        ctx = self._ctx()
-        s = per_query_evidence_summary(["http://a.de/1"], "revision_count", ctx)
+        s = per_query_evidence_summary([2.0])
         assert s.q1 == s.median == s.q3 == pytest.approx(2.0)
 
     def test_empty_result_set_rejected(self):
         with pytest.raises(ValueError):
-            per_query_evidence_summary([], "url_depth", self._ctx())
+            per_query_evidence_summary([])
 
     def test_anchor_query_freq_counts_instances(self):
         target = "http://t.de/"
         links = [
             link(f"http://s{i}.de/", target, "Angela Merkel", when=T0 + i) for i in range(3)
         ] + [link("http://s9.de/", target, "mehr", when=T0 + 9)]
-        ctx = make_context([rev(target, T0)], links)
-        s = per_query_evidence_summary([target], "anchor_query_freq", ctx, query())
-        assert s.mean == pytest.approx(3.0)
+        vec = extract_features(query(), target, make_context([rev(target, T0)], links))
+        assert round(vec["anchor_freq"] * vec["inlink_count"]) == 3
+
+    @given(st.lists(st.lists(st.sampled_from(["angela", "merkel", "mehr", "kanzlerin"]), max_size=4), max_size=60))
+    @example([["angela", "merkel"]] + [["mehr"]] * 48)  # 1 / 49 * 49 != 1.0
+    def test_anchor_query_freq_is_the_rounded_product(self, anchors):
+        """The features stage reads the anchor query hits of a document off
+        its vector as round(anchor_freq * inlink_count); that is the count
+        of its anchor instances whose words hold every query token."""
+        target = "http://t.de/"
+        links = [link(f"http://s{i}.de/", target, " ".join(words), when=T0 + i) for i, words in enumerate(anchors)]
+        vec = extract_features(query(), target, make_context([rev(target, T0)], links))
+        hits = sum(1 for words in anchors if {"angela", "merkel"} <= set(words))
+        assert vec["inlink_count"] == len(anchors)
+        assert round(vec["anchor_freq"] * vec["inlink_count"]) == hits
+        assert dict(pipeline._EVIDENCE)["anchor_query_freq"](vec) == hits
 
 
 class TestCandidates:

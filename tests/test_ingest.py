@@ -471,6 +471,20 @@ class TestContentLinks:
         ]
         assert [l.anchor_text for l in content_links(records)] == ["d"]
 
+    def test_dropped_anchor_links_counted(self):
+        records = [
+            LinkRecord("http://s.de/", 1, "http://[broken/", "A/href", "a"),
+            LinkRecord("", 1, "http://t.de/", "A/href", "b"),
+            LinkRecord("http://s.de/", 1, "http://[broken/", "IMG/src", ""),  # not a content link
+            LinkRecord("http://s.de/", 1, "http://t.de/", "A/href", "d"),
+        ]
+        counts = {"bad_link_end": 3}
+        assert [l.anchor_text for l in content_links(records, counts=counts)] == ["d"]
+        assert counts == {"bad_link_end": 5}
+        counts = {}
+        content_links(records[3:], counts=counts)
+        assert counts == {}
+
     def test_unique_per_revision_key(self):
         """One link per (source full URL, capture time, target core URL,
         anchor text); the first occurrence is flagged, in input order."""

@@ -10,11 +10,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from archive_rank import anchor_index, ingest, pipeline
+from archive_rank import anchor_index, ingest, labeling, pipeline
+from archive_rank.anchor_index import tokenize_text
 from archive_rank.cli import main
-from archive_rank.features import FEATURE_NAMES, deserialize_vectors
+from archive_rank.features import FEATURE_NAMES, deserialize_vectors, group_by_query
 from archive_rank.pipeline import (
     STAGE_ORDER,
     ConfigError,
@@ -26,7 +28,7 @@ from archive_rank.pipeline import (
     run_stage,
 )
 from archive_rank.synthetic import make_synthetic_archive, warc_record_bytes
-from archive_rank.urls import normalize, tokenize_url
+from archive_rank.urls import normalize, tokenize_url, url_depth
 
 ARTIFACTS = (
     "revisions.tsv",
@@ -236,7 +238,7 @@ class TestFullPipeline:
         # each baseline row against its definition, from the upstream artifacts
         page_rank = pipeline._rank_map(finished_run, "nodes.tsv", "page_rank.tsv")
         surrogates, stats = pipeline._read_index(finished_run)
-        queries = {q.query_id: q for q in pipeline._load_queries(cfg)}
+        queries = {q.query_id: q for q in pipeline._query_table(cfg)[0]}
         rows = Counter()
         for line in (finished_run / "runs.tsv").read_text(encoding="utf-8").splitlines():
             system, qid, doc, score, _rank = line.split("\t")
@@ -254,6 +256,44 @@ class TestFullPipeline:
             assert score == repr(expected), line
             rows[system] += 1
         assert sorted(rows) == ["bm25", "pagerank", "query_in_url"] and len(set(rows.values())) == 1, rows
+
+    def test_evidence_summary_follows_its_definition(self, corpus, finished_run):
+        """Each row from the upstream artifacts: set A is a query's
+        candidates, set B those of them in its snapshots; the evidences are
+        the URL depth, the capture count and the anchor instances that hold
+        every query token."""
+        cfg = load_config(corpus.config_path)
+        with open(finished_run / "revisions.tsv", encoding="utf-8") as fh:
+            captures = Counter(r.core_url for r in ingest.read_revisions_tsv(fh))
+        surrogates, _stats = pipeline._read_index(finished_run)
+        snapshots = labeling.load_snapshots(cfg.path("paths.serp_dir"))
+        with open(finished_run / "features.txt", encoding="utf-8") as fh:
+            candidates = group_by_query(deserialize_vectors(fh))
+        expected = ["query_id,result_set,evidence,mean,median,q1,q3"]
+        for q in pipeline._query_table(cfg)[0]:
+            result_sets = {"A": [v.doc_id for v in candidates.get(q.query_id, [])]}
+            if q.query_id in snapshots:
+                merged = labeling.merge_snapshots(snapshots[q.query_id])
+                result_sets["B"] = sorted(labeling.intersect_with_index(merged, result_sets["A"]))
+            for set_name, docs in result_sets.items():
+                if not docs:
+                    continue
+                instances = [surrogates[d].anchor_instances if d in surrogates else [] for d in docs]
+                evidences = {
+                    "url_depth": [url_depth(normalize(d)) for d in docs],
+                    "revision_count": [captures[d] for d in docs],
+                    "anchor_query_freq": [
+                        sum(set(q.tokens) <= set(tokenize_text(text)) for text, _when in anchors)
+                        for anchors in instances
+                    ],
+                }
+                for evidence, values in evidences.items():
+                    q1, median, q3 = (float(x) for x in np.percentile(values, [25, 50, 75]))
+                    mean = float(np.mean(values))
+                    expected.append(f"{q.query_id},{set_name},{evidence},{mean!r},{median!r},{q1!r},{q3!r}")
+        rows = [row.split(",") for row in expected[1:]]
+        assert any(r[1] == "B" for r in rows) and any(r[2] == "anchor_query_freq" and float(r[3]) > 0 for r in rows)
+        assert (finished_run / "evidence_summary.csv").read_text(encoding="utf-8").splitlines() == expected
 
     def test_manifest_entries_carry_stage_timings(self, finished_run):
         manifest = json.loads((finished_run / "manifest.json").read_text())
@@ -496,10 +536,26 @@ def test_stage_needs_only_its_declared_inputs(corpus, finished_run, tmp_path, st
         assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
 
 
+def test_stats_builds_no_feature_context(corpus, finished_run, tmp_path, monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("stats reached for the feature context")
+
+    monkeypatch.setattr(pipeline.FeatureContext, "build", forbidden)
+    monkeypatch.setattr(pipeline, "candidate_docs", forbidden)
+    monkeypatch.setattr(anchor_index, "read_index", forbidden)
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    run_stage("stats", load_config(corpus.config_path), run_dir)
+    _assert_untouched(run_dir, finished_run, but="manifest.json")
+    rows = (finished_run / "anchor_dist.csv").read_text(encoding="utf-8").count("\n") - 1  # after the header
+    assert _row_counts(run_dir) == {"distribution_rows": rows}
+
+
 _MISSING_INPUTS = [
     *(("content_links.tsv", stage) for stage in ("graph", "index", "stats")),
-    *((artifact, stage) for artifact in ("page_rank.tsv", "domain_rank.tsv") for stage in ("features", "stats")),
-    *(("postings.tsv", stage) for stage in ("features", "rank", "stats")),
+    ("page_rank.tsv", "features"),
+    ("domain_rank.tsv", "features"),
+    *(("postings.tsv", stage) for stage in ("features", "rank")),
     ("docs.tsv", "rank"),
     ("instances.tsv", "rank"),
 ]
@@ -654,6 +710,28 @@ def test_ingest_and_index_count_dropped_and_truncated_input(tmp_path, monkeypatc
     assert counts["indexed_docs"] == 1 and counts["truncated_tokens"] > 0
 
 
+def test_ingest_counts_a_link_whose_end_does_not_parse(tmp_path, capsys):
+    # the href normalizes to http://v1.[x/, which does not parse again, so
+    # content_links drops the link when it resolves the target's core URL
+    config = _write_corpus(
+        tmp_path / "corpus",
+        [
+            warc_record_bytes(
+                "http://s.de/",
+                "2009-01-01T00:00:00Z",
+                b'<a href="http://[v1.[x]/">bad</a> <a href="http://t.de/">ok</a>',
+            ),
+        ],
+    )
+    run_dir = tmp_path / "run"
+    assert main(["ingest", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+    assert "bad_link_end=1" in capsys.readouterr().out.split()
+    counts = _row_counts(run_dir)
+    assert counts["bad_link_end"] == 1 and counts["links"] == 2 and counts["content_links"] == 1
+    with open(run_dir / "content_links.tsv", encoding="utf-8") as fh:
+        assert [(l.target, l.anchor_text) for l in ingest.read_content_links_tsv(fh)] == [("http://t.de/", "ok")]
+
+
 def test_graph_drops_an_unparseable_link_target(tmp_path):
     config = _write_corpus(tmp_path / "corpus", [])
     run_dir = tmp_path / "run"
@@ -719,13 +797,12 @@ def test_run_table_line_format_at_its_stage(corpus, finished_run, tmp_path, caps
         _assert_untouched(run_dir, finished_run)
 
 
-def test_stats_replaces_neither_output_when_its_context_is_damaged(corpus, finished_run, tmp_path):
+def test_features_replaces_neither_output_when_its_context_is_damaged(corpus, finished_run, tmp_path):
     run_dir = tmp_path / "run"
     shutil.copytree(finished_run, run_dir)
-    (run_dir / "content_links.tsv").write_text("", encoding="utf-8")  # an anchor distribution of no rows
     (run_dir / "nodes.tsv").write_text("# comment\n", encoding="utf-8")
-    assert main(["stats", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
-    for name in ("anchor_dist.csv", "evidence_summary.csv"):
+    assert main(["features", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    for name in ("features.txt", "evidence_summary.csv"):
         assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
 
 
@@ -743,7 +820,7 @@ def test_damaged_manifest_exits_two_before_the_stage_writes(corpus, finished_run
     assert (run_dir / "sig.csv").read_bytes() == (finished_run / "sig.csv").read_bytes()
 
 
-@pytest.mark.parametrize("stage", ["stats", "features", "rank"])
+@pytest.mark.parametrize("stage", ["features", "rank"])
 def test_repeated_query_id_exits_two_before_the_stage_writes(corpus, finished_run, tmp_path, capsys, stage):
     queries = corpus.config_path.parent / "resources" / "queries.tsv"
     text = queries.read_text(encoding="utf-8")
@@ -763,7 +840,7 @@ def _row_counts_of(run_dir: Path, stage: str) -> dict[str, int]:
     return next(e["row_counts"] for e in manifest["stages"] if e["stage"] == stage)
 
 
-@pytest.mark.parametrize("stage", ["stats", "features"])
+@pytest.mark.parametrize("stage", ["features"])
 def test_invalid_query_is_counted(corpus, finished_run, tmp_path, capsys, stage):
     assert _row_counts_of(finished_run, stage)["invalid_queries"] == 0
     queries = corpus.config_path.parent / "resources" / "queries.tsv"
