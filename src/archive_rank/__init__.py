@@ -19,6 +19,10 @@ The package splits into small composable layers:
 - :mod:`archive_rank.pipeline` / :mod:`archive_rank.cli` tie the stages
   together over a run directory; :mod:`archive_rank.tables` reads the
   lines of its text tables.
+
+No module imports numpy when it is imported: the functions that use it
+import it themselves, so the stages that need none (``ingest``, ``index``,
+``stats``, ``features``) run without it.
 """
 
 from .anchor_index import (

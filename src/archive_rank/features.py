@@ -8,11 +8,10 @@ document) pairs can be processed in parallel without coordination.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
 
 from .anchor_index import (
     IndexStats,
@@ -164,6 +163,9 @@ class FeatureContext:
     doc_domain: dict[str, str]
     domain_sizes: dict[str, int]
     url_tokens: dict[str, tuple[str, ...]]
+    # archived documents by anchor term and by URL token
+    term_docs: dict[str, set[str]]
+    url_token_docs: dict[str, set[str]]
     news_domains: frozenset[str] = frozenset()
     search_words: frozenset[str] = DEFAULT_SEARCH_WORDS
     search_substrings: tuple[str, ...] = DEFAULT_SEARCH_SUBSTRINGS
@@ -185,6 +187,7 @@ class FeatureContext:
         doc_domain: dict[str, str] = {}
         domain_members: dict[str, set[str]] = defaultdict(set)
         url_tokens: dict[str, tuple[str, ...]] = {}
+        url_token_docs: dict[str, set[str]] = defaultdict(set)
         for rev in revisions:
             core = rev.core_url
             revision_counts[core] += 1
@@ -195,6 +198,13 @@ class FeatureContext:
             domain_members[rev.domain].add(core)
             if core not in url_tokens:
                 url_tokens[core] = tuple(tokenize_url(normalize(core)))
+                for token in url_tokens[core]:
+                    url_token_docs[token].add(core)
+        term_docs: dict[str, set[str]] = defaultdict(set)
+        for doc_id, doc in surrogates.items():
+            if doc_id in revision_counts:
+                for term in doc.term_freqs:
+                    term_docs[term].add(doc_id)
 
         if search_words is None:
             plain = DEFAULT_SEARCH_WORDS
@@ -214,6 +224,8 @@ class FeatureContext:
             doc_domain=doc_domain,
             domain_sizes={d: len(m) for d, m in domain_members.items()},
             url_tokens=url_tokens,
+            term_docs=dict(term_docs),
+            url_token_docs=dict(url_token_docs),
             news_domains=frozenset(news_domains),
             search_words=plain,
             search_substrings=substrings,
@@ -293,14 +305,36 @@ def extract_features(query: QueryRecord, doc_id: str, ctx: FeatureContext) -> Fe
     return FeatureVector(query.query_id, doc_id, 0.0, tuple(values))
 
 
+def _linear_quantile(ordered: list[float], q: float) -> float:
+    """The q-quantile of sorted values by linear interpolation between the
+    two order statistics around (n - 1) q, in the two-sided form of
+    numpy's ``_lerp``, so a quartile is the float ``np.percentile`` gives."""
+    pos = (len(ordered) - 1) * q
+    lo = math.floor(pos)
+    a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
+    t = pos - lo
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def per_query_evidence_summary(values: Iterable[float]) -> EvidenceSummary:
     """Mean, median and quartiles of one evidence over a query's result
-    set, one value per document. Quartiles use linear interpolation."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if not arr.size:
+    set, one value per document. Quartiles use linear interpolation. The
+    mean divides the exactly rounded sum by the count, so it equals
+    numpy's wherever the sum is exact, as it is for integer-valued
+    evidences."""
+    ordered = sorted(float(v) for v in values)
+    if not ordered:
         raise ValueError("empty result set")
-    q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0], method="linear")
-    return EvidenceSummary(float(arr.mean()), float(med), float(q1), float(q3))
+    q1, med, q3 = (_linear_quantile(ordered, q) for q in (0.25, 0.5, 0.75))
+    return EvidenceSummary(math.fsum(ordered) / len(ordered), med, q1, q3)
+
+
+def _docs_with_all(docs_by_token: dict[str, set[str]], tokens: set[str]) -> set[str]:
+    """The documents listed under every token, intersected from the
+    shortest list up."""
+    first, *rest = sorted(tokens, key=lambda t: len(docs_by_token.get(t, ())))
+    return set(docs_by_token.get(first, ())).intersection(*(docs_by_token.get(t, ()) for t in rest))
 
 
 def candidate_docs(query: QueryRecord, ctx: FeatureContext) -> list[str]:
@@ -309,15 +343,7 @@ def candidate_docs(query: QueryRecord, ctx: FeatureContext) -> list[str]:
     needed = set(query.tokens)
     if not needed:
         return []
-    out = []
-    for doc_id in ctx.revision_counts:
-        doc = ctx.surrogates.get(doc_id)
-        if doc is not None and needed.issubset(doc.term_freqs.keys()):
-            out.append(doc_id)
-            continue
-        if needed.issubset(ctx.url_tokens[doc_id]):
-            out.append(doc_id)
-    return sorted(out)
+    return sorted(_docs_with_all(ctx.term_docs, needed) | _docs_with_all(ctx.url_token_docs, needed))
 
 
 # ---------------------------------------------------------------------------

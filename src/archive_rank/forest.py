@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .features import FEATURE_NAMES, FeatureVector
 from .metrics import RankedRun, ndcg_at_k
+
+if TYPE_CHECKING:  # numpy is imported inside the functions that use it
+    import numpy as np
 
 __all__ = [
     "ForestParams",
@@ -75,6 +76,8 @@ class _Tree:
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         """Leaf value for every row of X, descending one level per step."""
+        import numpy as np
+
         node = np.zeros(len(X), dtype=np.intp)
         rows = np.flatnonzero(self.feature[node] >= 0)
         while len(rows):
@@ -85,12 +88,18 @@ class _Tree:
         return self.value[node]
 
 
+def _no_importances() -> np.ndarray:
+    import numpy as np
+
+    return np.zeros(0)
+
+
 @dataclass
 class Forest:
     trees: list[_Tree]
     params: ForestParams
     feature_names: tuple[str, ...]
-    importances: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    importances: np.ndarray = field(default_factory=_no_importances)
 
     @property
     def n_features(self) -> int:
@@ -98,6 +107,8 @@ class Forest:
 
     def predict(self, vector) -> float:
         """Score one feature vector (or bare value sequence)."""
+        import numpy as np
+
         x = np.asarray(
             vector.values if isinstance(vector, FeatureVector) else vector,
             dtype=np.float64,
@@ -110,6 +121,8 @@ class Forest:
 
     def predict_matrix(self, X) -> np.ndarray:
         """Scores for the rows of X: the mean of the trees' leaf values."""
+        import numpy as np
+
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(
@@ -138,6 +151,8 @@ _BATCH_ELEMENTS = 65_536
 def _value_codes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each value's dense rank within its column, and the columns' sorted
     distinct values (row f, padded with nan to the widest column)."""
+    import numpy as np
+
     codes = np.empty(X.shape, dtype=np.int64)
     tables = []
     for f in range(X.shape[1]):
@@ -170,6 +185,8 @@ def _best_cuts(
     cut falls between two adjacent distinct values of the node. Ties go to
     the first cut within a candidate, then to the first candidate drawn.
     """
+    import numpy as np
+
     n_nodes, m = cand.shape
     width = values.shape[1]
     # Sort keys (node, slot, code) with the row's position in the low bits:
@@ -252,6 +269,8 @@ def _grow_batch(
     that are searched there, in node order. So a tree does not depend on
     the batch it grows in. Nodes are numbered breadth-first.
     """
+    import numpy as np
+
     n, n_features = X.shape
     n_trees = len(tree_indices)
     rngs = [np.random.default_rng(np.random.SeedSequence((params.seed, k))) for k in tree_indices]
@@ -333,6 +352,8 @@ def _canonical_order(vectors: Sequence[FeatureVector]) -> list[FeatureVector]:
 
 
 def _as_arrays(vectors: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     X = np.array([v.values for v in vectors], dtype=np.float64)
     y = np.array([v.label for v in vectors], dtype=np.float64)
     return X, y
@@ -361,6 +382,8 @@ def train_forest(
     at most ``_BATCH_ELEMENTS`` rows x candidates; the batching does not
     change the forest.
     """
+    import numpy as np
+
     if len(examples) < 2:
         raise ValueError("need at least two training examples")
     ordered = _canonical_order(examples)
@@ -412,6 +435,8 @@ def cross_validate(
     fold boundary. Ties between grid points resolve to the earlier entry.
     The returned forest is retrained on all examples with the winner.
     """
+    import numpy as np
+
     grid = list(param_grid)
     if not grid:
         raise ValueError("empty parameter grid")
@@ -475,6 +500,8 @@ def _ndcg_by_query(model: Forest, held: Sequence[FeatureVector], cutoff: int) ->
 
 
 def _entropy_bits(labels: np.ndarray) -> float:
+    import numpy as np
+
     if len(labels) == 0:
         return 0.0
     _, counts = np.unique(labels, return_counts=True)
@@ -492,6 +519,8 @@ def information_gain_ranking(
     most ``bins`` bins (duplicate cut points merged). Ties keep the
     declared feature order.
     """
+    import numpy as np
+
     if len(examples) < 2:
         raise ValueError("need at least two examples")
     X = np.array([v.values for v in examples], dtype=np.float64)
@@ -543,6 +572,8 @@ def write_forest(forest: Forest, fh) -> None:
 
 
 def read_forest(fh) -> Forest:
+    import numpy as np
+
     magic = fh.readline().strip()
     if magic != _FOREST_MAGIC:
         raise ValueError(f"not a forest file (header {magic!r})")

@@ -7,13 +7,14 @@ share it concurrently; construction itself is single-writer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .ingest import STRATEGY_ALL, ContentLink, LinkRecord, content_links, counted_links
 from .tables import rows
 from .urls import core_url_str
+
+if TYPE_CHECKING:  # numpy is imported inside the functions that use it
+    import numpy as np
 
 __all__ = [
     "Graph",
@@ -76,6 +77,8 @@ class Graph:
     def from_pairs(cls, names: Iterable[str], pairs: set[tuple[str, str]]) -> "Graph":
         """Build from node names and a set of (source, target) name pairs;
         node ids are assigned in sorted-name order."""
+        import numpy as np
+
         names = sorted(set(names))
         ids = {n: i for i, n in enumerate(names)}
         arr = np.array(sorted((ids[s], ids[t]) for s, t in pairs), dtype=np.int64).reshape(-1, 2)
@@ -120,6 +123,8 @@ def pagerank(
 ) -> RankVector:
     """Power iteration with uniform teleport; dangling mass is spread
     uniformly each step, so scores stay a probability distribution."""
+    import numpy as np
+
     n = g.node_count
     if n == 0:
         raise GraphError("pagerank over an empty graph")
@@ -161,6 +166,8 @@ def write_graph(g: Graph, graph_fh, nodes_fh) -> None:
 
 
 def read_graph(graph_fh, nodes_fh) -> Graph:
+    import numpy as np
+
     header = graph_fh.readline().split()
     n_nodes, n_edges = int(header[1]), int(header[3])
     src = np.empty(n_edges, dtype=np.int64)
@@ -184,11 +191,16 @@ def write_ranks(rank: RankVector, fh) -> None:
         fh.write(f"{i} {score!r}\n")
 
 
+def _rank_values(fh) -> list[float]:
+    return [float(line.split()[1]) for line in fh if line.strip()]
+
+
 def read_ranks(fh) -> np.ndarray:
-    scores = [float(line.split()[1]) for line in fh if line.strip()]
-    return np.array(scores, dtype=np.float64)
+    import numpy as np
+
+    return np.array(_rank_values(fh), dtype=np.float64)
 
 
 def read_rank_map(nodes_fh, ranks_fh) -> dict[str, float]:
     """Score by node name, from a nodes file and its rank file."""
-    return dict(zip(read_nodes(nodes_fh), read_ranks(ranks_fh).tolist()))
+    return dict(zip(read_nodes(nodes_fh), _rank_values(ranks_fh)))

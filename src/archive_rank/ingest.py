@@ -84,7 +84,7 @@ class ArchiveRecord:
     payload: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RevisionRecord:
     """One archived capture of a document, keyed by its core URL."""
 
@@ -94,7 +94,7 @@ class RevisionRecord:
     domain: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkRecord:
     """One extracted hyperlink occurrence."""
 

@@ -16,8 +16,6 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .tables import rows
 from .urls import UrlError, core_url_str
 
@@ -154,6 +152,8 @@ def pairwise_kappas(judgments: Mapping[str, Mapping[str, int]]) -> dict[tuple[st
 def average_pairwise_kappa(judgments: Mapping[str, Mapping[str, int]]) -> float:
     """Unweighted mean of Cohen's kappa over all assessor pairs, each pair
     computed on their common items."""
+    import numpy as np
+
     if len(judgments) < 2:
         raise ValueError("need at least two assessors")
     kappas = pairwise_kappas(judgments)
@@ -190,6 +190,8 @@ def _per_feature_draws(
     seed: int,
 ) -> tuple[list[str], list[set[int]]]:
     """Sorted documents plus the (overlap-repaired) draw set per feature."""
+    import numpy as np
+
     order = np.argsort(np.asarray(docs, dtype=object), kind="stable")
     docs_sorted = [docs[i] for i in order]
     matrix = np.asarray(feature_matrix, dtype=np.float64)[order]

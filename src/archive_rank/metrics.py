@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 __all__ = [
     "RankedRun",
     "PairedTTest",
@@ -87,6 +85,8 @@ def average_precision(run: RankedRun) -> float:
 
 
 def mean_average_precision(runs: Iterable[RankedRun]) -> float:
+    import numpy as np
+
     values = [average_precision(run) for run in runs]
     if not values:
         raise ValueError("no runs")
@@ -106,6 +106,8 @@ def paired_significance(metric_a: Sequence[float], metric_b: Sequence[float]) ->
     All-zero differences give (t=0, p=1). Zero variance with a nonzero mean
     is reported as p=0 with the degenerate-variance flag set.
     """
+    import numpy as np
+
     a = np.asarray(metric_a, dtype=np.float64)
     b = np.asarray(metric_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import anchor_index, graph, ingest, labeling, tables
 from .features import (
     FEATURE_NAMES,
@@ -652,6 +650,8 @@ def _read_vectors(run_dir: Path):
 
 
 def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
+    import numpy as np
+
     vectors = _read_vectors(run_dir)
     grouped = group_by_query(vectors)
     serp_dir = cfg.path("paths.serp_dir")
@@ -811,6 +811,8 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
 
 
 def _stage_eval(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
+    import numpy as np
+
     labels = _read_labels(run_dir)
     runs: dict[str, dict[int, list[tuple[str, float, int]]]] = {}
     with open(run_dir / "runs.tsv", encoding="utf-8") as fh:

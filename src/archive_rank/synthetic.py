@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .features import ENTITY_TYPES
 
 __all__ = [
@@ -189,6 +187,8 @@ def make_synthetic_archive(
     (queries, news domains, search words, wiki citations, suffixes),
     ``serp/`` snapshot files, ``judgments.tsv`` and a ready ``config.txt``.
     """
+    import numpy as np
+
     if num_queries > len(_FIRST):
         raise ValueError(f"at most {len(_FIRST)} queries supported")
     root = Path(root)

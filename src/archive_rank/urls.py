@@ -66,7 +66,7 @@ class NormalizedUrl:
     @property
     def host(self) -> str:
         auth = self.authority
-        if auth.startswith("["):  # IPv6 literal
+        if auth.startswith("["):  # IPv6 or IPvFuture literal
             return auth[1 : auth.index("]")]
         return auth.rsplit(":", 1)[0] if ":" in auth else auth
 
@@ -110,10 +110,17 @@ def normalize(raw: str) -> NormalizedUrl:
         raise UrlError(f"missing host in URL: {raw!r}")
     scheme = parts.scheme.lower()
     host = host.lower()
-    if ":" in host and not host.startswith("["):  # bare IPv6 from hostname
-        authority = f"[{host}]"
-    else:
-        authority = host
+    authority = host
+    if "[" in parts.netloc:
+        # urlsplit checks the netloc's first bracketed part, which may lie in
+        # the userinfo; the host must pass that check on its own
+        hostinfo = parts.netloc.rpartition("@")[2]
+        try:
+            urlsplit("//" + hostinfo)
+        except ValueError as exc:
+            raise UrlError(f"unparseable authority in URL: {raw!r}") from exc
+        if "[" in hostinfo:  # urlsplit strips the brackets of an IPv6 or IPvFuture literal
+            authority = f"[{host}]"
     try:
         port = parts.port
     except ValueError as exc:

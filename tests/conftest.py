@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from archive_rank.anchor_index import build_stats, build_surrogates
-from archive_rank.features import FeatureContext
+from archive_rank.features import FeatureContext, QueryRecord
 from archive_rank.ingest import LinkRecord, RevisionRecord, content_links
 
 DAY = 24 * 3600
@@ -40,4 +40,18 @@ def make_context(
         domain_rank=domain_rank,
         news_domains=news_domains,
         search_words=search_words,
+    )
+
+
+def candidates_by_scan(q: QueryRecord, ctx: FeatureContext) -> list[str]:
+    """The result set by its definition: every archived document tested for
+    the query tokens in its anchor terms, then in its URL tokens."""
+    needed = set(q.tokens)
+    if not needed:
+        return []
+    return sorted(
+        doc_id
+        for doc_id in ctx.revision_counts
+        if (doc_id in ctx.surrogates and needed <= ctx.surrogates[doc_id].term_freqs.keys())
+        or needed <= set(ctx.url_tokens[doc_id])
     )

@@ -1,13 +1,16 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from archive_rank import pipeline
+from archive_rank.anchor_index import build_stats, build_surrogates
 from archive_rank.features import (
     BASE_FEATURES,
     ENTITY_TYPES,
     FEATURE_NAMES,
+    FeatureContext,
     QueryRecord,
     UnknownDocument,
     VectorFormatError,
@@ -21,7 +24,8 @@ from archive_rank.features import (
     serialize_vectors,
 )
 from archive_rank.graph import inlink_count
-from conftest import DAY, T0, link, make_context, rev
+from archive_rank.ingest import content_links
+from conftest import DAY, T0, candidates_by_scan, link, make_context, rev
 
 WEEK = 7 * DAY
 
@@ -208,6 +212,18 @@ class TestEvidenceSummary:
         with pytest.raises(ValueError):
             per_query_evidence_summary([])
 
+    @given(st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=300), st.booleans())
+    @example([0, 1], False)  # median at t = 0.5, taken from the upper end
+    @example([1, 2, 4, 8, 16], True)  # quartiles at whole positions
+    def test_equals_numpy_on_integer_values(self, values, as_float):
+        """The stage's evidences are integer-valued; on those the summary
+        is the float numpy's mean and linear percentile give."""
+        sample = [float(v) for v in values] if as_float else values
+        arr = np.asarray(values, dtype=np.float64)
+        q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0], method="linear")
+        expected = (float(arr.mean()), float(med), float(q1), float(q3))
+        assert tuple(per_query_evidence_summary(sample)) == expected
+
     def test_anchor_query_freq_counts_instances(self):
         target = "http://t.de/"
         links = [
@@ -242,6 +258,35 @@ class TestCandidates:
         ctx = make_context(revisions, links)
         docs = candidate_docs(query("angela merkel"), ctx)
         assert docs == ["http://anchored.de/x", "http://spiegel.de/thema/angela_merkel"]
+        assert docs == candidates_by_scan(query("angela merkel"), ctx)
+
+    def test_every_token_on_one_route(self):
+        # "merkel" only in the URL and "angela" only in the anchors: neither
+        # route holds the whole query
+        revisions = [rev("http://merkel.de/", T0), rev("http://angela-merkel.de/", T0)]
+        links = [link("http://s.de/", "http://merkel.de/", "Angela")]
+        ctx = make_context(revisions, links)
+        assert candidate_docs(query("angela merkel"), ctx) == ["http://angela-merkel.de/"]
+        assert candidate_docs(query("merkel"), ctx) == ["http://angela-merkel.de/", "http://merkel.de/"]
+        assert candidate_docs(query("angela"), ctx) == candidates_by_scan(query("angela"), ctx)
+
+    def test_unarchived_surrogate_is_no_candidate(self):
+        archived = rev("http://a.de/x", T0)
+        gone = rev("http://b.de/y", T0)
+        links = [link("http://s.de/", doc.core_url, "Angela Merkel") for doc in (archived, gone)]
+        surrogates = build_surrogates(content_links(links), [archived, gone])
+        ctx = FeatureContext.build([archived], surrogates, build_stats(surrogates))
+        assert set(ctx.surrogates) == {"http://a.de/x", "http://b.de/y"}
+        assert candidate_docs(query("angela merkel"), ctx) == ["http://a.de/x"]
+        assert candidate_docs(query("angela merkel"), ctx) == candidates_by_scan(query("angela merkel"), ctx)
+
+    @pytest.mark.parametrize("text", ["", "--", "unbekannt", "angela unbekannt"])
+    def test_no_candidates(self, text):
+        ctx = make_context(
+            [rev("http://a.de/angela", T0)], [link("http://s.de/", "http://a.de/angela", "Angela Merkel")]
+        )
+        assert candidate_docs(query(text), ctx) == []
+
 
 
 class TestSerialization:

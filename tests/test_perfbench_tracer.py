@@ -1,11 +1,16 @@
-"""The benchmark's tracer wraps program functions by name; each must exist."""
+"""The benchmark's tracer wraps program functions by name; each must exist,
+and each module holding one must be loaded by the CLI import it traces."""
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _wrapped():
@@ -26,3 +31,17 @@ def test_wrapped_entry_names_a_program_callable(module_name, attr):
     for part in attr.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_cli_import_loads_every_wrapped_module():
+    # the tracer rebinds a wrapped function only in the modules loaded when
+    # it installs, which is right after `from archive_rank import cli`; a
+    # module that import leaves out would run untraced
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, archive_rank.cli; print(' '.join(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {f"archive_rank.{entry[0]}" for entry in WRAPPED} <= loaded

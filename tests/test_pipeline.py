@@ -16,7 +16,7 @@ import pytest
 from archive_rank import anchor_index, ingest, labeling, pipeline
 from archive_rank.anchor_index import tokenize_text
 from archive_rank.cli import main
-from archive_rank.features import FEATURE_NAMES, deserialize_vectors, group_by_query
+from archive_rank.features import FEATURE_NAMES, QueryRecord, candidate_docs, deserialize_vectors, group_by_query
 from archive_rank.pipeline import (
     STAGE_ORDER,
     ConfigError,
@@ -29,6 +29,7 @@ from archive_rank.pipeline import (
 )
 from archive_rank.synthetic import make_synthetic_archive, warc_record_bytes
 from archive_rank.urls import normalize, tokenize_url, url_depth
+from conftest import candidates_by_scan
 
 ARTIFACTS = (
     "revisions.tsv",
@@ -672,6 +673,56 @@ def test_no_stage_loads_scipy(corpus, finished_run, tmp_path):
     assert loaded == {**{stage: "False" for stage in STAGE_ORDER}, "control": "True"}
 
 
+def test_candidate_docs_equal_a_scan_of_every_document(corpus, finished_run):
+    cfg = load_config(corpus.config_path)
+    ctx = pipeline._build_context(cfg, finished_run)
+    queries = pipeline._query_table(cfg)[0]
+    words = sorted({t for q in queries for t in q.tokens} | {"de", "www", "html"})
+    found = 0
+    for q in queries + [QueryRecord(0, word, "politician") for word in words]:
+        docs = candidate_docs(q, ctx)
+        assert docs == candidates_by_scan(q, ctx), q.text
+        found += len(docs)
+    assert found > len(ctx.revision_counts)  # "de" alone finds every .de document
+
+
+# the stages that need no numpy; the others import it where they use it
+NUMPY_FREE_STAGES = ("ingest", "index", "stats", "features")
+
+
+def test_no_module_import_loads_numpy():
+    proc = _python(
+        "import sys, pkgutil, archive_rank, archive_rank.cli\n"
+        "for m in pkgutil.iter_modules(archive_rank.__path__):\n"
+        "    __import__(f'archive_rank.{m.name}')\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'numpy'])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_numpy_free_stages_leave_numpy_unloaded(corpus, finished_run, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    code = (
+        "import sys\n"
+        "from archive_rank.cli import main\n"
+        "def numpy_loaded():\n"
+        "    return any(m.split('.')[0] == 'numpy' for m in sys.modules)\n"
+        "for stage in sys.argv[3:]:\n"
+        "    assert main([stage, '--config', sys.argv[1], '--run-dir', sys.argv[2]]) == 0\n"
+        "    print(stage, numpy_loaded())\n"
+        "import numpy\n"
+        "print('control', numpy_loaded())\n"  # shows the probe can see numpy
+    )
+    proc = _python(code, str(corpus.config_path), str(run_dir), *NUMPY_FREE_STAGES)
+    assert proc.returncode == 0, proc.stderr
+    loaded = dict(line.split() for line in proc.stdout.splitlines() if line.split()[-1] in ("True", "False"))
+    assert loaded == {**{stage: "False" for stage in NUMPY_FREE_STAGES}, "control": "True"}
+    for name in ("content_links.tsv", "postings.tsv", "anchor_dist.csv", "features.txt", "evidence_summary.csv"):
+        assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
+
+
 def _write_corpus(root: Path, records: list[bytes]) -> Path:
     (root / "archives").mkdir(parents=True)
     (root / "archives" / "part.warc.gz").write_bytes(b"".join(gzip.compress(r, mtime=0) for r in records))
@@ -710,16 +761,19 @@ def test_ingest_and_index_count_dropped_and_truncated_input(tmp_path, monkeypatc
     assert counts["indexed_docs"] == 1 and counts["truncated_tokens"] > 0
 
 
-def test_ingest_counts_a_link_whose_end_does_not_parse(tmp_path, capsys):
-    # the href normalizes to http://v1.[x/, which does not parse again, so
-    # content_links drops the link when it resolves the target's core URL
+def test_ingest_counts_a_link_whose_end_does_not_parse(tmp_path, capsys, monkeypatch):
+    # every resolved href normalizes again, so the end that does not parse
+    # is put in by the resolver; content_links drops the link when it
+    # resolves the target's core URL
+    resolve = ingest._resolve
+    monkeypatch.setattr(ingest, "_resolve", lambda base, href: "http://[v1/" if href == "bad" else resolve(base, href))
     config = _write_corpus(
         tmp_path / "corpus",
         [
             warc_record_bytes(
                 "http://s.de/",
                 "2009-01-01T00:00:00Z",
-                b'<a href="http://[v1.[x]/">bad</a> <a href="http://t.de/">ok</a>',
+                b'<a href="bad">bad</a> <a href="http://t.de/">ok</a>',
             ),
         ],
     )

@@ -66,6 +66,21 @@ def raw_urls(draw):
     return url
 
 
+@st.composite
+def bracketed_urls(draw):
+    """URLs whose authority holds a bracketed host: IPv6 and IPvFuture
+    literals and arbitrary text, with stray brackets, userinfo and ports."""
+    hexdig = st.text(alphabet="0123456789abcdefABCDEF", min_size=1, max_size=3)
+    future = st.builds(
+        lambda v, rest: f"v{v}.{rest}", hexdig, st.text(alphabet="az09-._~!$&'()*+,;=:", min_size=1, max_size=8)
+    )
+    literal = draw(st.one_of(st.ip_addresses(v=6).map(str), future, st.text(alphabet="v1aF.:[]@%x!", max_size=8)))
+    noise = st.text(alphabet="ab[]@:.%", max_size=4)
+    port = draw(st.sampled_from(["", ":", ":80", ":8080", ":x"]))
+    path = draw(st.sampled_from(["", "/", "/p", "/p?q=1", "#f"]))
+    return f"http://{draw(noise)}[{literal}]{draw(noise)}{port}{path}"
+
+
 class TestProperties:
     @given(raw_urls())
     def test_normalize_idempotent(self, raw):
@@ -94,6 +109,42 @@ class TestProperties:
         for token in tokenize_url(n):
             assert token
             assert not any(d in token for d in TOKEN_DELIMITERS)
+
+
+class TestBracketedHosts:
+    @pytest.mark.parametrize(
+        "raw, canonical",
+        [
+            ("http://[v1.x]/", "http://[v1.x]/"),
+            ("http://[vA.b:c]:8080/p", "http://[va.b:c]:8080/p"),
+            ("http://[::1]:80/p", "http://[::1]/p"),
+            ("http://[2001:DB8::1]/", "http://[2001:db8::1]/"),
+            ("http://a[::1]/", "http://[::1]/"),  # urlsplit reads the host inside the brackets
+            ("http://[::1]@h.de/", "http://h.de/"),
+        ],
+    )
+    def test_literal_keeps_its_brackets(self, raw, canonical):
+        n = normalize(raw)
+        assert str(n) == canonical
+        assert normalize(str(n)) == n
+
+    def test_host_is_the_literal(self):
+        assert normalize("http://[v1.x]/").host == "v1.x"
+        assert normalize("http://[::1]:8080/").host == "::1"
+
+    @pytest.mark.parametrize("bad", ["http://[::1]@[:/", "http://[v1.x]@].x/", "http://[v1.a@b]/"])
+    def test_host_behind_a_bracketed_userinfo_is_checked(self, bad):
+        # urlsplit checks only the first bracketed part of the netloc
+        with pytest.raises(UrlError):
+            normalize(bad)
+
+    @given(bracketed_urls())
+    def test_normalize_idempotent(self, raw):
+        try:
+            once = normalize(raw)
+        except UrlError:
+            return
+        assert normalize(str(once)) == once
 
 
 class TestCoreUrl:
