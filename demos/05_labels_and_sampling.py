@@ -14,6 +14,7 @@ from archive_rank.labeling import (
     average_pairwise_kappa,
     intersect_with_index,
     merge_snapshots,
+    pairwise_kappas,
     pool_with_positives,
     soft_label,
     stratified_sample,
@@ -37,7 +38,7 @@ judgments = {
     "ben": {"d1": 2, "d2": 0, "d3": 1, "d4": 1},
     "cem": {"d1": 2, "d2": 1, "d3": 1, "d4": 0},
 }
-print(f"\naverage pairwise kappa: {average_pairwise_kappa(judgments):.3f}")
+print(f"\naverage pairwise kappa: {average_pairwise_kappa(pairwise_kappas(judgments)):.3f}")
 
 # stratify twenty documents over three feature dimensions, then pool
 rng = np.random.default_rng(42)

@@ -149,17 +149,13 @@ def pairwise_kappas(judgments: Mapping[str, Mapping[str, int]]) -> dict[tuple[st
     return kappas
 
 
-def average_pairwise_kappa(judgments: Mapping[str, Mapping[str, int]]) -> float:
-    """Unweighted mean of Cohen's kappa over all assessor pairs, each pair
-    computed on their common items."""
+def average_pairwise_kappa(kappas: Mapping[tuple[str, str], float]) -> float:
+    """Unweighted mean of the kappas of :func:`pairwise_kappas`, over the
+    assessor pairs that share an item."""
     import numpy as np
 
-    if len(judgments) < 2:
-        raise ValueError("need at least two assessors")
-    kappas = pairwise_kappas(judgments)
-    for left, right in combinations(sorted(judgments), 2):
-        if (left, right) not in kappas:
-            raise ValueError(f"assessors {left!r} and {right!r} share no items")
+    if not kappas:
+        raise ValueError("no two assessors share an item")
     return float(np.mean(list(kappas.values())))
 
 

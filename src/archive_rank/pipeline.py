@@ -1,11 +1,13 @@
 """Run-directory pipeline: nine stages from raw containers to the
 evaluation report, driven by a flat key=value config.
 
-Every stage writes its artifacts atomically (temp file + rename) and
-appends an entry to ``manifest.json`` recording the derived seed, config
-hash, input digests and row counts. All randomness flows from the single
-config seed through stage-name-salted derivation, so a rerun with the same
-inputs and seed reproduces every primary artifact byte for byte.
+One table, ``_STAGES``, declares each stage's handler and the artifacts
+it reads and writes. A handler computes every output before any is
+written; ``run_stage`` then writes each atomically (temp file + rename)
+and appends an entry to ``manifest.json`` recording the derived seed,
+config hash, input digests and row counts. All randomness flows from the
+single config seed through stage-name-salted derivation, so a rerun with
+the same inputs and seed reproduces every primary artifact byte for byte.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import math
 import os
 import resource
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -55,49 +58,6 @@ __all__ = [
     "run_stage",
     "STAGE_ORDER",
 ]
-
-STAGE_ORDER = (
-    "ingest",
-    "graph",
-    "index",
-    "stats",
-    "features",
-    "label",
-    "train",
-    "rank",
-    "eval",
-)
-
-# artifacts read by _read_index, tagged with the stage that produces them
-_INDEX_INPUTS = (("index", "docs.tsv"), ("index", "postings.tsv"), ("index", "instances.tsv"))
-# stage -> every artifact it opens
-_REQUIRES: dict[str, tuple[tuple[str, str], ...]] = {
-    "ingest": (),
-    "graph": (("ingest", "content_links.tsv"),),
-    "index": (("ingest", "content_links.tsv"), ("ingest", "revisions.tsv")),
-    "stats": (("ingest", "content_links.tsv"),),
-    "features": (  # what _build_context reads
-        ("ingest", "revisions.tsv"),
-        ("graph", "nodes.tsv"),
-        ("graph", "page_rank.tsv"),
-        ("graph", "domain_nodes.tsv"),
-        ("graph", "domain_rank.tsv"),
-        *_INDEX_INPUTS,
-    ),
-    "label": (("features", "features.txt"),),
-    "train": (
-        ("features", "features.txt"),
-        ("label", "labels.tsv"),
-        ("label", "sample.tsv"),
-    ),
-    "rank": (
-        ("train", "forest.txt"),
-        ("features", "features.txt"),
-        ("label", "sample.tsv"),
-        *_INDEX_INPUTS,
-    ),
-    "eval": (("rank", "runs.tsv"), ("label", "labels.tsv")),
-}
 
 _ARCHIVE_SUFFIXES = (".warc", ".warc.gz", ".arc", ".arc.gz")
 # the learned ranker and the paper's single-evidence baselines
@@ -352,11 +312,12 @@ def _read_manifest(run_dir: Path) -> dict:
     return data
 
 
-def _check_requirements(stage: str, run_dir: Path) -> dict[str, str]:
+def _check_requirements(reads: tuple[str, ...], run_dir: Path) -> dict[str, str]:
     digests = {}
-    for producer, artifact in _REQUIRES[stage]:
+    for artifact in reads:
         path = run_dir / artifact
         if not path.exists():
+            producer = next(name for name, (_h, _r, writes) in _STAGES.items() if artifact in writes)
             raise MissingStageError(producer, artifact)
         digests[artifact] = _sha256_file(path)
     return digests
@@ -377,12 +338,14 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
     except (FileExistsError, NotADirectoryError):
         raise ConfigError(f"run directory {run_dir} is not a directory") from None
     cfg.validate_paths()
-    input_digests = _check_requirements(stage, run_dir)
+    handler, reads, _writes = _STAGES[stage]
+    input_digests = _check_requirements(reads, run_dir)
     manifest = _read_manifest(run_dir)
     seed = derive_seed(cfg.seed, stage)
-    handler = _STAGES[stage]
     try:
-        counts = handler(cfg, run_dir, seed)
+        outputs, counts = handler(cfg, run_dir, seed)
+        for name, writer in outputs.items():
+            _atomic_write(run_dir / name, writer)
     except (ConfigError, StageDataError):
         raise
     except (ValueError, LookupError, OSError) as exc:
@@ -476,10 +439,24 @@ def _build_context(cfg: RunConfig, run_dir: Path) -> FeatureContext:
 
 
 # ---------------------------------------------------------------------------
-# stages
+# stages: each returns a writer ``fh -> None`` per artifact and its row counts
+
+_Result = tuple[dict[str, Callable], dict[str, int]]
 
 
-def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
+def _in_memory(write, *args, names: tuple[str, ...]) -> dict[str, Callable]:
+    """Writers of the files ``names``, which ``write(*args, *handles)``
+    writes together; it runs now, into memory."""
+    buffers = [io.StringIO() for _ in names]
+    write(*args, *buffers)
+    return {name: lambda fh, buf=buf: fh.write(buf.getvalue()) for name, buf in zip(names, buffers)}
+
+
+def _json(data) -> Callable:
+    return lambda fh: fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     suffixes = _suffix_table(cfg)
     files = cfg.archive_files()
     revisions: list[ingest.RevisionRecord] = []
@@ -517,14 +494,16 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
         totals["corrupt"] += stats.corrupt
     revisions.sort(key=lambda r: (r.core_url, r.capture_time, r.full_url))
     links.sort(key=lambda l: (l.source_full_url, l.source_capture_time, l.target_url, l.tag_pattern, l.anchor_text))
-    _atomic_write(run_dir / "revisions.tsv", lambda fh: ingest.write_revisions_tsv(revisions, fh))
-    _atomic_write(run_dir / "links.tsv", lambda fh: ingest.write_links_tsv(links, fh))
     content = ingest.content_links(links, suffixes, totals)
-    _atomic_write(run_dir / "content_links.tsv", lambda fh: ingest.write_content_links_tsv(content, fh))
-    return {"revisions": len(revisions), "links": len(links), "content_links": len(content), **totals}
+    outputs = {
+        "revisions.tsv": lambda fh: ingest.write_revisions_tsv(revisions, fh),
+        "links.tsv": lambda fh: ingest.write_links_tsv(links, fh),
+        "content_links.tsv": lambda fh: ingest.write_content_links_tsv(content, fh),
+    }
+    return outputs, {"revisions": len(revisions), "links": len(links), "content_links": len(content), **totals}
 
 
-def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
+def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     damping = cfg["pagerank.damping"]
     tolerance = cfg["pagerank.tolerance"]
     max_iter = cfg["pagerank.max_iterations"]
@@ -538,16 +517,13 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     page_rank = graph.pagerank(page, damping, tolerance, max_iter)
     domain_rank = graph.pagerank(domain, damping, tolerance, max_iter)
 
-    def write_pair(g: graph.Graph, rv: graph.RankVector, names: tuple[str, str, str]) -> None:
-        graph_buf, nodes_buf = io.StringIO(), io.StringIO()
-        graph.write_graph(g, graph_buf, nodes_buf)
-        _atomic_write(run_dir / names[0], lambda fh: fh.write(graph_buf.getvalue()))
-        _atomic_write(run_dir / names[1], lambda fh: fh.write(nodes_buf.getvalue()))
-        _atomic_write(run_dir / names[2], lambda fh: graph.write_ranks(rv, fh))
-
-    write_pair(page, page_rank, ("graph.tsv", "nodes.tsv", "page_rank.tsv"))
-    write_pair(domain, domain_rank, ("domain_graph.tsv", "domain_nodes.tsv", "domain_rank.tsv"))
-    return {
+    outputs = {
+        **_in_memory(graph.write_graph, page, names=("graph.tsv", "nodes.tsv")),
+        "page_rank.tsv": lambda fh: graph.write_ranks(page_rank, fh),
+        **_in_memory(graph.write_graph, domain, names=("domain_graph.tsv", "domain_nodes.tsv")),
+        "domain_rank.tsv": lambda fh: graph.write_ranks(domain_rank, fh),
+    }
+    return outputs, {
         "page_nodes": page.node_count,
         "page_edges": page.edge_count,
         "domain_nodes": domain.node_count,
@@ -557,17 +533,13 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     }
 
 
-def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
+def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     surrogates = anchor_index.build_surrogates(
         _read_content_links(run_dir), _read_revisions(run_dir), cfg["index.strategy"]
     )
-    docs_buf, postings_buf, instances_buf = io.StringIO(), io.StringIO(), io.StringIO()
-    anchor_index.write_index(surrogates, docs_buf, postings_buf, instances_buf)
-    _atomic_write(run_dir / "docs.tsv", lambda fh: fh.write(docs_buf.getvalue()))
-    _atomic_write(run_dir / "postings.tsv", lambda fh: fh.write(postings_buf.getvalue()))
-    _atomic_write(run_dir / "instances.tsv", lambda fh: fh.write(instances_buf.getvalue()))
+    outputs = _in_memory(anchor_index.write_index, surrogates, names=("docs.tsv", "postings.tsv", "instances.tsv"))
     stats = anchor_index.build_stats(surrogates)
-    return {
+    return outputs, {
         "indexed_docs": stats.num_docs,
         "terms": len(stats.doc_freq),
         "instances": sum(len(d.anchor_instances) for d in surrogates.values()),
@@ -575,7 +547,7 @@ def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     }
 
 
-def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
+def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     top_n = cfg["stats.top_n_domains"] or None
     rows = anchor_index.anchor_distribution(
         _read_content_links(run_dir), cfg["stats.group_by_year"], top_n
@@ -586,8 +558,23 @@ def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
         for year, k, count in rows:
             fh.write(f"{year},{k},{count}\n")
 
-    _atomic_write(run_dir / "anchor_dist.csv", write_dist)
-    return {"distribution_rows": len(rows)}
+    return {"anchor_dist.csv": write_dist}, {"distribution_rows": len(rows)}
+
+
+def _stage_features(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
+    """Feature vectors of every (query, candidate) pair."""
+    ctx = _build_context(cfg, run_dir)
+    queries, invalid = _query_table(cfg)
+    vectors = [extract_features(q, doc_id, ctx) for q in queries for doc_id in candidate_docs(q, ctx)]
+    if not vectors:
+        raise StageDataError("no (query, document) candidates to featurize")
+    outputs = {"features.txt": lambda fh: serialize_vectors(vectors, fh)}
+    return outputs, {"vectors": len(vectors), "queries": len(queries), "invalid_queries": invalid}
+
+
+def _read_vectors(run_dir: Path):
+    with open(run_dir / "features.txt", encoding="utf-8") as fh:
+        return list(deserialize_vectors(fh))
 
 
 # The evidences of the paper's study, each read off a feature vector.
@@ -600,56 +587,10 @@ _EVIDENCE = (
 )
 
 
-def _stage_features(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
-    """Feature vectors of every (query, candidate) pair, and the evidence
-    summaries over each query's candidates (set A) and over those of them
-    in the query's snapshots (set B)."""
-    ctx = _build_context(cfg, run_dir)
-    queries, invalid = _query_table(cfg)
-    serp_dir = cfg.path("paths.serp_dir")
-    snapshots = labeling.load_snapshots(serp_dir) if serp_dir else {}
-    vectors = []
-    summary_rows: list[str] = []
-    for q in queries:
-        candidates = [extract_features(q, doc_id, ctx) for doc_id in candidate_docs(q, ctx)]
-        vectors.extend(candidates)
-        result_sets = {"A": candidates}
-        if q.query_id in snapshots:
-            merged = labeling.merge_snapshots(snapshots[q.query_id])
-            kept = labeling.intersect_with_index(merged, [v.doc_id for v in candidates])
-            result_sets["B"] = [v for v in candidates if v.doc_id in kept]  # sorted, as A is
-        for set_name, vecs in result_sets.items():
-            if not vecs:
-                continue
-            for evidence, value in _EVIDENCE:
-                s = per_query_evidence_summary(value(v) for v in vecs)
-                summary_rows.append(
-                    f"{q.query_id},{set_name},{evidence},{s.mean!r},{s.median!r},{s.q1!r},{s.q3!r}\n"
-                )
-    if not vectors:
-        raise StageDataError("no (query, document) candidates to featurize")
-
-    def write_summary(fh):
-        fh.write("query_id,result_set,evidence,mean,median,q1,q3\n")
-        fh.writelines(summary_rows)
-
-    # both written last, so a stage that fails leaves neither replaced
-    _atomic_write(run_dir / "features.txt", lambda fh: serialize_vectors(vectors, fh))
-    _atomic_write(run_dir / "evidence_summary.csv", write_summary)
-    return {
-        "vectors": len(vectors),
-        "evidence_rows": len(summary_rows),
-        "queries": len(queries),
-        "invalid_queries": invalid,
-    }
-
-
-def _read_vectors(run_dir: Path):
-    with open(run_dir / "features.txt", encoding="utf-8") as fh:
-        return list(deserialize_vectors(fh))
-
-
-def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
+def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
+    """Labels of every candidate, the pool to train and evaluate on, and the
+    evidence summaries over each query's candidates (set A) and over those
+    of them in the query's snapshots (set B)."""
     import numpy as np
 
     vectors = _read_vectors(run_dir)
@@ -670,16 +611,17 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
             by_assessor.setdefault(j.assessor_id, {})[(j.query_id, j.doc_id)] = j.grade
             grades.setdefault((j.query_id, j.doc_id), []).append(j.grade)
         manual = {key: float(np.mean(vals)) for key, vals in grades.items()}
-        kappas = labeling.pairwise_kappas(by_assessor)  # pairs with no common item left out
+        kappas = labeling.pairwise_kappas(by_assessor)
         if kappas:
             kappa_report = {
-                "average_pairwise_kappa": float(np.mean(list(kappas.values()))),
+                "average_pairwise_kappa": labeling.average_pairwise_kappa(kappas),
                 "pairs": {f"{left}|{right}": k for (left, right), k in kappas.items()},
                 "assessors": sorted(by_assessor),
             }
 
     label_lines: list[str] = []
     sample_lines: list[str] = []
+    summary_lines = ["query_id,result_set,evidence,mean,median,q1,q3\n"]
     for qid in sorted(grouped):
         vecs = sorted(grouped[qid], key=lambda v: v.doc_id)
         docs = [v.doc_id for v in vecs]
@@ -697,15 +639,22 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
             label_lines.append(f"{qid}\t{doc}\t{soft!r}\t{man_s}\n")
         for doc, provenance in pool.items():
             sample_lines.append(f"{qid}\t{doc}\t{provenance}\n")
+        for set_name, result in (("A", vecs), ("B", [v for v in vecs if v.doc_id in dataset_b])):
+            if not result:
+                continue
+            for evidence, value in _EVIDENCE:
+                s = per_query_evidence_summary(value(v) for v in result)
+                summary_lines.append(f"{qid},{set_name},{evidence},{s.mean!r},{s.median!r},{s.q1!r},{s.q3!r}\n")
 
-    _atomic_write(run_dir / "labels.tsv", lambda fh: fh.writelines(label_lines))
-    _atomic_write(run_dir / "sample.tsv", lambda fh: fh.writelines(sample_lines))
+    outputs = {
+        "labels.tsv": lambda fh: fh.writelines(label_lines),
+        "sample.tsv": lambda fh: fh.writelines(sample_lines),
+        "evidence_summary.csv": lambda fh: fh.writelines(summary_lines),
+    }
     if kappa_report is not None:
-        _atomic_write(
-            run_dir / "kappa_report.json",
-            lambda fh: fh.write(json.dumps(kappa_report, indent=2, sort_keys=True) + "\n"),
-        )
-    return {"labels": len(label_lines), "pooled": len(sample_lines)}
+        outputs["kappa_report.json"] = _json(kappa_report)
+    counts = {"labels": len(label_lines), "pooled": len(sample_lines), "evidence_rows": len(summary_lines) - 1}
+    return outputs, counts
 
 
 def _read_labels(run_dir: Path) -> dict[tuple[int, str], tuple[float, float | None]]:
@@ -731,7 +680,7 @@ def _label_for(cfg: RunConfig, labels, qid: int, doc: str) -> float | None:
     return soft
 
 
-def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
+def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     base = ForestParams(
         num_trees=cfg["rf.num_trees"],
         bootstrap_fraction=cfg["rf.bootstrap_fraction"],
@@ -758,19 +707,15 @@ def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
     if not training:
         raise StageDataError("no labeled training examples in the pool")
     forest, report = cross_validate(training, grid, k_folds=cfg["rf.folds"], seed=seed)
-    _atomic_write(run_dir / "forest.txt", lambda fh: write_forest(forest, fh))
-    _atomic_write(
-        run_dir / "cv_report.json",
-        lambda fh: fh.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"),
-    )
-    return {
+    outputs = {"forest.txt": lambda fh: write_forest(forest, fh), "cv_report.json": _json(report.as_dict())}
+    return outputs, {
         "training_examples": len(training),
         "trees": forest.params.num_trees,
         "unlabeled": unlabeled,
     }
 
 
-def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
+def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     """Score every pooled (query, document) row once per system: the forest,
     anchor BM25 over the index, and the ``pagerank_core`` and
     ``query_in_url`` columns of the row's feature vector."""
@@ -806,11 +751,10 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
             ordered = sorted(by_doc, key=lambda d: (-by_doc[d], d))
             for rank, doc in enumerate(ordered, start=1):
                 lines.append(f"{system}\t{qid}\t{doc}\t{by_doc[doc]!r}\t{rank}\n")
-    _atomic_write(run_dir / "runs.tsv", lambda fh: fh.writelines(lines))
-    return {"run_rows": len(lines), "systems": len(SYSTEMS)}
+    return {"runs.tsv": lambda fh: fh.writelines(lines)}, {"run_rows": len(lines), "systems": len(SYSTEMS)}
 
 
-def _stage_eval(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
+def _stage_eval(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     import numpy as np
 
     labels = _read_labels(run_dir)
@@ -841,37 +785,47 @@ def _stage_eval(cfg: RunConfig, run_dir: Path, seed: int) -> dict[str, int]:
             metrics["AP"].append(average_precision(run))
         per_system[system] = metrics
 
-    def write_eval(fh):
-        fh.write("system,P@1,P@10,NDCG@10,MAP\n")
-        for system in SYSTEMS:
-            m = per_system[system]
-            fh.write(
-                f"{system},{float(np.mean(m['P@1']))!r},{float(np.mean(m['P@10']))!r},"
-                f"{float(np.mean(m['NDCG@10']))!r},{float(np.mean(m['AP']))!r}\n"
-            )
-
-    _atomic_write(run_dir / "eval.csv", write_eval)
-
-    def write_sig(fh):
-        fh.write("system_a,system_b,metric,t_statistic,p_value\n")
-        for i, a in enumerate(SYSTEMS):
-            for b in SYSTEMS[i + 1:]:
-                for metric in ("P@1", "P@10", "NDCG@10", "AP"):
-                    test = paired_significance(per_system[a][metric], per_system[b][metric])
-                    fh.write(f"{a},{b},{metric},{test.t_statistic!r},{test.p_value!r}\n")
-
-    _atomic_write(run_dir / "sig.csv", write_sig)
-    return {"systems": len(SYSTEMS), "queries": len(qids)}
+    eval_lines = ["system,P@1,P@10,NDCG@10,MAP\n"]
+    for system in SYSTEMS:
+        means = (float(np.mean(values)) for values in per_system[system].values())
+        eval_lines.append(f"{system},{','.join(map(repr, means))}\n")
+    sig_lines = ["system_a,system_b,metric,t_statistic,p_value\n"]
+    for i, a in enumerate(SYSTEMS):
+        for b in SYSTEMS[i + 1:]:
+            for metric in per_system[a]:
+                test = paired_significance(per_system[a][metric], per_system[b][metric])
+                sig_lines.append(f"{a},{b},{metric},{test.t_statistic!r},{test.p_value!r}\n")
+    outputs = {"eval.csv": lambda fh: fh.writelines(eval_lines), "sig.csv": lambda fh: fh.writelines(sig_lines)}
+    return outputs, {"systems": len(SYSTEMS), "queries": len(qids)}
 
 
+# Each stage in run order -> (handler, the artifacts it opens, the artifacts
+# it writes). The handler returns a writer for each artifact it writes
+# (label leaves out kappa_report.json unless two assessors share an item);
+# run_stage writes them all once the handler has returned.
 _STAGES = {
-    "ingest": _stage_ingest,
-    "graph": _stage_graph,
-    "index": _stage_index,
-    "stats": _stage_stats,
-    "features": _stage_features,
-    "label": _stage_label,
-    "train": _stage_train,
-    "rank": _stage_rank,
-    "eval": _stage_eval,
+    "ingest": (_stage_ingest, (), ("revisions.tsv", "links.tsv", "content_links.tsv")),
+    "graph": (
+        _stage_graph,
+        ("content_links.tsv",),
+        ("graph.tsv", "nodes.tsv", "page_rank.tsv", "domain_graph.tsv", "domain_nodes.tsv", "domain_rank.tsv"),
+    ),
+    "index": (_stage_index, ("content_links.tsv", "revisions.tsv"), ("docs.tsv", "postings.tsv", "instances.tsv")),
+    "stats": (_stage_stats, ("content_links.tsv",), ("anchor_dist.csv",)),
+    "features": (
+        _stage_features,
+        # what _build_context reads
+        ("revisions.tsv", "nodes.tsv", "page_rank.tsv", "domain_nodes.tsv", "domain_rank.tsv",
+         "docs.tsv", "postings.tsv", "instances.tsv"),
+        ("features.txt",),
+    ),
+    "label": (_stage_label, ("features.txt",), ("labels.tsv", "sample.tsv", "evidence_summary.csv", "kappa_report.json")),
+    "train": (_stage_train, ("features.txt", "labels.tsv", "sample.tsv"), ("forest.txt", "cv_report.json")),
+    "rank": (
+        _stage_rank,
+        ("forest.txt", "features.txt", "sample.tsv", "docs.tsv", "postings.tsv", "instances.tsv"),
+        ("runs.tsv",),
+    ),
+    "eval": (_stage_eval, ("runs.tsv", "labels.tsv"), ("eval.csv", "sig.csv")),
 }
+STAGE_ORDER = tuple(_STAGES)

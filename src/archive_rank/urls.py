@@ -71,7 +71,7 @@ class NormalizedUrl:
         return auth.rsplit(":", 1)[0] if ":" in auth else auth
 
 
-_RAW_WHITESPACE = re.compile(r"[ \t\n\r]")
+_RAW_WHITESPACE = re.compile(r"\s")  # what str.isspace() and so str.strip() take
 
 
 def _canonical_component(component: str) -> str:
@@ -80,8 +80,8 @@ def _canonical_component(component: str) -> str:
         return ch if ch in _UNRESERVED else m.group(0)
 
     decoded = _PCT_ESCAPE.sub(repl, component)
-    # raw whitespace cannot survive a parse round-trip; encode it
-    return _RAW_WHITESPACE.sub(lambda m: f"%{ord(m.group(0)):02X}", decoded)
+    # raw whitespace cannot survive a parse round-trip; encode its UTF-8 bytes
+    return _RAW_WHITESPACE.sub(lambda m: "".join(f"%{b:02X}" for b in m.group(0).encode("utf-8")), decoded)
 
 
 def normalize(raw: str) -> NormalizedUrl:

@@ -111,11 +111,11 @@ class TestAveragePairwiseKappa:
     def test_two_assessors_equals_plain_kappa(self):
         j = {"a1": {"x": 0, "y": 1}, "a2": {"x": 0, "y": 0}}
         expected = cohen_kappa(j["a1"], j["a2"])
-        assert average_pairwise_kappa(j) == pytest.approx(expected)
+        assert average_pairwise_kappa(pairwise_kappas(j)) == pytest.approx(expected)
 
     def test_three_identical_assessors(self):
         grades = {"x": 0, "y": 1, "z": 2}
-        assert average_pairwise_kappa({"a": grades, "b": grades, "c": grades}) == 1.0
+        assert average_pairwise_kappa(pairwise_kappas({"a": grades, "b": grades, "c": grades})) == 1.0
 
     def test_hand_computed_three_way_mean(self):
         items = ["i0", "i1", "i2", "i3"]
@@ -126,11 +126,11 @@ class TestAveragePairwiseKappa:
         assert cohen_kappa(a, b) == pytest.approx(0.0)
         assert cohen_kappa(a, c) == pytest.approx(0.5)
         assert cohen_kappa(b, c) == pytest.approx(-0.5)
-        assert average_pairwise_kappa({"a": a, "b": b, "c": c}) == pytest.approx(0.0)
+        assert average_pairwise_kappa(pairwise_kappas({"a": a, "b": b, "c": c})) == pytest.approx(0.0)
 
     def test_disjoint_items_rejected(self):
-        with pytest.raises(ValueError):
-            average_pairwise_kappa({"a": {"x": 0}, "b": {"y": 0}})
+        with pytest.raises(ValueError, match="no two assessors share an item"):
+            average_pairwise_kappa(pairwise_kappas({"a": {"x": 0}, "b": {"y": 0}}))
 
 
 class TestPairwiseKappas:
@@ -144,13 +144,13 @@ class TestPairwiseKappas:
         assert list(kappas) == [("a", "b"), ("a", "c"), ("b", "c")]
         assert kappas[("a", "b")] == cohen_kappa({"x": 0, "y": 1}, {"x": 0, "y": 0})
         assert kappas[("a", "c")] == 1.0
-        assert average_pairwise_kappa(j) == pytest.approx(sum(kappas.values()) / 3)
+        assert average_pairwise_kappa(kappas) == pytest.approx(sum(kappas.values()) / 3)
 
     def test_pair_without_common_items_left_out(self):
         j = {"a": {"x": 0, "y": 1}, "b": {"x": 0, "y": 1}, "c": {"z": 2}}
-        assert list(pairwise_kappas(j)) == [("a", "b")]
-        with pytest.raises(ValueError, match="share no items"):
-            average_pairwise_kappa(j)
+        kappas = pairwise_kappas(j)
+        assert list(kappas) == [("a", "b")]
+        assert average_pairwise_kappa(kappas) == kappas[("a", "b")] == 1.0
 
     def test_fewer_than_two_assessors(self):
         assert pairwise_kappas({"a": {"x": 0}}) == {}

@@ -1,5 +1,7 @@
 """The benchmark's tracer wraps program functions by name; each must exist,
-and each module holding one must be loaded by the CLI import it traces."""
+and each module holding one must be loaded by the CLI import it traces.
+The benchmark also runs the stages by name, in their order."""
+import ast
 import importlib
 import importlib.util
 import os
@@ -11,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+RUNNER = ROOT / "perfbench" / "run.py"
 
 
 def _wrapped():
@@ -45,3 +48,20 @@ def test_cli_import_loads_every_wrapped_module():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert {f"archive_rank.{entry[0]}" for entry in WRAPPED} <= loaded
+
+
+def _runner_constant(name: str):
+    """A literal module-level constant of the benchmark runner, read
+    without running it."""
+    for node in ast.parse(RUNNER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def test_benchmark_runs_the_pipeline_stages_in_order():
+    from archive_rank.pipeline import STAGE_ORDER
+
+    assert _runner_constant("STAGES") == STAGE_ORDER
+    grouped = [stage for stages in _runner_constant("GROUPS").values() for stage in stages]
+    assert sorted(grouped) == sorted(STAGE_ORDER)  # each stage in exactly one group

@@ -1,3 +1,4 @@
+import ast
 import gzip
 import hashlib
 import io
@@ -525,16 +526,73 @@ def test_repeated_config_key_is_rejected_with_both_lines(tmp_path):
 
 @pytest.mark.parametrize("stage", STAGE_ORDER)
 def test_stage_needs_only_its_declared_inputs(corpus, finished_run, tmp_path, stage):
-    inputs = {artifact for _producer, artifact in pipeline._REQUIRES[stage]}
+    """Run on exactly the artifacts its table row reads, a stage writes
+    exactly those its row names, with the bytes of the finished run."""
+    _handler, reads, writes = pipeline._STAGES[stage]
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    for name in inputs:
+    for name in reads:
         shutil.copyfile(finished_run / name, run_dir / name)
     run_stage(stage, load_config(corpus.config_path), run_dir)
-    outputs = {p.name for p in run_dir.iterdir()} - inputs - {"manifest.json"}
-    assert outputs and outputs <= set(ARTIFACTS)
-    for name in sorted(outputs):
+    assert {p.name for p in run_dir.iterdir()} == {*reads, *writes, "manifest.json"}
+    for name in writes:
         assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
+
+
+def stage_writes(source: str) -> list[str]:
+    """Each call in a ``_stage_*`` function that writes a file itself:
+    ``_atomic_write``, ``write_text``/``write_bytes``, or an ``open`` whose
+    mode is not a constant made of ``r``, ``b`` and ``t``."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_stage_")):
+            continue
+        for call in (node for node in ast.walk(fn) if isinstance(node, ast.Call)):
+            method = isinstance(call.func, ast.Attribute)
+            name = call.func.attr if method else getattr(call.func, "id", "")
+            if name == "open":
+                position = 0 if method else 1  # path.open(mode) or open(file, mode)
+                modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position : position + 1]
+                if not all(isinstance(m, ast.Constant) and set(m.value) <= set("rbt") for m in modes):
+                    found.append(f"{fn.name}: open")
+            elif name in ("_atomic_write", "write_text", "write_bytes"):
+                found.append(f"{fn.name}: {name}")
+    return found
+
+
+def test_no_stage_handler_writes_a_file():
+    # run_stage writes every output once the handler has returned, so a
+    # stage that fails replaces none of its outputs
+    assert stage_writes(Path(pipeline.__file__).read_text(encoding="utf-8")) == []
+
+
+def test_the_guard_sees_a_handler_write():
+    source = (
+        "def _stage_a(cfg, run_dir, seed):\n"
+        "    _atomic_write(run_dir / 'x', str)\n"
+        "    open(run_dir / 'y', 'w')\n"
+        "    (run_dir / 'z').open(mode='a')\n"
+        "    (run_dir / 'z').write_text('')\n"
+        "    open(run_dir / 'r', encoding='utf-8'), open(run_dir / 'r', 'rb'), (run_dir / 'r').open()\n"
+        "def _stage_b(cfg, run_dir, seed, mode):\n"
+        "    open(run_dir / 'w', mode)\n"
+        "def helper(run_dir):\n"
+        "    open(run_dir / 'w', 'w')\n"
+    )
+    assert stage_writes(source) == [
+        "_stage_a: _atomic_write", "_stage_a: open", "_stage_a: open", "_stage_a: write_text", "_stage_b: open",
+    ]
+
+
+def test_readme_stage_table_lists_what_each_stage_writes():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    written = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.strip("| ").split("|")]
+        if line.startswith("|") and cells[0] in STAGE_ORDER:
+            written[cells[0]] = re.findall(r"`([\w.]+\.(?:tsv|csv|txt|json))`", cells[-1])
+    assert list(written) == list(STAGE_ORDER)
+    assert written == {stage: list(writes) for stage, (_handler, _reads, writes) in pipeline._STAGES.items()}
 
 
 def test_stats_builds_no_feature_context(corpus, finished_run, tmp_path, monkeypatch):
@@ -719,7 +777,7 @@ def test_numpy_free_stages_leave_numpy_unloaded(corpus, finished_run, tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = dict(line.split() for line in proc.stdout.splitlines() if line.split()[-1] in ("True", "False"))
     assert loaded == {**{stage: "False" for stage in NUMPY_FREE_STAGES}, "control": "True"}
-    for name in ("content_links.tsv", "postings.tsv", "anchor_dist.csv", "features.txt", "evidence_summary.csv"):
+    for name in ("content_links.tsv", "postings.tsv", "anchor_dist.csv", "features.txt"):
         assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
 
 
@@ -856,8 +914,7 @@ def test_features_replaces_neither_output_when_its_context_is_damaged(corpus, fi
     shutil.copytree(finished_run, run_dir)
     (run_dir / "nodes.tsv").write_text("# comment\n", encoding="utf-8")
     assert main(["features", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
-    for name in ("features.txt", "evidence_summary.csv"):
-        assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
+    assert (run_dir / "features.txt").read_bytes() == (finished_run / "features.txt").read_bytes()
 
 
 @pytest.mark.parametrize("content", ["garbage", "{}", '{"stages": {}}', "[]"])

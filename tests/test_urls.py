@@ -43,6 +43,20 @@ class TestNormalize:
         assert n.path == "/%20"
         assert normalize(str(n)) == n
 
+    @pytest.mark.parametrize(
+        "raw, canonical",
+        [
+            ("http://h.de/a\x0c#f", "http://h.de/a%0C"),
+            ("http://h.de/a\x0b?q", "http://h.de/a%0B?q"),
+            ("http://h.de/?q\u3000#f", "http://h.de/?q%E3%80%80"),
+        ],
+    )
+    def test_any_whitespace_is_encoded_as_utf8(self, raw, canonical):
+        # str.strip() takes these, so a raw one at the end of the canonical
+        # form would be lost by the next parse
+        assert str(normalize(raw)) == canonical
+        assert str(normalize(canonical)) == canonical
+
     def test_fragment_dropped(self):
         assert str(normalize("http://a.de/x#frag")) == "http://a.de/x"
 
@@ -58,12 +72,15 @@ def raw_urls(draw):
     host_label = st.text(alphabet="abcz09", min_size=1, max_size=5)
     host = ".".join(draw(st.lists(host_label, min_size=1, max_size=3))) + ".de"
     segs = draw(st.lists(st.text(alphabet="aB9-_%41. ", min_size=0, max_size=6), max_size=4))
-    path = "/" + "/".join(segs)
+    # whitespace (str.isspace) beyond space, tab, CR and LF, which urlsplit
+    # keeps and str.strip() takes
+    space = st.sampled_from(["", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u3000"])
+    path = "/" + "/".join(segs) + draw(space)
     query = draw(st.one_of(st.none(), st.text(alphabet="ab=&+9", max_size=8)))
     url = f"http://{host}{path}"
     if query is not None:
-        url += "?" + query
-    return url
+        url += "?" + query + draw(space)
+    return url + draw(st.sampled_from(["", "#f"]))
 
 
 @st.composite
