@@ -15,13 +15,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .ingest import STRATEGY_ALL, STRATEGY_UNIQUE_PER_REVISION  # link strategies, re-exported
-from .ingest import ContentLink, RevisionRecord, counted_links
+from .ingest import STRATEGY_UNIQUE_PER_REVISION, ContentLink, RevisionRecord, counted_links
 from .tables import escape, rows, unescape
 
 __all__ = [
-    "STRATEGY_UNIQUE_PER_REVISION",
-    "STRATEGY_ALL",
     "SURROGATE_TOKEN_CAP",
     "SurrogateDocument",
     "IndexStats",
@@ -32,7 +29,9 @@ __all__ = [
     "bm25_score",
     "term_stats",
     "anchor_distribution",
-    "write_index",
+    "write_docs",
+    "write_postings",
+    "write_instances",
     "read_index",
 ]
 
@@ -228,20 +227,26 @@ def _year_of(epoch: int) -> int:
 # persistence: docs.tsv, postings.tsv, instances.tsv
 
 
-def write_index(surrogates: dict[str, SurrogateDocument], docs_fh, postings_fh, instances_fh) -> None:
-    by_id = sorted(surrogates)
-    for doc_id in by_id:
+def write_docs(surrogates: dict[str, SurrogateDocument], fh) -> None:
+    for doc_id in sorted(surrogates):
         doc = surrogates[doc_id]
-        docs_fh.write(f"{doc_id}\t{doc.length}\t{len(doc.revision_times)}\n")
-        for anchor, when in doc.anchor_instances:
-            instances_fh.write(f"{doc_id}\t{when}\t{escape(anchor)}\n")
+        fh.write(f"{doc_id}\t{doc.length}\t{len(doc.revision_times)}\n")
+
+
+def write_postings(surrogates: dict[str, SurrogateDocument], fh) -> None:
     postings: dict[str, list[tuple[str, int]]] = defaultdict(list)
-    for doc_id in by_id:
+    for doc_id in sorted(surrogates):
         for term, tf in surrogates[doc_id].term_freqs.items():
             postings[term].append((doc_id, tf))
     for term in sorted(postings):
         entries = "\t".join(f"{doc_id}:{tf}" for doc_id, tf in postings[term])
-        postings_fh.write(f"{term}\t{len(postings[term])}\t{entries}\n")
+        fh.write(f"{term}\t{len(postings[term])}\t{entries}\n")
+
+
+def write_instances(surrogates: dict[str, SurrogateDocument], fh) -> None:
+    for doc_id in sorted(surrogates):
+        for anchor, when in surrogates[doc_id].anchor_instances:
+            fh.write(f"{doc_id}\t{when}\t{escape(anchor)}\n")
 
 
 def read_index(docs_fh, postings_fh, instances_fh) -> tuple[dict[str, SurrogateDocument], IndexStats]:

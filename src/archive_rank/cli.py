@@ -16,6 +16,8 @@ from .pipeline import (
     run_stage,
 )
 
+__all__ = ["build_parser", "main"]
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):

@@ -47,6 +47,7 @@ __all__ = [
     "load_queries",
     "load_wiki_citations",
     "load_word_table",
+    "load_entity_types",
 ]
 
 # Closed list of coarse entity categories a query can carry.

@@ -6,7 +6,9 @@ share it concurrently; construction itself is single-writer.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .ingest import STRATEGY_ALL, ContentLink, LinkRecord, content_links, counted_links
@@ -24,11 +26,10 @@ __all__ = [
     "project_domain_graph",
     "inlink_count",
     "pagerank",
-    "write_graph",
-    "read_graph",
+    "write_edges",
+    "write_nodes",
     "read_nodes",
     "write_ranks",
-    "read_ranks",
     "read_rank_map",
 ]
 
@@ -58,31 +59,32 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.src)
 
-    @property
+    @cached_property
     def ids(self) -> dict[str, int]:
-        cached = self.__dict__.get("_ids")
-        if cached is None:
-            cached = {name: i for i, name in enumerate(self.names)}
-            self.__dict__["_ids"] = cached
-        return cached
+        return {name: i for i, name in enumerate(self.names)}
 
     @classmethod
-    def from_edges(cls, edges: Iterable[tuple[str, str]]) -> "Graph":
-        """Build from (source, target) name pairs; parallel edges collapse,
-        self-loops drop, node ids are assigned in sorted-name order."""
-        pairs = {(s, t) for s, t in edges if s != t}
-        return cls.from_pairs({n for pair in pairs for n in pair}, pairs)
-
-    @classmethod
-    def from_pairs(cls, names: Iterable[str], pairs: set[tuple[str, str]]) -> "Graph":
-        """Build from node names and a set of (source, target) name pairs;
-        node ids are assigned in sorted-name order."""
+    def from_edges(cls, edges: Iterable[tuple[str, str]], nodes: Iterable[str] = ()) -> "Graph":
+        """Build from (source, target) name pairs plus ``nodes`` that may have
+        no edge; parallel edges collapse, self-loops drop, node ids are
+        assigned in sorted-name order."""
         import numpy as np
 
-        names = sorted(set(names))
-        ids = {n: i for i, n in enumerate(names)}
-        arr = np.array(sorted((ids[s], ids[t]) for s, t in pairs), dtype=np.int64).reshape(-1, 2)
-        return cls(tuple(names), arr[:, 0].copy(), arr[:, 1].copy())
+        ids: dict[str, int] = {}  # first-seen ids, kept as ints while streaming
+        ends = array("q")
+        for s, t in edges:
+            if s != t:
+                ends.append(ids.setdefault(s, len(ids)))
+                ends.append(ids.setdefault(t, len(ids)))
+        for name in nodes:
+            ids.setdefault(name, len(ids))
+        names = sorted(ids)
+        n = len(names)
+        sorted_id = np.empty(n, dtype=np.int64)  # by first-seen id
+        sorted_id[[ids[name] for name in names]] = np.arange(n, dtype=np.int64)
+        pairs = sorted_id[np.frombuffer(ends, dtype=np.int64)]
+        keys = np.unique(pairs[0::2] * n + pairs[1::2])
+        return cls(tuple(names), keys // n, keys % n)
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,6 @@ class RankVector:
     """PageRank scores by node id; scores sum to one."""
 
     scores: np.ndarray
-    damping: float
     iterations_run: int
     residual: float
 
@@ -104,8 +105,8 @@ def project_domain_graph(g: Graph, domain_fn: Callable[[str], str]) -> Graph:
     """Collapse page nodes to domains; intra-domain edges are dropped but
     every domain keeps a node, even when all its edges were internal."""
     domains = [domain_fn(name) for name in g.names]
-    pairs = {(domains[s], domains[t]) for s, t in zip(g.src, g.dst) if domains[s] != domains[t]}
-    return Graph.from_pairs(domains, pairs)
+    edges = zip(memoryview(g.src), memoryview(g.dst))  # Python ints, without a list of them
+    return Graph.from_edges(((domains[s], domains[t]) for s, t in edges), domains)
 
 
 def inlink_count(links: Iterable[LinkRecord], doc: str, dedup: str = STRATEGY_ALL) -> int:
@@ -150,39 +151,26 @@ def pagerank(
         scores = nxt
         if residual < tolerance:
             break
-    return RankVector(scores, damping, iterations, residual)
+    return RankVector(scores, iterations, residual)
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
 
-def write_graph(g: Graph, graph_fh, nodes_fh) -> None:
-    graph_fh.write(f"#nodes {g.node_count} #edges {g.edge_count}\n")
-    for s, t in zip(g.src, g.dst):
-        graph_fh.write(f"{s} {t}\n")
+def write_edges(g: Graph, fh) -> None:
+    fh.write(f"#nodes {g.node_count} #edges {g.edge_count}\n")
+    for s, t in zip(memoryview(g.src), memoryview(g.dst)):
+        fh.write(f"{s} {t}\n")
+
+
+def write_nodes(g: Graph, fh) -> None:
     for i, name in enumerate(g.names):
-        nodes_fh.write(f"{i}\t{name}\n")
-
-
-def read_graph(graph_fh, nodes_fh) -> Graph:
-    import numpy as np
-
-    header = graph_fh.readline().split()
-    n_nodes, n_edges = int(header[1]), int(header[3])
-    src = np.empty(n_edges, dtype=np.int64)
-    dst = np.empty(n_edges, dtype=np.int64)
-    for i in range(n_edges):
-        a, b = graph_fh.readline().split()
-        src[i], dst[i] = int(a), int(b)
-    names = read_nodes(nodes_fh)
-    if len(names) != n_nodes:
-        raise GraphError(f"graph header names {n_nodes} nodes, the nodes file {len(names)}")
-    return Graph(names, src, dst)
+        fh.write(f"{i}\t{name}\n")
 
 
 def read_nodes(fh) -> tuple[str, ...]:
-    """Node names in id order, as :func:`write_graph` writes them."""
+    """Node names in id order, as :func:`write_nodes` writes them."""
     return tuple(name for _idx, name in rows(fh))
 
 
@@ -191,16 +179,6 @@ def write_ranks(rank: RankVector, fh) -> None:
         fh.write(f"{i} {score!r}\n")
 
 
-def _rank_values(fh) -> list[float]:
-    return [float(line.split()[1]) for line in fh if line.strip()]
-
-
-def read_ranks(fh) -> np.ndarray:
-    import numpy as np
-
-    return np.array(_rank_values(fh), dtype=np.float64)
-
-
 def read_rank_map(nodes_fh, ranks_fh) -> dict[str, float]:
     """Score by node name, from a nodes file and its rank file."""
-    return dict(zip(read_nodes(nodes_fh), _rank_values(ranks_fh)))
+    return dict(zip(read_nodes(nodes_fh), (float(line.split()[1]) for line in ranks_fh if line.strip())))

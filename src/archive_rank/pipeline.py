@@ -12,7 +12,6 @@ the same inputs and seed reproduces every primary artifact byte for byte.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
@@ -57,6 +56,7 @@ __all__ = [
     "load_config",
     "run_stage",
     "STAGE_ORDER",
+    "derive_seed",
 ]
 
 _ARCHIVE_SUFFIXES = (".warc", ".warc.gz", ".arc", ".arc.gz")
@@ -276,6 +276,17 @@ def derive_seed(master: int, salt: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _peak_rss_kb() -> int:
+    """This process's peak resident set size in kilobytes: ``VmHWM`` where
+    ``/proc`` has it, else ``ru_maxrss``, which Linux carries across
+    ``execve`` from the process that started this one."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def _atomic_write(path: Path, writer) -> None:
     """Write through ``<name>.tmp`` and rename; a failed write leaves
     neither a partial file nor the temporary behind."""
@@ -358,10 +369,10 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
             "inputs": input_digests,
             "row_counts": counts,
             # this process only: wall and CPU time of the stage, peak RSS
-            # since the process started (ru_maxrss, kilobytes on Linux)
+            # since the process started
             "wall_s": round(time.perf_counter() - wall0, 6),
             "cpu_s": round(time.process_time() - cpu0, 6),
-            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            "peak_rss_kb": _peak_rss_kb(),
         }
     )
     _atomic_write(run_dir / "manifest.json", lambda fh: fh.write(json.dumps(manifest, indent=2) + "\n"))
@@ -444,14 +455,6 @@ def _build_context(cfg: RunConfig, run_dir: Path) -> FeatureContext:
 _Result = tuple[dict[str, Callable], dict[str, int]]
 
 
-def _in_memory(write, *args, names: tuple[str, ...]) -> dict[str, Callable]:
-    """Writers of the files ``names``, which ``write(*args, *handles)``
-    writes together; it runs now, into memory."""
-    buffers = [io.StringIO() for _ in names]
-    write(*args, *buffers)
-    return {name: lambda fh, buf=buf: fh.write(buf.getvalue()) for name, buf in zip(names, buffers)}
-
-
 def _json(data) -> Callable:
     return lambda fh: fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
@@ -518,9 +521,11 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     domain_rank = graph.pagerank(domain, damping, tolerance, max_iter)
 
     outputs = {
-        **_in_memory(graph.write_graph, page, names=("graph.tsv", "nodes.tsv")),
+        "graph.tsv": lambda fh: graph.write_edges(page, fh),
+        "nodes.tsv": lambda fh: graph.write_nodes(page, fh),
         "page_rank.tsv": lambda fh: graph.write_ranks(page_rank, fh),
-        **_in_memory(graph.write_graph, domain, names=("domain_graph.tsv", "domain_nodes.tsv")),
+        "domain_graph.tsv": lambda fh: graph.write_edges(domain, fh),
+        "domain_nodes.tsv": lambda fh: graph.write_nodes(domain, fh),
         "domain_rank.tsv": lambda fh: graph.write_ranks(domain_rank, fh),
     }
     return outputs, {
@@ -537,7 +542,11 @@ def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     surrogates = anchor_index.build_surrogates(
         _read_content_links(run_dir), _read_revisions(run_dir), cfg["index.strategy"]
     )
-    outputs = _in_memory(anchor_index.write_index, surrogates, names=("docs.tsv", "postings.tsv", "instances.tsv"))
+    outputs = {
+        "docs.tsv": lambda fh: anchor_index.write_docs(surrogates, fh),
+        "postings.tsv": lambda fh: anchor_index.write_postings(surrogates, fh),
+        "instances.tsv": lambda fh: anchor_index.write_instances(surrogates, fh),
+    }
     stats = anchor_index.build_stats(surrogates)
     return outputs, {
         "indexed_docs": stats.num_docs,

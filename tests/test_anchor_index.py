@@ -14,7 +14,9 @@ from archive_rank.anchor_index import (
     read_index,
     term_stats,
     tokenize_text,
-    write_index,
+    write_docs,
+    write_instances,
+    write_postings,
 )
 from archive_rank.ingest import content_links
 from conftest import DAY, T0, link, rev
@@ -288,13 +290,19 @@ class TestAnchorDistribution:
         assert mass == distinct
 
 
+def written_index(surrogates):
+    """The three index files, written and rewound."""
+    files = io.StringIO(), io.StringIO(), io.StringIO()
+    for write, fh in zip((write_docs, write_postings, write_instances), files):
+        write(surrogates, fh)
+        fh.seek(0)
+    return files
+
+
 class TestPersistence:
     def test_round_trip(self):
         surrogates, stats = two_doc_index()
-        docs, postings, instances = io.StringIO(), io.StringIO(), io.StringIO()
-        write_index(surrogates, docs, postings, instances)
-        docs.seek(0), postings.seek(0), instances.seek(0)
-        loaded, loaded_stats = read_index(docs, postings, instances)
+        loaded, loaded_stats = read_index(*written_index(surrogates))
         assert set(loaded) == set(surrogates)
         for doc_id, doc in surrogates.items():
             assert loaded[doc_id].term_freqs == doc.term_freqs
@@ -306,10 +314,7 @@ class TestPersistence:
 
     def test_df_matches_bruteforce_on_loaded_index(self):
         surrogates, _ = two_doc_index()
-        docs, postings, instances = io.StringIO(), io.StringIO(), io.StringIO()
-        write_index(surrogates, docs, postings, instances)
-        docs.seek(0), postings.seek(0), instances.seek(0)
-        _, stats = read_index(docs, postings, instances)
+        _, stats = read_index(*written_index(surrogates))
         for term, df in stats.doc_freq.items():
             brute = sum(1 for d in surrogates.values() if term in d.term_freqs)
             assert df == brute

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy import sparse
 
 from archive_rank.graph import (
@@ -9,11 +10,10 @@ from archive_rank.graph import (
     inlink_count,
     pagerank,
     project_domain_graph,
-    read_graph,
     read_nodes,
     read_rank_map,
-    read_ranks,
-    write_graph,
+    write_edges,
+    write_nodes,
     write_ranks,
 )
 from archive_rank.ingest import content_links
@@ -57,6 +57,31 @@ def csr_pagerank(g: Graph, damping: float, tolerance: float, max_iterations: int
         if residual < tolerance:
             break
     return scores, iterations, residual
+
+
+def graph_from_name_pairs(edges, nodes=()) -> Graph:
+    """Reference construction over Python sets: the set of name pairs, then
+    the sorted list of id pairs."""
+    pairs = {(s, t) for s, t in edges if s != t}
+    names = sorted({n for pair in pairs for n in pair} | set(nodes))
+    ids = {n: i for i, n in enumerate(names)}
+    arr = np.array(sorted((ids[s], ids[t]) for s, t in pairs), dtype=np.int64).reshape(-1, 2)
+    return Graph(tuple(names), arr[:, 0].copy(), arr[:, 1].copy())
+
+
+NODE_NAMES = st.text(alphabet="abcd", max_size=2)  # few names: parallel edges and self-loops are common
+
+
+@given(edges=st.lists(st.tuples(NODE_NAMES, NODE_NAMES), max_size=40), nodes=st.lists(NODE_NAMES, max_size=8))
+@example(edges=[], nodes=[])
+@example(edges=[("a", "a")], nodes=[])  # a node seen only in a self-loop is no node
+@example(edges=[("b", "a"), ("b", "a"), ("a", "a"), ("c", "c")], nodes=["d", "a", "d"])
+def test_from_edges_equals_the_set_based_construction(edges, nodes):
+    got = Graph.from_edges(iter(edges), iter(nodes))  # one pass over each
+    want = graph_from_name_pairs(edges, nodes)
+    assert got.names == want.names
+    for ours, theirs in ((got.src, want.src), (got.dst, want.dst)):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
 
 
 class TestBuildPageGraph:
@@ -222,12 +247,12 @@ class TestPagerank:
         """Summing each node's in-edges by ascending source gives exactly the
         floats of the CSR product, so page_rank.tsv does not move."""
         rng = np.random.default_rng(23)
-        graphs = [Graph.from_pairs(["a", "b", "c"], set())]  # edgeless: every node dangles
+        graphs = [Graph.from_edges([], ["a", "b", "c"])]  # edgeless: every node dangles
         for _ in range(25):
             n = int(rng.integers(2, 400))
             names = [f"n{i:03d}" for i in range(n)]
             pairs = {(names[s], names[t]) for s, t in rng.integers(n, size=(int(rng.integers(1, n * 6)), 2)) if s != t}
-            graphs.append(Graph.from_pairs(names, pairs))  # names without out-edges dangle
+            graphs.append(Graph.from_edges(pairs, names))  # names without out-edges dangle
         for g in graphs:
             for damping, tolerance, max_iterations in ((0.85, 1e-9, 100), (0.5, 1e-15, 40)):
                 rv = pagerank(g, damping, tolerance, max_iterations)
@@ -246,28 +271,17 @@ class TestPersistence:
     def test_graph_round_trip(self, tmp_path):
         g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a")])
         with open(tmp_path / "graph.tsv", "w") as gf, open(tmp_path / "nodes.tsv", "w") as nf:
-            write_graph(g, gf, nf)
-        header = (tmp_path / "graph.tsv").read_text().splitlines()[0]
-        assert header == f"#nodes {g.node_count} #edges {g.edge_count}"
-        with open(tmp_path / "graph.tsv") as gf, open(tmp_path / "nodes.tsv") as nf:
-            g2 = read_graph(gf, nf)
-        assert g2.names == g.names
-        assert np.array_equal(g2.src, g.src) and np.array_equal(g2.dst, g.dst)
-
-    def test_rank_round_trip_full_precision(self, tmp_path):
-        g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")])
-        rv = pagerank(g)
-        with open(tmp_path / "ranks.tsv", "w") as fh:
-            write_ranks(rv, fh)
-        with open(tmp_path / "ranks.tsv") as fh:
-            scores = read_ranks(fh)
-        assert np.array_equal(scores, rv.scores)
+            write_edges(g, gf)
+            write_nodes(g, nf)
+        assert (tmp_path / "graph.tsv").read_text().splitlines() == ["#nodes 3 #edges 3", "0 1", "1 2", "2 0"]
+        with open(tmp_path / "nodes.tsv") as nf:
+            assert read_nodes(nf) == g.names == ("a", "b", "c")
 
     def test_rank_map_by_node_name(self, tmp_path):
         g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")])
         rv = pagerank(g)
-        with open(tmp_path / "graph.tsv", "w") as gf, open(tmp_path / "nodes.tsv", "w") as nf:
-            write_graph(g, gf, nf)
+        with open(tmp_path / "nodes.tsv", "w") as nf:
+            write_nodes(g, nf)
         with open(tmp_path / "ranks.tsv", "w") as fh:
             write_ranks(rv, fh)
         with open(tmp_path / "nodes.tsv") as nf:
@@ -275,13 +289,3 @@ class TestPersistence:
         with open(tmp_path / "nodes.tsv") as nf, open(tmp_path / "ranks.tsv") as rf:
             ranks = read_rank_map(nf, rf)
         assert ranks == {name: rv.scores[i] for i, name in enumerate(g.names)}
-
-    def test_node_count_mismatch_rejected(self, tmp_path):
-        g = Graph.from_edges([("a", "b"), ("b", "c")])
-        with open(tmp_path / "graph.tsv", "w") as gf, open(tmp_path / "nodes.tsv", "w") as nf:
-            write_graph(g, gf, nf)
-        lines = (tmp_path / "nodes.tsv").read_text().splitlines(keepends=True)
-        (tmp_path / "nodes.tsv").write_text("".join(lines[:-1]))
-        with open(tmp_path / "graph.tsv") as gf, open(tmp_path / "nodes.tsv") as nf:
-            with pytest.raises(GraphError):
-                read_graph(gf, nf)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -779,6 +780,23 @@ def test_numpy_free_stages_leave_numpy_unloaded(corpus, finished_run, tmp_path):
     assert loaded == {**{stage: "False" for stage in NUMPY_FREE_STAGES}, "control": "True"}
     for name in ("content_links.tsv", "postings.tsv", "anchor_dist.csv", "features.txt"):
         assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
+
+
+def test_manifest_peak_rss_is_the_stage_process_own(corpus, tmp_path):
+    """Linux carries ``ru_maxrss`` across ``execve``, so a stage started from
+    a large process must not report that process's peak as its own."""
+    ballast = bytearray(b"\x01") * (128 << 20)  # every page written, so resident
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss >= 128 << 10
+    run_dir = tmp_path / "run"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "archive_rank.cli", "ingest", "--config", str(corpus.config_path), "--run-dir", str(run_dir)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    del ballast
+    assert proc.returncode == 0, proc.stderr
+    (entry,) = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert 0 < entry["peak_rss_kb"] < 128 << 10
 
 
 def _write_corpus(root: Path, records: list[bytes]) -> Path:
