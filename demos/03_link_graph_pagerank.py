@@ -9,8 +9,8 @@ once; the graph reads only its result.
 """
 import numpy as np
 
-from archive_rank.graph import build_page_graph, inlink_count, pagerank, project_domain_graph
-from archive_rank.ingest import LinkRecord, content_links
+from archive_rank.graph import build_page_graph, pagerank, project_domain_graph
+from archive_rank.ingest import LinkRecord, content_links, counted_links
 
 
 def L(src, dst, when=0):
@@ -29,7 +29,8 @@ links = [
 content = content_links(links)
 page = build_page_graph(content)
 print(f"page graph: {page.node_count} nodes, {page.edge_count} edges")
-print("inlinks of zeitung.de/merkel:", inlink_count(links, "http://zeitung.de/merkel"))
+inlinks = sum(link.target == "http://zeitung.de/merkel" for link in counted_links(content, "all"))
+print("inlinks of zeitung.de/merkel:", inlinks)
 
 ranks = pagerank(page, damping=0.85, tolerance=1e-12, max_iterations=200)
 print(f"\nconverged in {ranks.iterations_run} iterations (residual {ranks.residual:.2e})")

@@ -54,7 +54,7 @@ from .forest import (
     information_gain_ranking,
     train_forest,
 )
-from .graph import Graph, RankVector, build_page_graph, inlink_count, pagerank, project_domain_graph
+from .graph import Graph, RankVector, build_page_graph, pagerank, project_domain_graph
 from .ingest import (
     ArchiveRecord,
     ContentLink,
@@ -80,7 +80,6 @@ from .labeling import (
 from .metrics import (
     RankedRun,
     average_precision,
-    mean_average_precision,
     ndcg_at_k,
     paired_significance,
     precision_at_k,

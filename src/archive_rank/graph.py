@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .ingest import STRATEGY_ALL, ContentLink, LinkRecord, content_links, counted_links
+from .ingest import ContentLink
 from .tables import rows
-from .urls import core_url_str
 
 if TYPE_CHECKING:  # numpy is imported inside the functions that use it
     import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "GraphError",
     "build_page_graph",
     "project_domain_graph",
-    "inlink_count",
     "pagerank",
     "write_edges",
     "write_nodes",
@@ -109,13 +107,6 @@ def project_domain_graph(g: Graph, domain_fn: Callable[[str], str]) -> Graph:
     return Graph.from_edges(((domains[s], domains[t]) for s, t in edges), domains)
 
 
-def inlink_count(links: Iterable[LinkRecord], doc: str, dedup: str = STRATEGY_ALL) -> int:
-    """Number of content links pointing at ``doc`` (a core URL) that the
-    ``dedup`` strategy counts (see :func:`archive_rank.ingest.counted_links`)."""
-    target = core_url_str(doc)
-    return sum(1 for link in counted_links(content_links(links), dedup) if link.target == target)
-
-
 def pagerank(
     g: Graph,
     damping: float = 0.85,
@@ -169,9 +160,21 @@ def write_nodes(g: Graph, fh) -> None:
         fh.write(f"{i}\t{name}\n")
 
 
+def _by_id(fields_rows, fh) -> list[str]:
+    """The value of each (id, value) row; raises ValueError, naming the
+    file, unless the ids number the rows 0..n-1 in order."""
+    values: list[str] = []
+    for fields in fields_rows:
+        if len(fields) != 2 or fields[0] != str(len(values)):
+            name = getattr(fh, "name", "<stream>")
+            raise ValueError(f"{name}: row {len(values)} is not (id {len(values)}, value): {fields}")
+        values.append(fields[1])
+    return values
+
+
 def read_nodes(fh) -> tuple[str, ...]:
     """Node names in id order, as :func:`write_nodes` writes them."""
-    return tuple(name for _idx, name in rows(fh))
+    return tuple(_by_id(rows(fh), fh))
 
 
 def write_ranks(rank: RankVector, fh) -> None:
@@ -180,5 +183,14 @@ def write_ranks(rank: RankVector, fh) -> None:
 
 
 def read_rank_map(nodes_fh, ranks_fh) -> dict[str, float]:
-    """Score by node name, from a nodes file and its rank file."""
-    return dict(zip(read_nodes(nodes_fh), (float(line.split()[1]) for line in ranks_fh if line.strip())))
+    """Score by node name, from a nodes file and its rank file. Raises
+    ValueError, naming the files, unless both number their rows 0..n-1 in
+    order and have one row per node."""
+    names = read_nodes(nodes_fh)
+    scores = _by_id((line.split() for line in ranks_fh if line.strip()), ranks_fh)
+    if len(scores) != len(names):
+        raise ValueError(
+            f"{getattr(ranks_fh, 'name', '<stream>')} has {len(scores)} rows, "
+            f"but {getattr(nodes_fh, 'name', '<stream>')} lists {len(names)} nodes"
+        )
+    return dict(zip(names, map(float, scores)))

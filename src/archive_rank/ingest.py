@@ -19,7 +19,7 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple
 from urllib.parse import urljoin, urlsplit
 
 from .tables import escape, rows, unescape
-from .urls import SuffixTable, UrlError, core_url, core_url_str, domain_of, normalize
+from .urls import SuffixTable, UrlError, core_url, domain_of, normalize
 
 __all__ = [
     "ArchiveRecord",
@@ -31,9 +31,9 @@ __all__ = [
     "STRATEGIES",
     "ParseStats",
     "LinkExtraction",
-    "HrefResolver",
+    "UrlEnds",
+    "UrlResolver",
     "LINK_PATTERNS",
-    "PATTERN_TOKENS",
     "ANCHOR_TEXT_CAP",
     "parse_warc_stream",
     "parse_arc_stream",
@@ -66,7 +66,6 @@ LINK_PATTERNS = {
     "table": "background",
     "fb:login-button": "background",
 }
-PATTERN_TOKENS = frozenset(f"{tag.upper()}/{attr}" for tag, attr in LINK_PATTERNS.items())
 
 # Per-anchor cap; pathological anchors exist in archived markup.
 ANCHOR_TEXT_CAP = 8192
@@ -127,48 +126,35 @@ class ContentLink(NamedTuple):
 
 
 def content_links(
-    links: Iterable[LinkRecord], suffixes: SuffixTable | None = None, counts: dict[str, int] | None = None
+    links: Iterable[LinkRecord], resolver: UrlResolver | None = None, counts: dict[str, int] | None = None
 ) -> list[ContentLink]:
     """The ``A/href`` links, in order, with both ends resolved to core URLs
-    and their registrable domains under ``suffixes``.
+    and their registrable domains by ``resolver`` (a fresh
+    :class:`UrlResolver` when omitted).
 
-    Each distinct URL string is resolved once per call, and each distinct
-    core URL's domain is looked up once; a link with an end that does not
-    parse is dropped, and counted under ``bad_link_end`` in ``counts`` when
-    given. Of the links sharing one (source full URL, capture time, target
-    core URL, anchor text), the first is flagged ``first``.
+    A link with an end that does not parse is dropped, and counted under
+    ``bad_link_end`` in ``counts`` when given. Of the links sharing one
+    (source full URL, capture time, target core URL, anchor text), the
+    first is flagged ``first``.
     """
-    cores: dict[str, tuple[str, str] | None] = {}  # URL -> (core URL, its domain)
-    domains: dict[str, str] = {}
-
-    def resolve(url: str) -> tuple[str, str] | None:
-        if url not in cores:
-            try:
-                core = core_url_str(url)
-            except UrlError:
-                cores[url] = None
-                return None
-            if core not in domains:
-                domains[core] = domain_of(normalize(core), suffixes)
-            cores[url] = (core, domains[core])
-        return cores[url]
-
+    resolver = resolver if resolver is not None else UrlResolver()
     out: list[ContentLink] = []
     seen: set[tuple[str, int, str, str]] = set()
     for link in links:
         if link.tag_pattern != "A/href":
             continue
-        source, target = resolve(link.source_full_url), resolve(link.target_url)
+        source, target = resolver.ends(link.source_full_url), resolver.ends(link.target_url)
         if source is None or target is None:
             if counts is not None:
                 counts["bad_link_end"] = counts.get("bad_link_end", 0) + 1
             continue
-        key = (link.source_full_url, link.source_capture_time, target[0], link.anchor_text)
+        key = (link.source_full_url, link.source_capture_time, target.core, link.anchor_text)
         first = key not in seen
         seen.add(key)
         out.append(
             ContentLink(
-                source[0], target[0], link.source_capture_time, first, source[1], target[1], link.anchor_text
+                source.core, target.core, link.source_capture_time, first, source.domain, target.domain,
+                link.anchor_text,
             )
         )
     return out
@@ -499,19 +485,6 @@ def _attr_value(attrs: str, name: str) -> str | None:
     return value.strip() if value else None
 
 
-def _resolve(base: str, href: str) -> str | None:
-    if not href or href.startswith(("#", "javascript:", "mailto:", "data:")):
-        return None
-    try:
-        joined = urljoin(base, href)
-        n = normalize(joined)
-    except (UrlError, ValueError):
-        return None
-    if n.scheme not in ("http", "https"):
-        return None
-    return str(n)
-
-
 def _scheme_of(url: str) -> str | None:
     """The scheme ``urljoin`` reads from ``url`` as a base; None when it
     reads more (an empty base) or raises (an unparseable one)."""
@@ -530,32 +503,63 @@ def _has_authority(href: str) -> bool:
         return False
 
 
-class HrefResolver:
-    """Memo of href resolution, equal to :func:`_resolve` on every
-    (base, href), ``None`` results included.
+class UrlEnds(NamedTuple):
+    """A URL's canonical string, its core URL and its registrable domain."""
 
-    ``urljoin`` reads only the base's scheme when the href carries its own
-    authority (``//host``), so such an href is keyed by (base scheme, href)
-    and is joined once however many records link to it. Any other href is
-    resolved directly each time.
+    full: str
+    core: str
+    domain: str
+
+
+class UrlResolver:
+    """The one place ingest normalizes URLs, memoized per distinct string.
+
+    :meth:`ends` normalizes each distinct URL string once, under the
+    registrable-domain ``suffixes`` (the built-in table when None).
+    :meth:`href` resolves a link target against its page's URL; ``urljoin``
+    reads only the base's scheme when the href carries its own authority
+    (``//host``), so such an href is joined once per (base scheme, href).
+    One resolver may serve every record of a run.
     """
 
-    def __init__(self) -> None:
-        self._memo: dict[tuple[str, str], str | None] = {}
+    def __init__(self, suffixes: SuffixTable | None = None) -> None:
+        self._suffixes = suffixes
+        self._ends: dict[str, UrlEnds | None] = {}
+        self._hrefs: dict[tuple[str, str], str | None] = {}
 
-    def resolve(self, base: str, href: str) -> str | None:
+    def ends(self, url: str) -> UrlEnds | None:
+        """``url``'s ends, or None when it does not parse."""
+        if url not in self._ends:
+            try:
+                n = normalize(url)
+            except UrlError:
+                self._ends[url] = None
+            else:
+                self._ends[url] = UrlEnds(str(n), str(core_url(n)), domain_of(n, self._suffixes))
+        return self._ends[url]
+
+    def href(self, base: str, href: str) -> str | None:
+        """The canonical http(s) URL ``href`` names on the page at ``base``;
+        None for fragment, ``javascript:``, ``mailto:`` and ``data:`` hrefs
+        and for results that do not parse."""
+        if not href or href.startswith(("#", "javascript:", "mailto:", "data:")):
+            return None
         scheme = _scheme_of(base)
         key = (scheme, href)
-        if key in self._memo:
-            return self._memo[key]
-        resolved = _resolve(base, href)
+        if key in self._hrefs:
+            return self._hrefs[key]
+        try:
+            ends = self.ends(urljoin(base, href))
+        except ValueError:  # an unparseable base
+            ends = None
+        resolved = ends.full if ends is not None and ends.full.startswith(("http://", "https://")) else None
         if scheme is not None and _has_authority(href):
-            self._memo[key] = resolved
+            self._hrefs[key] = resolved
         return resolved
 
 
 def extract_links(
-    payload: bytes, base_url: str, source_time: int, resolver: HrefResolver | None = None
+    payload: bytes, base_url: str, source_time: int, resolver: UrlResolver | None = None
 ) -> LinkExtraction:
     """Scan an HTML payload for the fourteen tag/attribute link patterns.
 
@@ -565,21 +569,18 @@ def extract_links(
     visible text of the element with inner markup stripped and whitespace
     collapsed, capped at ``ANCHOR_TEXT_CAP`` characters.
 
-    Links are resolved against ``base_url`` normalized. A ``resolver``
-    shared across the records of a run resolves each distinct href with
-    its own authority once.
+    Links are resolved against ``base_url`` normalized, by ``resolver``
+    (a fresh :class:`UrlResolver` when omitted); one resolver shared by
+    the records of a run normalizes each distinct URL string once.
     """
     result = LinkExtraction()
     text = _decode_payload(payload)
     if text is None:
         result.decode_failed = True
         return result
-    try:
-        base = str(normalize(base_url))
-    except UrlError:
-        base = base_url
-    if resolver is None:
-        resolver = HrefResolver()
+    resolver = resolver if resolver is not None else UrlResolver()
+    ends = resolver.ends(base_url)
+    base = ends.full if ends is not None else base_url
     open_target: str | None = None
     open_start = 0
 
@@ -609,13 +610,13 @@ def extract_links(
         if name == "a":
             close_anchor(m.start())
             target = _attr_value(attrs, "href")
-            resolved = resolver.resolve(base, target) if target else None
+            resolved = resolver.href(base, target) if target else None
             if resolved is not None:
                 open_target = resolved
                 open_start = m.end()
             continue
         target = _attr_value(attrs, attr)
-        resolved = resolver.resolve(base, target) if target else None
+        resolved = resolver.href(base, target) if target else None
         if resolved is not None:
             result.links.append(
                 LinkRecord(base, source_time, resolved, f"{name.upper()}/{attr}")
@@ -624,15 +625,13 @@ def extract_links(
     return result
 
 
-def revision_from_record(record: ArchiveRecord, suffixes: SuffixTable | None = None) -> RevisionRecord:
-    """Project an archive record onto its revision metadata."""
-    n = normalize(record.target_uri)
-    return RevisionRecord(
-        core_url=str(core_url(n)),
-        full_url=str(n),
-        capture_time=record.capture_time,
-        domain=domain_of(n, suffixes),
-    )
+def revision_from_record(record: ArchiveRecord, resolver: UrlResolver | None = None) -> RevisionRecord:
+    """Project an archive record onto its revision metadata; raises
+    :class:`~archive_rank.urls.UrlError` when its URL does not parse."""
+    ends = (resolver if resolver is not None else UrlResolver()).ends(record.target_uri)
+    if ends is None:
+        raise UrlError(f"not a URL: {record.target_uri!r}")
+    return RevisionRecord(core_url=ends.core, full_url=ends.full, capture_time=record.capture_time, domain=ends.domain)
 
 
 # ---------------------------------------------------------------------------

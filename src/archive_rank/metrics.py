@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "RankedRun",
@@ -17,7 +17,6 @@ __all__ = [
     "precision_at_k",
     "ndcg_at_k",
     "average_precision",
-    "mean_average_precision",
     "paired_significance",
 ]
 
@@ -82,15 +81,6 @@ def average_precision(run: RankedRun) -> float:
             hits += 1
             total += hits / (i + 1)
     return total / hits if hits else 0.0
-
-
-def mean_average_precision(runs: Iterable[RankedRun]) -> float:
-    import numpy as np
-
-    values = [average_precision(run) for run in runs]
-    if not values:
-        raise ValueError("no runs")
-    return float(np.mean(values))
 
 
 @dataclass(frozen=True)

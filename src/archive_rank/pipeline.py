@@ -460,7 +460,6 @@ def _json(data) -> Callable:
 
 
 def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
-    suffixes = _suffix_table(cfg)
     files = cfg.archive_files()
     revisions: list[ingest.RevisionRecord] = []
     links: list[ingest.LinkRecord] = []
@@ -468,7 +467,7 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
         "emitted", "skipped", "corrupt", "non_2xx", "decode_failed", "bad_url", "truncated_anchors", "bad_link_end"
     )
     totals = dict.fromkeys(counters, 0)
-    resolver = ingest.HrefResolver()
+    resolver = ingest.UrlResolver(_suffix_table(cfg))
     for path in files:
         stats = ingest.ParseStats()
         is_arc = path.name.endswith((".arc", ".arc.gz"))
@@ -480,7 +479,7 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
                     totals["non_2xx"] += 1
                     continue
                 try:
-                    revision = ingest.revision_from_record(record, suffixes)
+                    revision = ingest.revision_from_record(record, resolver)
                 except UrlError:
                     totals["bad_url"] += 1
                     continue
@@ -497,7 +496,7 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
         totals["corrupt"] += stats.corrupt
     revisions.sort(key=lambda r: (r.core_url, r.capture_time, r.full_url))
     links.sort(key=lambda l: (l.source_full_url, l.source_capture_time, l.target_url, l.tag_pattern, l.anchor_text))
-    content = ingest.content_links(links, suffixes, totals)
+    content = ingest.content_links(links, resolver, totals)
     outputs = {
         "revisions.tsv": lambda fh: ingest.write_revisions_tsv(revisions, fh),
         "links.tsv": lambda fh: ingest.write_links_tsv(links, fh),

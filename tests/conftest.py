@@ -3,10 +3,14 @@ from __future__ import annotations
 
 from archive_rank.anchor_index import build_stats, build_surrogates
 from archive_rank.features import FeatureContext, QueryRecord
-from archive_rank.ingest import LinkRecord, RevisionRecord, content_links
+from archive_rank.ingest import LINK_PATTERNS, STRATEGY_ALL, LinkRecord, RevisionRecord, content_links, counted_links
+from archive_rank.urls import core_url_str
 
 DAY = 24 * 3600
 T0 = 1_200_000_000  # 2008-01-10T21:20:00Z
+
+# the tag patterns extract_links writes, one per LINK_PATTERNS row
+PATTERN_TOKENS = frozenset(f"{tag.upper()}/{attr}" for tag, attr in LINK_PATTERNS.items())
 
 
 def rev(core: str, when: int, full: str | None = None, domain: str | None = None) -> RevisionRecord:
@@ -19,6 +23,13 @@ def rev(core: str, when: int, full: str | None = None, domain: str | None = None
 
 def link(source: str, target: str, anchor: str = "", when: int = T0, pattern: str = "A/href") -> LinkRecord:
     return LinkRecord(source, when, target, pattern, anchor)
+
+
+def inlink_count(links, doc: str, dedup: str = STRATEGY_ALL) -> int:
+    """Reference count: the content links pointing at ``doc`` (a core URL)
+    that the ``dedup`` strategy counts, resolved from the raw links."""
+    target = core_url_str(doc)
+    return sum(1 for link in counted_links(content_links(links), dedup) if link.target == target)
 
 
 def make_context(

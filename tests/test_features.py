@@ -23,9 +23,8 @@ from archive_rank.features import (
     rev_duration,
     serialize_vectors,
 )
-from archive_rank.graph import inlink_count
 from archive_rank.ingest import content_links
-from conftest import DAY, T0, candidates_by_scan, link, make_context, rev
+from conftest import DAY, T0, candidates_by_scan, inlink_count, link, make_context, rev
 
 WEEK = 7 * DAY
 

@@ -7,7 +7,6 @@ from archive_rank.graph import (
     Graph,
     GraphError,
     build_page_graph,
-    inlink_count,
     pagerank,
     project_domain_graph,
     read_nodes,
@@ -17,7 +16,7 @@ from archive_rank.graph import (
     write_ranks,
 )
 from archive_rank.ingest import content_links
-from conftest import link
+from conftest import inlink_count, link
 
 
 def dense_pagerank(n: int, edges, damping: float, tol: float = 1e-13, iters: int = 5000):
@@ -289,3 +288,22 @@ class TestPersistence:
         with open(tmp_path / "nodes.tsv") as nf, open(tmp_path / "ranks.tsv") as rf:
             ranks = read_rank_map(nf, rf)
         assert ranks == {name: rv.scores[i] for i, name in enumerate(g.names)}
+
+    @pytest.mark.parametrize(
+        "nodes, ranks, problem, named",
+        [
+            ("0\ta\n1\tb\n2\tc\n", "0 0.5\n1 0.5\n", "2 rows, but", "ranks.tsv"),
+            ("0\ta\n1\tb\n2\tc\n", "0 0.25\n1 0.25\n2 0.25\n3 0.25\n", "4 rows, but", "nodes.tsv"),
+            ("0\ta\n1\tb\n2\tc\n", "0 0.25\n2 0.25\n1 0.5\n", "row 1 is not", "ranks.tsv"),
+            ("0\ta\n1\tb\n2\tc\n", "0 0.5\n1\n2 0.5\n", "row 1 is not", "ranks.tsv"),
+            ("0\ta\n2\tc\n1\tb\n", "0 0.25\n1 0.25\n2 0.5\n", "row 1 is not", "nodes.tsv"),
+        ],
+        ids=["short", "long", "ranks-out-of-order", "no-score", "nodes-out-of-order"],
+    )
+    def test_rank_map_checks_ids_and_rows_against_the_nodes(self, tmp_path, nodes, ranks, problem, named):
+        (tmp_path / "nodes.tsv").write_text(nodes)
+        (tmp_path / "ranks.tsv").write_text(ranks)
+        with open(tmp_path / "nodes.tsv") as nf, open(tmp_path / "ranks.tsv") as rf:
+            with pytest.raises(ValueError, match=problem) as err:
+                read_rank_map(nf, rf)
+        assert named in str(err.value)

@@ -16,11 +16,9 @@ from archive_rank.cli import main
 from archive_rank.ingest import (
     ANCHOR_TEXT_CAP,
     LINK_PATTERNS,
-    PATTERN_TOKENS,
     STRATEGY_ALL,
     STRATEGY_UNIQUE_PER_REVISION,
     ContentLink,
-    HrefResolver,
     LinkRecord,
     ParseStats,
     content_links,
@@ -35,7 +33,8 @@ from archive_rank.ingest import (
     write_content_links_tsv,
     write_links_tsv,
     write_revisions_tsv,
-    _resolve,
+    UrlEnds,
+    UrlResolver,
 )
 from archive_rank.synthetic import (
     arc_file_bytes,
@@ -44,6 +43,7 @@ from archive_rank.synthetic import (
     warc_file_bytes,
     warc_record_bytes,
 )
+from conftest import PATTERN_TOKENS
 
 
 def parse_warc(data: bytes):
@@ -523,7 +523,7 @@ class TestContentLinks:
     def test_each_distinct_url_resolved_once(self, monkeypatch):
         calls = []
         original = urls.normalize
-        monkeypatch.setattr(urls, "normalize", lambda raw: calls.append(raw) or original(raw))
+        monkeypatch.setattr(ingest, "normalize", lambda raw: calls.append(raw) or original(raw))
         records = [
             LinkRecord(f"http://s{i % 2}.de/", i, f"http://t.de/{i % 3}", "A/href", str(i))
             for i in range(60)
@@ -552,7 +552,7 @@ class TestContentLinks:
             LinkRecord(source, i, target, "A/href", "x")
             for i, (source, target) in enumerate(zip(raw_urls, raw_urls[1:]))
         ]
-        content = content_links(records, table)
+        content = content_links(records, UrlResolver(table))
         for link in content:
             for core, domain in ((link.source, link.source_domain), (link.target, link.target_domain)):
                 assert domain == urls.domain_of(urls.normalize(core), table)
@@ -615,20 +615,22 @@ RESOLUTION_HREFS = st.one_of(
 
 
 class TestHrefResolver:
+    """``UrlResolver.href``; a fresh resolver per call is the reference."""
+
     @pytest.mark.parametrize("base, href, resolved", RESOLUTION_TABLE)
     def test_direct_resolution(self, base, href, resolved):
-        assert _resolve(base, href) == resolved
+        assert UrlResolver().href(base, href) == resolved
 
     def test_shared_resolver_matches_the_table_in_any_order(self):
-        resolver = HrefResolver()
+        resolver = UrlResolver()
         for base, href, resolved in RESOLUTION_TABLE + RESOLUTION_TABLE[::-1]:
-            assert resolver.resolve(base, href) == resolved, (base, href)
+            assert resolver.href(base, href) == resolved, (base, href)
 
     @given(st.lists(st.tuples(RESOLUTION_BASES, RESOLUTION_HREFS), max_size=40))
     def test_shared_resolver_equals_direct_resolution(self, pairs):
-        resolver = HrefResolver()
+        resolver = UrlResolver()
         for base, href in pairs + pairs:
-            assert resolver.resolve(base, href) == _resolve(base, href)
+            assert resolver.href(base, href) == UrlResolver().href(base, href)
 
     def test_absolute_href_joined_once_per_ingest(self, tmp_path, monkeypatch):
         joined = []
@@ -652,11 +654,42 @@ class TestHrefResolver:
         assert len(links) == 8
 
     def test_shared_resolver_extracts_what_a_fresh_one_does(self):
-        resolver = HrefResolver()
+        resolver = UrlResolver()
         for base in ("http://a.de/x/", "https://b.de/", "HTTP://A.DE/x/", "http://a.de/x/"):
             expected = extract_links(FOURTEEN_PATTERN_HTML, base, 5)
             assert extract_links(FOURTEEN_PATTERN_HTML, base, 5, resolver) == expected
             assert {link.source_full_url for link in expected.links} == {str(urls.normalize(base))}
+
+
+class TestUrlEnds:
+    def test_full_core_and_domain(self):
+        table = urls.SuffixTable(("co.uk",))
+        assert UrlResolver(table).ends("HTTP://www.B.co.uk:80/p?q=1#f") == UrlEnds(
+            "http://www.b.co.uk/p?q=1", "http://www.b.co.uk/p", "b.co.uk"
+        )
+        assert UrlResolver().ends("http://[broken/") is None
+
+    def test_ingest_normalizes_each_distinct_url_string_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = urls.normalize
+        monkeypatch.setattr(ingest, "normalize", lambda raw: calls.append(raw) or original(raw))
+        page = b'<a href="http://t.de/shared">x</a> <a href="own">y</a>'
+        root = tmp_path / "corpus"
+        (root / "archives").mkdir(parents=True)
+        records = [
+            warc_record_bytes("http://a.de/p", "2009-01-01T00:00:00Z", page),
+            warc_record_bytes("http://a.de/p", "2009-02-01T00:00:00Z", page),  # captured twice
+            warc_record_bytes("HTTP://A.DE/x", "2009-01-01T00:00:00Z", page),  # not canonical
+        ]
+        (root / "archives" / "part.warc.gz").write_bytes(warc_file_bytes(records))
+        (root / "config.txt").write_text("seed=1\npaths.archives=archives\n", encoding="utf-8")
+        assert main(["ingest", "--config", str(root / "config.txt"), "--run-dir", str(tmp_path / "run")]) == 0
+        # the record URLs, the joined hrefs, and the canonical form of the
+        # one record URL that is not canonical, which content_links reads
+        assert sorted(calls) == sorted(
+            {"http://a.de/p", "HTTP://A.DE/x", "http://t.de/shared", "http://a.de/own", "http://a.de/x"}
+        )
+        assert len((tmp_path / "run" / "content_links.tsv").read_text(encoding="utf-8").splitlines()) == 6
 
 
 class TestTsvRoundTrip:

@@ -8,7 +8,6 @@ from archive_rank.metrics import (
     RankedRun,
     _betainc,
     average_precision,
-    mean_average_precision,
     ndcg_at_k,
     paired_significance,
     precision_at_k,
@@ -104,11 +103,6 @@ class TestAveragePrecision:
 
     def test_no_relevant(self):
         assert average_precision(run_from_labels([0, 0])) == 0.0
-
-    def test_map_over_queries(self):
-        runs = [run_from_labels([1, 0, 1], qid=1), run_from_labels([0, 0], qid=2)]
-        expected = (brute_ap([1, 0, 1]) + 0.0) / 2
-        assert mean_average_precision(runs) == pytest.approx(expected)
 
 
 class TestRankedRunOrdering:

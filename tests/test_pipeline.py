@@ -838,11 +838,13 @@ def test_ingest_and_index_count_dropped_and_truncated_input(tmp_path, monkeypatc
 
 
 def test_ingest_counts_a_link_whose_end_does_not_parse(tmp_path, capsys, monkeypatch):
-    # every resolved href normalizes again, so the end that does not parse
-    # is put in by the resolver; content_links drops the link when it
-    # resolves the target's core URL
-    resolve = ingest._resolve
-    monkeypatch.setattr(ingest, "_resolve", lambda base, href: "http://[v1/" if href == "bad" else resolve(base, href))
+    # every resolved href is read again by content_links, so the end that
+    # does not parse is put in by the resolver; content_links drops the link
+    # when it finds no core URL for the target
+    href = ingest.UrlResolver.href
+    monkeypatch.setattr(
+        ingest.UrlResolver, "href", lambda self, base, h: "http://[v1/" if h == "bad" else href(self, base, h)
+    )
     config = _write_corpus(
         tmp_path / "corpus",
         [
@@ -932,6 +934,21 @@ def test_features_replaces_neither_output_when_its_context_is_damaged(corpus, fi
     shutil.copytree(finished_run, run_dir)
     (run_dir / "nodes.tsv").write_text("# comment\n", encoding="utf-8")
     assert main(["features", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    assert (run_dir / "features.txt").read_bytes() == (finished_run / "features.txt").read_bytes()
+
+
+@pytest.mark.parametrize("artifact", ["nodes.tsv", "page_rank.tsv", "domain_nodes.tsv"])
+def test_features_rejects_a_rank_pair_cut_in_half(corpus, finished_run, tmp_path, capsys, artifact):
+    # a table cut at a line boundary still parses; only its rank pair's ids
+    # and row count show the cut
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    path = run_dir / artifact
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
+    assert main(["features", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: stage features: ") and artifact in err
     assert (run_dir / "features.txt").read_bytes() == (finished_run / "features.txt").read_bytes()
 
 
