@@ -63,30 +63,6 @@ class _Tree:
     right: np.ndarray  # int32
     value: np.ndarray  # float64 node mean
 
-    def predict_one(self, x: np.ndarray) -> float:
-        """Leaf value for one row; the reference for :meth:`leaf_values`."""
-        node = 0
-        feature = self.feature
-        while feature[node] >= 0:
-            if x[feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return float(self.value[node])
-
-    def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value for every row of X, descending one level per step."""
-        import numpy as np
-
-        node = np.zeros(len(X), dtype=np.intp)
-        rows = np.flatnonzero(self.feature[node] >= 0)
-        while len(rows):
-            at = node[rows]
-            go_left = X[rows, self.feature[at]] <= self.threshold[at]
-            node[rows] = np.where(go_left, self.left[at], self.right[at])
-            rows = rows[self.feature[node[rows]] >= 0]
-        return self.value[node]
-
 
 def _no_importances() -> np.ndarray:
     import numpy as np
@@ -128,12 +104,32 @@ class Forest:
             raise ValueError(
                 f"expected rows of {self.n_features} features, got {X.shape}"
             )
-        # rows x trees: a row's mean then sums its trees in the same order,
-        # and so to the same bits, as np.mean over the per-tree values
-        leaves = np.empty((len(X), len(self.trees)))
-        for k, tree in enumerate(self.trees):
-            leaves[:, k] = tree.leaf_values(X)
-        return leaves.mean(axis=1)
+        # All trees descend together over their concatenated nodes, in runs of
+        # at most _BATCH_ELEMENTS rows x trees. The leaves form a rows x trees
+        # matrix, so a row's mean sums its trees in the same order, and so to
+        # the same bits, as np.mean over the per-tree values.
+        n_trees = len(self.trees)
+        sizes = [len(tree.feature) for tree in self.trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        shift = np.repeat(roots, sizes)  # a leaf's -1 children are never read
+        feature = np.concatenate([tree.feature for tree in self.trees])
+        threshold = np.concatenate([tree.threshold for tree in self.trees])
+        left = np.concatenate([tree.left for tree in self.trees]) + shift
+        right = np.concatenate([tree.right for tree in self.trees]) + shift
+        value = np.concatenate([tree.value for tree in self.trees])
+        step = max(1, _BATCH_ELEMENTS // n_trees)
+        out = np.empty(len(X))
+        for first in range(0, len(X), step):
+            part = X[first : first + step]
+            node = np.tile(roots, len(part))  # (row, tree) in row-major order
+            live = np.flatnonzero(feature[node] >= 0)
+            while len(live):
+                at = node[live]
+                go_left = part[live // n_trees, feature[at]] <= threshold[at]
+                node[live] = np.where(go_left, left[at], right[at])
+                live = live[feature[node[live]] >= 0]
+            out[first : first + len(part)] = value[node].reshape(len(part), n_trees).mean(axis=1)
+        return out
 
     def feature_importances(self) -> dict[str, float]:
         """Normalized variance-reduction totals accumulated while training."""
@@ -142,31 +138,32 @@ class Forest:
         return dict(zip(self.feature_names, shares.tolist()))
 
 
-# Rows x candidate features scored together in one batch of trees (a batch
-# has at least one tree): the largest sort key array of a batch, which
-# bounds the memory of training.
+# Bounds the memory of training and prediction: the bootstrap rows of one
+# batch of trees, the rows x candidate features of one split search (the
+# sort key array), and the rows x trees of one prediction run. A batch has
+# at least one tree, and a search at least one node.
 _BATCH_ELEMENTS = 65_536
 
 
-def _value_codes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's dense rank within its column, and the columns' sorted
-    distinct values (row f, padded with nan to the widest column)."""
+def _value_codes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each value's dense rank within its column, in the narrowest unsigned
+    dtype that holds the widest column; the columns' sorted distinct values,
+    one after another; and where each column's values start among them."""
     import numpy as np
 
-    codes = np.empty(X.shape, dtype=np.int64)
-    tables = []
-    for f in range(X.shape[1]):
-        table, codes[:, f] = np.unique(X[:, f], return_inverse=True)
-        tables.append(table)
-    values = np.full((X.shape[1], max(len(t) for t in tables)), np.nan)
+    tables = [np.unique(X[:, f]) for f in range(X.shape[1])]
+    widths = [len(table) for table in tables]
+    codes = np.empty(X.shape, dtype=np.min_scalar_type(max(widths) - 1))
     for f, table in enumerate(tables):
-        values[f, : len(table)] = table
-    return codes, values
+        codes[:, f] = np.searchsorted(table, X[:, f])
+    return codes, np.concatenate(tables), np.cumsum([0] + widths[:-1])
 
 
 def _best_cuts(
     codes: np.ndarray,
     values: np.ndarray,
+    starts: np.ndarray,
+    width: int,
     rows: np.ndarray,
     node: np.ndarray,
     cand: np.ndarray,
@@ -179,37 +176,43 @@ def _best_cuts(
     """Least squared error over every cut of every candidate of each node,
     with the candidate slot and the threshold of that cut.
 
-    ``rows`` with ``node`` and ``y_rows`` are the live rows, ``cand`` is
-    (nodes x candidates) and ``count``/``total``/``total_sq`` are per node.
-    One sort of the (node, slot, code) keys groups the rows into bins; a
-    cut falls between two adjacent distinct values of the node. Ties go to
-    the first cut within a candidate, then to the first candidate drawn.
+    ``codes``, ``values`` and ``starts`` are those of :func:`_value_codes`,
+    and ``width`` is the widest column's count of values. ``rows`` with
+    ``node`` and ``y_rows`` are the live rows, ``cand`` is (nodes x
+    candidates) and ``count``/``total``/``total_sq`` are per node. One sort
+    of the (node, slot, code) keys groups the rows into bins; a cut falls
+    between two adjacent distinct values of the node. Ties go to the first
+    cut within a candidate, then to the first candidate drawn.
     """
     import numpy as np
 
     n_nodes, m = cand.shape
-    width = values.shape[1]
     # Sort keys (node, slot, code) with the row's position in the low bits:
     # every key is then distinct, so one plain sort keeps the rows of a bin
     # in row order, and that fixes the order in which each bin is summed.
     shift = max(len(rows) - 1, 1).bit_length()
     if (n_nodes * m * width) >> (62 - shift):
-        raise OverflowError("too many nodes and values for one batch")
+        raise OverflowError("too many nodes and values for one split search")
     row_key = ((node * (m * width)) << shift) + np.arange(len(rows))
     slot_key = (np.arange(m) * width) << shift
-    tagged = (codes[rows[:, None], cand[node]] << shift) + row_key[:, None] + slot_key
+    tagged = codes.ravel().take(rows[:, None] * codes.shape[1] + cand[node]).astype(np.int64)
+    tagged <<= shift
+    tagged += row_key[:, None]
+    tagged += slot_key
     tagged = np.sort(tagged.ravel())
     keys = tagged >> shift
-    weights = y_rows[tagged & ((1 << shift) - 1)]
+    weights = y_rows.take(tagged & ((1 << shift) - 1))
     change = np.empty(len(keys), dtype=bool)
     change[0] = True
     np.not_equal(keys[1:], keys[:-1], out=change[1:])
     first = np.flatnonzero(change)
     bins = keys[first]
-    bin_of = np.cumsum(change) - 1
-    bin_n = np.diff(first, append=len(keys))
-    bin_sum = np.bincount(bin_of, weights=weights)
-    bin_sq = np.bincount(bin_of, weights=weights * weights)
+    n = len(first)
+    # one more bin, empty: the padding of the scan below reads it
+    bin_n = np.diff(first, append=[len(keys), len(keys)])
+    bin_of = np.repeat(np.arange(n), bin_n[:n])
+    bin_sum = np.bincount(bin_of, weights=weights, minlength=n + 1)
+    bin_sq = np.bincount(bin_of, weights=weights * weights, minlength=n + 1)
     n_bins = np.bincount(bins // width, minlength=n_nodes * m)
     start = np.cumsum(n_bins) - n_bins
     seg_sse = np.full(n_nodes * m, np.inf)
@@ -217,16 +220,15 @@ def _best_cuts(
     # Segments are scanned in rows of 2**scale: their bin count padded to the
     # next power of two, and to at least 8. Each running sum then starts from
     # zero in its own segment, so a cut's statistics do not depend on where
-    # its segment lies in the batch.
+    # its segment lies in the search.
     scale = np.maximum(np.frexp(n_bins - 1)[1], 3)
     for e in np.unique(scale[n_bins > 1]):
         seg = np.flatnonzero((scale == e) & (n_bins > 1))
         offset = np.arange(1 << int(e))
-        inside = offset < n_bins[seg, None]
-        at = np.where(inside, start[seg, None] + offset, 0)
-        left_n = np.where(inside, bin_n[at], 0).cumsum(axis=1)
-        left_sum = np.where(inside, bin_sum[at], 0.0).cumsum(axis=1)
-        left_sq = np.where(inside, bin_sq[at], 0.0).cumsum(axis=1)
+        at = np.where(offset < n_bins[seg, None], start[seg, None] + offset, n)
+        left_n = bin_n.take(at).cumsum(axis=1)
+        left_sum = bin_sum.take(at).cumsum(axis=1)
+        left_sq = bin_sq.take(at).cumsum(axis=1)
         nd = seg[:, None] // m
         right_n = count[nd] - left_n
         sse = (
@@ -245,11 +247,28 @@ def _best_cuts(
     best = sse[np.arange(n_nodes), slot]
     feature = cand[np.arange(n_nodes), slot]
     b = seg_cut[np.arange(n_nodes) * m + slot]
-    lower = values[feature, bins[b] % width]
-    upper = values[feature, bins[np.minimum(b + 1, len(bins) - 1)] % width]
+    # A node without a cut (best infinite) may pair its feature with another
+    # segment's codes; clipping keeps that unused threshold in bounds.
+    lower = values.take(starts[feature] + bins[b] % width, mode="clip")
+    upper = values.take(starts[feature] + bins[np.minimum(b + 1, n - 1)] % width, mode="clip")
     mid = (lower + upper) / 2.0
     # a midpoint that rounds up to the upper value would send it left too
     return best, feature, np.where(mid < upper, mid, lower)
+
+
+def _search_runs(elements: np.ndarray) -> list[int]:
+    """Bounds of runs of consecutive nodes, given each node's rows x
+    candidates: each run holds at most ``_BATCH_ELEMENTS`` of them, or one
+    node."""
+    import numpy as np
+
+    ends = np.cumsum(elements)
+    bounds = [0]
+    while bounds[-1] < len(ends):
+        done = int(ends[bounds[-1] - 1]) if bounds[-1] else 0
+        fit = int(np.searchsorted(ends, done + _BATCH_ELEMENTS, side="right"))
+        bounds.append(max(bounds[-1] + 1, fit))
+    return bounds
 
 
 def _grow_batch(
@@ -257,6 +276,7 @@ def _grow_batch(
     y: np.ndarray,
     codes: np.ndarray,
     values: np.ndarray,
+    starts: np.ndarray,
     params: ForestParams,
     m: int,
     tree_indices: range,
@@ -267,12 +287,15 @@ def _grow_batch(
     Tree k draws from ``SeedSequence((seed, k))``: first its bootstrap
     sample, then at each level one candidate matrix for all of its nodes
     that are searched there, in node order. So a tree does not depend on
-    the batch it grows in. Nodes are numbered breadth-first.
+    the batch it grows in. Nodes are numbered breadth-first. The searched
+    nodes of a level are scored in runs of at most ``_BATCH_ELEMENTS`` rows
+    x candidates; nodes are scored independently, so the runs change no cut.
     """
     import numpy as np
 
     n, n_features = X.shape
     n_trees = len(tree_indices)
+    width = int(np.diff(starts, append=len(values)).max())
     rngs = [np.random.default_rng(np.random.SeedSequence((params.seed, k))) for k in tree_indices]
     size = max(1, int(round(params.bootstrap_fraction * n)))
     rows = np.concatenate([rng.integers(0, n, size=size) for rng in rngs])
@@ -300,19 +323,26 @@ def _grow_batch(
         at = np.flatnonzero(searched)
         if len(at):
             per_tree = np.bincount(tree[at], minlength=n_trees)
-            cand = np.concatenate(
-                [
-                    rngs[t].random((k, n_features)).argsort(axis=1)[:, :m]
-                    for t, k in enumerate(per_tree.tolist())
-                    if k
-                ]
-            )
-            live = searched[node]
+            draws = [rngs[t].random((k, n_features)) for t, k in enumerate(per_tree.tolist()) if k]
+            cand = np.concatenate(draws).argsort(axis=1)[:, :m]
             position = np.cumsum(searched) - 1
-            best, f, thr = _best_cuts(
-                codes, values, rows[live], position[node[live]], cand,
-                y_rows[live], count[at], total[at], total_sq[at], params.min_leaf,
-            )
+            bounds = _search_runs(count[at] * m)
+            run = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+            live = np.flatnonzero(searched[node])
+            # the live rows grouped by run; a stable sort keeps each node's
+            # rows in row order
+            live = live[np.argsort(run[position[node[live]]], kind="stable")]
+            row_bounds = np.cumsum(count[at])[np.array(bounds[1:]) - 1].tolist()
+            best = np.empty(len(at))
+            f = np.empty(len(at), dtype=cand.dtype)
+            thr = np.empty(len(at))
+            for lo, hi, row_lo, row_hi in zip(bounds, bounds[1:], [0] + row_bounds, row_bounds):
+                part = live[row_lo:row_hi]
+                best[lo:hi], f[lo:hi], thr[lo:hi] = _best_cuts(
+                    codes, values, starts, width, rows[part], position[node[part]] - lo,
+                    cand[lo:hi], y_rows[part], count[at[lo:hi]], total[at[lo:hi]],
+                    total_sq[at[lo:hi]], params.min_leaf,
+                )
             gain = total_sq[at] - total[at] * total[at] / count[at] - best
             won = gain > 0.0  # an infinite best leaves the node a leaf
             split[at[won]] = True
@@ -379,8 +409,8 @@ def train_forest(
     Each tree sees its own bootstrap sample and considers a per-node random
     feature subset, choosing the best variance-reduction split. Per-tree
     seeds derive from (master seed, tree index). Trees grow in batches of
-    at most ``_BATCH_ELEMENTS`` rows x candidates; the batching does not
-    change the forest.
+    at most ``_BATCH_ELEMENTS`` bootstrap rows (and at least one tree); the
+    batching does not change the forest.
     """
     import numpy as np
 
@@ -390,14 +420,14 @@ def train_forest(
     X, y = _as_arrays(ordered)
     names = _default_names(X.shape[1], feature_names)
     m = params.resolve_features_per_split(X.shape[1])
-    codes, values = _value_codes(X)
+    codes, values, starts = _value_codes(X)
     size = max(1, int(round(params.bootstrap_fraction * len(X))))
-    per_batch = max(1, _BATCH_ELEMENTS // (size * m))
+    per_batch = max(1, _BATCH_ELEMENTS // size)
     trees = []
     importance = np.zeros(X.shape[1])
     for first in range(0, params.num_trees, per_batch):
         batch = range(first, min(first + per_batch, params.num_trees))
-        for tree, imp in _grow_batch(X, y, codes, values, params, m, batch):
+        for tree, imp in _grow_batch(X, y, codes, values, starts, params, m, batch):
             trees.append(tree)
             importance += imp
     return Forest(trees, params, names, importance)
@@ -572,11 +602,17 @@ def write_forest(forest: Forest, fh) -> None:
 
 
 def read_forest(fh) -> Forest:
+    """The forest :func:`write_forest` wrote. Raises ValueError, naming the
+    file, unless the trees are numbered 0..num_trees-1 with nothing after
+    the last, each numbers its nodes 0..n-1 in order, every node is a leaf
+    (feature and both children -1) or a split on one of the features whose
+    children come after it, and there is one importance per feature."""
     import numpy as np
 
+    name = getattr(fh, "name", "<stream>")
     magic = fh.readline().strip()
     if magic != _FOREST_MAGIC:
-        raise ValueError(f"not a forest file (header {magic!r})")
+        raise ValueError(f"{name}: not a forest file (header {magic!r})")
     raw = dict(item.split("=", 1) for item in fh.readline().split()[1:])
     fps: int | str = raw["features_per_split"]
     if fps not in ("sqrt", "third"):
@@ -595,23 +631,41 @@ def read_forest(fh) -> Forest:
         [float(v) for v in fh.readline().rstrip("\n").split("\t")[1:]], dtype=np.float64
     )
     if len(names) != n_features:
-        raise ValueError("feature name count disagrees with header")
+        raise ValueError(f"{name}: feature name count disagrees with header")
+    if len(importances) != n_features:
+        raise ValueError(f"{name}: {len(importances)} importances for {n_features} features")
+    if params.num_trees < 1:
+        raise ValueError(f"{name}: a forest of {params.num_trees} trees")
     trees = []
-    for _ in range(params.num_trees):
+    for k in range(params.num_trees):
         header = fh.readline().split()
+        if len(header) != 3 or header[:2] != ["tree", str(k)] or not header[2].isdigit() or header[2] == "0":
+            raise ValueError(f"{name}: expected tree {k} and its node count, got {header}")
         n_nodes = int(header[2])
-        feature = np.empty(n_nodes, dtype=np.int32)
-        threshold = np.empty(n_nodes, dtype=np.float64)
-        left = np.empty(n_nodes, dtype=np.int32)
-        right = np.empty(n_nodes, dtype=np.int32)
-        value = np.empty(n_nodes, dtype=np.float64)
-        for _row in range(n_nodes):
-            (i, f, thr, lo, hi, val) = fh.readline().split()
-            i = int(i)
-            feature[i] = int(f)
-            threshold[i] = float(thr)
-            left[i] = int(lo)
-            right[i] = int(hi)
-            value[i] = float(val)
-        trees.append(_Tree(feature, threshold, left, right, value))
+        nodes = []
+        for i in range(n_nodes):
+            fields = fh.readline().split()
+            if len(fields) != 6 or fields[0] != str(i):
+                raise ValueError(f"{name}: tree {k}: expected node {i}, got {fields}")
+            f, lo, hi = int(fields[1]), int(fields[3]), int(fields[4])
+            # children after their parent: every descent ends, within its tree
+            if not (f == lo == hi == -1 or (0 <= f < n_features and i < lo < n_nodes and i < hi < n_nodes)):
+                raise ValueError(
+                    f"{name}: tree {k} node {i}: feature {f} and children {lo}, {hi} make neither"
+                    f" a leaf (-1, -1, -1) nor a split (feature 0..{n_features - 1},"
+                    f" children {i + 1}..{n_nodes - 1})"
+                )
+            nodes.append((f, float(fields[2]), lo, hi, float(fields[5])))
+        feature, threshold, left, right, value = zip(*nodes)
+        trees.append(
+            _Tree(
+                np.array(feature, dtype=np.int32),
+                np.array(threshold, dtype=np.float64),
+                np.array(left, dtype=np.int32),
+                np.array(right, dtype=np.int32),
+                np.array(value, dtype=np.float64),
+            )
+        )
+    if fh.readline():
+        raise ValueError(f"{name}: text after the last of {params.num_trees} trees")
     return Forest(trees, params, names, importances)

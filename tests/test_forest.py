@@ -141,6 +141,18 @@ def reference_forest(vectors, params):
     return trees, importance
 
 
+def predict_one(tree, x):
+    """Leaf value for one row, one node at a time: the reference for
+    ``Forest.predict_matrix``."""
+    node = 0
+    while tree.feature[node] >= 0:
+        if x[tree.feature[node]] <= tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return float(tree.value[node])
+
+
 def forest_bytes(forest):
     buf = io.StringIO()
     write_forest(forest, buf)
@@ -281,23 +293,45 @@ class TestLevelBuilder:
         np.testing.assert_allclose(forest.importances, importance, rtol=1e-12, atol=0)
         assert sum(int((t.feature >= 0).sum()) for t in forest.trees) > len(forest.trees)
 
-    @pytest.mark.parametrize("cap", [1, 10**9], ids=["one-tree", "all-trees"])
+    @pytest.mark.parametrize(
+        "cap", [1, 48 * 2, 10**9], ids=["one-tree", "one-node-search", "all-trees"]
+    )
     @pytest.mark.parametrize("data", [golden_vectors, soft_golden_vectors], ids=["golden", "soft"])
     def test_output_does_not_depend_on_batch_cap(self, cap, data, monkeypatch):
+        """The cap bounds a batch's bootstrap rows and each split search's
+        rows x candidates (a larger node is searched alone); the default
+        grows these 12 trees in one batch and searches each level at once.
+        ``48 * 2`` is one root's rows x candidates."""
         params = ForestParams(num_trees=12, seed=7)
         default = forest_bytes(train_forest(data(), params, GOLDEN_NAMES))
+        searches = []
+        best_cuts = forest_module._best_cuts
+
+        def recorded(*args):
+            rows, cand = args[4], args[6]
+            searches.append((len(rows) * cand.shape[1], len(cand)))
+            return best_cuts(*args)
+
+        monkeypatch.setattr(forest_module, "_best_cuts", recorded)
         monkeypatch.setattr(forest_module, "_BATCH_ELEMENTS", cap)
         assert forest_bytes(train_forest(data(), params, GOLDEN_NAMES)) == default
+        assert all(elements <= cap or nodes == 1 for elements, nodes in searches)
+        if cap > 1:
+            assert any(nodes > 1 for _, nodes in searches)
 
-    def test_trees_grow_in_batches_under_the_cap(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "cap, fraction, per_batch", [(48 * 5, 1.0, 5), (48 * 5, 0.75, 6), (47, 1.0, 1)]
+    )
+    def test_batch_holds_cap_over_bootstrap_rows_trees(self, monkeypatch, cap, fraction, per_batch):
         batches = []
         grow = forest_module._grow_batch
         monkeypatch.setattr(
             forest_module, "_grow_batch", lambda *args: batches.append(args[-1]) or grow(*args)
         )
-        monkeypatch.setattr(forest_module, "_BATCH_ELEMENTS", 48 * 2 * 5)
-        train_forest(golden_vectors(), ForestParams(num_trees=12, seed=7), GOLDEN_NAMES)
-        assert batches == [range(0, 5), range(5, 10), range(10, 12)]
+        monkeypatch.setattr(forest_module, "_BATCH_ELEMENTS", cap)
+        params = ForestParams(num_trees=12, seed=7, bootstrap_fraction=fraction)
+        train_forest(golden_vectors(), params, GOLDEN_NAMES)
+        assert batches == [range(k, min(k + per_batch, 12)) for k in range(0, 12, per_batch)]
 
     def test_first_trees_equal_a_smaller_forest(self):
         vectors = soft_golden_vectors()
@@ -335,7 +369,7 @@ class TestPredict:
         vectors = one_dim_vectors(n=30, seed=8)
         forest = train_forest(vectors, ForestParams(num_trees=9, seed=4), ("x",))
         x = [5.5]
-        expected = np.mean([t.predict_one(np.array(x)) for t in forest.trees])
+        expected = np.mean([predict_one(t, np.array(x)) for t in forest.trees])
         assert forest.predict(x) == pytest.approx(float(expected))
         permuted = Forest(list(reversed(forest.trees)), forest.params, forest.feature_names)
         assert permuted.predict(x) == pytest.approx(forest.predict(x))
@@ -359,8 +393,21 @@ class TestPredict:
         scores = forest.predict_matrix(X)
         assert scores.shape == (len(X),)
         for i, x in enumerate(X):
-            reference = float(np.mean([t.predict_one(x) for t in forest.trees]))
+            reference = float(np.mean([predict_one(t, x) for t in forest.trees]))
             assert scores[i] == forest.predict(x) == reference
+
+    @pytest.mark.parametrize("cap", [1, 7 * 25], ids=["one-row", "seven-rows"])
+    def test_predict_matrix_in_runs_equals_the_reference(self, cap, monkeypatch):
+        """All trees descend together in runs of at most the cap's rows x
+        trees (at least one row); each score is still the mean of the
+        trees' leaves, bit for bit."""
+        vectors = golden_vectors()
+        forest = train_forest(vectors, ForestParams(num_trees=25, seed=6), GOLDEN_NAMES)
+        rng = np.random.default_rng(2)
+        X = np.vstack([[v.values for v in vectors], rng.uniform(-1, 5, size=(30, 4))])
+        monkeypatch.setattr(forest_module, "_BATCH_ELEMENTS", cap)
+        reference = [float(np.mean([predict_one(t, x) for t in forest.trees])) for x in X]
+        assert forest.predict_matrix(X).tolist() == reference
 
 
 class TestCrossValidate:
@@ -462,3 +509,60 @@ class TestPersistence:
         forest = train_forest(vectors, ForestParams(num_trees=6, seed=2), ("x",))
         importances = forest.feature_importances()
         assert importances["x"] == pytest.approx(1.0)
+
+
+def _node_line(lines, tree, node):
+    return next(i for i, line in enumerate(lines) if line.startswith(f"tree {tree} ")) + 1 + node
+
+
+def _edit_node(lines, tree, node, column, value):
+    at = _node_line(lines, tree, node)
+    fields = lines[at].split(" ")
+    fields[column] = value
+    return lines[:at] + [" ".join(fields)] + lines[at + 1 :]
+
+
+def _edit_first_leaf(lines, column, value):
+    root = _node_line(lines, 0, 0)
+    leaf = next(i for i, line in enumerate(lines[root:]) if line.split(" ")[1] == "-1")
+    return _edit_node(lines, 0, leaf, column, value)
+
+
+def _swap_first_nodes(lines):
+    at = _node_line(lines, 0, 0)
+    return lines[:at] + [lines[at + 1], lines[at]] + lines[at + 2 :]
+
+
+# (id, edit of the lines of a written three-tree forest over four features)
+DAMAGED_FORESTS = [
+    ("root-left-zero", lambda lines: _edit_node(lines, 0, 0, 3, "0")),
+    ("root-right-itself", lambda lines: _edit_node(lines, 1, 0, 4, "0")),
+    ("negative-feature", lambda lines: _edit_node(lines, 0, 0, 1, "-5")),
+    ("feature-past-the-last", lambda lines: _edit_node(lines, 0, 0, 1, "4")),
+    ("child-past-the-end", lambda lines: _edit_node(lines, 2, 0, 4, "9999")),
+    ("leaf-with-a-child", lambda lines: _edit_first_leaf(lines, 4, "1")),
+    ("leaf-with-a-feature", lambda lines: _edit_first_leaf(lines, 1, "0")),
+    ("nodes-out-of-order", _swap_first_nodes),
+    ("tree-out-of-order", lambda lines: [line.replace("tree 1 ", "tree 2 ") for line in lines]),
+    ("empty-tree", lambda lines: ["tree 0 0" if line.startswith("tree 0 ") else line for line in lines]),
+    ("missing-tree", lambda lines: lines[: _node_line(lines, 2, -1)]),
+    ("text-after-the-last-tree", lambda lines: lines + ["tree 3 1", "0 -1 0.0 -1 -1 0.5"]),
+    ("importances-short", lambda lines: [
+        line.rsplit("\t", 1)[0] if line.startswith("importances") else line for line in lines
+    ]),
+]
+
+
+class TestDamagedForest:
+    """A forest that ``read_forest`` accepts descends to a leaf of its own
+    tree from every row: children come after their parent and within the
+    tree, and features are in range."""
+
+    @pytest.mark.parametrize("edit", [e for _, e in DAMAGED_FORESTS], ids=[i for i, _ in DAMAGED_FORESTS])
+    def test_read_forest_names_the_file(self, edit, tmp_path):
+        forest = train_forest(golden_vectors(), ForestParams(num_trees=3, seed=7), GOLDEN_NAMES)
+        lines = forest_bytes(forest).decode("utf-8").splitlines()
+        path = tmp_path / "forest.txt"
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        with open(path, encoding="utf-8") as fh, pytest.raises(ValueError, match="forest.txt"):
+            read_forest(fh)

@@ -952,6 +952,26 @@ def test_features_rejects_a_rank_pair_cut_in_half(corpus, finished_run, tmp_path
     assert (run_dir / "features.txt").read_bytes() == (finished_run / "features.txt").read_bytes()
 
 
+@pytest.mark.parametrize("column, value", [(3, "0"), (1, "-5")], ids=["root-left-zero", "negative-feature"])
+def test_rank_rejects_a_damaged_forest(corpus, finished_run, tmp_path, capsys, column, value):
+    # a root that is its own left child would descend forever, and numpy
+    # would read feature -5 as the fifth column from the end
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    path = run_dir / "forest.txt"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    root = next(i for i, line in enumerate(lines) if line.startswith("tree 0 ")) + 1
+    fields = lines[root].split(" ")
+    assert fields[1] != "-1"  # the root is a split
+    fields[column] = value
+    lines[root] = " ".join(fields)
+    path.write_text("".join(lines), encoding="utf-8")
+    assert main(["rank", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: stage rank: ") and "forest.txt: tree 0 node 0:" in err
+    _assert_untouched(run_dir, finished_run, but="forest.txt")
+
+
 @pytest.mark.parametrize("content", ["garbage", "{}", '{"stages": {}}', "[]"])
 def test_damaged_manifest_exits_two_before_the_stage_writes(corpus, finished_run, tmp_path, capsys, content):
     run_dir = tmp_path / "run"
