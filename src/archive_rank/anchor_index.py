@@ -251,18 +251,19 @@ def write_instances(surrogates: dict[str, SurrogateDocument], fh) -> None:
 
 def read_index(docs_fh, postings_fh, instances_fh) -> tuple[dict[str, SurrogateDocument], IndexStats]:
     """Rebuild surrogates (without revision timestamps, which live in the
-    revisions table) and collection statistics from the persisted files."""
+    revisions table) and their :func:`build_stats` from the persisted
+    files. Raises ValueError, naming the file and the term, when a posting
+    list's count is not its number of entries."""
     surrogates: dict[str, SurrogateDocument] = {}
     for doc_id, length, _revs in rows(docs_fh):
         surrogates[doc_id] = SurrogateDocument(doc_id=doc_id, length=int(length))
-    df: dict[str, int] = {}
     for term, count, *entries in rows(postings_fh):
-        df[term] = int(count)
+        if int(count) != len(entries):
+            name = getattr(postings_fh, "name", "<stream>")
+            raise ValueError(f"{name}: term {term!r} counts {count} postings but lists {len(entries)}")
         for entry in entries:
             doc_id, tf = entry.rsplit(":", 1)
             surrogates[doc_id].term_freqs[term] = int(tf)
     for doc_id, when, anchor in rows(instances_fh):
         surrogates[doc_id].anchor_instances.append((unescape(anchor), int(when)))
-    n = len(surrogates)
-    avg = sum(d.length for d in surrogates.values()) / n if n else 0.0
-    return surrogates, IndexStats(num_docs=n, avg_doc_length=avg, doc_freq=df)
+    return surrogates, build_stats(surrogates)

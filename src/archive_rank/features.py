@@ -8,7 +8,6 @@ document) pairs can be processed in parallel without coordination.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
@@ -306,29 +305,17 @@ def extract_features(query: QueryRecord, doc_id: str, ctx: FeatureContext) -> Fe
     return FeatureVector(query.query_id, doc_id, 0.0, tuple(values))
 
 
-def _linear_quantile(ordered: list[float], q: float) -> float:
-    """The q-quantile of sorted values by linear interpolation between the
-    two order statistics around (n - 1) q, in the two-sided form of
-    numpy's ``_lerp``, so a quartile is the float ``np.percentile`` gives."""
-    pos = (len(ordered) - 1) * q
-    lo = math.floor(pos)
-    a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
-    t = pos - lo
-    d = b - a
-    return b - d * (1 - t) if t >= 0.5 else a + d * t
-
-
 def per_query_evidence_summary(values: Iterable[float]) -> EvidenceSummary:
     """Mean, median and quartiles of one evidence over a query's result
-    set, one value per document. Quartiles use linear interpolation. The
-    mean divides the exactly rounded sum by the count, so it equals
-    numpy's wherever the sum is exact, as it is for integer-valued
-    evidences."""
-    ordered = sorted(float(v) for v in values)
-    if not ordered:
+    set, one value per document, as Python floats. Quartiles use linear
+    interpolation."""
+    import numpy as np
+
+    arr = np.fromiter(values, dtype=np.float64)
+    if not len(arr):
         raise ValueError("empty result set")
-    q1, med, q3 = (_linear_quantile(ordered, q) for q in (0.25, 0.5, 0.75))
-    return EvidenceSummary(math.fsum(ordered) / len(ordered), med, q1, q3)
+    q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0], method="linear").tolist()
+    return EvidenceSummary(float(arr.mean()), med, q1, q3)
 
 
 def _docs_with_all(docs_by_token: dict[str, set[str]], tokens: set[str]) -> set[str]:

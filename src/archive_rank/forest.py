@@ -601,34 +601,61 @@ def write_forest(forest: Forest, fh) -> None:
             )
 
 
+_PARAM_KEYS = ("num_trees", "bootstrap_fraction", "features_per_split", "min_leaf", "max_depth", "seed")
+
+
+def _params(items: list[str]) -> ForestParams:
+    raw = dict(item.partition("=")[::2] for item in items)
+    if len(items) != len(_PARAM_KEYS) or raw.keys() != set(_PARAM_KEYS):
+        raise ValueError(f"expected the six items {'=, '.join(_PARAM_KEYS)}=")
+    fps = raw["features_per_split"]
+    return ForestParams(
+        num_trees=int(raw["num_trees"]),
+        bootstrap_fraction=float(raw["bootstrap_fraction"]),
+        features_per_split=fps if fps in ("sqrt", "third") else int(fps),
+        min_leaf=int(raw["min_leaf"]),
+        max_depth=None if raw["max_depth"] == "none" else int(raw["max_depth"]),
+        seed=int(raw["seed"]),
+    )
+
+
+def _single_int(fields: list[str]) -> int:
+    (value,) = fields  # a ValueError unless there is exactly one
+    return int(value)
+
+
+def _header_line(fh, name: str, line_no: int, key: str, parse, sep: str | None = None):
+    """``parse`` of the fields after ``key`` on the next line of a forest
+    file; raises ValueError naming the file and the line."""
+    line = fh.readline().rstrip("\n")
+    fields = line.split(sep)
+    try:
+        if fields[:1] != [key]:
+            raise ValueError(f"expected a {key!r} line")
+        return parse(fields[1:])
+    except ValueError as exc:
+        raise ValueError(f"{name}: line {line_no}: {exc}, got {line!r}") from None
+
+
 def read_forest(fh) -> Forest:
     """The forest :func:`write_forest` wrote. Raises ValueError, naming the
-    file, unless the trees are numbered 0..num_trees-1 with nothing after
-    the last, each numbers its nodes 0..n-1 in order, every node is a leaf
-    (feature and both children -1) or a split on one of the features whose
-    children come after it, and there is one importance per feature."""
+    file, unless the header holds the six parameters, the feature count,
+    the names and the importances, the trees are numbered 0..num_trees-1
+    with nothing after the last, each numbers its nodes 0..n-1 in order,
+    every node is a leaf (feature and both children -1) or a split on one
+    of the features whose children come after it, and there is one
+    importance per feature."""
     import numpy as np
 
     name = getattr(fh, "name", "<stream>")
     magic = fh.readline().strip()
     if magic != _FOREST_MAGIC:
         raise ValueError(f"{name}: not a forest file (header {magic!r})")
-    raw = dict(item.split("=", 1) for item in fh.readline().split()[1:])
-    fps: int | str = raw["features_per_split"]
-    if fps not in ("sqrt", "third"):
-        fps = int(fps)
-    params = ForestParams(
-        num_trees=int(raw["num_trees"]),
-        bootstrap_fraction=float(raw["bootstrap_fraction"]),
-        features_per_split=fps,
-        min_leaf=int(raw["min_leaf"]),
-        max_depth=None if raw["max_depth"] == "none" else int(raw["max_depth"]),
-        seed=int(raw["seed"]),
-    )
-    n_features = int(fh.readline().split()[1])
-    names = tuple(fh.readline().rstrip("\n").split("\t")[1:])
-    importances = np.array(
-        [float(v) for v in fh.readline().rstrip("\n").split("\t")[1:]], dtype=np.float64
+    params = _header_line(fh, name, 2, "params", _params)
+    n_features = _header_line(fh, name, 3, "features", _single_int)
+    names = _header_line(fh, name, 4, "names", tuple, "\t")
+    importances = _header_line(
+        fh, name, 5, "importances", lambda fields: np.array([float(v) for v in fields], dtype=np.float64), "\t"
     )
     if len(names) != n_features:
         raise ValueError(f"{name}: feature name count disagrees with header")

@@ -15,7 +15,7 @@ import sys
 import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urljoin, urlsplit
 
 from .tables import escape, rows, unescape
@@ -208,25 +208,14 @@ def _open_stream(stream: BinaryIO) -> BinaryIO:
 _DAMAGED_GZIP = (EOFError, gzip.BadGzipFile, zlib.error)
 
 
-class _LineReader:
-    """Line reader with single-line pushback, for header resynchronization."""
-
-    def __init__(self, fh: BinaryIO):
-        self._fh = fh
-        self._pushed: bytes | None = None
-
-    def readline(self) -> bytes:
-        if self._pushed is not None:
-            line, self._pushed = self._pushed, None
-            return line
-        return self._fh.readline()
-
-    def pushback(self, line: bytes) -> None:
-        self._pushed = line
-
-    def read(self, n: int) -> bytes:
-        assert self._pushed is None
-        return self._fh.read(n)
+def _read_container(records: Callable, stream: BinaryIO, stats: ParseStats | None) -> Iterator[ArchiveRecord]:
+    """Run the record loop ``records`` over ``stream``, opened on the first
+    ``next``; a damaged gzip tail ends the stream as one corrupt record."""
+    stats = stats if stats is not None else ParseStats()
+    try:
+        yield from records(_open_stream(stream), stats)
+    except _DAMAGED_GZIP:
+        stats.corrupt += 1
 
 
 def _parse_warc_date(value: str) -> int | None:
@@ -282,47 +271,41 @@ def parse_warc_stream(stream: BinaryIO, stats: ParseStats | None = None) -> Iter
     """Yield one :class:`ArchiveRecord` per WARC *response* record.
 
     Other record kinds (request, metadata, revisit, ...) are counted in
-    ``stats.skipped``. Malformed or truncated records increment
-    ``stats.corrupt`` and the stream resynchronizes on the next record
-    marker. A damaged gzip tail ends the stream as one corrupt record.
-    Single pass; memory bounded by the largest record.
+    ``stats.skipped``. A non-blank line that is not a ``WARC/`` marker
+    opens a damaged region, counted once in ``stats.corrupt``, up to the
+    next marker. A marker whose header block ends early (end of file, or a
+    line without a colon) or whose ``Content-Length`` is missing, not an
+    integer or negative is one corrupt record and opens a region. A
+    truncated last block and a damaged gzip tail end the stream as one
+    corrupt record. Single pass, memory bounded by the largest record;
+    nothing is read before the first ``next``.
     """
-    stats = stats if stats is not None else ParseStats()
-    try:
-        yield from _warc_records(_LineReader(_open_stream(stream)), stats)
-    except _DAMAGED_GZIP:
-        stats.corrupt += 1
+    return _read_container(_warc_records, stream, stats)
 
 
-def _warc_records(reader: _LineReader, stats: ParseStats) -> Iterator[ArchiveRecord]:
+def _warc_records(fh: BinaryIO, stats: ParseStats) -> Iterator[ArchiveRecord]:
+    in_bad_run = False
     while True:
-        line = reader.readline()
+        line = fh.readline()
         if not line:
             return
         marker = line.strip()
-        if not marker:
-            continue
         if not marker.startswith(b"WARC/"):
-            stats.corrupt += 1
-            if not _resync(reader, _is_warc_marker):
-                return
+            if marker and not in_bad_run:
+                stats.corrupt += 1
+                in_bad_run = True
             continue
-        headers, ok = _read_warc_headers(reader)
-        if not ok:
-            stats.corrupt += 1
-            if not _resync(reader, _is_warc_marker):
-                return
-            continue
+        headers = _read_warc_headers(fh)
         try:
-            length = int(headers.get("content-length", ""))
+            length = int(headers.get("content-length", "")) if headers is not None else -1
         except ValueError:
             length = -1
-        if length < 0:
+        # A marker closes any damaged region; its own damage opens one.
+        in_bad_run = length < 0
+        if in_bad_run:
             stats.corrupt += 1
-            if not _resync(reader, _is_warc_marker):
-                return
             continue
-        block = reader.read(length)
+        block = fh.read(length)
         if len(block) < length:
             stats.corrupt += 1  # truncated final record; end cleanly
             return
@@ -340,33 +323,18 @@ def _warc_records(reader: _LineReader, stats: ParseStats) -> Iterator[ArchiveRec
         yield ArchiveRecord(target, capture, mime, status, body)
 
 
-def _is_warc_marker(line: bytes) -> bool:
-    return line.strip().startswith(b"WARC/")
-
-
-def _read_warc_headers(reader: _LineReader) -> tuple[dict[str, str], bool]:
+def _read_warc_headers(fh: BinaryIO) -> dict[str, str] | None:
+    """The header block after a record marker, names lowercased; None when
+    it ends at end of file or at a non-blank line without a colon."""
     headers: dict[str, str] = {}
     while True:
-        line = reader.readline()
-        if not line:
-            return headers, False
+        line = fh.readline()
         if not line.strip():
-            return headers, True
+            return headers if line else None
         if b":" not in line:
-            return headers, False
+            return None
         name, value = line.split(b":", 1)
         headers[name.strip().decode("latin-1").lower()] = value.strip().decode("latin-1")
-
-
-def _resync(reader: _LineReader, is_marker) -> bool:
-    """Skip forward to the next record marker; False when the stream ends."""
-    while True:
-        line = reader.readline()
-        if not line:
-            return False
-        if is_marker(line):
-            reader.pushback(line)
-            return True
 
 
 def _parse_arc_header(line: bytes) -> tuple[str, int, str, int] | None:
@@ -392,24 +360,22 @@ def parse_arc_stream(stream: BinaryIO, stats: ParseStats | None = None) -> Itera
     The first well-formed header opens the file description, whose URL
     reads ``filedesc://`` unless damaged; that record and any later
     ``filedesc`` record are counted as skipped (so a file description
-    header damaged beyond parsing costs the record after it). A header
-    with fewer than five fields, or a length field that disagrees with the
-    actual record boundary, marks the record corrupt and the reader
-    resumes at the next well-formed header line. A damaged gzip tail ends
-    the stream as one corrupt record.
+    header damaged beyond parsing costs the record after it). A non-blank
+    line that is not a well-formed header (five or more fields, a URL, a
+    14-digit date and a length that is a non-negative integer) opens a
+    damaged region, counted once in ``stats.corrupt``, that runs to the
+    next well-formed header; so does a record whose length does not land
+    on the record boundary. A truncated last block and a damaged gzip tail
+    end the stream as one corrupt record.
     """
-    stats = stats if stats is not None else ParseStats()
-    try:
-        yield from _arc_records(_LineReader(_open_stream(stream)), stats)
-    except _DAMAGED_GZIP:
-        stats.corrupt += 1
+    return _read_container(_arc_records, stream, stats)
 
 
-def _arc_records(reader: _LineReader, stats: ParseStats) -> Iterator[ArchiveRecord]:
+def _arc_records(fh: BinaryIO, stats: ParseStats) -> Iterator[ArchiveRecord]:
     in_bad_run = False
     first = True
     while True:
-        line = reader.readline()
+        line = fh.readline()
         if not line:
             return
         if not line.strip():
@@ -425,13 +391,13 @@ def _arc_records(reader: _LineReader, stats: ParseStats) -> Iterator[ArchiveReco
         in_bad_run = False
         is_file_description, first = first, False
         url, when, mime, length = parsed
-        block = reader.read(length)
+        block = fh.read(length)
         if len(block) < length:
             stats.corrupt += 1
             return
         # The declared length must land exactly on the record separator; any
         # residue before the next newline means the length field lied.
-        separator = reader.readline()
+        separator = fh.readline()
         if separator.strip():
             stats.corrupt += 1
             in_bad_run = True

@@ -463,13 +463,10 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     files = cfg.archive_files()
     revisions: list[ingest.RevisionRecord] = []
     links: list[ingest.LinkRecord] = []
-    counters = (
-        "emitted", "skipped", "corrupt", "non_2xx", "decode_failed", "bad_url", "truncated_anchors", "bad_link_end"
-    )
-    totals = dict.fromkeys(counters, 0)
+    stats = ingest.ParseStats()
+    totals = dict.fromkeys(("non_2xx", "decode_failed", "bad_url", "truncated_anchors", "bad_link_end"), 0)
     resolver = ingest.UrlResolver(_suffix_table(cfg))
     for path in files:
-        stats = ingest.ParseStats()
         is_arc = path.name.endswith((".arc", ".arc.gz"))
         parser = ingest.parse_arc_stream if is_arc else ingest.parse_warc_stream
         with open(path, "rb") as fh:
@@ -491,9 +488,6 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
                     totals["decode_failed"] += extraction.decode_failed
                     totals["truncated_anchors"] += extraction.truncated_anchors
                     links.extend(extraction.links)
-        totals["emitted"] += stats.emitted
-        totals["skipped"] += stats.skipped
-        totals["corrupt"] += stats.corrupt
     revisions.sort(key=lambda r: (r.core_url, r.capture_time, r.full_url))
     links.sort(key=lambda l: (l.source_full_url, l.source_capture_time, l.target_url, l.tag_pattern, l.anchor_text))
     content = ingest.content_links(links, resolver, totals)
@@ -502,7 +496,10 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
         "links.tsv": lambda fh: ingest.write_links_tsv(links, fh),
         "content_links.tsv": lambda fh: ingest.write_content_links_tsv(content, fh),
     }
-    return outputs, {"revisions": len(revisions), "links": len(links), "content_links": len(content), **totals}
+    return outputs, {
+        "revisions": len(revisions), "links": len(links), "content_links": len(content),
+        "emitted": stats.emitted, "skipped": stats.skipped, "corrupt": stats.corrupt, **totals,
+    }
 
 
 def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -550,6 +551,18 @@ DAMAGED_FORESTS = [
     ("importances-short", lambda lines: [
         line.rsplit("\t", 1)[0] if line.startswith("importances") else line for line in lines
     ]),
+    # the header: line 2 holds the six parameters, line 3 the feature count
+    ("params-missing", lambda lines: lines[:1] + lines[2:]),
+    ("params-seventh-item", lambda lines: [lines[0], lines[1] + " extra=1", *lines[2:]]),
+    ("params-item-without-value", lambda lines: [lines[0], lines[1].replace("seed=", "seed"), *lines[2:]]),
+    ("params-repeated-key", lambda lines: [lines[0], lines[1].replace("seed=", "min_leaf="), *lines[2:]]),
+    ("num-trees-not-an-int", lambda lines: [lines[0], re.sub(r"num_trees=\d+", "num_trees=x", lines[1]), *lines[2:]]),
+    ("bootstrap-not-a-float", lambda lines: [lines[0], re.sub(r"bootstrap_fraction=\S+", "bootstrap_fraction=a", lines[1]), *lines[2:]]),
+    ("features-count-missing", lambda lines: [*lines[:2], "features", *lines[3:]]),
+    ("features-count-not-an-int", lambda lines: [*lines[:2], "features 4.5", *lines[3:]]),
+    ("features-line-renamed", lambda lines: [*lines[:2], lines[2].replace("features", "feature"), *lines[3:]]),
+    ("names-line-missing", lambda lines: lines[:3] + lines[4:]),
+    ("importance-not-a-float", lambda lines: lines[:4] + [lines[4] + "\tnan?"] + lines[5:]),
 ]
 
 

@@ -1,6 +1,7 @@
 import gzip
 import io
 import json
+import re
 import shutil
 import tempfile
 import tracemalloc
@@ -137,6 +138,194 @@ class TestWarc:
         _, stats = parse_warc(warc_file_bytes(records, per_record_gzip=False))
         assert stats.total == 6
         assert (stats.emitted, stats.skipped, stats.corrupt) == (4, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# reference WARC reader: a line reader with one line of pushback, and after
+# each corrupt count a resync that skips to the next marker and pushes it
+# back; parse_warc_stream must match it record for record and count for count
+
+
+class _LineReader:
+    def __init__(self, fh):
+        self._fh = fh
+        self._pushed = None
+
+    def readline(self) -> bytes:
+        if self._pushed is not None:
+            line, self._pushed = self._pushed, None
+            return line
+        return self._fh.readline()
+
+    def pushback(self, line: bytes) -> None:
+        self._pushed = line
+
+    def read(self, n: int) -> bytes:
+        assert self._pushed is None
+        return self._fh.read(n)
+
+
+def _reference_headers(reader):
+    headers = {}
+    while True:
+        line = reader.readline()
+        if not line:
+            return headers, False
+        if not line.strip():
+            return headers, True
+        if b":" not in line:
+            return headers, False
+        name, value = line.split(b":", 1)
+        headers[name.strip().decode("latin-1").lower()] = value.strip().decode("latin-1")
+
+
+def _resync(reader) -> bool:
+    while True:
+        line = reader.readline()
+        if not line:
+            return False
+        if line.strip().startswith(b"WARC/"):
+            reader.pushback(line)
+            return True
+
+
+def reference_warc_records(reader, stats):
+    while True:
+        line = reader.readline()
+        if not line:
+            return
+        marker = line.strip()
+        if not marker:
+            continue
+        if not marker.startswith(b"WARC/"):
+            stats.corrupt += 1
+            if not _resync(reader):
+                return
+            continue
+        headers, ok = _reference_headers(reader)
+        if not ok:
+            stats.corrupt += 1
+            if not _resync(reader):
+                return
+            continue
+        try:
+            length = int(headers.get("content-length", ""))
+        except ValueError:
+            length = -1
+        if length < 0:
+            stats.corrupt += 1
+            if not _resync(reader):
+                return
+            continue
+        block = reader.read(length)
+        if len(block) < length:
+            stats.corrupt += 1
+            return
+        kind = headers.get("warc-type", "").strip().lower()
+        if kind != "response":
+            stats.skipped += 1
+            continue
+        target = headers.get("warc-target-uri", "").strip()
+        capture = ingest._parse_warc_date(headers.get("warc-date", ""))
+        if not target or capture is None:
+            stats.corrupt += 1
+            continue
+        status, mime, body = ingest._split_http_payload(block)
+        stats.emitted += 1
+        yield ingest.ArchiveRecord(target, capture, mime, status, body)
+
+
+def reference_parse_warc(data: bytes):
+    stats = ParseStats()
+    records = []
+    try:
+        for record in reference_warc_records(_LineReader(ingest._open_stream(io.BytesIO(data))), stats):
+            records.append(record)
+    except ingest._DAMAGED_GZIP:
+        stats.corrupt += 1
+    return records, stats
+
+
+FUZZ_RECORDS = [
+    warc_record_bytes("http://a.de/1", "2009-01-01T00:00:00Z", b"<a href='/x'>one</a>"),
+    warc_record_bytes("http://a.de/m", "2009-01-02T00:00:00Z", b"k: v\r\n", warc_type="metadata"),
+    warc_record_bytes("http://a.de/2", "2009-01-03T00:00:00Z", b"two\r\n\r\nWARC/1.0 in a payload"),
+    warc_record_bytes("http://a.de/3", "2009-01-04T00:00:00Z", b""),
+]
+_FUZZ_LINES = st.sampled_from(
+    [b"junk\r\n", b"\r\n", b"WARC/1.0\r\n", b"  WARC/0.9  \n", b"no colon\r\n", b"Content-Length: 3\r\n", b"WARC-Type: response\r\n"]
+)
+
+
+@st.composite
+def damaged_warcs(draw) -> bytes:
+    """FUZZ_RECORDS after a few inserted lines or bytes, deleted spans,
+    flipped bytes and rewritten Content-Length digits, written plain or as
+    one gzip member per record, and maybe cut."""
+    members = [bytearray(record) for record in FUZZ_RECORDS]
+    for _ in range(draw(st.integers(0, 4))):
+        member = members[draw(st.integers(0, len(members) - 1))]
+        at = draw(st.integers(0, len(member)))
+        op = draw(st.sampled_from(["line", "bytes", "delete", "flip", "length"]))
+        if op == "line":
+            member[at:at] = draw(_FUZZ_LINES)
+        elif op == "bytes":
+            member[at:at] = draw(st.binary(min_size=1, max_size=12))
+        elif op == "delete":
+            del member[at : draw(st.integers(at, min(len(member), at + 40)))]
+        elif op == "flip" and at < len(member):
+            member[at] ^= draw(st.integers(1, 255))
+        elif op == "length":
+            digits = draw(st.sampled_from(["", "-1", "0", "x", "9999", "+12", " 5 "]) | st.integers(0, 200).map(str))
+            member[:] = re.sub(rb"(?<=Content-Length:)[^\r\n]*", f" {digits}".encode(), bytes(member), count=1)
+    data = b"".join(gzip.compress(bytes(m), mtime=0) if draw(st.booleans()) else bytes(m) for m in members)
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
+
+
+class TestDamagedRegion:
+    """``parse_warc_stream`` counts a damaged region once and resumes at
+    the next ``WARC/`` marker, as the pushback reader did."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=300)
+    @given(damaged_warcs())
+    def test_equals_the_pushback_reader(self, data):
+        assert parse_warc(data) == reference_parse_warc(data)
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+    def test_garbage_run_between_records_counts_once(self, gz):
+        first, second = FUZZ_RECORDS[0], FUZZ_RECORDS[2]
+        data = warc_file_bytes([first, b"junk\r\nmore junk\r\n\r\nand more\r\n", second], per_record_gzip=gz)
+        records, stats = parse_warc(data)
+        assert [r.target_uri for r in records] == ["http://a.de/1", "http://a.de/2"]
+        assert (stats.emitted, stats.corrupt) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "damaged_marker",
+        [b"WARC/1.0\r\nNO COLON\r\n\r\n", b"WARC/1.0\r\nWARC-Type: response\r\n\r\n", b"WARC/1.0\r\nContent-Length: x\r\n\r\n"],
+        ids=["headers-end-early", "no-length", "bad-length"],
+    )
+    def test_marker_after_a_garbage_run_counts_its_own_damage(self, damaged_marker):
+        data = FUZZ_RECORDS[0] + b"junk\r\nmore junk\r\n" + damaged_marker + b"after\r\n" + FUZZ_RECORDS[2]
+        records, stats = parse_warc(data)
+        assert [r.target_uri for r in records] == ["http://a.de/1", "http://a.de/2"]
+        assert (stats.emitted, stats.corrupt) == (2, 2)
+        assert (records, stats) == reference_parse_warc(data)
+
+    @pytest.mark.parametrize("parser", [parse_warc_stream, parse_arc_stream])
+    def test_nothing_is_read_before_the_first_next(self, parser):
+        class Untouched(io.RawIOBase):
+            def readable(self):
+                return True
+
+            def readinto(self, buffer):
+                raise AssertionError("read before the first next")
+
+        stats = ParseStats()
+        records = parser(Untouched(), stats)
+        with pytest.raises(AssertionError, match="before the first next"):
+            next(records)
 
 
 class TestArc:

@@ -972,6 +972,41 @@ def test_rank_rejects_a_damaged_forest(corpus, finished_run, tmp_path, capsys, c
     _assert_untouched(run_dir, finished_run, but="forest.txt")
 
 
+@pytest.mark.parametrize("keep", [1, 2, 3, 4, 5])
+def test_rank_names_forest_txt_when_its_header_is_cut(corpus, finished_run, tmp_path, capsys, keep):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    path = run_dir / "forest.txt"
+    path.write_text("".join(path.read_text(encoding="utf-8").splitlines(keepends=True)[:keep]), encoding="utf-8")
+    assert main(["rank", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: stage rank: ") and "forest.txt: " in err
+    _assert_untouched(run_dir, finished_run, but="forest.txt")
+
+
+def test_rank_names_the_line_of_a_bad_forest_parameter(corpus, finished_run, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    path = run_dir / "forest.txt"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(re.sub(r"num_trees=\d+", "num_trees=x", text, count=1), encoding="utf-8")
+    assert main(["rank", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    assert "forest.txt: line 2: " in capsys.readouterr().err
+
+
+def test_postings_count_that_disagrees_with_its_entries_exits_two(corpus, finished_run, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    path = run_dir / "postings.tsv"
+    first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    term, count, entries = first.split("\t", 2)
+    path.write_text(f"{term}\t{int(count) + 50}\t{entries}\n{rest}", encoding="utf-8")
+    assert main(["features", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: stage features: ") and "postings.tsv" in err and repr(term) in err
+    _assert_untouched(run_dir, finished_run, but="postings.tsv")
+
+
 @pytest.mark.parametrize("content", ["garbage", "{}", '{"stages": {}}', "[]"])
 def test_damaged_manifest_exits_two_before_the_stage_writes(corpus, finished_run, tmp_path, capsys, content):
     run_dir = tmp_path / "run"
