@@ -249,21 +249,27 @@ def write_instances(surrogates: dict[str, SurrogateDocument], fh) -> None:
             fh.write(f"{doc_id}\t{when}\t{escape(anchor)}\n")
 
 
-def read_index(docs_fh, postings_fh, instances_fh) -> tuple[dict[str, SurrogateDocument], IndexStats]:
+def read_index(docs, postings, instances) -> tuple[dict[str, SurrogateDocument], IndexStats]:
     """Rebuild surrogates (without revision timestamps, which live in the
-    revisions table) and their :func:`build_stats` from the persisted
-    files. Raises ValueError, naming the file and the term, when a posting
-    list's count is not its number of entries."""
+    revisions table) and their :func:`build_stats` from the lines of the
+    persisted files. Raises ValueError, naming the term, when a posting
+    list's count is not its number of entries or it lists a document
+    twice, and naming the document when it is not in docs.tsv."""
     surrogates: dict[str, SurrogateDocument] = {}
-    for doc_id, length, _revs in rows(docs_fh):
+    for doc_id, length, _revs in rows(docs):
         surrogates[doc_id] = SurrogateDocument(doc_id=doc_id, length=int(length))
-    for term, count, *entries in rows(postings_fh):
-        if int(count) != len(entries):
-            name = getattr(postings_fh, "name", "<stream>")
-            raise ValueError(f"{name}: term {term!r} counts {count} postings but lists {len(entries)}")
-        for entry in entries:
-            doc_id, tf = entry.rsplit(":", 1)
-            surrogates[doc_id].term_freqs[term] = int(tf)
-    for doc_id, when, anchor in rows(instances_fh):
-        surrogates[doc_id].anchor_instances.append((unescape(anchor), int(when)))
+    try:
+        for term, count, *entries in rows(postings):
+            if int(count) != len(entries):
+                raise ValueError(f"term {term!r} counts {count} postings but lists {len(entries)}")
+            for entry in entries:
+                doc_id, tf = entry.rsplit(":", 1)
+                term_freqs = surrogates[doc_id].term_freqs
+                if term in term_freqs:
+                    raise ValueError(f"term {term!r} lists document {doc_id!r} twice")
+                term_freqs[term] = int(tf)
+        for doc_id, when, anchor in rows(instances):
+            surrogates[doc_id].anchor_instances.append((unescape(anchor), int(when)))
+    except KeyError as exc:  # only a surrogates lookup raises it
+        raise ValueError(f"document {exc.args[0]!r} is not in docs.tsv") from None
     return surrogates, build_stats(surrogates)

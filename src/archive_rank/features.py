@@ -8,7 +8,7 @@ document) pairs can be processed in parallel without coordination.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -19,7 +19,7 @@ from .anchor_index import (
     tokenize_text,
 )
 from .ingest import RevisionRecord
-from .tables import entries, rows
+from . import tables
 from .urls import normalize, tokenize_url, url_depth
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "FeatureContext",
     "EvidenceSummary",
     "UnknownDocument",
-    "VectorFormatError",
     "extract_features",
     "anchor_time_spans",
     "rev_duration",
@@ -99,10 +98,6 @@ DEFAULT_SEARCH_SUBSTRINGS = ("query=",)
 class UnknownDocument(ValueError):
     """Raised when features are requested for a document the archive never
     captured."""
-
-
-class VectorFormatError(ValueError):
-    """Raised on malformed serialized feature-vector lines."""
 
 
 @dataclass(frozen=True)
@@ -347,26 +342,25 @@ def serialize_vectors(vectors: Iterable[FeatureVector], fh) -> int:
     return count
 
 
-def deserialize_vectors(fh) -> Iterator[FeatureVector]:
-    for line_no, line in enumerate(fh, start=1):
+def deserialize_vectors(lines) -> Iterator[FeatureVector]:
+    """The vectors of :func:`serialize_vectors` lines; a malformed line
+    raises ValueError or IndexError."""
+    for line in lines:
         line = line.rstrip("\n")
         if not line:
             continue
-        try:
-            body, doc_id = line.rsplit(" # ", 1)
-            parts = body.split(" ")
-            label = float(parts[0])
-            if not parts[1].startswith("qid:"):
-                raise ValueError("missing qid")
-            qid = int(parts[1][4:])
-            values = []
-            for i, item in enumerate(parts[2:], start=1):
-                idx, value = item.split(":", 1)
-                if int(idx) != i:
-                    raise ValueError(f"feature index {idx} out of order")
-                values.append(float(value))
-        except (ValueError, IndexError) as exc:
-            raise VectorFormatError(f"line {line_no}: {exc}") from exc
+        body, doc_id = line.rsplit(" # ", 1)
+        parts = body.split(" ")
+        label = float(parts[0])
+        if not parts[1].startswith("qid:"):
+            raise ValueError("missing qid")
+        qid = int(parts[1][4:])
+        values = []
+        for i, item in enumerate(parts[2:], start=1):
+            idx, value = item.split(":", 1)
+            if int(idx) != i:
+                raise ValueError(f"feature index {idx} out of order")
+            values.append(float(value))
         yield FeatureVector(qid, doc_id, label, tuple(values))
 
 
@@ -383,28 +377,34 @@ def group_by_query(vectors: Iterable[FeatureVector]) -> dict[int, list[FeatureVe
 
 def load_queries(path, citations: dict[int, dict[str, int]] | None = None) -> list[QueryRecord]:
     """queries.tsv: query_id <TAB> text <TAB> entity_type; each id once."""
-    with open(path, encoding="utf-8") as fh:
-        table = [(int(qid), text, etype) for qid, text, etype in rows(fh, comments=True)]
-    repeated = [qid for qid, n in Counter(qid for qid, _text, _etype in table).items() if n > 1]
-    if repeated:
-        raise ValueError(f"query id {repeated[0]} appears more than once in {path}")
-    return [QueryRecord(qid, text, etype, dict((citations or {}).get(qid, {}))) for qid, text, etype in table]
+
+    def parse(lines) -> list[QueryRecord]:
+        queries: dict[int, QueryRecord] = {}
+        for qid_text, text, etype in tables.rows(lines, comments=True):
+            qid = int(qid_text)
+            if qid in queries:
+                raise ValueError(f"query id {qid} appears more than once")
+            queries[qid] = QueryRecord(qid, text, etype, dict((citations or {}).get(qid, {})))
+        return list(queries.values())
+
+    return tables.read(parse, path)
 
 
 def load_wiki_citations(path) -> dict[int, dict[str, int]]:
     """wiki citation counts: query_id <TAB> domain <TAB> count."""
+    table = tables.read(
+        lambda lines: [(int(qid), domain, int(count)) for qid, domain, count in tables.rows(lines, comments=True)], path
+    )
     out: dict[int, dict[str, int]] = defaultdict(dict)
-    with open(path, encoding="utf-8") as fh:
-        for qid, domain, count in rows(fh, comments=True):
-            out[int(qid)][domain] = int(count)
+    for qid, domain, count in table:
+        out[qid][domain] = count
     return dict(out)
 
 
 def load_word_table(path) -> frozenset[str]:
     """One entry per line; entries ending in '=' act as raw substring
     patterns against the unsplit URL, everything else matches whole tokens."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(entry.lower() for entry in entries(fh))
+    return tables.read(lambda lines: frozenset(entry.lower() for entry in tables.entries(lines)), path)
 
 
 def load_entity_types(path) -> tuple[str, ...]:
@@ -412,9 +412,10 @@ def load_entity_types(path) -> tuple[str, ...]:
     closed built-in category list, so a loaded table may only name types
     from that list (it exists to validate query files against a run's
     configuration)."""
-    with open(path, encoding="utf-8") as fh:
-        types = tuple(entries(fh))
-    for name in types:
+
+    def known(name: str) -> str:
         if name not in ENTITY_TYPES:
-            raise ValueError(f"unknown entity type in {path}: {name!r}")
-    return types
+            raise ValueError(f"unknown entity type: {name!r}")
+        return name
+
+    return tables.read(lambda lines: tuple(known(name) for name in tables.entries(lines)), path)

@@ -624,61 +624,58 @@ def _single_int(fields: list[str]) -> int:
     return int(value)
 
 
-def _header_line(fh, name: str, line_no: int, key: str, parse, sep: str | None = None):
+def _header_line(lines, key: str, parse, sep: str | None = None):
     """``parse`` of the fields after ``key`` on the next line of a forest
-    file; raises ValueError naming the file and the line."""
-    line = fh.readline().rstrip("\n")
+    file."""
+    line = next(lines, "").rstrip("\n")
     fields = line.split(sep)
-    try:
-        if fields[:1] != [key]:
-            raise ValueError(f"expected a {key!r} line")
-        return parse(fields[1:])
-    except ValueError as exc:
-        raise ValueError(f"{name}: line {line_no}: {exc}, got {line!r}") from None
+    if fields[:1] != [key]:
+        raise ValueError(f"expected a {key!r} line, got {line!r}")
+    return parse(fields[1:])
 
 
-def read_forest(fh) -> Forest:
-    """The forest :func:`write_forest` wrote. Raises ValueError, naming the
-    file, unless the header holds the six parameters, the feature count,
-    the names and the importances, the trees are numbered 0..num_trees-1
-    with nothing after the last, each numbers its nodes 0..n-1 in order,
-    every node is a leaf (feature and both children -1) or a split on one
-    of the features whose children come after it, and there is one
-    importance per feature."""
+def read_forest(lines) -> Forest:
+    """The forest :func:`write_forest` wrote, from the lines of its file.
+    Raises ValueError unless the header holds the six parameters, the
+    feature count, the names and the importances, the trees are numbered
+    0..num_trees-1 with nothing after the last, each numbers its nodes
+    0..n-1 in order, every node is a leaf (feature and both children -1)
+    or a split on one of the features whose children come after it, and
+    there is one importance per feature."""
     import numpy as np
 
-    name = getattr(fh, "name", "<stream>")
-    magic = fh.readline().strip()
+    lines = iter(lines)
+    magic = next(lines, "").strip()
     if magic != _FOREST_MAGIC:
-        raise ValueError(f"{name}: not a forest file (header {magic!r})")
-    params = _header_line(fh, name, 2, "params", _params)
-    n_features = _header_line(fh, name, 3, "features", _single_int)
-    names = _header_line(fh, name, 4, "names", tuple, "\t")
+        raise ValueError(f"not a forest file (header {magic!r})")
+    params = _header_line(lines, "params", _params)
+    n_features = _header_line(lines, "features", _single_int)
+    names = _header_line(lines, "names", tuple, "\t")
     importances = _header_line(
-        fh, name, 5, "importances", lambda fields: np.array([float(v) for v in fields], dtype=np.float64), "\t"
+        lines, "importances", lambda fields: np.array([float(v) for v in fields], dtype=np.float64), "\t"
     )
     if len(names) != n_features:
-        raise ValueError(f"{name}: feature name count disagrees with header")
+        raise ValueError("feature name count disagrees with header")
     if len(importances) != n_features:
-        raise ValueError(f"{name}: {len(importances)} importances for {n_features} features")
+        raise ValueError(f"{len(importances)} importances for {n_features} features")
     if params.num_trees < 1:
-        raise ValueError(f"{name}: a forest of {params.num_trees} trees")
+        raise ValueError(f"a forest of {params.num_trees} trees")
     trees = []
     for k in range(params.num_trees):
-        header = fh.readline().split()
+        header = next(lines, "").split()
         if len(header) != 3 or header[:2] != ["tree", str(k)] or not header[2].isdigit() or header[2] == "0":
-            raise ValueError(f"{name}: expected tree {k} and its node count, got {header}")
+            raise ValueError(f"expected tree {k} and its node count, got {header}")
         n_nodes = int(header[2])
         nodes = []
         for i in range(n_nodes):
-            fields = fh.readline().split()
+            fields = next(lines, "").split()
             if len(fields) != 6 or fields[0] != str(i):
-                raise ValueError(f"{name}: tree {k}: expected node {i}, got {fields}")
+                raise ValueError(f"tree {k}: expected node {i}, got {fields}")
             f, lo, hi = int(fields[1]), int(fields[3]), int(fields[4])
             # children after their parent: every descent ends, within its tree
             if not (f == lo == hi == -1 or (0 <= f < n_features and i < lo < n_nodes and i < hi < n_nodes)):
                 raise ValueError(
-                    f"{name}: tree {k} node {i}: feature {f} and children {lo}, {hi} make neither"
+                    f"tree {k} node {i}: feature {f} and children {lo}, {hi} make neither"
                     f" a leaf (-1, -1, -1) nor a split (feature 0..{n_features - 1},"
                     f" children {i + 1}..{n_nodes - 1})"
                 )
@@ -693,6 +690,6 @@ def read_forest(fh) -> Forest:
                 np.array(value, dtype=np.float64),
             )
         )
-    if fh.readline():
-        raise ValueError(f"{name}: text after the last of {params.num_trees} trees")
+    if next(lines, ""):
+        raise ValueError(f"text after the last of {params.num_trees} trees")
     return Forest(trees, params, names, importances)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .ingest import ContentLink
 from .tables import rows
@@ -160,21 +160,18 @@ def write_nodes(g: Graph, fh) -> None:
         fh.write(f"{i}\t{name}\n")
 
 
-def _by_id(fields_rows, fh) -> list[str]:
-    """The value of each (id, value) row; raises ValueError, naming the
-    file, unless the ids number the rows 0..n-1 in order."""
-    values: list[str] = []
-    for fields in fields_rows:
-        if len(fields) != 2 or fields[0] != str(len(values)):
-            name = getattr(fh, "name", "<stream>")
-            raise ValueError(f"{name}: row {len(values)} is not (id {len(values)}, value): {fields}")
-        values.append(fields[1])
-    return values
+def _by_id(fields_rows) -> Iterator[str]:
+    """The value of each (id, value) row; raises ValueError unless the ids
+    number the rows 0..n-1 in order."""
+    for i, fields in enumerate(fields_rows):
+        if len(fields) != 2 or fields[0] != str(i):
+            raise ValueError(f"row {i} is not (id {i}, value): {fields}")
+        yield fields[1]
 
 
-def read_nodes(fh) -> tuple[str, ...]:
+def read_nodes(lines) -> tuple[str, ...]:
     """Node names in id order, as :func:`write_nodes` writes them."""
-    return tuple(_by_id(rows(fh), fh))
+    return tuple(_by_id(rows(lines)))
 
 
 def write_ranks(rank: RankVector, fh) -> None:
@@ -182,15 +179,12 @@ def write_ranks(rank: RankVector, fh) -> None:
         fh.write(f"{i} {score!r}\n")
 
 
-def read_rank_map(nodes_fh, ranks_fh) -> dict[str, float]:
-    """Score by node name, from a nodes file and its rank file. Raises
-    ValueError, naming the files, unless both number their rows 0..n-1 in
-    order and have one row per node."""
-    names = read_nodes(nodes_fh)
-    scores = _by_id((line.split() for line in ranks_fh if line.strip()), ranks_fh)
+def read_rank_map(nodes, ranks) -> dict[str, float]:
+    """Score by node name, from the lines of a nodes file and of its rank
+    file. Raises ValueError unless both number their rows 0..n-1 in order
+    and have one row per node; a row-count mismatch names the nodes file."""
+    names = read_nodes(nodes)
+    scores = [float(score) for score in _by_id(line.split() for line in ranks if line.strip())]
     if len(scores) != len(names):
-        raise ValueError(
-            f"{getattr(ranks_fh, 'name', '<stream>')} has {len(scores)} rows, "
-            f"but {getattr(nodes_fh, 'name', '<stream>')} lists {len(names)} nodes"
-        )
-    return dict(zip(names, map(float, scores)))
+        raise ValueError(f"{len(scores)} rows, but {getattr(nodes, 'name', '<stream>')} lists {len(names)} nodes")
+    return dict(zip(names, scores))

@@ -16,7 +16,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .tables import rows
+from . import tables
 from .urls import UrlError, core_url_str
 
 __all__ = [
@@ -259,25 +259,17 @@ def load_snapshots(serp_dir) -> dict[int, list[ResultSnapshot]]:
         if not m:
             continue
         qid, fetched_at = int(m.group(1)), m.group(2)
-        urls: list[str] = []
-        seen: set[str] = set()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                url = line.strip()
-                if not url or url in seen:
-                    continue
-                seen.add(url)
-                urls.append(url)
-                if len(urls) >= SNAPSHOT_LIMIT:
-                    break
-        out[qid].append(ResultSnapshot(qid, fetched_at, tuple(urls)))
+        urls = tables.read(lambda lines: tuple(dict.fromkeys(filter(None, map(str.strip, lines)))), path)
+        out[qid].append(ResultSnapshot(qid, fetched_at, urls[:SNAPSHOT_LIMIT]))
     return dict(out)
 
 
 def load_judgments(path) -> list[ManualJudgment]:
     """judgments.tsv: query_id <TAB> doc_id <TAB> assessor_id <TAB> grade."""
-    with open(path, encoding="utf-8") as fh:
-        return [
+    return tables.read(
+        lambda lines: [
             ManualJudgment(int(qid), doc_id, assessor, int(grade))
-            for qid, doc_id, assessor, grade in rows(fh, comments=True)
-        ]
+            for qid, doc_id, assessor, grade in tables.rows(lines, comments=True)
+        ],
+        path,
+    )

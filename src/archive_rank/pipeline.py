@@ -388,29 +388,13 @@ def _suffix_table(cfg: RunConfig) -> SuffixTable:
     return SuffixTable.from_file(path) if path else SuffixTable()
 
 
-def _read_revisions(run_dir: Path) -> list[ingest.RevisionRecord]:
-    with open(run_dir / "revisions.tsv", encoding="utf-8") as fh:
-        return list(ingest.read_revisions_tsv(fh))
+def _listed(read_rows: Callable) -> Callable:
+    """A parser for tables.read: the rows ``read_rows`` yields, listed while the
+    file is open. Callers look the reader up at the call, as a tracer rebinds it."""
+    return lambda lines: list(read_rows(lines))
 
 
-def _read_content_links(run_dir: Path) -> list[ingest.ContentLink]:
-    with open(run_dir / "content_links.tsv", encoding="utf-8") as fh:
-        return list(ingest.read_content_links_tsv(fh))
-
-
-def _read_index(run_dir: Path):
-    with open(run_dir / "docs.tsv", encoding="utf-8") as docs, open(
-        run_dir / "postings.tsv", encoding="utf-8"
-    ) as postings, open(run_dir / "instances.tsv", encoding="utf-8") as instances:
-        return anchor_index.read_index(docs, postings, instances)
-
-
-def _rank_map(run_dir: Path, nodes_name: str, ranks_name: str) -> dict[str, float]:
-    """Score by node name."""
-    with open(run_dir / nodes_name, encoding="utf-8") as nodes, open(
-        run_dir / ranks_name, encoding="utf-8"
-    ) as ranks:
-        return graph.read_rank_map(nodes, ranks)
+_INDEX = ("docs.tsv", "postings.tsv", "instances.tsv")
 
 
 def _query_table(cfg: RunConfig) -> tuple[list[QueryRecord], int]:
@@ -435,15 +419,15 @@ def _query_table(cfg: RunConfig) -> tuple[list[QueryRecord], int]:
 
 
 def _build_context(cfg: RunConfig, run_dir: Path) -> FeatureContext:
-    surrogates, stats = _read_index(run_dir)
+    surrogates, stats = tables.read(anchor_index.read_index, *(run_dir / name for name in _INDEX))
     news_path = cfg.path("paths.news_domains")
     words_path = cfg.path("paths.search_words")
     return FeatureContext.build(
-        _read_revisions(run_dir),
+        tables.read(_listed(ingest.read_revisions_tsv), run_dir / "revisions.tsv"),
         surrogates,
         stats,
-        page_rank=_rank_map(run_dir, "nodes.tsv", "page_rank.tsv"),
-        domain_rank=_rank_map(run_dir, "domain_nodes.tsv", "domain_rank.tsv"),
+        page_rank=tables.read(graph.read_rank_map, run_dir / "nodes.tsv", run_dir / "page_rank.tsv"),
+        domain_rank=tables.read(graph.read_rank_map, run_dir / "domain_nodes.tsv", run_dir / "domain_rank.tsv"),
         news_domains=load_word_table(news_path) if news_path else (),
         search_words=load_word_table(words_path) if words_path else None,
     )
@@ -506,7 +490,7 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     damping = cfg["pagerank.damping"]
     tolerance = cfg["pagerank.tolerance"]
     max_iter = cfg["pagerank.max_iterations"]
-    content = _read_content_links(run_dir)
+    content = tables.read(_listed(ingest.read_content_links_tsv), run_dir / "content_links.tsv")
     page = graph.build_page_graph(content)
     if page.node_count == 0:
         raise StageDataError("no content links: the page graph is empty")
@@ -536,7 +520,9 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
 
 def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     surrogates = anchor_index.build_surrogates(
-        _read_content_links(run_dir), _read_revisions(run_dir), cfg["index.strategy"]
+        tables.read(_listed(ingest.read_content_links_tsv), run_dir / "content_links.tsv"),
+        tables.read(_listed(ingest.read_revisions_tsv), run_dir / "revisions.tsv"),
+        cfg["index.strategy"],
     )
     outputs = {
         "docs.tsv": lambda fh: anchor_index.write_docs(surrogates, fh),
@@ -554,9 +540,8 @@ def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
 
 def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     top_n = cfg["stats.top_n_domains"] or None
-    rows = anchor_index.anchor_distribution(
-        _read_content_links(run_dir), cfg["stats.group_by_year"], top_n
-    )
+    content = tables.read(_listed(ingest.read_content_links_tsv), run_dir / "content_links.tsv")
+    rows = anchor_index.anchor_distribution(content, cfg["stats.group_by_year"], top_n)
 
     def write_dist(fh):
         fh.write("year,k,count\n")
@@ -577,11 +562,6 @@ def _stage_features(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     return outputs, {"vectors": len(vectors), "queries": len(queries), "invalid_queries": invalid}
 
 
-def _read_vectors(run_dir: Path):
-    with open(run_dir / "features.txt", encoding="utf-8") as fh:
-        return list(deserialize_vectors(fh))
-
-
 # The evidences of the paper's study, each read off a feature vector.
 # anchor_freq is the share of the inlink_count anchor instances that hold
 # every query token, so their product, rounded, is the count of those.
@@ -598,7 +578,7 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     of them in the query's snapshots (set B)."""
     import numpy as np
 
-    vectors = _read_vectors(run_dir)
+    vectors = tables.read(_listed(deserialize_vectors), run_dir / "features.txt")
     grouped = group_by_query(vectors)
     serp_dir = cfg.path("paths.serp_dir")
     snapshots = labeling.load_snapshots(serp_dir) if serp_dir else {}
@@ -662,19 +642,17 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     return outputs, counts
 
 
-def _read_labels(run_dir: Path) -> dict[tuple[int, str], tuple[float, float | None]]:
-    with open(run_dir / "labels.tsv", encoding="utf-8") as fh:
-        return {
-            (int(qid), doc): (float(soft), None if man == "-" else float(man))
-            for qid, doc, soft, man in tables.rows(fh)
-        }
+def _labels(lines) -> dict[tuple[int, str], tuple[float, float | None]]:
+    return {
+        (int(qid), doc): (float(soft), None if man == "-" else float(man))
+        for qid, doc, soft, man in tables.rows(lines)
+    }
 
 
-def _read_pool(run_dir: Path) -> dict[int, list[str]]:
+def _pool(lines) -> dict[int, list[str]]:
     pool: dict[int, list[str]] = {}
-    with open(run_dir / "sample.tsv", encoding="utf-8") as fh:
-        for qid, doc, _prov in tables.rows(fh):
-            pool.setdefault(int(qid), []).append(doc)
+    for qid, doc, _prov in tables.rows(lines):
+        pool.setdefault(int(qid), []).append(doc)
     return pool
 
 
@@ -696,9 +674,9 @@ def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
         for ml in cfg["rf.grid.min_leaf"]
         for fps in cfg["rf.grid.features_per_split"]
     ]
-    vectors = _read_vectors(run_dir)
-    labels = _read_labels(run_dir)
-    pooled_docs = {qid: set(docs) for qid, docs in _read_pool(run_dir).items()}
+    vectors = tables.read(_listed(deserialize_vectors), run_dir / "features.txt")
+    labels = tables.read(_labels, run_dir / "labels.tsv")
+    pooled_docs = {qid: set(docs) for qid, docs in tables.read(_pool, run_dir / "sample.tsv").items()}
     training = []
     unlabeled = 0  # pooled rows without a manual grade
     for vec in vectors:
@@ -724,11 +702,11 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     """Score every pooled (query, document) row once per system: the forest,
     anchor BM25 over the index, and the ``pagerank_core`` and
     ``query_in_url`` columns of the row's feature vector."""
-    with open(run_dir / "forest.txt", encoding="utf-8") as fh:
-        forest = read_forest(fh)
-    vectors = {(v.query_id, v.doc_id): v for v in _read_vectors(run_dir)}
-    pool = _read_pool(run_dir)
-    surrogates, stats = _read_index(run_dir)
+    forest = tables.read(read_forest, run_dir / "forest.txt")
+    features = tables.read(_listed(deserialize_vectors), run_dir / "features.txt")
+    vectors = {(v.query_id, v.doc_id): v for v in features}
+    pool = tables.read(_pool, run_dir / "sample.tsv")
+    surrogates, stats = tables.read(anchor_index.read_index, *(run_dir / name for name in _INDEX))
     query_tokens = {q.query_id: q.tokens for q in _query_table(cfg)[0]}
     pooled = [
         vectors[(qid, doc)]
@@ -759,16 +737,18 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     return {"runs.tsv": lambda fh: fh.writelines(lines)}, {"run_rows": len(lines), "systems": len(SYSTEMS)}
 
 
+def _runs(lines) -> dict[str, dict[int, list[tuple[str, float, int]]]]:
+    runs: dict[str, dict[int, list[tuple[str, float, int]]]] = {}
+    for system, qid, doc, score, rank in tables.rows(lines):
+        runs.setdefault(system, {}).setdefault(int(qid), []).append((doc, float(score), int(rank)))
+    return runs
+
+
 def _stage_eval(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     import numpy as np
 
-    labels = _read_labels(run_dir)
-    runs: dict[str, dict[int, list[tuple[str, float, int]]]] = {}
-    with open(run_dir / "runs.tsv", encoding="utf-8") as fh:
-        for system, qid_s, doc, score, rank in tables.rows(fh):
-            runs.setdefault(system, {}).setdefault(int(qid_s), []).append(
-                (doc, float(score), int(rank))
-            )
+    labels = tables.read(_labels, run_dir / "labels.tsv")
+    runs = tables.read(_runs, run_dir / "runs.tsv")
     per_system: dict[str, dict[str, list[float]]] = {}
     qids: list[int] = sorted({qid for by_q in runs.values() for qid in by_q})
     for system in SYSTEMS:

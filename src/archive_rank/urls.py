@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, replace
 from urllib.parse import urlsplit
 
-from .tables import entries
+from . import tables
 
 __all__ = [
     "UrlError",
@@ -168,8 +168,7 @@ class SuffixTable:
     @classmethod
     def from_file(cls, path) -> "SuffixTable":
         """Load one suffix per line; blank lines and '#' comments ignored."""
-        with open(path, encoding="utf-8") as fh:
-            return cls(tuple(entries(fh)) or DEFAULT_SUFFIXES)
+        return tables.read(lambda lines: cls(tuple(tables.entries(lines)) or DEFAULT_SUFFIXES), path)
 
     def registrable_domain(self, host: str) -> str:
         host = host.lower().strip(".")

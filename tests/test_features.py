@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from archive_rank import pipeline
+from archive_rank import pipeline, tables
 from archive_rank.anchor_index import build_stats, build_surrogates
 from archive_rank.features import (
     BASE_FEATURES,
@@ -13,7 +13,6 @@ from archive_rank.features import (
     FeatureContext,
     QueryRecord,
     UnknownDocument,
-    VectorFormatError,
     anchor_time_spans,
     candidate_docs,
     deserialize_vectors,
@@ -318,10 +317,11 @@ class TestSerialization:
         groups = group_by_query(deserialize_vectors(buf))
         assert sorted(len(v) for v in groups.values()) == [1, 2]
 
-    def test_malformed_line_reports_line_number(self):
-        buf = io.StringIO("0.5 qid:1 1:0.0 # http://a.de/\nbroken line\n")
-        with pytest.raises(VectorFormatError) as err:
-            list(deserialize_vectors(buf))
+    def test_malformed_line_reports_line_number(self, tmp_path):
+        path = tmp_path / "features.txt"
+        path.write_text("0.5 qid:1 1:0.0 # http://a.de/\nbroken line\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            tables.read(lambda lines: list(deserialize_vectors(lines)), path)
         assert "line 2" in str(err.value)
 
     def test_extraction_deterministic(self):

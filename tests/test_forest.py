@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from archive_rank import forest as forest_module
+from archive_rank import tables
 from archive_rank.features import FeatureVector
 from archive_rank.forest import (
     Forest,
@@ -563,6 +564,14 @@ DAMAGED_FORESTS = [
     ("features-line-renamed", lambda lines: [*lines[:2], lines[2].replace("features", "feature"), *lines[3:]]),
     ("names-line-missing", lambda lines: lines[:3] + lines[4:]),
     ("importance-not-a-float", lambda lines: lines[:4] + [lines[4] + "\tnan?"] + lines[5:]),
+    # node lines: a field that is not a number, and a node count that
+    # str.isdigit accepts but int rejects
+    ("node-field-not-a-number", lambda lines: [
+        *lines[: _node_line(lines, 0, -1)], "tree 0 1", "0 x 0.0 -1 -1 0.5", *lines[_node_line(lines, 1, -1) :]
+    ]),
+    ("node-count-superscript", lambda lines: [
+        "tree 0 \u00b2" if line.startswith("tree 0 ") else line for line in lines
+    ]),
 ]
 
 
@@ -577,5 +586,5 @@ class TestDamagedForest:
         lines = forest_bytes(forest).decode("utf-8").splitlines()
         path = tmp_path / "forest.txt"
         path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
-        with open(path, encoding="utf-8") as fh, pytest.raises(ValueError, match="forest.txt"):
-            read_forest(fh)
+        with pytest.raises(ValueError, match=r"forest\.txt: line \d+: "):
+            tables.read(read_forest, path)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import sparse
 
+from archive_rank import tables
 from archive_rank.graph import (
     Graph,
     GraphError,
@@ -303,7 +304,6 @@ class TestPersistence:
     def test_rank_map_checks_ids_and_rows_against_the_nodes(self, tmp_path, nodes, ranks, problem, named):
         (tmp_path / "nodes.tsv").write_text(nodes)
         (tmp_path / "ranks.tsv").write_text(ranks)
-        with open(tmp_path / "nodes.tsv") as nf, open(tmp_path / "ranks.tsv") as rf:
-            with pytest.raises(ValueError, match=problem) as err:
-                read_rank_map(nf, rf)
+        with pytest.raises(ValueError, match=problem) as err:
+            tables.read(read_rank_map, tmp_path / "nodes.tsv", tmp_path / "ranks.tsv")
         assert named in str(err.value)

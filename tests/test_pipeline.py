@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from archive_rank import anchor_index, ingest, labeling, pipeline
+from archive_rank import anchor_index, graph, ingest, labeling, pipeline, tables
 from archive_rank.anchor_index import tokenize_text
 from archive_rank.cli import main
 from archive_rank.features import FEATURE_NAMES, QueryRecord, candidate_docs, deserialize_vectors, group_by_query
@@ -239,8 +239,8 @@ class TestFullPipeline:
         assert [v.values[column] for v in vectors] == [float(inlinks[v.doc_id]) for v in vectors]
         assert any(v.values[column] for v in vectors)
         # each baseline row against its definition, from the upstream artifacts
-        page_rank = pipeline._rank_map(finished_run, "nodes.tsv", "page_rank.tsv")
-        surrogates, stats = pipeline._read_index(finished_run)
+        page_rank = tables.read(graph.read_rank_map, finished_run / "nodes.tsv", finished_run / "page_rank.tsv")
+        surrogates, stats = tables.read(anchor_index.read_index, *(finished_run / name for name in pipeline._INDEX))
         queries = {q.query_id: q for q in pipeline._query_table(cfg)[0]}
         rows = Counter()
         for line in (finished_run / "runs.tsv").read_text(encoding="utf-8").splitlines():
@@ -268,7 +268,7 @@ class TestFullPipeline:
         cfg = load_config(corpus.config_path)
         with open(finished_run / "revisions.tsv", encoding="utf-8") as fh:
             captures = Counter(r.core_url for r in ingest.read_revisions_tsv(fh))
-        surrogates, _stats = pipeline._read_index(finished_run)
+        surrogates, _stats = tables.read(anchor_index.read_index, *(finished_run / name for name in pipeline._INDEX))
         snapshots = labeling.load_snapshots(cfg.path("paths.serp_dir"))
         with open(finished_run / "features.txt", encoding="utf-8") as fh:
             candidates = group_by_query(deserialize_vectors(fh))
@@ -583,6 +583,58 @@ def test_the_guard_sees_a_handler_write():
     assert stage_writes(source) == [
         "_stage_a: _atomic_write", "_stage_a: open", "_stage_a: open", "_stage_a: write_text", "_stage_b: open",
     ]
+
+
+def table_reads(source: str, module: str) -> list[str]:
+    """``<module>.<function>`` for each call that opens a file to read it:
+    ``read_text``/``read_bytes``, or an ``open`` whose mode is not a
+    constant free of ``w``, ``a``, ``x`` and ``+``. The function is the
+    innermost ``def`` around the call."""
+    found = []
+
+    def visit(node, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                method = isinstance(child.func, ast.Attribute)
+                name = child.func.attr if method else getattr(child.func, "id", "")
+                position = 0 if method else 1  # path.open(mode) or open(file, mode)
+                modes = [k.value for k in child.keywords if k.arg == "mode"] + child.args[position : position + 1]
+                writes = modes and all(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes)
+                if name in ("read_text", "read_bytes") or (name == "open" and not writes):
+                    found.append(f"{module}.{function}")
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+# the reads that are not tables: the config, the manifest, /proc, and the
+# binary opens of the digests and the containers
+NOT_TABLES = ["pipeline.load_config", "pipeline._peak_rss_kb", "pipeline._sha256_file", "pipeline._read_manifest",
+              "pipeline._stage_ingest"]
+
+
+def test_tables_read_is_the_one_place_a_table_is_opened():
+    found = []
+    for path in sorted(Path(pipeline.__file__).parent.glob("*.py")):
+        found += table_reads(path.read_text(encoding="utf-8"), path.stem)
+    assert sorted(found) == sorted(["tables.read", *NOT_TABLES])
+
+
+def test_the_guard_sees_a_table_opened_for_reading():
+    source = (
+        "def reader(path):\n"
+        "    open(path), open(path, 'rb'), open(path, mode='rt'), path.open(), path.read_text()\n"
+        "    open(path, 'w'), open(path, 'ab'), path.open('x'), path.open(mode='r+'), path.write_text('')\n"
+        "def outer(path, mode):\n"
+        "    def inner():\n"
+        "        return open(path, mode)\n"
+        "    return lambda: path.read_bytes()\n"
+    )
+    assert table_reads(source, "m") == ["m.reader"] * 5 + ["m.inner", "m.outer"]
 
 
 def test_readme_stage_table_lists_what_each_stage_writes():
@@ -968,7 +1020,7 @@ def test_rank_rejects_a_damaged_forest(corpus, finished_run, tmp_path, capsys, c
     path.write_text("".join(lines), encoding="utf-8")
     assert main(["rank", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: stage rank: ") and "forest.txt: tree 0 node 0:" in err
+    assert err.startswith("data error: stage rank: ") and re.search(r"forest\.txt: line \d+: tree 0 node 0:", err)
     _assert_untouched(run_dir, finished_run, but="forest.txt")
 
 
@@ -1124,3 +1176,106 @@ def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
     for name in names:
         if name != "manifest.json":
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "artifact, damage", [("postings.tsv", "twice"), ("postings.tsv", "missing"), ("instances.tsv", "missing")]
+)
+@pytest.mark.parametrize("stage", ["features", "rank"])
+def test_an_index_row_that_disagrees_with_docs_tsv_exits_two(
+    corpus, finished_run, tmp_path, capsys, artifact, damage, stage
+):
+    # the first posting list repeats its first document, or names one that
+    # docs.tsv lacks; an instance row before the first names one too
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    path = run_dir / artifact
+    first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    doc = "http://nowhere.de/"
+    expected = f"document {doc!r} is not in docs.tsv"
+    if artifact == "instances.tsv":
+        first = f"{doc}\t5\tanchor\n{first}"
+    else:
+        term, count, entries = first.split("\t", 2)
+        if damage == "twice":
+            doc = entries.split("\t", 1)[0].rsplit(":", 1)[0]
+            expected = f"term {term!r} lists document {doc!r} twice"
+        first = f"{term}\t{int(count) + 1}\t{entries}\t{doc}:7"
+    path.write_text(f"{first}\n{rest}", encoding="utf-8")
+    assert main([stage, "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: stage {stage}: {path}: line 1: ") and expected in err
+    _assert_untouched(run_dir, finished_run, but=artifact)
+
+
+# Each table a stage reads -> (field separator, index of a field that must
+# be a number). The resource tables live beside the config; every other
+# name is a run-directory artifact.
+_NUMBER_FIELD = {
+    "revisions.tsv": ("\t", 2),
+    "content_links.tsv": ("\t", 2),
+    "nodes.tsv": ("\t", 0),
+    "domain_nodes.tsv": ("\t", 0),
+    "page_rank.tsv": (" ", 1),
+    "domain_rank.tsv": (" ", 1),
+    "docs.tsv": ("\t", 1),
+    "postings.tsv": ("\t", 1),
+    "instances.tsv": ("\t", 1),
+    "features.txt": (" ", 0),
+    "labels.tsv": ("\t", 2),
+    "sample.tsv": ("\t", 0),
+    "forest.txt": (" ", -1),
+    "runs.tsv": ("\t", 3),
+    "queries.tsv": ("\t", 0),
+    "wiki_citations.tsv": ("\t", 2),
+    "judgments.tsv": ("\t", 3),
+}
+_RESOURCES = {"queries.tsv": "paths.queries", "wiki_citations.tsv": "paths.wiki_citations", "judgments.tsv": "paths.judgments"}
+_READS = [
+    *((stage, artifact) for stage, (_handler, reads, _writes) in pipeline._STAGES.items() for artifact in reads),
+    ("features", "queries.tsv"),
+    ("features", "wiki_citations.tsv"),
+    ("label", "judgments.tsv"),
+]
+
+
+def _damaged(text: str, artifact: str, damage: str) -> tuple[bytes, int]:
+    """``text`` with ``damage`` at its middle line, and that line's number."""
+    lines = text.splitlines(keepends=True)
+    middle = len(lines) // 2
+    if damage == "garbage":
+        lines.insert(middle, "garbage\n")
+    elif damage == "not-a-number":
+        sep, column = _NUMBER_FIELD[artifact]
+        fields = lines[middle].rstrip("\n").split(sep)
+        fields[column] = "x"
+        lines[middle] = sep.join(fields) + "\n"
+    data = "".join(lines).encode("utf-8")
+    if damage == "not-utf-8":
+        at = len("".join(lines[:middle]).encode("utf-8"))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, middle + 1
+
+
+@pytest.mark.parametrize("stage, artifact", _READS, ids=[f"{s}-{a}" for s, a in _READS])
+@pytest.mark.parametrize("damage", ["garbage", "not-a-number", "not-utf-8"])
+def test_a_damaged_row_is_named_by_file_and_line(corpus, finished_run, tmp_path, capsys, stage, artifact, damage):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    config = corpus.config_path
+    if artifact in _RESOURCES:
+        key = _RESOURCES[artifact]
+        original = load_config(config).path(key)
+        path = original.with_name(f"{damage}-{artifact}")
+        config = _config_with(corpus, f"{key}={path}")
+    else:
+        path = original = run_dir / artifact
+    data, line = _damaged(original.read_text(encoding="utf-8"), artifact, damage)
+    path.write_bytes(data)
+    assert main([stage, "--config", str(config), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    where = r"after line \d+" if damage == "not-utf-8" else f"line {line}"
+    assert re.match(rf"data error: stage {stage}: {re.escape(str(path))}: {where}: ", err), err
+    if damage == "not-utf-8":
+        assert int(re.search(r"after line (\d+)", err).group(1)) < line
+    _assert_untouched(run_dir, finished_run, but=artifact)

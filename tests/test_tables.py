@@ -1,12 +1,13 @@
 """The shared line format: escaping, and how every table and list reader
 treats blank lines, ``#`` comments and damaged rows."""
 import io
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from archive_rank import anchor_index, graph, ingest, pipeline
+from archive_rank import anchor_index, graph, ingest, pipeline, tables
 from archive_rank.features import load_entity_types, load_queries, load_wiki_citations, load_word_table
 from archive_rank.labeling import load_judgments
 from archive_rank.tables import entries, escape, rows, unescape
@@ -34,14 +35,6 @@ def _index(docs: str, postings: str, instances: str):
 _DOCS = "http://t.de/\t2\t1\n"
 _POSTINGS = "alpha\t1\thttp://t.de/:1\nbeta\t1\thttp://t.de/:1\n"
 _INSTANCES = "http://t.de/\t5\talpha\\tbeta\n"
-
-
-def _in_run_dir(name: str, read):
-    def reader(path):
-        path.rename(path.with_name(name))
-        return read(path.parent)
-
-    return reader
 
 
 def _stream(read):
@@ -74,12 +67,12 @@ READERS = {
     "instances.tsv": (_stream(lambda fh: _index(_DOCS, _POSTINGS, fh.read())), _INSTANCES, False),
     "nodes.tsv": (_stream(graph.read_nodes), "0\thttp://a.de/\n1\thttp://b.de/\n", False),
     "labels.tsv": (
-        _in_run_dir("labels.tsv", pipeline._read_labels),
+        lambda path: tables.read(pipeline._labels, path),
         "1\thttp://a.de/\t0.5\t-\n1\thttp://b.de/\t0.0\t1.0\n",
         False,
     ),
     "sample.tsv": (
-        _in_run_dir("sample.tsv", pipeline._read_pool),
+        lambda path: tables.read(pipeline._pool, path),
         "1\thttp://a.de/\tsample\n2\thttp://b.de/\tpositive\n",
         False,
     ),
@@ -127,3 +120,23 @@ def test_run_tables_take_no_comments_or_odd_rows(tmp_path, name, damage):
     damaged = "# a comment\n" + text if damage == "comment" else text.replace("\n", "\tx\n", 1)
     with pytest.raises(ValueError):
         _read(tmp_path / "damaged", name, damaged)
+
+
+def test_read_names_the_file_read_last_and_the_line_taken(tmp_path):
+    counts, empty = tmp_path / "counts.tsv", tmp_path / "empty.tsv"
+    counts.write_text("1\n2\n", encoding="utf-8")
+    empty.write_text("", encoding="utf-8")
+
+    def parse(numbers, rest):
+        total = sum(map(int, numbers))
+        if not list(rest):
+            raise ValueError(f"{total} counted, then nothing")
+        return total
+
+    assert tables.read(parse, counts, counts) == 3
+    # the empty file, started after the other, is the one named
+    with pytest.raises(ValueError, match=f"^{re.escape(str(empty))}: line 0: 3 counted, then nothing$"):
+        tables.read(parse, counts, empty)
+    counts.write_text("1\n?\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(counts))}: line 2: invalid literal"):
+        tables.read(parse, counts, empty)
