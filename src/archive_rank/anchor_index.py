@@ -185,7 +185,7 @@ def anchor_distribution(
     targets in the N domains holding the most member core URLs (ties broken
     lexicographically).
     """
-    pairs: list[tuple[int, str, str, str]] = []  # (year-or-0, anchor, target, domain)
+    pairs: set[tuple[int, str, str, str]] = set()  # distinct (year-or-0, anchor, target, domain)
     members: dict[str, set[str]] = defaultdict(set)
     years: dict[int, int] = {}  # by capture time, which every link of a revision shares
     for link in links:
@@ -195,7 +195,7 @@ def anchor_distribution(
             if link.capture_time not in years:
                 years[link.capture_time] = _year_of(link.capture_time)
             year = years[link.capture_time]
-        pairs.append((year, link.anchor_text, link.target, link.target_domain))
+        pairs.add((year, link.anchor_text, link.target, link.target_domain))
 
     keep: set[str] | None = None
     if top_n_domains is not None:

@@ -218,7 +218,27 @@ def _read_container(records: Callable, stream: BinaryIO, stats: ParseStats | Non
         stats.corrupt += 1
 
 
+# The fixed forms that containers write: ASCII digits only, no fraction or offset.
+_WARC_DATE = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
+_ARC_DATE = re.compile(r"(\d{4})(\d\d)(\d\d)(\d\d)(\d\d)(\d\d)", re.ASCII)
+
+
+def _fixed_form_epoch(form: re.Pattern, value: str) -> int | None:
+    """Epoch seconds of ``value`` when it is all of ``form`` and a valid UTC
+    time; otherwise None, and the caller's ``strptime`` path decides."""
+    m = form.fullmatch(value)
+    if m is None:
+        return None
+    try:
+        return int(datetime(*map(int, m.groups()), tzinfo=timezone.utc).timestamp())
+    except ValueError:
+        return None
+
+
 def _parse_warc_date(value: str) -> int | None:
+    fast = _fixed_form_epoch(_WARC_DATE, value)
+    if fast is not None:
+        return fast
     value = value.strip()
     value = re.sub(r"\.\d+Z$", "Z", value)
     for fmt in ("%Y-%m-%dT%H:%M:%SZ", "%Y-%m-%dT%H:%M:%S%z"):
@@ -233,6 +253,9 @@ def _parse_warc_date(value: str) -> int | None:
 
 
 def _parse_arc_date(value: str) -> int | None:
+    fast = _fixed_form_epoch(_ARC_DATE, value)
+    if fast is not None:
+        return fast
     if len(value) != 14 or not value.isdigit():
         return None
     try:
@@ -501,7 +524,13 @@ class UrlResolver:
             except UrlError:
                 self._ends[url] = None
             else:
-                self._ends[url] = UrlEnds(str(n), str(core_url(n)), domain_of(n, self._suffixes))
+                # one string object per distinct value: a canonical URL is
+                # its own full and core URL, and many URLs share a domain
+                full = str(n)
+                full = url if full == url else full
+                core = str(core_url(n))
+                core = full if core == full else core
+                self._ends[url] = UrlEnds(full, core, sys.intern(domain_of(n, self._suffixes)))
         return self._ends[url]
 
     def href(self, base: str, href: str) -> str | None:

@@ -250,13 +250,17 @@ def pool_with_positives(sample: Iterable[str], dataset_b: Iterable[str]) -> dict
 # file ingestion
 
 
-def load_snapshots(serp_dir) -> dict[int, list[ResultSnapshot]]:
+def load_snapshots(serp_dir, counts: dict[str, int] | None = None) -> dict[int, list[ResultSnapshot]]:
     """Read ``<query_id>_<date>.txt`` files (one URL per line, rank = line
-    number, top-100 kept) grouped by query."""
+    number, top-100 kept) grouped by query. Any other entry of ``serp_dir``
+    is skipped, and counted under ``misnamed_snapshots`` in ``counts`` when
+    given."""
     out: dict[int, list[ResultSnapshot]] = defaultdict(list)
     for path in sorted(Path(serp_dir).iterdir()):
         m = _SNAPSHOT_NAME.match(path.name)
         if not m:
+            if counts is not None:
+                counts["misnamed_snapshots"] = counts.get("misnamed_snapshots", 0) + 1
             continue
         qid, fetched_at = int(m.group(1)), m.group(2)
         urls = tables.read(lambda lines: tuple(dict.fromkeys(filter(None, map(str.strip, lines)))), path)

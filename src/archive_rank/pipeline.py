@@ -12,13 +12,19 @@ the same inputs and seed reproduces every primary artifact byte for byte.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
+import marshal
 import math
 import os
 import resource
+import tempfile
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from itertools import groupby, islice, starmap
+from operator import attrgetter
 from pathlib import Path
 
 from . import anchor_index, graph, ingest, labeling, tables
@@ -443,45 +449,151 @@ def _json(data) -> Callable:
     return lambda fh: fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+# ingest sorts its revisions and links in runs of at most this many
+# records, and spills each full run to disk: a bound on the stage's memory,
+# not a setting
+_RUN_RECORDS = 1 << 15
+_FAN_IN = 32  # runs merged at once; a merge holds one block of each
+
+
+class _ExternalSort:
+    """Tuples in ascending order, by the external merge sort of Knuth, TAOCP
+    vol. 3, §5.4. :meth:`add` collects runs of at most ``_RUN_RECORDS``;
+    each full run is sorted and appended in marshal blocks to ``spill``, an
+    open binary file that the sorts of a stage may share. Iterating merges
+    the spilled runs, at most ``_FAN_IN`` at a time, and holds one block of
+    each, so a merge holds one run's worth of records. Records that fit in
+    one run are sorted in memory and never spilled."""
+
+    def __init__(self, spill) -> None:
+        self.spill = spill
+        self.run: list[tuple] = []
+        self.spilled: list[tuple[int, int]] = []  # each run's (start, end) offsets
+
+    def add(self, record: tuple) -> None:
+        self.run.append(record)
+        if len(self.run) >= _RUN_RECORDS:
+            self._spill_run()
+
+    def _spill_run(self) -> None:
+        run, self.run = self.run, []
+        run.sort()
+        self.spilled.append(self._append(iter(run)))
+
+    def _append(self, records: Iterator[tuple]) -> tuple[int, int]:
+        """Append the sorted ``records`` to the spill as one run of
+        size-prefixed blocks; its (start, end) offsets."""
+        start = end = self.spill.seek(0, os.SEEK_END)
+        while block := list(islice(records, max(1, _RUN_RECORDS // _FAN_IN))):
+            data = marshal.dumps(block)
+            self.spill.seek(end)  # reading records may have moved it
+            end += self.spill.write(len(data).to_bytes(8, "little")) + self.spill.write(data)
+        return start, end
+
+    def _replay(self, run: tuple[int, int]) -> Iterator[tuple]:
+        position, end = run
+        while position < end:
+            self.spill.seek(position)
+            size = int.from_bytes(self.spill.read(8), "little")
+            position += 8 + size
+            yield from marshal.loads(self.spill.read(size))
+
+    def __iter__(self) -> Iterator[tuple]:
+        if not self.spilled:
+            run, self.run = self.run, []
+            run.sort()
+            return iter(run)
+        if self.run:
+            self._spill_run()
+        runs, self.spilled = self.spilled, []
+        while len(runs) > _FAN_IN:
+            runs = runs[_FAN_IN:] + [self._append(heapq.merge(*map(self._replay, runs[:_FAN_IN])))]
+        return heapq.merge(*map(self._replay, runs))
+
+
+def _spool(run_dir: Path):
+    """An anonymous temporary file in ``run_dir`` to write text to, gone
+    once closed. It is opened for writing only, as a text file that can
+    also read resets its decoder on every write."""
+    return tempfile.TemporaryFile("w", encoding="utf-8", newline="\n", dir=run_dir)
+
+
+def _copy_of(spool) -> Callable:
+    """A writer of the text in ``spool``, which it closes. Both files are
+    UTF-8 with ``\n`` line ends, so the bytes are copied as they are."""
+
+    def write(fh) -> None:
+        with spool:
+            spool.flush()
+            fh.flush()
+            fd = spool.fileno()
+            os.lseek(fd, 0, os.SEEK_SET)
+            while chunk := os.read(fd, 1 << 16):
+                fh.buffer.write(chunk)
+
+    return write
+
+
+def _with_content_links(links: Iterable[tuple], resolver: ingest.UrlResolver, fh, counts: dict[str, int]):
+    """The sorted link tuples ``links`` as LinkRecords. After each (source
+    full URL, capture time) group, which holds every key its ``first`` flags
+    depend on, the group's content links are written to ``fh``."""
+    revision = attrgetter("source_full_url", "source_capture_time")
+    for _key, group in groupby(starmap(ingest.LinkRecord, links), revision):
+        group = list(group)
+        yield from group
+        counts["content_links"] += ingest.write_content_links_tsv(ingest.content_links(group, resolver, counts), fh)
+
+
 def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
-    files = cfg.archive_files()
-    revisions: list[ingest.RevisionRecord] = []
-    links: list[ingest.LinkRecord] = []
+    """Each table is written whole into a spool that its writer copies out:
+    revisions sorted by (core URL, capture time, full URL), links by all
+    their fields, and content links in the order of the links."""
     stats = ingest.ParseStats()
     totals = dict.fromkeys(("non_2xx", "decode_failed", "bad_url", "truncated_anchors", "bad_link_end"), 0)
+    totals["content_links"] = 0
     resolver = ingest.UrlResolver(_suffix_table(cfg))
-    for path in files:
-        is_arc = path.name.endswith((".arc", ".arc.gz"))
-        parser = ingest.parse_arc_stream if is_arc else ingest.parse_warc_stream
-        with open(path, "rb") as fh:
-            for record in parser(fh, stats):
-                status = record.http_status
-                if status is not None and not 200 <= status < 300:
-                    totals["non_2xx"] += 1
-                    continue
-                try:
-                    revision = ingest.revision_from_record(record, resolver)
-                except UrlError:
-                    totals["bad_url"] += 1
-                    continue
-                revisions.append(revision)
-                if "html" in record.mime_type or not record.mime_type:
-                    extraction = ingest.extract_links(
-                        record.payload, record.target_uri, record.capture_time, resolver
-                    )
-                    totals["decode_failed"] += extraction.decode_failed
-                    totals["truncated_anchors"] += extraction.truncated_anchors
-                    links.extend(extraction.links)
-    revisions.sort(key=lambda r: (r.core_url, r.capture_time, r.full_url))
-    links.sort(key=lambda l: (l.source_full_url, l.source_capture_time, l.target_url, l.tag_pattern, l.anchor_text))
-    content = ingest.content_links(links, resolver, totals)
-    outputs = {
-        "revisions.tsv": lambda fh: ingest.write_revisions_tsv(revisions, fh),
-        "links.tsv": lambda fh: ingest.write_links_tsv(links, fh),
-        "content_links.tsv": lambda fh: ingest.write_content_links_tsv(content, fh),
-    }
-    return outputs, {
-        "revisions": len(revisions), "links": len(links), "content_links": len(content),
+    with ExitStack() as stack, tempfile.TemporaryFile(dir=run_dir) as spill:
+        spools = {
+            name: stack.enter_context(_spool(run_dir)) for name in ("revisions.tsv", "links.tsv", "content_links.tsv")
+        }
+        revisions, links = _ExternalSort(spill), _ExternalSort(spill)
+        for path in cfg.archive_files():
+            is_arc = path.name.endswith((".arc", ".arc.gz"))
+            parser = ingest.parse_arc_stream if is_arc else ingest.parse_warc_stream
+            with open(path, "rb") as fh:
+                for record in parser(fh, stats):
+                    status = record.http_status
+                    if status is not None and not 200 <= status < 300:
+                        totals["non_2xx"] += 1
+                        continue
+                    try:
+                        r = ingest.revision_from_record(record, resolver)
+                    except UrlError:
+                        totals["bad_url"] += 1
+                        continue
+                    revisions.add((r.core_url, r.capture_time, r.full_url, r.domain))
+                    if "html" in record.mime_type or not record.mime_type:
+                        extraction = ingest.extract_links(
+                            record.payload, record.target_uri, record.capture_time, resolver
+                        )
+                        totals["decode_failed"] += extraction.decode_failed
+                        totals["truncated_anchors"] += extraction.truncated_anchors
+                        for link in extraction.links:
+                            links.add(
+                                (link.source_full_url, link.source_capture_time, link.target_url,
+                                 link.tag_pattern, link.anchor_text)
+                            )
+        rows = ingest.write_revisions_tsv(
+            (ingest.RevisionRecord(core, full, when, domain) for core, when, full, domain in revisions),
+            spools["revisions.tsv"],
+        )
+        link_rows = ingest.write_links_tsv(
+            _with_content_links(links, resolver, spools["content_links.tsv"], totals), spools["links.tsv"]
+        )
+        stack.pop_all()  # each writer closes its spool
+    return {name: _copy_of(spool) for name, spool in spools.items()}, {
+        "revisions": rows, "links": link_rows, "content_links": totals.pop("content_links"),
         "emitted": stats.emitted, "skipped": stats.skipped, "corrupt": stats.corrupt, **totals,
     }
 
@@ -490,12 +602,19 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     damping = cfg["pagerank.damping"]
     tolerance = cfg["pagerank.tolerance"]
     max_iter = cfg["pagerank.max_iterations"]
-    content = tables.read(_listed(ingest.read_content_links_tsv), run_dir / "content_links.tsv")
-    page = graph.build_page_graph(content)
+    source_domains: dict[str, str] = {}
+    target_domains: dict[str, str] = {}
+
+    def edges(lines) -> Iterator[ingest.ContentLink]:
+        for link in ingest.read_content_links_tsv(lines):
+            source_domains[link.source] = link.source_domain
+            target_domains[link.target] = link.target_domain
+            yield link
+
+    page = tables.read(lambda lines: graph.build_page_graph(edges(lines)), run_dir / "content_links.tsv")
     if page.node_count == 0:
         raise StageDataError("no content links: the page graph is empty")
-    domains = {link.source: link.source_domain for link in content}
-    domains.update((link.target, link.target_domain) for link in content)
+    domains = source_domains | target_domains  # a target's domain wins
     domain = graph.project_domain_graph(page, domains.__getitem__)
     page_rank = graph.pagerank(page, damping, tolerance, max_iter)
     domain_rank = graph.pagerank(domain, damping, tolerance, max_iter)
@@ -540,8 +659,12 @@ def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
 
 def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     top_n = cfg["stats.top_n_domains"] or None
-    content = tables.read(_listed(ingest.read_content_links_tsv), run_dir / "content_links.tsv")
-    rows = anchor_index.anchor_distribution(content, cfg["stats.group_by_year"], top_n)
+    rows = tables.read(
+        lambda lines: anchor_index.anchor_distribution(
+            ingest.read_content_links_tsv(lines), cfg["stats.group_by_year"], top_n
+        ),
+        run_dir / "content_links.tsv",
+    )
 
     def write_dist(fh):
         fh.write("year,k,count\n")
@@ -581,7 +704,8 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     vectors = tables.read(_listed(deserialize_vectors), run_dir / "features.txt")
     grouped = group_by_query(vectors)
     serp_dir = cfg.path("paths.serp_dir")
-    snapshots = labeling.load_snapshots(serp_dir) if serp_dir else {}
+    skipped = {"misnamed_snapshots": 0}
+    snapshots = labeling.load_snapshots(serp_dir, skipped) if serp_dir else {}
     lo = cfg["sample.per_partition_min"]
     hi = cfg["sample.per_partition_max"]
 
@@ -638,7 +762,9 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     }
     if kappa_report is not None:
         outputs["kappa_report.json"] = _json(kappa_report)
-    counts = {"labels": len(label_lines), "pooled": len(sample_lines), "evidence_rows": len(summary_lines) - 1}
+    counts = {
+        "labels": len(label_lines), "pooled": len(sample_lines), "evidence_rows": len(summary_lines) - 1, **skipped
+    }
     return outputs, counts
 
 

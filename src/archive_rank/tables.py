@@ -26,6 +26,8 @@ def escape(text: str) -> str:
 
 def unescape(text: str) -> str:
     """The inverse of :func:`escape`."""
+    if "\\" not in text:  # most anchors hold no escape
+        return text
     return _UNESCAPE.sub(lambda m: _UNESCAPE_MAP[m.group(1)], text)
 
 

@@ -7,12 +7,13 @@ import tempfile
 import tracemalloc
 import zlib
 from dataclasses import replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from archive_rank import ingest, urls
+from archive_rank import ingest, pipeline, urls
 from archive_rank.cli import main
 from archive_rank.ingest import (
     ANCHOR_TEXT_CAP,
@@ -940,3 +941,203 @@ def test_bounded_memory_parse():
     small = peak_for(20)
     large = peak_for(200)
     assert large < small * 3 + 100_000
+
+
+# ---------------------------------------------------------------------------
+# capture dates: the fixed-form fast path against the strptime parsers it
+# sits in front of, as they were before it
+
+
+def reference_warc_date(value: str) -> int | None:
+    value = value.strip()
+    value = re.sub(r"\.\d+Z$", "Z", value)
+    for fmt in ("%Y-%m-%dT%H:%M:%SZ", "%Y-%m-%dT%H:%M:%S%z"):
+        try:
+            dt = datetime.strptime(value, fmt)
+        except ValueError:
+            continue
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return int(dt.timestamp())
+    return None
+
+
+def reference_arc_date(value: str) -> int | None:
+    if len(value) != 14 or not value.isdigit():
+        return None
+    try:
+        dt = datetime.strptime(value, "%Y%m%d%H%M%S").replace(tzinfo=timezone.utc)
+    except ValueError:
+        return None
+    return int(dt.timestamp())
+
+
+# other scripts' digits, which \d and isdigit accept: Arabic-Indic, Devanagari, fullwidth
+_DIGIT_SCRIPTS = (0x0660, 0x0966, 0xFF10)
+
+
+@st.composite
+def date_fields(draw) -> list[str]:
+    """Year, month, day, hour, minute and second, zero-padded, each drawn
+    a little beyond its range (Feb 30, hour 24, second 60 and so on); at
+    times one digit is written in another script."""
+    fields = [
+        f"{draw(st.integers(0, 9999)):04d}",
+        *(f"{draw(st.integers(0, hi)):02d}" for hi in (13, 32, 25, 61, 62)),
+    ]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, 5))
+        j = draw(st.integers(0, len(fields[i]) - 1))
+        digit = chr(draw(st.sampled_from(_DIGIT_SCRIPTS)) + int(fields[i][j]))
+        fields[i] = fields[i][:j] + digit + fields[i][j + 1 :]
+    return fields
+
+
+@st.composite
+def warc_dates(draw) -> str:
+    year, month, day, hour, minute, second = draw(date_fields())
+    fraction = draw(st.sampled_from(["", ".5", ".123456", ".", ".x"]))
+    zone = draw(st.sampled_from(["Z", "Z", "Z", "+01:00", "-0530", "+00:00", "", "z", "ZZ", "Z0"]))
+    pad = draw(st.sampled_from(["", " ", "\t", "\u3000"]))
+    return f"{pad}{year}-{month}-{day}T{hour}:{minute}:{second}{fraction}{zone}{pad}"
+
+
+@st.composite
+def arc_dates(draw) -> str:
+    text = "".join(draw(date_fields()))
+    return draw(st.sampled_from([text, text[:-1], text + "0", " " + text[1:]]))
+
+
+DATE_EDGES = [
+    "2009-02-28T23:59:59Z", "2008-02-29T12:00:00Z", "2009-02-29T12:00:00Z", "2009-02-30T00:00:00Z",
+    "2009-01-01T24:00:00Z", "2009-01-01T00:60:00Z", "2009-01-01T00:00:60Z", "2009-01-01T00:00:61Z",
+    "2009-13-01T00:00:00Z", "0000-01-01T00:00:00Z", "2009-01-01T00:00:00.25Z", "2009-01-01T01:00:00+01:00",
+    "2009-01-01T00:00:00", "2009-1-1T0:0:0Z", "\u0662009-01-01T00:00:00Z", "２００９-01-01T00:00:00Z",
+]
+
+
+class TestCaptureDates:
+    @pytest.mark.parametrize("value", DATE_EDGES)
+    def test_warc_edges_match_the_strptime_parser(self, value):
+        assert ingest._parse_warc_date(value) == reference_warc_date(value)
+
+    @pytest.mark.parametrize(
+        "value", [v.replace("-", "").replace("T", "").replace(":", "").removesuffix("Z") for v in DATE_EDGES]
+    )
+    def test_arc_edges_match_the_strptime_parser(self, value):
+        assert ingest._parse_arc_date(value) == reference_arc_date(value)
+
+    def test_fixed_forms(self):
+        assert ingest._parse_warc_date("2009-03-02T11:00:00Z") == 1235991600
+        assert ingest._parse_arc_date("20090302110000") == 1235991600
+        assert ingest._parse_warc_date("2009-02-30T00:00:00Z") is None
+        assert ingest._parse_arc_date("20090101240000") is None
+
+    @settings(max_examples=400)
+    @given(st.one_of(warc_dates(), st.text(max_size=30)))
+    def test_warc_matches_the_strptime_parser(self, value):
+        assert ingest._parse_warc_date(value) == reference_warc_date(value)
+
+    @settings(max_examples=400)
+    @given(st.one_of(arc_dates(), st.text(alphabet="0123456789٠١٢٣", max_size=16)))
+    def test_arc_matches_the_strptime_parser(self, value):
+        assert ingest._parse_arc_date(value) == reference_arc_date(value)
+
+
+# ---------------------------------------------------------------------------
+# ingest's external sort: spilled runs change no byte and leave no file
+
+
+def _ingest_outputs(config: Path, run_dir: Path) -> tuple[dict[str, bytes], dict[str, int]]:
+    assert main(["ingest", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+    counts = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["stages"][-1]["row_counts"]
+    return {p.name: p.read_bytes() for p in run_dir.iterdir() if p.name != "manifest.json"}, counts
+
+
+INGEST_WRITES = {"revisions.tsv", "links.tsv", "content_links.tsv"}
+
+
+def test_spilled_runs_give_the_same_bytes_and_counts(mini_corpus, tmp_path, monkeypatch):
+    config = mini_corpus.root / "config.txt"
+    runs = {}
+    for run_records in (10**9, 1, 50):
+        monkeypatch.setattr(pipeline, "_RUN_RECORDS", run_records)
+        runs[run_records] = _ingest_outputs(config, tmp_path / str(run_records))
+        assert {p.name for p in (tmp_path / str(run_records)).iterdir()} == INGEST_WRITES | {"manifest.json"}
+    in_memory = runs[10**9]
+    assert in_memory[1]["links"] > 50 * pipeline._FAN_IN  # 50 spills more runs than one merge takes
+    assert runs[1] == in_memory and runs[50] == in_memory
+
+
+@pytest.mark.parametrize("failing", ["extract_links", "content_links"])
+def test_a_failed_ingest_leaves_no_spill(mini_corpus, tmp_path, monkeypatch, capsys, failing):
+    """A data error while the runs are spilled (in extract_links) or merged
+    (in content_links) leaves the outputs of the last ingest, and no
+    temporary file, in the run directory."""
+    config = mini_corpus.root / "config.txt"
+    run_dir = tmp_path / "run"
+    before, _counts = _ingest_outputs(config, run_dir)
+    monkeypatch.setattr(pipeline, "_RUN_RECORDS", 5)
+    calls = 0
+    real = getattr(ingest, failing)
+
+    def fails_late(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls == 20:
+            raise ValueError("damaged")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, failing, fails_late)
+    assert main(["ingest", "--config", str(config), "--run-dir", str(run_dir)]) == 2
+    assert "damaged" in capsys.readouterr().err
+    assert {p.name for p in run_dir.iterdir()} == INGEST_WRITES | {"manifest.json"}
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir() if p.name != "manifest.json"} == before
+
+
+def test_an_ingest_of_a_container_cut_inside_a_member_leaves_no_spill(mini_corpus, tmp_path, monkeypatch):
+    damaged = tmp_path / "corpus"
+    shutil.copytree(mini_corpus.root, damaged)
+    part_a = damaged / "archives" / "part-a.warc.gz"
+    data = part_a.read_bytes()
+    members = [m.start() for m in re.finditer(b"\x1f\x8b\x08", data)]
+    cut = (members[len(members) // 2] + members[len(members) // 2 + 1]) // 2  # inside a member
+    part_a.write_bytes(data[:cut])
+    monkeypatch.setattr(pipeline, "_RUN_RECORDS", 7)
+    cut_outputs, cut_counts = _ingest_outputs(damaged / "config.txt", tmp_path / "cut")
+    monkeypatch.setattr(pipeline, "_RUN_RECORDS", 10**9)
+    assert _ingest_outputs(damaged / "config.txt", tmp_path / "in-memory") == (cut_outputs, cut_counts)
+    _intact, intact_counts = _ingest_outputs(mini_corpus.root / "config.txt", tmp_path / "intact")
+    assert cut_counts["corrupt"] == intact_counts["corrupt"] + 1
+    assert {p.name for p in (tmp_path / "cut").iterdir()} == INGEST_WRITES | {"manifest.json"}
+
+
+def test_ingest_memory_tracks_the_run_not_the_link_count(tmp_path, monkeypatch):
+    """With small runs, the peak allocation of an ingest over 4N link-heavy
+    records stays within a fixed factor of that over N."""
+    monkeypatch.setattr(pipeline, "_RUN_RECORDS", 256)
+
+    def peak_for(count: int) -> int:
+        root = tmp_path / str(count)
+        (root / "archives").mkdir(parents=True)
+        page = " ".join(f'<a href="http://t.de/{j % 40}">anchor {j} of page</a>' for j in range(100)).encode()
+        (root / "archives" / "part.warc").write_bytes(
+            warc_file_bytes(
+                [warc_record_bytes(f"http://s.de/{i}", "2009-01-01T00:00:00Z", page) for i in range(count)],
+                per_record_gzip=False,
+            )
+        )
+        (root / "config.txt").write_text("seed=1\npaths.archives=archives\n", encoding="utf-8")
+        cfg = pipeline.load_config(root / "config.txt")
+        tracemalloc.start()
+        try:
+            counts = pipeline.run_stage("ingest", cfg, root / "run")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts["links"] == 100 * count
+        return peak
+
+    small = peak_for(30)
+    large = peak_for(120)
+    assert large < small * 1.5

@@ -1110,6 +1110,24 @@ def test_invalid_query_is_counted(corpus, finished_run, tmp_path, capsys, stage)
     _assert_untouched(run_dir, finished_run, but="manifest.json")
 
 
+def test_label_counts_a_misnamed_snapshot(corpus, finished_run, tmp_path, capsys):
+    """A file of ``paths.serp_dir`` not named ``<query_id>_<date>.txt`` is
+    skipped and counted; every label output stays as it was."""
+    assert _row_counts_of(finished_run, "label")["misnamed_snapshots"] == 0
+    serp = corpus.config_path.parent / "serp"
+    copied = corpus.config_path.parent / "serp-misnamed"
+    shutil.copytree(serp, copied)
+    shutil.copyfile(sorted(serp.iterdir())[0], copied / "query-1.txt")
+    config = _config_with(corpus, f"paths.serp_dir={copied.name}")
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    assert main(["label", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+    assert "misnamed_snapshots=1" in capsys.readouterr().out.split()
+    counts = _row_counts(run_dir)
+    assert counts == {**_row_counts_of(finished_run, "label"), "misnamed_snapshots": 1}
+    _assert_untouched(run_dir, finished_run, but="manifest.json")
+
+
 def test_train_counts_pooled_rows_without_a_manual_grade(corpus, finished_run, tmp_path, capsys):
     """Under ``label.strategy=manual`` a pooled row with no grade is left out
     of training, and counted."""

@@ -21,6 +21,19 @@ def test_escape_round_trip(text):
     assert not set(escaped) & {"\t", "\n", "\r"}
 
 
+@given(st.text(alphabet="\\\t\n\rtnrx "))
+def test_escape_round_trip_through_backslashes(text):
+    """Text made of backslashes, the characters escape writes and the
+    letters of its escapes, so most draws hold a backslash."""
+    assert unescape(escape(text)) == text
+
+
+@given(st.text())
+def test_unescape_of_text_without_a_backslash_is_the_text(text):
+    text = text.replace("\\", "")
+    assert unescape(text) == text
+
+
 def test_rows_and_entries():
     lines = ["a\tb\n", "\n", "#c\td\n", "  \n", "e\n"]
     assert list(rows(lines)) == [["a", "b"], ["#c", "d"], ["  "], ["e"]]
