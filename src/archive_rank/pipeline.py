@@ -2,10 +2,13 @@
 evaluation report, driven by a flat key=value config.
 
 One table, ``_STAGES``, declares each stage's handler and the artifacts
-it reads and writes. A handler computes every output before any is
-written; ``run_stage`` then writes each atomically (temp file + rename)
-and appends an entry to ``manifest.json`` recording the derived seed,
-config hash, input digests and row counts. All randomness flows from the
+it reads and writes. ``run_stage`` hands the handler an :class:`_Outputs`
+whose ``out[name]`` opens ``<name>.tmp`` for a declared output; the
+handler writes into it and returns its row counts. ``run_stage`` then
+writes the ``manifest.json`` entry (derived seed, config hash, input
+digests and row counts) the same way and renames every temporary into
+place, the manifest last, so no output is replaced until every output
+and the manifest entry are written. All randomness flows from the
 single config seed through stage-name-salted derivation, so a rerun with
 the same inputs and seed reproduces every primary artifact byte for byte.
 """
@@ -21,11 +24,12 @@ import resource
 import tempfile
 import time
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import ExitStack
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import groupby, islice, starmap
 from operator import attrgetter
 from pathlib import Path
+from typing import TextIO
 
 from . import anchor_index, graph, ingest, labeling, tables
 from .features import (
@@ -293,17 +297,52 @@ def _peak_rss_kb() -> int:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-def _atomic_write(path: Path, writer) -> None:
-    """Write through ``<name>.tmp`` and rename; a failed write leaves
-    neither a partial file nor the temporary behind."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            writer(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+class _Outputs:
+    """The outputs of one run of a stage, each written into ``<name>.tmp``
+    in the run directory. ``out[name]`` opens that temporary (UTF-8, ``\n``
+    line ends) on first use, for the outputs ``writes`` declares only.
+    :meth:`commit` renames them all into place; leaving the ``with`` block
+    by an exception removes them instead."""
+
+    def __init__(self, stage: str, run_dir: Path, writes: tuple[str, ...]) -> None:
+        self.stage, self.run_dir, self.writes = stage, run_dir, writes
+        self.temps = {name: run_dir / f"{name}.tmp" for name in (*writes, "manifest.json")}  # the manifest last
+        self.files: dict[str, TextIO] = {}
+
+    def __getitem__(self, name: str) -> TextIO:
+        if name not in self.writes:
+            raise RuntimeError(f"stage {self.stage} writes {name!r}, which _STAGES does not declare")
+        return self._open(name)
+
+    def _open(self, name: str) -> TextIO:
+        if name not in self.files:
+            self.files[name] = open(self.temps[name], "w", encoding="utf-8", newline="\n")
+        return self.files[name]
+
+    def commit(self, manifest: dict) -> None:
+        """Write ``manifest``, close every file and rename each temporary into
+        place; remove each declared output not written, and its temporary."""
+        self._open("manifest.json").write(json.dumps(manifest, indent=2) + "\n")
+        for fh in self.files.values():
+            fh.close()
+        for name, tmp in self.temps.items():
+            if name in self.files:
+                os.replace(tmp, self.run_dir / name)
+            else:  # an earlier run's output, and what a killed run left
+                (self.run_dir / name).unlink(missing_ok=True)
+                tmp.unlink(missing_ok=True)
+
+    def __enter__(self) -> _Outputs:
+        return self
+
+    def __exit__(self, exc_type, _exc, _tb) -> None:
+        if exc_type is None:
+            return
+        for name, tmp in self.temps.items():
+            if name in self.files:
+                with suppress(OSError):  # a failed flush; the file is closed all the same
+                    self.files[name].close()
+            tmp.unlink(missing_ok=True)
 
 
 def _sha256_file(path: Path) -> str:
@@ -355,33 +394,32 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
     except (FileExistsError, NotADirectoryError):
         raise ConfigError(f"run directory {run_dir} is not a directory") from None
     cfg.validate_paths()
-    handler, reads, _writes = _STAGES[stage]
+    handler, reads, writes = _STAGES[stage]
     input_digests = _check_requirements(reads, run_dir)
     manifest = _read_manifest(run_dir)
     seed = derive_seed(cfg.seed, stage)
     try:
-        outputs, counts = handler(cfg, run_dir, seed)
-        for name, writer in outputs.items():
-            _atomic_write(run_dir / name, writer)
+        with _Outputs(stage, run_dir, writes) as out:
+            counts = handler(cfg, run_dir, seed, out)
+            manifest["stages"].append(
+                {
+                    "stage": stage,
+                    "seed": seed,
+                    "config_hash": cfg.config_hash(),
+                    "inputs": input_digests,
+                    "row_counts": counts,
+                    # this process only: wall and CPU time of the stage, peak
+                    # RSS since the process started
+                    "wall_s": round(time.perf_counter() - wall0, 6),
+                    "cpu_s": round(time.process_time() - cpu0, 6),
+                    "peak_rss_kb": _peak_rss_kb(),
+                }
+            )
+            out.commit(manifest)
     except (ConfigError, StageDataError):
         raise
     except (ValueError, LookupError, OSError) as exc:
         raise StageDataError(f"stage {stage}: {exc}") from exc
-    manifest["stages"].append(
-        {
-            "stage": stage,
-            "seed": seed,
-            "config_hash": cfg.config_hash(),
-            "inputs": input_digests,
-            "row_counts": counts,
-            # this process only: wall and CPU time of the stage, peak RSS
-            # since the process started
-            "wall_s": round(time.perf_counter() - wall0, 6),
-            "cpu_s": round(time.process_time() - cpu0, 6),
-            "peak_rss_kb": _peak_rss_kb(),
-        }
-    )
-    _atomic_write(run_dir / "manifest.json", lambda fh: fh.write(json.dumps(manifest, indent=2) + "\n"))
     return counts
 
 
@@ -440,13 +478,11 @@ def _build_context(cfg: RunConfig, run_dir: Path) -> FeatureContext:
 
 
 # ---------------------------------------------------------------------------
-# stages: each returns a writer ``fh -> None`` per artifact and its row counts
-
-_Result = tuple[dict[str, Callable], dict[str, int]]
+# stages: each writes its artifacts into ``out`` and returns its row counts
 
 
-def _json(data) -> Callable:
-    return lambda fh: fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _write_json(data, fh: TextIO) -> None:
+    fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 # ingest sorts its revisions and links in runs of at most this many
@@ -511,29 +547,6 @@ class _ExternalSort:
         return heapq.merge(*map(self._replay, runs))
 
 
-def _spool(run_dir: Path):
-    """An anonymous temporary file in ``run_dir`` to write text to, gone
-    once closed. It is opened for writing only, as a text file that can
-    also read resets its decoder on every write."""
-    return tempfile.TemporaryFile("w", encoding="utf-8", newline="\n", dir=run_dir)
-
-
-def _copy_of(spool) -> Callable:
-    """A writer of the text in ``spool``, which it closes. Both files are
-    UTF-8 with ``\n`` line ends, so the bytes are copied as they are."""
-
-    def write(fh) -> None:
-        with spool:
-            spool.flush()
-            fh.flush()
-            fd = spool.fileno()
-            os.lseek(fd, 0, os.SEEK_SET)
-            while chunk := os.read(fd, 1 << 16):
-                fh.buffer.write(chunk)
-
-    return write
-
-
 def _with_content_links(links: Iterable[tuple], resolver: ingest.UrlResolver, fh, counts: dict[str, int]):
     """The sorted link tuples ``links`` as LinkRecords. After each (source
     full URL, capture time) group, which holds every key its ``first`` flags
@@ -545,18 +558,15 @@ def _with_content_links(links: Iterable[tuple], resolver: ingest.UrlResolver, fh
         counts["content_links"] += ingest.write_content_links_tsv(ingest.content_links(group, resolver, counts), fh)
 
 
-def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
-    """Each table is written whole into a spool that its writer copies out:
-    revisions sorted by (core URL, capture time, full URL), links by all
-    their fields, and content links in the order of the links."""
+def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
+    """Each table is written once, into ``out``: revisions sorted by (core
+    URL, capture time, full URL), links by all their fields, and content
+    links in the order of the links. Only the sorts' spill is anonymous."""
     stats = ingest.ParseStats()
     totals = dict.fromkeys(("non_2xx", "decode_failed", "bad_url", "truncated_anchors", "bad_link_end"), 0)
     totals["content_links"] = 0
     resolver = ingest.UrlResolver(_suffix_table(cfg))
-    with ExitStack() as stack, tempfile.TemporaryFile(dir=run_dir) as spill:
-        spools = {
-            name: stack.enter_context(_spool(run_dir)) for name in ("revisions.tsv", "links.tsv", "content_links.tsv")
-        }
+    with tempfile.TemporaryFile(dir=run_dir) as spill:
         revisions, links = _ExternalSort(spill), _ExternalSort(spill)
         for path in cfg.archive_files():
             is_arc = path.name.endswith((".arc", ".arc.gz"))
@@ -586,19 +596,18 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
                             )
         rows = ingest.write_revisions_tsv(
             (ingest.RevisionRecord(core, full, when, domain) for core, when, full, domain in revisions),
-            spools["revisions.tsv"],
+            out["revisions.tsv"],
         )
         link_rows = ingest.write_links_tsv(
-            _with_content_links(links, resolver, spools["content_links.tsv"], totals), spools["links.tsv"]
+            _with_content_links(links, resolver, out["content_links.tsv"], totals), out["links.tsv"]
         )
-        stack.pop_all()  # each writer closes its spool
-    return {name: _copy_of(spool) for name, spool in spools.items()}, {
+    return {
         "revisions": rows, "links": link_rows, "content_links": totals.pop("content_links"),
         "emitted": stats.emitted, "skipped": stats.skipped, "corrupt": stats.corrupt, **totals,
     }
 
 
-def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
+def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
     damping = cfg["pagerank.damping"]
     tolerance = cfg["pagerank.tolerance"]
     max_iter = cfg["pagerank.max_iterations"]
@@ -619,15 +628,13 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     page_rank = graph.pagerank(page, damping, tolerance, max_iter)
     domain_rank = graph.pagerank(domain, damping, tolerance, max_iter)
 
-    outputs = {
-        "graph.tsv": lambda fh: graph.write_edges(page, fh),
-        "nodes.tsv": lambda fh: graph.write_nodes(page, fh),
-        "page_rank.tsv": lambda fh: graph.write_ranks(page_rank, fh),
-        "domain_graph.tsv": lambda fh: graph.write_edges(domain, fh),
-        "domain_nodes.tsv": lambda fh: graph.write_nodes(domain, fh),
-        "domain_rank.tsv": lambda fh: graph.write_ranks(domain_rank, fh),
-    }
-    return outputs, {
+    graph.write_edges(page, out["graph.tsv"])
+    graph.write_nodes(page, out["nodes.tsv"])
+    graph.write_ranks(page_rank, out["page_rank.tsv"])
+    graph.write_edges(domain, out["domain_graph.tsv"])
+    graph.write_nodes(domain, out["domain_nodes.tsv"])
+    graph.write_ranks(domain_rank, out["domain_rank.tsv"])
+    return {
         "page_nodes": page.node_count,
         "page_edges": page.edge_count,
         "domain_nodes": domain.node_count,
@@ -637,19 +644,17 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     }
 
 
-def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
+def _stage_index(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
     surrogates = anchor_index.build_surrogates(
         tables.read(_listed(ingest.read_content_links_tsv), run_dir / "content_links.tsv"),
         tables.read(_listed(ingest.read_revisions_tsv), run_dir / "revisions.tsv"),
         cfg["index.strategy"],
     )
-    outputs = {
-        "docs.tsv": lambda fh: anchor_index.write_docs(surrogates, fh),
-        "postings.tsv": lambda fh: anchor_index.write_postings(surrogates, fh),
-        "instances.tsv": lambda fh: anchor_index.write_instances(surrogates, fh),
-    }
+    anchor_index.write_docs(surrogates, out["docs.tsv"])
+    anchor_index.write_postings(surrogates, out["postings.tsv"])
+    anchor_index.write_instances(surrogates, out["instances.tsv"])
     stats = anchor_index.build_stats(surrogates)
-    return outputs, {
+    return {
         "indexed_docs": stats.num_docs,
         "terms": len(stats.doc_freq),
         "instances": sum(len(d.anchor_instances) for d in surrogates.values()),
@@ -657,7 +662,7 @@ def _stage_index(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     }
 
 
-def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
+def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
     top_n = cfg["stats.top_n_domains"] or None
     rows = tables.read(
         lambda lines: anchor_index.anchor_distribution(
@@ -665,24 +670,22 @@ def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
         ),
         run_dir / "content_links.tsv",
     )
-
-    def write_dist(fh):
-        fh.write("year,k,count\n")
-        for year, k, count in rows:
-            fh.write(f"{year},{k},{count}\n")
-
-    return {"anchor_dist.csv": write_dist}, {"distribution_rows": len(rows)}
+    fh = out["anchor_dist.csv"]
+    fh.write("year,k,count\n")
+    for year, k, count in rows:
+        fh.write(f"{year},{k},{count}\n")
+    return {"distribution_rows": len(rows)}
 
 
-def _stage_features(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
+def _stage_features(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
     """Feature vectors of every (query, candidate) pair."""
     ctx = _build_context(cfg, run_dir)
     queries, invalid = _query_table(cfg)
     vectors = [extract_features(q, doc_id, ctx) for q in queries for doc_id in candidate_docs(q, ctx)]
     if not vectors:
         raise StageDataError("no (query, document) candidates to featurize")
-    outputs = {"features.txt": lambda fh: serialize_vectors(vectors, fh)}
-    return outputs, {"vectors": len(vectors), "queries": len(queries), "invalid_queries": invalid}
+    serialize_vectors(vectors, out["features.txt"])
+    return {"vectors": len(vectors), "queries": len(queries), "invalid_queries": invalid}
 
 
 # The evidences of the paper's study, each read off a feature vector.
@@ -695,7 +698,7 @@ _EVIDENCE = (
 )
 
 
-def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
+def _stage_label(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
     """Labels of every candidate, the pool to train and evaluate on, and the
     evidence summaries over each query's candidates (set A) and over those
     of them in the query's snapshots (set B)."""
@@ -711,7 +714,6 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
 
     judgments_path = cfg.path("paths.judgments")
     manual: dict[tuple[int, str], float] = {}
-    kappa_report: dict | None = None
     if judgments_path:
         rows = labeling.load_judgments(judgments_path)
         by_assessor: dict[str, dict[tuple[int, str], int]] = {}
@@ -721,16 +723,17 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
             grades.setdefault((j.query_id, j.doc_id), []).append(j.grade)
         manual = {key: float(np.mean(vals)) for key, vals in grades.items()}
         kappas = labeling.pairwise_kappas(by_assessor)
-        if kappas:
-            kappa_report = {
+        if kappas:  # else commit removes an earlier run's kappa_report.json
+            report = {
                 "average_pairwise_kappa": labeling.average_pairwise_kappa(kappas),
                 "pairs": {f"{left}|{right}": k for (left, right), k in kappas.items()},
                 "assessors": sorted(by_assessor),
             }
+            _write_json(report, out["kappa_report.json"])
 
-    label_lines: list[str] = []
-    sample_lines: list[str] = []
-    summary_lines = ["query_id,result_set,evidence,mean,median,q1,q3\n"]
+    labels, sample_tsv, summary = out["labels.tsv"], out["sample.tsv"], out["evidence_summary.csv"]
+    summary.write("query_id,result_set,evidence,mean,median,q1,q3\n")
+    counts = {"labels": 0, "pooled": 0, "evidence_rows": 0, **skipped}
     for qid in sorted(grouped):
         vecs = sorted(grouped[qid], key=lambda v: v.doc_id)
         docs = [v.doc_id for v in vecs]
@@ -745,27 +748,19 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
             soft = labeling.soft_label(doc, merged)
             man = manual.get((qid, doc))
             man_s = repr(man) if man is not None else "-"
-            label_lines.append(f"{qid}\t{doc}\t{soft!r}\t{man_s}\n")
+            labels.write(f"{qid}\t{doc}\t{soft!r}\t{man_s}\n")
         for doc, provenance in pool.items():
-            sample_lines.append(f"{qid}\t{doc}\t{provenance}\n")
+            sample_tsv.write(f"{qid}\t{doc}\t{provenance}\n")
+        counts["labels"] += len(docs)
+        counts["pooled"] += len(pool)
         for set_name, result in (("A", vecs), ("B", [v for v in vecs if v.doc_id in dataset_b])):
             if not result:
                 continue
             for evidence, value in _EVIDENCE:
                 s = per_query_evidence_summary(value(v) for v in result)
-                summary_lines.append(f"{qid},{set_name},{evidence},{s.mean!r},{s.median!r},{s.q1!r},{s.q3!r}\n")
-
-    outputs = {
-        "labels.tsv": lambda fh: fh.writelines(label_lines),
-        "sample.tsv": lambda fh: fh.writelines(sample_lines),
-        "evidence_summary.csv": lambda fh: fh.writelines(summary_lines),
-    }
-    if kappa_report is not None:
-        outputs["kappa_report.json"] = _json(kappa_report)
-    counts = {
-        "labels": len(label_lines), "pooled": len(sample_lines), "evidence_rows": len(summary_lines) - 1, **skipped
-    }
-    return outputs, counts
+                summary.write(f"{qid},{set_name},{evidence},{s.mean!r},{s.median!r},{s.q1!r},{s.q3!r}\n")
+                counts["evidence_rows"] += 1
+    return counts
 
 
 def _labels(lines) -> dict[tuple[int, str], tuple[float, float | None]]:
@@ -789,7 +784,7 @@ def _label_for(cfg: RunConfig, labels, qid: int, doc: str) -> float | None:
     return soft
 
 
-def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
+def _stage_train(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
     base = ForestParams(
         num_trees=cfg["rf.num_trees"],
         bootstrap_fraction=cfg["rf.bootstrap_fraction"],
@@ -816,15 +811,16 @@ def _stage_train(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
     if not training:
         raise StageDataError("no labeled training examples in the pool")
     forest, report = cross_validate(training, grid, k_folds=cfg["rf.folds"], seed=seed)
-    outputs = {"forest.txt": lambda fh: write_forest(forest, fh), "cv_report.json": _json(report.as_dict())}
-    return outputs, {
+    write_forest(forest, out["forest.txt"])
+    _write_json(report.as_dict(), out["cv_report.json"])
+    return {
         "training_examples": len(training),
         "trees": forest.params.num_trees,
         "unlabeled": unlabeled,
     }
 
 
-def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
+def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
     """Score every pooled (query, document) row once per system: the forest,
     anchor BM25 over the index, and the ``pagerank_core`` and
     ``query_in_url`` columns of the row's feature vector."""
@@ -851,7 +847,7 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
         "query_in_url": [v["query_in_url"] for v in pooled],
         "rf": forest.predict_matrix([v.values for v in pooled]).tolist() if pooled else [],
     }
-    lines: list[str] = []
+    fh, rows = out["runs.tsv"], 0
     for system in SYSTEMS:
         by_query: dict[int, dict[str, float]] = {}
         for v, score in zip(pooled, scores[system]):
@@ -859,8 +855,9 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
         for qid, by_doc in by_query.items():  # in query order, as pooled is
             ordered = sorted(by_doc, key=lambda d: (-by_doc[d], d))
             for rank, doc in enumerate(ordered, start=1):
-                lines.append(f"{system}\t{qid}\t{doc}\t{by_doc[doc]!r}\t{rank}\n")
-    return {"runs.tsv": lambda fh: fh.writelines(lines)}, {"run_rows": len(lines), "systems": len(SYSTEMS)}
+                fh.write(f"{system}\t{qid}\t{doc}\t{by_doc[doc]!r}\t{rank}\n")
+            rows += len(ordered)
+    return {"run_rows": rows, "systems": len(SYSTEMS)}
 
 
 def _runs(lines) -> dict[str, dict[int, list[tuple[str, float, int]]]]:
@@ -870,7 +867,7 @@ def _runs(lines) -> dict[str, dict[int, list[tuple[str, float, int]]]]:
     return runs
 
 
-def _stage_eval(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
+def _stage_eval(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
     import numpy as np
 
     labels = tables.read(_labels, run_dir / "labels.tsv")
@@ -896,24 +893,26 @@ def _stage_eval(cfg: RunConfig, run_dir: Path, seed: int) -> _Result:
             metrics["AP"].append(average_precision(run))
         per_system[system] = metrics
 
-    eval_lines = ["system,P@1,P@10,NDCG@10,MAP\n"]
+    fh = out["eval.csv"]
+    fh.write("system,P@1,P@10,NDCG@10,MAP\n")
     for system in SYSTEMS:
         means = (float(np.mean(values)) for values in per_system[system].values())
-        eval_lines.append(f"{system},{','.join(map(repr, means))}\n")
-    sig_lines = ["system_a,system_b,metric,t_statistic,p_value\n"]
+        fh.write(f"{system},{','.join(map(repr, means))}\n")
+    fh = out["sig.csv"]
+    fh.write("system_a,system_b,metric,t_statistic,p_value\n")
     for i, a in enumerate(SYSTEMS):
         for b in SYSTEMS[i + 1:]:
             for metric in per_system[a]:
                 test = paired_significance(per_system[a][metric], per_system[b][metric])
-                sig_lines.append(f"{a},{b},{metric},{test.t_statistic!r},{test.p_value!r}\n")
-    outputs = {"eval.csv": lambda fh: fh.writelines(eval_lines), "sig.csv": lambda fh: fh.writelines(sig_lines)}
-    return outputs, {"systems": len(SYSTEMS), "queries": len(qids)}
+                fh.write(f"{a},{b},{metric},{test.t_statistic!r},{test.p_value!r}\n")
+    return {"systems": len(SYSTEMS), "queries": len(qids)}
 
 
 # Each stage in run order -> (handler, the artifacts it opens, the artifacts
-# it writes). The handler returns a writer for each artifact it writes
-# (label leaves out kappa_report.json unless two assessors share an item);
-# run_stage writes them all once the handler has returned.
+# it writes). The handler may open only these outputs in ``out``; when it
+# returns, run_stage renames those it wrote into place and removes those
+# it did not (label writes kappa_report.json only when two assessors share
+# an item).
 _STAGES = {
     "ingest": (_stage_ingest, (), ("revisions.tsv", "links.tsv", "content_links.tsv")),
     "graph": (

@@ -24,7 +24,7 @@ from archive_rank.pipeline import (
     ConfigError,
     MissingStageError,
     RunConfig,
-    _atomic_write,
+    StageDataError,
     derive_seed,
     load_config,
     run_stage,
@@ -315,18 +315,72 @@ class TestFullPipeline:
         assert digest == GOLDEN_DIGESTS[name]
 
 
-def test_failed_write_keeps_old_file_and_removes_temp(tmp_path):
-    target = tmp_path / "forest.txt"
-    target.write_text("old\n", encoding="utf-8")
+def _files(run_dir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in run_dir.iterdir()}
 
-    def failing_writer(fh):
-        fh.write("partial")
-        raise RuntimeError("writer failed")
 
-    with pytest.raises(RuntimeError, match="writer failed"):
-        _atomic_write(target, failing_writer)
-    assert target.read_text(encoding="utf-8") == "old\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["forest.txt"]
+def test_a_failed_stage_replaces_none_of_its_outputs(corpus, finished_run, tmp_path, monkeypatch):
+    """A disk that fills while graph writes nodes.tsv, after graph.tsv is
+    written whole, leaves every file of the run with its old bytes and no
+    temporary behind."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    for name in pipeline._STAGES["graph"][2]:
+        (run_dir / name).write_text(f"old {name}\n", encoding="utf-8")
+    before = _files(run_dir)
+
+    def fills_the_disk(_graph, fh):
+        fh.write("0\thttp://a.de/\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(graph, "write_nodes", fills_the_disk)
+    with pytest.raises(StageDataError, match="No space left on device"):
+        run_stage("graph", load_config(corpus.config_path), run_dir)
+    assert _files(run_dir) == before
+
+
+def test_label_without_judgments_removes_the_old_kappa_report(corpus, finished_run, tmp_path):
+    """A declared output the stage does not write this time is removed, so
+    the run directory holds no kappa report of judgments no longer set."""
+    assert (finished_run / "kappa_report.json").exists()
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    run_stage("label", load_config(_config_with(corpus, "paths.judgments=")), run_dir)
+    assert {p.name for p in run_dir.iterdir()} == {p.name for p in finished_run.iterdir()} - {"kappa_report.json"}
+
+
+@pytest.mark.parametrize("judgments", ["judgments.tsv", ""])
+def test_a_rerun_removes_the_temporaries_a_killed_stage_left(corpus, finished_run, tmp_path, judgments):
+    """Each ``<name>.tmp`` a killed label left is gone after a rerun, whether
+    the rerun writes that output (and so its temporary) or not."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    for name in (*pipeline._STAGES["label"][2], "manifest.json"):
+        (run_dir / f"{name}.tmp").write_text("garbage\n", encoding="utf-8")
+    run_stage("label", load_config(_config_with(corpus, f"paths.judgments={judgments}")), run_dir)
+    assert not list(run_dir.glob("*.tmp"))
+    assert b"garbage\n" not in _files(run_dir).values()
+    if judgments:
+        _assert_untouched(run_dir, finished_run, but="manifest.json")
+
+
+def test_an_undeclared_output_is_a_named_error(corpus, tmp_path, monkeypatch):
+    """``out`` opens only what ``_STAGES`` declares the stage writes. Asking
+    for any other name is a fault of the program, not of its data, and
+    the stage leaves nothing behind."""
+
+    def handler(cfg, run_dir, seed, out):
+        out["anchor_dist.csv"].write("year,k,count\n")
+        out["anchor_dist.tsv"].write("year\tk\tcount\n")
+        return {}
+
+    monkeypatch.setitem(pipeline._STAGES, "stats", (handler, (), ("anchor_dist.csv",)))
+    run_dir = tmp_path / "run"
+    undeclared = r"stage stats writes 'anchor_dist\.tsv', which _STAGES does not declare"
+    with pytest.raises(RuntimeError, match=undeclared) as caught:
+        run_stage("stats", load_config(corpus.config_path), run_dir)
+    assert not isinstance(caught.value, StageDataError)
+    assert list(run_dir.iterdir()) == []
 
 
 class TestCli:
@@ -542,8 +596,8 @@ def test_stage_needs_only_its_declared_inputs(corpus, finished_run, tmp_path, st
 
 def stage_writes(source: str) -> list[str]:
     """Each call in a ``_stage_*`` function that writes a file itself:
-    ``_atomic_write``, ``write_text``/``write_bytes``, or an ``open`` whose
-    mode is not a constant made of ``r``, ``b`` and ``t``."""
+    ``write_text``/``write_bytes``, or an ``open`` whose mode is not a
+    constant made of ``r``, ``b`` and ``t``."""
     found = []
     for fn in ast.walk(ast.parse(source)):
         if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_stage_")):
@@ -556,32 +610,33 @@ def stage_writes(source: str) -> list[str]:
                 modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position : position + 1]
                 if not all(isinstance(m, ast.Constant) and set(m.value) <= set("rbt") for m in modes):
                     found.append(f"{fn.name}: open")
-            elif name in ("_atomic_write", "write_text", "write_bytes"):
+            elif name in ("write_text", "write_bytes"):
                 found.append(f"{fn.name}: {name}")
     return found
 
 
 def test_no_stage_handler_writes_a_file():
-    # run_stage writes every output once the handler has returned, so a
-    # stage that fails replaces none of its outputs
+    # a handler writes only into the temporaries of ``out``, which run_stage
+    # renames together once the handler has returned, so a stage that fails
+    # replaces none of its outputs
     assert stage_writes(Path(pipeline.__file__).read_text(encoding="utf-8")) == []
 
 
 def test_the_guard_sees_a_handler_write():
     source = (
-        "def _stage_a(cfg, run_dir, seed):\n"
-        "    _atomic_write(run_dir / 'x', str)\n"
+        "def _stage_a(cfg, run_dir, seed, out):\n"
+        "    out['x'].write('')\n"
         "    open(run_dir / 'y', 'w')\n"
         "    (run_dir / 'z').open(mode='a')\n"
         "    (run_dir / 'z').write_text('')\n"
         "    open(run_dir / 'r', encoding='utf-8'), open(run_dir / 'r', 'rb'), (run_dir / 'r').open()\n"
-        "def _stage_b(cfg, run_dir, seed, mode):\n"
+        "def _stage_b(cfg, run_dir, seed, out, mode):\n"
         "    open(run_dir / 'w', mode)\n"
         "def helper(run_dir):\n"
         "    open(run_dir / 'w', 'w')\n"
     )
     assert stage_writes(source) == [
-        "_stage_a: _atomic_write", "_stage_a: open", "_stage_a: open", "_stage_a: write_text", "_stage_b: open",
+        "_stage_a: open", "_stage_a: open", "_stage_a: write_text", "_stage_b: open",
     ]
 
 
