@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from itertools import groupby
+from operator import attrgetter, itemgetter
+from typing import Collection, Iterable, Iterator, NamedTuple
 
-from .ingest import STRATEGY_UNIQUE_PER_REVISION, ContentLink, RevisionRecord, counted_links
+from .ingest import STRATEGY_UNIQUE_PER_REVISION, ContentLink, RevisionRecord, counted_links, revisions_by_core
 from .tables import escape, rows, unescape
 
 __all__ = [
@@ -24,14 +26,13 @@ __all__ = [
     "IndexStats",
     "TermStats",
     "tokenize_text",
+    "surrogates_of",
     "build_surrogates",
     "build_stats",
     "bm25_score",
     "term_stats",
     "anchor_distribution",
-    "write_docs",
-    "write_postings",
-    "write_instances",
+    "write_index",
     "read_index",
 ]
 
@@ -76,45 +77,57 @@ class TermStats(NamedTuple):
     doc_len: int
 
 
+def _surrogate(doc_id: str, instances: list[tuple[str, int]], revision_times: list[int]) -> SurrogateDocument:
+    """The surrogate of ``doc_id`` from its anchor instances, sorted by
+    (capture time, anchor text), and its distinct capture times, sorted.
+    Tokens past ``SURROGATE_TOKEN_CAP`` are counted, not kept."""
+    freqs: Counter[str] = Counter()
+    total = truncated = 0
+    for anchor, _when in instances:
+        for token in tokenize_text(anchor):
+            if total >= SURROGATE_TOKEN_CAP:
+                truncated += 1
+                continue
+            freqs[token] += 1
+            total += 1
+    return SurrogateDocument(doc_id, dict(freqs), total, instances, revision_times, truncated)
+
+
+def surrogates_of(
+    instances: Iterable[tuple[str, int, str]], revisions: Iterable[RevisionRecord]
+) -> Iterator[SurrogateDocument]:
+    """The surrogates in document order, by a merge join of two sorted
+    streams: ``instances``, the counted content links as (target core URL,
+    capture time, anchor text) tuples in ascending order, and
+    ``revisions``, sorted by core URL as in ``revisions.tsv``. A target
+    without a revision is not indexed. Every revision is read, to the last
+    (see :func:`archive_rank.ingest.revisions_by_core`)."""
+    cores = revisions_by_core(revisions)
+    core, captures = next(cores, (None, []))
+    for target, group in groupby(instances, itemgetter(0)):
+        while core is not None and core < target:
+            core, captures = next(cores, (None, []))
+        if core == target:
+            anchors = [(anchor, when) for _target, when, anchor in group]
+            yield _surrogate(target, anchors, sorted({r.capture_time for r in captures}))
+    deque(cores, maxlen=0)
+
+
 def build_surrogates(
     links: Iterable[ContentLink],
     revisions: Iterable[RevisionRecord],
     strategy: str = STRATEGY_UNIQUE_PER_REVISION,
 ) -> dict[str, SurrogateDocument]:
-    """Group content-link anchors by target core URL.
+    """Group content-link anchors by target core URL: :func:`surrogates_of`
+    over the links and revisions sorted in memory.
 
     Only archived targets (those with at least one revision) are indexed,
     and targets without a single anchor instance are excluded; they stay
     reachable through the revision records themselves. Links are
     deduplicated by ``strategy`` (see :func:`archive_rank.ingest.counted_links`).
     """
-    links = counted_links(links, strategy)
-    times: dict[str, set[int]] = defaultdict(set)
-    for rev in revisions:
-        times[rev.core_url].add(rev.capture_time)
-
-    instances: dict[str, list[tuple[str, int]]] = defaultdict(list)
-    for link in links:
-        if link.target in times:
-            instances[link.target].append((link.anchor_text, link.capture_time))
-
-    surrogates: dict[str, SurrogateDocument] = {}
-    for target in sorted(instances):
-        doc = SurrogateDocument(doc_id=target, revision_times=sorted(times[target]))
-        doc.anchor_instances = sorted(instances[target], key=lambda it: (it[1], it[0]))
-        freqs: Counter[str] = Counter()
-        total = 0
-        for anchor, _when in doc.anchor_instances:
-            for token in tokenize_text(anchor):
-                if total >= SURROGATE_TOKEN_CAP:
-                    doc.truncated_tokens += 1
-                    continue
-                freqs[token] += 1
-                total += 1
-        doc.term_freqs = dict(freqs)
-        doc.length = total
-        surrogates[target] = doc
-    return surrogates
+    instances = sorted((link.target, link.capture_time, link.anchor_text) for link in counted_links(links, strategy))
+    return {doc.doc_id: doc for doc in surrogates_of(instances, sorted(revisions, key=attrgetter("core_url")))}
 
 
 def build_stats(surrogates: dict[str, SurrogateDocument]) -> IndexStats:
@@ -227,49 +240,82 @@ def _year_of(epoch: int) -> int:
 # persistence: docs.tsv, postings.tsv, instances.tsv
 
 
-def write_docs(surrogates: dict[str, SurrogateDocument], fh) -> None:
-    for doc_id in sorted(surrogates):
-        doc = surrogates[doc_id]
-        fh.write(f"{doc_id}\t{doc.length}\t{len(doc.revision_times)}\n")
+def write_index(surrogates: Iterable[SurrogateDocument], docs, postings, instances) -> dict[str, int]:
+    """Write ``surrogates``, in document order, to the lines of docs.tsv,
+    postings.tsv and instances.tsv: each document's rows as it comes, and
+    the postings by term at the end, so only they are held. Returns the
+    row counts of the index."""
+    by_term: dict[str, list[str]] = defaultdict(list)
+    indexed = instance_rows = truncated = 0
+    for doc in surrogates:
+        docs.write(f"{doc.doc_id}\t{doc.length}\t{len(doc.revision_times)}\n")
+        for anchor, when in doc.anchor_instances:
+            instances.write(f"{doc.doc_id}\t{when}\t{escape(anchor)}\n")
+        for term, tf in doc.term_freqs.items():
+            by_term[term].append(f"{doc.doc_id}:{tf}")
+        indexed += 1
+        instance_rows += len(doc.anchor_instances)
+        truncated += doc.truncated_tokens
+    for term in sorted(by_term):
+        entries = by_term[term]
+        postings.write(f"{term}\t{len(entries)}\t" + "\t".join(entries) + "\n")
+    return {"indexed_docs": indexed, "terms": len(by_term), "instances": instance_rows, "truncated_tokens": truncated}
 
 
-def write_postings(surrogates: dict[str, SurrogateDocument], fh) -> None:
-    postings: dict[str, list[tuple[str, int]]] = defaultdict(list)
-    for doc_id in sorted(surrogates):
-        for term, tf in surrogates[doc_id].term_freqs.items():
-            postings[term].append((doc_id, tf))
-    for term in sorted(postings):
-        entries = "\t".join(f"{doc_id}:{tf}" for doc_id, tf in postings[term])
-        fh.write(f"{term}\t{len(postings[term])}\t{entries}\n")
+def read_index(
+    docs, postings, instances=(), terms: Collection[str] | None = None, documents: Collection[str] | None = None
+) -> tuple[dict[str, SurrogateDocument], IndexStats]:
+    """Surrogates (without revision timestamps, which live in the revisions
+    table) and the :func:`build_stats` of the whole index, from the lines
+    of the persisted files; without ``instances``, the surrogates hold no
+    anchor instances.
 
-
-def write_instances(surrogates: dict[str, SurrogateDocument], fh) -> None:
-    for doc_id in sorted(surrogates):
-        for anchor, when in surrogates[doc_id].anchor_instances:
-            fh.write(f"{doc_id}\t{when}\t{escape(anchor)}\n")
-
-
-def read_index(docs, postings, instances) -> tuple[dict[str, SurrogateDocument], IndexStats]:
-    """Rebuild surrogates (without revision timestamps, which live in the
-    revisions table) and their :func:`build_stats` from the lines of the
-    persisted files. Raises ValueError, naming the term, when a posting
-    list's count is not its number of entries or it lists a document
-    twice, and naming the document when it is not in docs.tsv."""
+    With ``terms``, a surrogate keeps only those terms' frequencies; with
+    ``documents``, only those documents and the ones a kept posting lists
+    get a surrogate. Every row is checked all the same. ValueError is
+    raised for a field that is not a number; naming the term, for a
+    posting list whose count is not its number of entries or that lists a
+    document twice, and for a term with a second posting list; and naming
+    the document, for one that docs.tsv lists twice or lacks."""
+    lengths: dict[str, int] = {}
     surrogates: dict[str, SurrogateDocument] = {}
-    for doc_id, length, _revs in rows(docs):
-        surrogates[doc_id] = SurrogateDocument(doc_id=doc_id, length=int(length))
-    try:
-        for term, count, *entries in rows(postings):
-            if int(count) != len(entries):
-                raise ValueError(f"term {term!r} counts {count} postings but lists {len(entries)}")
-            for entry in entries:
-                doc_id, tf = entry.rsplit(":", 1)
-                term_freqs = surrogates[doc_id].term_freqs
-                if term in term_freqs:
-                    raise ValueError(f"term {term!r} lists document {doc_id!r} twice")
-                term_freqs[term] = int(tf)
-        for doc_id, when, anchor in rows(instances):
-            surrogates[doc_id].anchor_instances.append((unescape(anchor), int(when)))
-    except KeyError as exc:  # only a surrogates lookup raises it
-        raise ValueError(f"document {exc.args[0]!r} is not in docs.tsv") from None
-    return surrogates, build_stats(surrogates)
+    for doc_id, length, revs in rows(docs):
+        if doc_id in lengths:
+            raise ValueError(f"docs.tsv lists document {doc_id!r} twice")
+        lengths[doc_id] = int(length)
+        int(revs)  # checked, not kept
+        if documents is None or doc_id in documents:
+            surrogates[doc_id] = SurrogateDocument(doc_id=doc_id, length=lengths[doc_id])
+
+    def missing(doc_id: str) -> ValueError:
+        return ValueError(f"document {doc_id!r} is not in docs.tsv")
+
+    doc_freq: dict[str, int] = {}
+    for term, count, *entries in rows(postings):
+        if int(count) != len(entries):
+            raise ValueError(f"term {term!r} counts {count} postings but lists {len(entries)}")
+        if term in doc_freq:
+            raise ValueError(f"term {term!r} has a second posting list")
+        doc_freq[term] = len(entries)
+        listed: set[str] = set()
+        for entry in entries:
+            doc_id, tf = entry.rsplit(":", 1)
+            if doc_id not in lengths:
+                raise missing(doc_id)
+            if doc_id in listed:
+                raise ValueError(f"term {term!r} lists document {doc_id!r} twice")
+            listed.add(doc_id)
+            tf = int(tf)
+            if terms is None or term in terms:
+                if doc_id not in surrogates:
+                    surrogates[doc_id] = SurrogateDocument(doc_id=doc_id, length=lengths[doc_id])
+                surrogates[doc_id].term_freqs[term] = tf
+    for doc_id, when, anchor in rows(instances):
+        if doc_id not in lengths:
+            raise missing(doc_id)
+        when = int(when)
+        if doc_id in surrogates:
+            surrogates[doc_id].anchor_instances.append((unescape(anchor), when))
+    n = len(lengths)
+    avg = sum(lengths.values()) / n if n else 0.0
+    return surrogates, IndexStats(num_docs=n, avg_doc_length=avg, doc_freq={t: df for t, df in doc_freq.items() if df})

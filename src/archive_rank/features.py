@@ -175,7 +175,12 @@ class FeatureContext:
         domain_rank: dict[str, float] | None = None,
         news_domains: Iterable[str] = (),
         search_words: Iterable[str] | None = None,
+        domain_sizes: dict[str, int] | None = None,
     ) -> "FeatureContext":
+        """The context of the documents of ``revisions``. ``domain_sizes``,
+        the number of core URLs in each domain, is counted from
+        ``revisions`` unless given, as it must be when they are only some
+        of the archive's."""
         revision_counts: dict[str, int] = defaultdict(int)
         revision_times: dict[str, set[int]] = defaultdict(set)
         has_query: dict[str, bool] = defaultdict(bool)
@@ -217,7 +222,7 @@ class FeatureContext:
             revision_times={k: sorted(v) for k, v in revision_times.items()},
             has_query_component=dict(has_query),
             doc_domain=doc_domain,
-            domain_sizes={d: len(m) for d, m in domain_members.items()},
+            domain_sizes=domain_sizes if domain_sizes is not None else {d: len(m) for d, m in domain_members.items()},
             url_tokens=url_tokens,
             term_docs=dict(term_docs),
             url_token_docs=dict(url_token_docs),

@@ -15,6 +15,8 @@ import sys
 import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import groupby
+from operator import attrgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urljoin, urlsplit
 
@@ -43,6 +45,7 @@ __all__ = [
     "revision_from_record",
     "write_revisions_tsv",
     "read_revisions_tsv",
+    "revisions_by_core",
     "write_links_tsv",
     "read_links_tsv",
     "write_content_links_tsv",
@@ -160,12 +163,13 @@ def content_links(
     return out
 
 
-def counted_links(content: Iterable[ContentLink], strategy: str) -> list[ContentLink]:
-    """The content links a dedup ``strategy`` counts: every one under
-    ``all``, the ``first`` of each repeat under ``unique_per_revision``."""
+def counted_links(content: Iterable[ContentLink], strategy: str) -> Iterator[ContentLink]:
+    """The content links a dedup ``strategy`` counts, as ``content`` is
+    read: every one under ``all``, the ``first`` of each repeat under
+    ``unique_per_revision``. An unknown strategy raises at the call."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy!r}")
-    return [link for link in content if strategy == STRATEGY_ALL or link.first]
+    return (link for link in content if strategy == STRATEGY_ALL or link.first)
 
 
 @dataclass
@@ -644,6 +648,18 @@ def write_revisions_tsv(revisions: Iterable[RevisionRecord], fh) -> int:
 def read_revisions_tsv(fh) -> Iterator[RevisionRecord]:
     for core, full, when, domain in rows(fh):
         yield RevisionRecord(core, full, int(when), domain)
+
+
+def revisions_by_core(revisions: Iterable[RevisionRecord]) -> Iterator[tuple[str, list[RevisionRecord]]]:
+    """Each core URL with its revisions, from revisions in the order of
+    ``revisions.tsv`` (sorted by core URL). A core URL after a greater one
+    raises ValueError: the table is damaged."""
+    last = None
+    for core, group in groupby(revisions, attrgetter("core_url")):
+        if last is not None and core <= last:
+            raise ValueError(f"core URL {core!r} after {last!r}: not sorted by core URL")
+        last = core
+        yield core, list(group)
 
 
 def write_links_tsv(links: Iterable[LinkRecord], fh) -> int:

@@ -15,18 +15,16 @@ the same inputs and seed reproduces every primary artifact byte for byte.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
-import marshal
 import math
 import os
 import resource
-import tempfile
 import time
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from itertools import groupby, islice, starmap
+from itertools import groupby, starmap
 from operator import attrgetter
 from pathlib import Path
 from typing import TextIO
@@ -55,7 +53,7 @@ from .metrics import (
     paired_significance,
     precision_at_k,
 )
-from .urls import SuffixTable, UrlError
+from .urls import SuffixTable, UrlError, normalize, tokenize_url
 
 __all__ = [
     "ConfigError",
@@ -462,18 +460,42 @@ def _query_table(cfg: RunConfig) -> tuple[list[QueryRecord], int]:
     return sorted(queries, key=lambda q: q.query_id), len(table) - len(queries)
 
 
-def _build_context(cfg: RunConfig, run_dir: Path) -> FeatureContext:
-    surrogates, stats = tables.read(anchor_index.read_index, *(run_dir / name for name in _INDEX))
+def _url_scope(revisions: Iterable[ingest.RevisionRecord], tokens: set[str]) -> tuple[set[str], dict[str, int]]:
+    """The core URLs of ``revisions`` (sorted by core URL) whose URL tokens
+    hold one of ``tokens``, and the number of core URLs in each domain."""
+    cores: set[str] = set()
+    domain_sizes: Counter[str] = Counter()
+    for core, group in ingest.revisions_by_core(revisions):
+        if not tokens.isdisjoint(tokenize_url(normalize(core))):
+            cores.add(core)
+        domain_sizes.update({r.domain for r in group})
+    return cores, dict(domain_sizes)
+
+
+def _build_context(cfg: RunConfig, run_dir: Path, tokens: set[str]) -> FeatureContext:
+    """The feature context of the documents that hold one of the query
+    ``tokens`` in their anchor terms or their URL: a superset of every
+    query's candidates. The index statistics and the domain sizes are
+    those of the whole archive; every row of the index is still read and
+    checked."""
+    revisions = run_dir / "revisions.tsv"
+    cores, domain_sizes = tables.read(lambda lines: _url_scope(ingest.read_revisions_tsv(lines), tokens), revisions)
+    surrogates, stats = tables.read(
+        lambda *index: anchor_index.read_index(*index, terms=tokens, documents=cores),
+        *(run_dir / name for name in _INDEX),
+    )
+    scope = cores | surrogates.keys()
     news_path = cfg.path("paths.news_domains")
     words_path = cfg.path("paths.search_words")
     return FeatureContext.build(
-        tables.read(_listed(ingest.read_revisions_tsv), run_dir / "revisions.tsv"),
+        tables.read(lambda lines: [r for r in ingest.read_revisions_tsv(lines) if r.core_url in scope], revisions),
         surrogates,
         stats,
         page_rank=tables.read(graph.read_rank_map, run_dir / "nodes.tsv", run_dir / "page_rank.tsv"),
         domain_rank=tables.read(graph.read_rank_map, run_dir / "domain_nodes.tsv", run_dir / "domain_rank.tsv"),
         news_domains=load_word_table(news_path) if news_path else (),
         search_words=load_word_table(words_path) if words_path else None,
+        domain_sizes=domain_sizes,
     )
 
 
@@ -483,68 +505,6 @@ def _build_context(cfg: RunConfig, run_dir: Path) -> FeatureContext:
 
 def _write_json(data, fh: TextIO) -> None:
     fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-# ingest sorts its revisions and links in runs of at most this many
-# records, and spills each full run to disk: a bound on the stage's memory,
-# not a setting
-_RUN_RECORDS = 1 << 15
-_FAN_IN = 32  # runs merged at once; a merge holds one block of each
-
-
-class _ExternalSort:
-    """Tuples in ascending order, by the external merge sort of Knuth, TAOCP
-    vol. 3, §5.4. :meth:`add` collects runs of at most ``_RUN_RECORDS``;
-    each full run is sorted and appended in marshal blocks to ``spill``, an
-    open binary file that the sorts of a stage may share. Iterating merges
-    the spilled runs, at most ``_FAN_IN`` at a time, and holds one block of
-    each, so a merge holds one run's worth of records. Records that fit in
-    one run are sorted in memory and never spilled."""
-
-    def __init__(self, spill) -> None:
-        self.spill = spill
-        self.run: list[tuple] = []
-        self.spilled: list[tuple[int, int]] = []  # each run's (start, end) offsets
-
-    def add(self, record: tuple) -> None:
-        self.run.append(record)
-        if len(self.run) >= _RUN_RECORDS:
-            self._spill_run()
-
-    def _spill_run(self) -> None:
-        run, self.run = self.run, []
-        run.sort()
-        self.spilled.append(self._append(iter(run)))
-
-    def _append(self, records: Iterator[tuple]) -> tuple[int, int]:
-        """Append the sorted ``records`` to the spill as one run of
-        size-prefixed blocks; its (start, end) offsets."""
-        start = end = self.spill.seek(0, os.SEEK_END)
-        while block := list(islice(records, max(1, _RUN_RECORDS // _FAN_IN))):
-            data = marshal.dumps(block)
-            self.spill.seek(end)  # reading records may have moved it
-            end += self.spill.write(len(data).to_bytes(8, "little")) + self.spill.write(data)
-        return start, end
-
-    def _replay(self, run: tuple[int, int]) -> Iterator[tuple]:
-        position, end = run
-        while position < end:
-            self.spill.seek(position)
-            size = int.from_bytes(self.spill.read(8), "little")
-            position += 8 + size
-            yield from marshal.loads(self.spill.read(size))
-
-    def __iter__(self) -> Iterator[tuple]:
-        if not self.spilled:
-            run, self.run = self.run, []
-            run.sort()
-            return iter(run)
-        if self.run:
-            self._spill_run()
-        runs, self.spilled = self.spilled, []
-        while len(runs) > _FAN_IN:
-            runs = runs[_FAN_IN:] + [self._append(heapq.merge(*map(self._replay, runs[:_FAN_IN])))]
-        return heapq.merge(*map(self._replay, runs))
 
 
 def _with_content_links(links: Iterable[tuple], resolver: ingest.UrlResolver, fh, counts: dict[str, int]):
@@ -561,13 +521,12 @@ def _with_content_links(links: Iterable[tuple], resolver: ingest.UrlResolver, fh
 def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
     """Each table is written once, into ``out``: revisions sorted by (core
     URL, capture time, full URL), links by all their fields, and content
-    links in the order of the links. Only the sorts' spill is anonymous."""
+    links in the order of the links. Only the sorts' spills are anonymous."""
     stats = ingest.ParseStats()
     totals = dict.fromkeys(("non_2xx", "decode_failed", "bad_url", "truncated_anchors", "bad_link_end"), 0)
     totals["content_links"] = 0
     resolver = ingest.UrlResolver(_suffix_table(cfg))
-    with tempfile.TemporaryFile(dir=run_dir) as spill:
-        revisions, links = _ExternalSort(spill), _ExternalSort(spill)
+    with tables._ExternalSort(run_dir) as revisions, tables._ExternalSort(run_dir) as links:
         for path in cfg.archive_files():
             is_arc = path.name.endswith((".arc", ".arc.gz"))
             parser = ingest.parse_arc_stream if is_arc else ingest.parse_warc_stream
@@ -645,21 +604,28 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
 
 
 def _stage_index(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
-    surrogates = anchor_index.build_surrogates(
-        tables.read(_listed(ingest.read_content_links_tsv), run_dir / "content_links.tsv"),
-        tables.read(_listed(ingest.read_revisions_tsv), run_dir / "revisions.tsv"),
-        cfg["index.strategy"],
-    )
-    anchor_index.write_docs(surrogates, out["docs.tsv"])
-    anchor_index.write_postings(surrogates, out["postings.tsv"])
-    anchor_index.write_instances(surrogates, out["instances.tsv"])
-    stats = anchor_index.build_stats(surrogates)
-    return {
-        "indexed_docs": stats.num_docs,
-        "terms": len(stats.doc_freq),
-        "instances": sum(len(d.anchor_instances) for d in surrogates.values()),
-        "truncated_tokens": sum(d.truncated_tokens for d in surrogates.values()),
-    }
+    """Blocked sort-based indexing (Manning, Raghavan and Schütze,
+    *Introduction to Information Retrieval*, §4.2): the counted content
+    links are sorted by (target, capture time, anchor text), the order of
+    ``instances.tsv``, and merge-joined with ``revisions.tsv``, which is
+    sorted by core URL. Each document is written as its group ends; only
+    the postings and one group are held."""
+    strategy = cfg["index.strategy"]
+    with tables._ExternalSort(run_dir) as instances:
+        tables.read(
+            lambda lines: instances.extend(
+                (link.target, link.capture_time, link.anchor_text)
+                for link in ingest.counted_links(ingest.read_content_links_tsv(lines), strategy)
+            ),
+            run_dir / "content_links.tsv",
+        )
+        return tables.read(
+            lambda lines: anchor_index.write_index(
+                anchor_index.surrogates_of(instances, ingest.read_revisions_tsv(lines)),
+                out["docs.tsv"], out["postings.tsv"], out["instances.tsv"],
+            ),
+            run_dir / "revisions.tsv",
+        )
 
 
 def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
@@ -679,8 +645,8 @@ def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
 
 def _stage_features(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
     """Feature vectors of every (query, candidate) pair."""
-    ctx = _build_context(cfg, run_dir)
     queries, invalid = _query_table(cfg)
+    ctx = _build_context(cfg, run_dir, {token for q in queries for token in q.tokens})
     vectors = [extract_features(q, doc_id, ctx) for q in queries for doc_id in candidate_docs(q, ctx)]
     if not vectors:
         raise StageDataError("no (query, document) candidates to featurize")
@@ -828,7 +794,6 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict
     features = tables.read(_listed(deserialize_vectors), run_dir / "features.txt")
     vectors = {(v.query_id, v.doc_id): v for v in features}
     pool = tables.read(_pool, run_dir / "sample.tsv")
-    surrogates, stats = tables.read(anchor_index.read_index, *(run_dir / name for name in _INDEX))
     query_tokens = {q.query_id: q.tokens for q in _query_table(cfg)[0]}
     pooled = [
         vectors[(qid, doc)]
@@ -837,6 +802,15 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict
         for doc in pool[qid]
         if (qid, doc) in vectors
     ]
+    # BM25 reads the query terms' frequencies and the document lengths
+    surrogates, stats = tables.read(
+        lambda docs, postings: anchor_index.read_index(
+            docs, postings, terms={t for tokens in query_tokens.values() for t in tokens},
+            documents={v.doc_id for v in pooled},
+        ),
+        run_dir / "docs.tsv",
+        run_dir / "postings.tsv",
+    )
     k1, b = cfg["bm25.k1"], cfg["bm25.b"]
     scores = {
         "bm25": [
@@ -933,7 +907,7 @@ _STAGES = {
     "train": (_stage_train, ("features.txt", "labels.tsv", "sample.tsv"), ("forest.txt", "cv_report.json")),
     "rank": (
         _stage_rank,
-        ("forest.txt", "features.txt", "sample.tsv", "docs.tsv", "postings.tsv", "instances.tsv"),
+        ("forest.txt", "features.txt", "sample.tsv", "docs.tsv", "postings.tsv"),
         ("runs.tsv",),
     ),
     "eval": (_stage_eval, ("runs.tsv", "labels.tsv"), ("eval.csv", "sig.csv")),

@@ -1,5 +1,6 @@
-"""The line format of the pipeline's text tables and word lists, and the
-one place a table file is opened for reading.
+"""The line format of the pipeline's text tables and word lists, the
+one place a table file is opened for reading, and the external sort that
+orders a table's rows in bounded memory.
 
 A table holds one row per line, its fields split by tabs. Empty lines are
 skipped; hand-written resource files may also hold ``#`` comment lines. A
@@ -8,8 +9,13 @@ line break.
 """
 from __future__ import annotations
 
+import heapq
+import marshal
+import os
 import re
+import tempfile
 from contextlib import ExitStack
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 __all__ = ["escape", "unescape", "rows", "entries", "read"]
@@ -74,3 +80,86 @@ def read(parse: Callable, *paths):
             last = ([f for f in files if f.started] or files)[-1]
             where = "after line" if isinstance(exc, UnicodeDecodeError) else "line"
             raise ValueError(f"{last.name}: {where} {last.line_no}: {exc}") from exc
+
+
+# the sorts of ingest and index hold runs of at most this many records,
+# and spill each full run to disk: a bound on a stage's memory, not a
+# setting
+_RUN_RECORDS = 1 << 15
+_FAN_IN = 32  # runs merged at once; a merge holds one block of each
+
+
+class _ExternalSort:
+    """Tuples in ascending order, by the external merge sort of Knuth, TAOCP
+    vol. 3, §5.4. :meth:`add` collects runs of at most ``_RUN_RECORDS``;
+    each full run is sorted and appended in marshal blocks to a spill file
+    in ``directory``, opened at the first full run. The spill is anonymous
+    (it has no name in the directory) and leaving the ``with`` block closes
+    it. Iterating merges the spilled runs, at most ``_FAN_IN`` at a time,
+    and holds one block of each, so a merge holds one run's worth of
+    records. Records that fit in one run are sorted in memory and never
+    spilled."""
+
+    def __init__(self, directory) -> None:
+        self.directory = directory
+        self.spill = None
+        self.run: list[tuple] = []
+        self.spilled: list[tuple[int, int]] = []  # each run's (start, end) offsets
+
+    def __enter__(self) -> _ExternalSort:
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        if self.spill is not None:
+            self.spill.close()
+
+    def add(self, record: tuple) -> None:
+        self.run.append(record)
+        if len(self.run) >= _RUN_RECORDS:
+            self._spill_run()
+
+    def extend(self, records: Iterable[tuple]) -> None:
+        """:meth:`add` each of ``records``, a run's room at a time."""
+        records = iter(records)
+        while True:
+            self.run.extend(islice(records, _RUN_RECORDS - len(self.run)))
+            if len(self.run) < _RUN_RECORDS:
+                return
+            self._spill_run()
+
+    def _spill_run(self) -> None:
+        run, self.run = self.run, []
+        run.sort()
+        if self.spill is None:
+            self.spill = tempfile.TemporaryFile(dir=self.directory)
+        self.spilled.append(self._append(iter(run)))
+
+    def _append(self, records: Iterator[tuple]) -> tuple[int, int]:
+        """Append the sorted ``records`` to the spill as one run of
+        size-prefixed blocks; its (start, end) offsets."""
+        start = end = self.spill.seek(0, os.SEEK_END)
+        while block := list(islice(records, max(1, _RUN_RECORDS // _FAN_IN))):
+            data = marshal.dumps(block)
+            self.spill.seek(end)  # reading records may have moved it
+            end += self.spill.write(len(data).to_bytes(8, "little")) + self.spill.write(data)
+        return start, end
+
+    def _replay(self, run: tuple[int, int]) -> Iterator[tuple]:
+        position, end = run
+        while position < end:
+            self.spill.seek(position)
+            size = int.from_bytes(self.spill.read(8), "little")
+            position += 8 + size
+            yield from marshal.loads(self.spill.read(size))
+
+    def __iter__(self) -> Iterator[tuple]:
+        if not self.spilled:
+            run, self.run = self.run, []
+            run.sort()
+            return iter(run)
+        if self.run:
+            self._spill_run()
+        runs, self.spilled = self.spilled, []
+        while len(runs) > _FAN_IN:
+            runs = runs[_FAN_IN:] + [self._append(heapq.merge(*map(self._replay, runs[:_FAN_IN])))]
+        return heapq.merge(*map(self._replay, runs))

@@ -1,6 +1,7 @@
 import io
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,9 +15,7 @@ from archive_rank.anchor_index import (
     read_index,
     term_stats,
     tokenize_text,
-    write_docs,
-    write_instances,
-    write_postings,
+    write_index,
 )
 from archive_rank.ingest import content_links
 from conftest import DAY, T0, link, rev
@@ -293,8 +292,8 @@ class TestAnchorDistribution:
 def written_index(surrogates):
     """The three index files, written and rewound."""
     files = io.StringIO(), io.StringIO(), io.StringIO()
-    for write, fh in zip((write_docs, write_postings, write_instances), files):
-        write(surrogates, fh)
+    write_index(surrogates.values(), *files)
+    for fh in files:
         fh.seek(0)
     return files
 
@@ -318,3 +317,31 @@ class TestPersistence:
         for term, df in stats.doc_freq.items():
             brute = sum(1 for d in surrogates.values() if term in d.term_freqs)
             assert df == brute
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5), st.text("ab c", max_size=6)), max_size=25),
+        st.none() | st.sets(st.sampled_from(["a", "b", "c", "ab", "ba", "bc"])),
+        st.none() | st.sets(st.integers(0, 6).map(lambda t: f"http://t{t}.de/")),
+        st.booleans(),
+    )
+    def test_a_filtered_read_is_the_full_read_restricted(self, raw, terms, documents, with_instances):
+        """Kept are the terms ``terms`` names and the documents ``documents``
+        names or a kept posting lists; the statistics are the whole index's."""
+        revisions = [rev(f"http://t{t}.de/", T0) for t in range(5)]
+        links = [link(f"http://s{s}.de/", f"http://t{t}.de/", anchor, when=T0 + s) for s, t, anchor in raw]
+        surrogates = build_surrogates(content_links(links), revisions, "all")
+        docs, postings, instances = written_index(surrogates)
+        full, full_stats = read_index(docs, postings, instances)
+        for fh in (docs, postings, instances):
+            fh.seek(0)
+        part, part_stats = read_index(
+            docs, postings, instances if with_instances else (), terms=terms, documents=documents
+        )
+        expected = {}
+        for doc_id, doc in full.items():
+            freqs = {t: tf for t, tf in doc.term_freqs.items() if terms is None or t in terms}
+            if documents is None or doc_id in documents or freqs:
+                kept = doc.anchor_instances if with_instances else []
+                expected[doc_id] = replace(doc, term_freqs=freqs, anchor_instances=kept)
+        assert part == expected
+        assert part_stats == full_stats == build_stats(surrogates)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from archive_rank import ingest, pipeline, urls
+from archive_rank import ingest, pipeline, tables, urls
 from archive_rank.cli import main
 from archive_rank.ingest import (
     ANCHOR_TEXT_CAP,
@@ -627,7 +627,7 @@ class TestContentLinks:
     def test_empty(self):
         assert content_links([]) == []
         for strategy in (STRATEGY_ALL, STRATEGY_UNIQUE_PER_REVISION):
-            assert counted_links([], strategy) == []
+            assert list(counted_links([], strategy)) == []
 
     def test_fourteen_pattern_document_keeps_only_the_anchor(self):
         links = extract_links(FOURTEEN_PATTERN_HTML, "http://a.de/", 7).links
@@ -690,9 +690,9 @@ class TestContentLinks:
         ]
         content = content_links(records)
         assert [l.first for l in content] == [True, False, True, True, True, True, False]
-        unique = counted_links(content, STRATEGY_UNIQUE_PER_REVISION)
+        unique = list(counted_links(content, STRATEGY_UNIQUE_PER_REVISION))
         assert len(unique) == 5 and unique[0] == content_links([base])[0]
-        assert counted_links(content, STRATEGY_ALL) == content
+        assert list(counted_links(content, STRATEGY_ALL)) == content
 
     def test_flag_survives_interleaving_and_other_patterns(self):
         """A repeat is flagged by its key alone: links in between, and
@@ -1061,11 +1061,11 @@ def test_spilled_runs_give_the_same_bytes_and_counts(mini_corpus, tmp_path, monk
     config = mini_corpus.root / "config.txt"
     runs = {}
     for run_records in (10**9, 1, 50):
-        monkeypatch.setattr(pipeline, "_RUN_RECORDS", run_records)
+        monkeypatch.setattr(tables, "_RUN_RECORDS", run_records)
         runs[run_records] = _ingest_outputs(config, tmp_path / str(run_records))
         assert {p.name for p in (tmp_path / str(run_records)).iterdir()} == INGEST_WRITES | {"manifest.json"}
     in_memory = runs[10**9]
-    assert in_memory[1]["links"] > 50 * pipeline._FAN_IN  # 50 spills more runs than one merge takes
+    assert in_memory[1]["links"] > 50 * tables._FAN_IN  # 50 spills more runs than one merge takes
     assert runs[1] == in_memory and runs[50] == in_memory
 
 
@@ -1077,7 +1077,7 @@ def test_a_failed_ingest_leaves_no_spill(mini_corpus, tmp_path, monkeypatch, cap
     config = mini_corpus.root / "config.txt"
     run_dir = tmp_path / "run"
     before, _counts = _ingest_outputs(config, run_dir)
-    monkeypatch.setattr(pipeline, "_RUN_RECORDS", 5)
+    monkeypatch.setattr(tables, "_RUN_RECORDS", 5)
     calls = 0
     real = getattr(ingest, failing)
 
@@ -1103,9 +1103,9 @@ def test_an_ingest_of_a_container_cut_inside_a_member_leaves_no_spill(mini_corpu
     members = [m.start() for m in re.finditer(b"\x1f\x8b\x08", data)]
     cut = (members[len(members) // 2] + members[len(members) // 2 + 1]) // 2  # inside a member
     part_a.write_bytes(data[:cut])
-    monkeypatch.setattr(pipeline, "_RUN_RECORDS", 7)
+    monkeypatch.setattr(tables, "_RUN_RECORDS", 7)
     cut_outputs, cut_counts = _ingest_outputs(damaged / "config.txt", tmp_path / "cut")
-    monkeypatch.setattr(pipeline, "_RUN_RECORDS", 10**9)
+    monkeypatch.setattr(tables, "_RUN_RECORDS", 10**9)
     assert _ingest_outputs(damaged / "config.txt", tmp_path / "in-memory") == (cut_outputs, cut_counts)
     _intact, intact_counts = _ingest_outputs(mini_corpus.root / "config.txt", tmp_path / "intact")
     assert cut_counts["corrupt"] == intact_counts["corrupt"] + 1
@@ -1115,7 +1115,7 @@ def test_an_ingest_of_a_container_cut_inside_a_member_leaves_no_spill(mini_corpu
 def test_ingest_memory_tracks_the_run_not_the_link_count(tmp_path, monkeypatch):
     """With small runs, the peak allocation of an ingest over 4N link-heavy
     records stays within a fixed factor of that over N."""
-    monkeypatch.setattr(pipeline, "_RUN_RECORDS", 256)
+    monkeypatch.setattr(tables, "_RUN_RECORDS", 256)
 
     def peak_for(count: int) -> int:
         root = tmp_path / str(count)

@@ -18,7 +18,14 @@ import pytest
 from archive_rank import anchor_index, graph, ingest, labeling, pipeline, tables
 from archive_rank.anchor_index import tokenize_text
 from archive_rank.cli import main
-from archive_rank.features import FEATURE_NAMES, QueryRecord, candidate_docs, deserialize_vectors, group_by_query
+from archive_rank.features import (
+    FEATURE_NAMES,
+    FeatureContext,
+    QueryRecord,
+    candidate_docs,
+    deserialize_vectors,
+    group_by_query,
+)
 from archive_rank.pipeline import (
     STAGE_ORDER,
     ConfigError,
@@ -724,7 +731,7 @@ _MISSING_INPUTS = [
     ("domain_rank.tsv", "features"),
     *(("postings.tsv", stage) for stage in ("features", "rank")),
     ("docs.tsv", "rank"),
-    ("instances.tsv", "rank"),
+    ("instances.tsv", "features"),
 ]
 
 
@@ -839,10 +846,18 @@ def test_no_stage_loads_scipy(corpus, finished_run, tmp_path):
     assert loaded == {**{stage: "False" for stage in STAGE_ORDER}, "control": "True"}
 
 
+def _full_context(run_dir: Path) -> FeatureContext:
+    """The feature context of every document, from the whole index read unfiltered."""
+    surrogates, stats = tables.read(anchor_index.read_index, *(run_dir / name for name in pipeline._INDEX))
+    revisions = tables.read(lambda lines: list(ingest.read_revisions_tsv(lines)), run_dir / "revisions.tsv")
+    return FeatureContext.build(revisions, surrogates, stats)
+
+
 def test_candidate_docs_equal_a_scan_of_every_document(corpus, finished_run):
     cfg = load_config(corpus.config_path)
-    ctx = pipeline._build_context(cfg, finished_run)
+    ctx = _full_context(finished_run)
     queries = pipeline._query_table(cfg)[0]
+    scoped = pipeline._build_context(cfg, finished_run, {t for q in queries for t in q.tokens})
     words = sorted({t for q in queries for t in q.tokens} | {"de", "www", "html"})
     found = 0
     for q in queries + [QueryRecord(0, word, "politician") for word in words]:
@@ -850,6 +865,10 @@ def test_candidate_docs_equal_a_scan_of_every_document(corpus, finished_run):
         assert docs == candidates_by_scan(q, ctx), q.text
         found += len(docs)
     assert found > len(ctx.revision_counts)  # "de" alone finds every .de document
+    # the context features builds, of the documents that hold a query token,
+    # finds each query's candidates of the whole archive
+    for q in queries:
+        assert candidate_docs(q, scoped) == candidates_by_scan(q, ctx), q.text
 
 
 # the stages that need no numpy; the others import it where they use it
@@ -1002,7 +1021,7 @@ _RUN_TABLES = [
     ("domain_nodes.tsv", "features"),
     ("docs.tsv", "rank"),
     ("postings.tsv", "rank"),
-    ("instances.tsv", "rank"),
+    ("instances.tsv", "features"),
     ("sample.tsv", "rank"),
     ("labels.tsv", "eval"),
     ("runs.tsv", "eval"),
@@ -1251,10 +1270,17 @@ def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
+# each index damage, and a stage that reads the damaged file (rank reads
+# no instances.tsv)
+_INDEX_DAMAGE = [
+    *((stage, "postings.tsv", damage) for stage in ("features", "rank") for damage in ("twice", "missing")),
+    ("features", "instances.tsv", "missing"),
+]
+
+
 @pytest.mark.parametrize(
-    "artifact, damage", [("postings.tsv", "twice"), ("postings.tsv", "missing"), ("instances.tsv", "missing")]
+    "stage, artifact, damage", _INDEX_DAMAGE, ids=["-".join(case) for case in _INDEX_DAMAGE]
 )
-@pytest.mark.parametrize("stage", ["features", "rank"])
 def test_an_index_row_that_disagrees_with_docs_tsv_exits_two(
     corpus, finished_run, tmp_path, capsys, artifact, damage, stage
 ):
@@ -1352,3 +1378,221 @@ def test_a_damaged_row_is_named_by_file_and_line(corpus, finished_run, tmp_path,
     if damage == "not-utf-8":
         assert int(re.search(r"after line (\d+)", err).group(1)) < line
     _assert_untouched(run_dir, finished_run, but=artifact)
+
+
+# ---------------------------------------------------------------------------
+# index sorts its instances externally; features and rank read what their
+# queries touch
+
+
+INDEX_WRITES = set(pipeline._STAGES["index"][2])
+
+
+def _index_run(corpus, finished_run, run_dir: Path, config: Path) -> dict[str, bytes]:
+    """The outputs of ``index`` run on a copy of its inputs; no other file is left."""
+    run_dir.mkdir()
+    for name in pipeline._STAGES["index"][1]:
+        shutil.copyfile(finished_run / name, run_dir / name)
+    assert main(["index", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+    assert {p.name for p in run_dir.iterdir()} == {*pipeline._STAGES["index"][1], *INDEX_WRITES, "manifest.json"}
+    return {name: (run_dir / name).read_bytes() for name in INDEX_WRITES}
+
+
+@pytest.mark.parametrize("strategy", ingest.STRATEGIES)
+def test_index_spilled_runs_give_the_same_bytes(corpus, finished_run, tmp_path, monkeypatch, strategy):
+    config = _config_with(corpus, f"index.strategy={strategy}")
+    runs = {}
+    for run_records in (10**9, 1):
+        monkeypatch.setattr(tables, "_RUN_RECORDS", run_records)
+        runs[run_records] = _index_run(corpus, finished_run, tmp_path / str(run_records), config)
+    assert runs[1] == runs[10**9]
+    rows = runs[1]["instances.tsv"].count(b"\n")
+    assert rows > 32 * tables._FAN_IN  # runs of one record take more than one merge pass
+    if strategy == load_config(corpus.config_path)["index.strategy"]:
+        assert runs[1] == {name: (finished_run / name).read_bytes() for name in INDEX_WRITES}
+
+
+def test_a_failed_index_leaves_no_spill(corpus, finished_run, tmp_path, monkeypatch, capsys):
+    """A disk that fills while the spilled runs are merged into the index
+    files leaves the outputs of the last index, and no other file."""
+    run_dir = tmp_path / "run"
+    before = _index_run(corpus, finished_run, run_dir, corpus.config_path)
+    monkeypatch.setattr(tables, "_RUN_RECORDS", 5)
+    calls = 0
+    escape = anchor_index.escape
+
+    def fills_late(text: str) -> str:
+        nonlocal calls
+        calls += 1
+        if calls == 200:
+            raise OSError(28, "No space left on device")
+        return escape(text)
+
+    monkeypatch.setattr(anchor_index, "escape", fills_late)
+    assert main(["index", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    assert "No space left on device" in capsys.readouterr().err and calls == 200
+    assert {p.name for p in run_dir.iterdir()} == {*pipeline._STAGES["index"][1], *INDEX_WRITES, "manifest.json"}
+    assert {name: (run_dir / name).read_bytes() for name in INDEX_WRITES} == before
+
+
+def _query_tokens(corpus) -> set[str]:
+    return {t for q in pipeline._query_table(load_config(corpus.config_path))[0] for t in q.tokens}
+
+
+def test_features_builds_its_context_of_the_documents_its_queries_touch(corpus, finished_run, tmp_path, monkeypatch):
+    built = []
+    build = pipeline.FeatureContext.build
+
+    def spy(revisions, surrogates, stats, **kwargs):
+        revisions = list(revisions)
+        built.append((revisions, surrogates))
+        return build(revisions, surrogates, stats, **kwargs)
+
+    monkeypatch.setattr(pipeline.FeatureContext, "build", spy)
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    run_stage("features", load_config(corpus.config_path), run_dir)
+    assert (run_dir / "features.txt").read_bytes() == (finished_run / "features.txt").read_bytes()
+    (revisions, surrogates), = built
+    tokens = _query_tokens(corpus)
+    for doc_id, doc in surrogates.items():
+        assert tokens & doc.term_freqs.keys() or tokens & set(tokenize_url(normalize(doc_id))), doc_id
+    instance_rows = (finished_run / "instances.tsv").read_text(encoding="utf-8").count("\n")
+    assert 0 < sum(len(doc.anchor_instances) for doc in surrogates.values()) < instance_rows
+    assert 0 < len(revisions) < (finished_run / "revisions.tsv").read_text(encoding="utf-8").count("\n")
+    assert "features" in NUMPY_FREE_STAGES
+
+
+def _outside_every_query(corpus, finished_run) -> tuple[str, str]:
+    """A document that holds no query token in its anchor terms or its URL,
+    so no query's context reads it, and one of its anchor terms."""
+    tokens = _query_tokens(corpus)
+    surrogates, _stats = tables.read(anchor_index.read_index, *(finished_run / name for name in pipeline._INDEX))
+    for doc_id, doc in sorted(surrogates.items()):
+        if doc.term_freqs and doc.anchor_instances and not tokens & (doc.term_freqs.keys() | set(tokenize_url(normalize(doc_id)))):
+            return doc_id, min(doc.term_freqs)
+    raise AssertionError("every document holds a query token")
+
+
+def _damage_outside(text: str, damage: str, doc: str, term: str) -> tuple[str, int, str]:
+    """``text`` with the first row of ``doc`` (in postings.tsv, the row of
+    ``term``) damaged; the line at fault and a part of the message."""
+    lines = text.splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"{term}\t" if term else f"{doc}\t"))
+    fields = lines[at].rstrip("\n").split("\t")
+    entry = next((i for i, field in enumerate(fields) if field.rsplit(":", 1)[0] == doc), None)
+    expected = ""
+    if damage == "garbage":
+        lines[at] = "garbage\n"
+    elif damage == "not-a-number":  # the capture time, the length or the term frequency
+        if entry is not None:
+            fields[entry] = f"{doc}:x"
+        else:
+            fields[1] = "x"
+        lines[at] = "\t".join(fields) + "\n"
+    elif damage == "unknown":
+        nowhere = "http://nowhere.de/"
+        if entry is not None:
+            fields[entry] = f"{nowhere}:1"
+        else:
+            fields[0] = nowhere
+        lines[at] = "\t".join(fields) + "\n"
+        expected = f"document {nowhere!r} is not in docs.tsv"
+    elif damage == "count":
+        fields[1] = str(int(fields[1]) + 1)
+        lines[at] = "\t".join(fields) + "\n"
+        expected = f"term {term!r} counts"
+    elif damage == "repeated":
+        if entry is not None:
+            fields[1] = str(int(fields[1]) + 1)
+            lines[at] = "\t".join([*fields, fields[entry]]) + "\n"
+            expected = f"term {term!r} lists document {doc!r} twice"
+        else:
+            lines.insert(at, lines[at])
+            at += 1
+            expected = f"docs.tsv lists document {doc!r} twice"
+    return "".join(lines), at + 1, expected
+
+
+_OUTSIDE = [
+    *(("instances.tsv", damage) for damage in ("garbage", "not-a-number", "unknown")),
+    *(("postings.tsv", damage) for damage in ("garbage", "not-a-number", "unknown", "count", "repeated")),
+    *(("docs.tsv", damage) for damage in ("garbage", "not-a-number", "repeated")),
+]
+_OUTSIDE_CASES = [
+    (stage, artifact, damage)
+    for artifact, damage in _OUTSIDE
+    for stage in ("features", "rank")
+    if artifact in pipeline._STAGES[stage][1]
+]
+
+
+@pytest.mark.parametrize("stage, artifact, damage", _OUTSIDE_CASES, ids=["-".join(c) for c in _OUTSIDE_CASES])
+def test_damage_to_a_document_no_query_reads_exits_two(corpus, finished_run, tmp_path, capsys, stage, artifact, damage):
+    """The query-scoped reads of features and rank still check every row of
+    the index, those of documents they do not keep too."""
+    doc, term = _outside_every_query(corpus, finished_run)
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    path = run_dir / artifact
+    text, line, expected = _damage_outside(
+        path.read_text(encoding="utf-8"), damage, doc, term if artifact == "postings.tsv" else ""
+    )
+    path.write_text(text, encoding="utf-8")
+    assert main([stage, "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: stage {stage}: {path}: line {line}: ") and expected in err, err
+    _assert_untouched(run_dir, finished_run, but=artifact)
+
+
+@pytest.mark.parametrize("stage", ["index", "features"])
+def test_revisions_out_of_core_url_order_exit_two(corpus, finished_run, tmp_path, capsys, stage):
+    # both stages take the core URLs of revisions.tsv in their sorted order
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    path = run_dir / "revisions.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join([lines[-1], *lines[:-1]]), encoding="utf-8")
+    assert main([stage, "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: stage {stage}: {path}: line 2: ") and "not sorted by core URL" in err, err
+    _assert_untouched(run_dir, finished_run, but="revisions.tsv")
+
+
+def test_index_memory_tracks_the_output_not_the_link_count(tmp_path):
+    """With small runs, an index over 4N pages of 100 links allocates at its
+    peak within a fixed factor of one over N, when the pages past the first
+    30 link only to pages the archive lacks: the two indexes are the same.
+    N is large enough that the digest of each input reads whole 1 MiB
+    chunks. Each index runs in a fresh process, as the table of interned
+    strings, which the content-link reader grows, is the process's."""
+    code = (
+        "import sys, tracemalloc\n"
+        "from archive_rank import pipeline, tables\n"
+        "tables._RUN_RECORDS = 256\n"
+        "tracemalloc.start()\n"
+        "pipeline.run_stage('index', pipeline.load_config(sys.argv[1]), sys.argv[2])\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+
+    def page(i: int) -> bytes:
+        target, anchor = ("http://t.de/{}", "anchor {}") if i < 30 else (f"http://u.de/{i}/{{}}", "{} " + "x" * 100)
+        links = (f'<a href="{target.format(j % 40)}">{anchor.format(j)}</a>' for j in range(100))
+        return warc_record_bytes(f"http://s.de/{i}", "2009-01-01T00:00:00Z", " ".join(links).encode())
+
+    def peak_for(count: int) -> tuple[int, dict[str, bytes]]:
+        config = _write_corpus(
+            tmp_path / str(count),
+            [page(i) for i in range(count)]
+            + [warc_record_bytes(f"http://t.de/{j}", "2009-01-01T00:00:00Z", b"<html></html>") for j in range(40)],
+        )
+        run_dir = tmp_path / str(count) / "run"
+        assert run_stage("ingest", load_config(config), run_dir)["content_links"] == 100 * count
+        proc = _python(code, str(config), str(run_dir))
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout), {name: (run_dir / name).read_bytes() for name in pipeline._STAGES["index"][2]}
+
+    small, index = peak_for(100)
+    large, same_index = peak_for(400)
+    assert same_index == index and index["instances.tsv"].count(b"\n") == 3000
+    assert large < small * 1.5
