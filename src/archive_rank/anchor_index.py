@@ -15,7 +15,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter, itemgetter
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .ingest import STRATEGY_UNIQUE_PER_REVISION, ContentLink, RevisionRecord, counted_links, revisions_by_core
 from .tables import escape, rows, unescape
@@ -134,9 +134,14 @@ def build_stats(surrogates: dict[str, SurrogateDocument]) -> IndexStats:
     df: Counter[str] = Counter()
     for doc in surrogates.values():
         df.update(doc.term_freqs.keys())
-    n = len(surrogates)
-    avg = sum(d.length for d in surrogates.values()) / n if n else 0.0
-    return IndexStats(num_docs=n, avg_doc_length=avg, doc_freq=dict(df))
+    return _index_stats([doc.length for doc in surrogates.values()], df)
+
+
+def _index_stats(lengths: Collection[int], doc_freq: dict[str, int]) -> IndexStats:
+    """The statistics of documents of ``lengths``, without the terms no document holds."""
+    n = len(lengths)
+    avg = sum(lengths) / n if n else 0.0
+    return IndexStats(num_docs=n, avg_doc_length=avg, doc_freq={t: df for t, df in doc_freq.items() if df})
 
 
 def bm25_score(
@@ -263,7 +268,7 @@ def write_index(surrogates: Iterable[SurrogateDocument], docs, postings, instanc
 
 
 def read_index(
-    docs, postings, instances=(), terms: Collection[str] | None = None, documents: Collection[str] | None = None
+    docs, postings, instances=(), terms: Collection[str] | None = None, documents: Callable[[str], bool] | None = None
 ) -> tuple[dict[str, SurrogateDocument], IndexStats]:
     """Surrogates (without revision timestamps, which live in the revisions
     table) and the :func:`build_stats` of the whole index, from the lines
@@ -271,12 +276,13 @@ def read_index(
     anchor instances.
 
     With ``terms``, a surrogate keeps only those terms' frequencies; with
-    ``documents``, only those documents and the ones a kept posting lists
-    get a surrogate. Every row is checked all the same. ValueError is
-    raised for a field that is not a number; naming the term, for a
-    posting list whose count is not its number of entries or that lists a
-    document twice, and for a term with a second posting list; and naming
-    the document, for one that docs.tsv lists twice or lacks."""
+    ``documents``, a predicate on the document id, only the documents it
+    holds true of and the ones a kept posting lists get a surrogate. Every
+    row is checked all the same. ValueError is raised for a field that is
+    not a number; naming the term, for a posting list whose count is not
+    its number of entries or that lists a document twice, and for a term
+    with a second posting list; and naming the document, for one that
+    docs.tsv lists twice or lacks."""
     lengths: dict[str, int] = {}
     surrogates: dict[str, SurrogateDocument] = {}
     for doc_id, length, revs in rows(docs):
@@ -284,7 +290,7 @@ def read_index(
             raise ValueError(f"docs.tsv lists document {doc_id!r} twice")
         lengths[doc_id] = int(length)
         int(revs)  # checked, not kept
-        if documents is None or doc_id in documents:
+        if documents is None or documents(doc_id):
             surrogates[doc_id] = SurrogateDocument(doc_id=doc_id, length=lengths[doc_id])
 
     def missing(doc_id: str) -> ValueError:
@@ -316,6 +322,4 @@ def read_index(
         when = int(when)
         if doc_id in surrogates:
             surrogates[doc_id].anchor_instances.append((unescape(anchor), when))
-    n = len(lengths)
-    avg = sum(lengths.values()) / n if n else 0.0
-    return surrogates, IndexStats(num_docs=n, avg_doc_length=avg, doc_freq={t: df for t, df in doc_freq.items() if df})
+    return surrogates, _index_stats(lengths.values(), doc_freq)

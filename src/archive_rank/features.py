@@ -8,9 +8,9 @@ document) pairs can be processed in parallel without coordination.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import AbstractSet, Iterable, Iterator, NamedTuple
 
 from .anchor_index import (
     IndexStats,
@@ -18,7 +18,7 @@ from .anchor_index import (
     term_stats,
     tokenize_text,
 )
-from .ingest import RevisionRecord
+from .ingest import RevisionRecord, revisions_by_core
 from . import tables
 from .urls import normalize, tokenize_url, url_depth
 
@@ -39,6 +39,7 @@ __all__ = [
     "rev_duration",
     "per_query_evidence_summary",
     "candidate_docs",
+    "in_url_scope",
     "serialize_vectors",
     "deserialize_vectors",
     "group_by_query",
@@ -175,36 +176,36 @@ class FeatureContext:
         domain_rank: dict[str, float] | None = None,
         news_domains: Iterable[str] = (),
         search_words: Iterable[str] | None = None,
-        domain_sizes: dict[str, int] | None = None,
+        tokens: AbstractSet[str] | None = None,
     ) -> "FeatureContext":
-        """The context of the documents of ``revisions``. ``domain_sizes``,
-        the number of core URLs in each domain, is counted from
-        ``revisions`` unless given, as it must be when they are only some
-        of the archive's."""
-        revision_counts: dict[str, int] = defaultdict(int)
-        revision_times: dict[str, set[int]] = defaultdict(set)
-        has_query: dict[str, bool] = defaultdict(bool)
+        """The context of the documents of ``revisions``, which must be
+        sorted by core URL, as ``revisions.tsv`` is (a core URL after a
+        greater one raises ValueError). With ``tokens``, it keeps only the
+        documents that have a surrogate or are in :func:`in_url_scope`;
+        ``domain_size`` still counts the core URLs of every revision."""
+        revision_counts: dict[str, int] = {}
+        revision_times: dict[str, list[int]] = {}
+        has_query: dict[str, bool] = {}
         doc_domain: dict[str, str] = {}
-        domain_members: dict[str, set[str]] = defaultdict(set)
+        domain_sizes: Counter[str] = Counter()
         url_tokens: dict[str, tuple[str, ...]] = {}
         url_token_docs: dict[str, set[str]] = defaultdict(set)
-        for rev in revisions:
-            core = rev.core_url
-            revision_counts[core] += 1
-            revision_times[core].add(rev.capture_time)
-            if "?" in rev.full_url:
-                has_query[core] = True
-            doc_domain[core] = rev.domain
-            domain_members[rev.domain].add(core)
-            if core not in url_tokens:
-                url_tokens[core] = tuple(tokenize_url(normalize(core)))
-                for token in url_tokens[core]:
-                    url_token_docs[token].add(core)
         term_docs: dict[str, set[str]] = defaultdict(set)
-        for doc_id, doc in surrogates.items():
-            if doc_id in revision_counts:
-                for term in doc.term_freqs:
-                    term_docs[term].add(doc_id)
+        for core, group in revisions_by_core(revisions):
+            domain_sizes.update({rev.domain for rev in group})
+            core_tokens = tuple(tokenize_url(normalize(core)))
+            doc = surrogates.get(core)
+            if doc is None and not in_url_scope(core_tokens, tokens):
+                continue
+            revision_counts[core] = len(group)
+            revision_times[core] = sorted({rev.capture_time for rev in group})
+            has_query[core] = any("?" in rev.full_url for rev in group)
+            doc_domain[core] = group[-1].domain
+            url_tokens[core] = core_tokens
+            for token in core_tokens:
+                url_token_docs[token].add(core)
+            for term in doc.term_freqs if doc is not None else ():
+                term_docs[term].add(core)
 
         if search_words is None:
             plain = DEFAULT_SEARCH_WORDS
@@ -218,11 +219,11 @@ class FeatureContext:
             stats=stats,
             page_rank=dict(page_rank or {}),
             domain_rank=dict(domain_rank or {}),
-            revision_counts=dict(revision_counts),
-            revision_times={k: sorted(v) for k, v in revision_times.items()},
-            has_query_component=dict(has_query),
+            revision_counts=revision_counts,
+            revision_times=revision_times,
+            has_query_component=has_query,
             doc_domain=doc_domain,
-            domain_sizes=domain_sizes if domain_sizes is not None else {d: len(m) for d, m in domain_members.items()},
+            domain_sizes=dict(domain_sizes),
             url_tokens=url_tokens,
             term_docs=dict(term_docs),
             url_token_docs=dict(url_token_docs),
@@ -230,6 +231,11 @@ class FeatureContext:
             search_words=plain,
             search_substrings=substrings,
         )
+
+
+def in_url_scope(url_tokens: Iterable[str], tokens: AbstractSet[str] | None) -> bool:
+    """Whether URL tokens hold one of the query ``tokens``; with ``tokens`` None, any do."""
+    return tokens is None or not tokens.isdisjoint(url_tokens)
 
 
 def anchor_time_spans(instants: Iterable[int]) -> int:

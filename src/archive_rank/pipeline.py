@@ -20,7 +20,6 @@ import math
 import os
 import resource
 import time
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -38,6 +37,7 @@ from .features import (
     deserialize_vectors,
     extract_features,
     group_by_query,
+    in_url_scope,
     load_entity_types,
     load_queries,
     load_wiki_citations,
@@ -460,42 +460,30 @@ def _query_table(cfg: RunConfig) -> tuple[list[QueryRecord], int]:
     return sorted(queries, key=lambda q: q.query_id), len(table) - len(queries)
 
 
-def _url_scope(revisions: Iterable[ingest.RevisionRecord], tokens: set[str]) -> tuple[set[str], dict[str, int]]:
-    """The core URLs of ``revisions`` (sorted by core URL) whose URL tokens
-    hold one of ``tokens``, and the number of core URLs in each domain."""
-    cores: set[str] = set()
-    domain_sizes: Counter[str] = Counter()
-    for core, group in ingest.revisions_by_core(revisions):
-        if not tokens.isdisjoint(tokenize_url(normalize(core))):
-            cores.add(core)
-        domain_sizes.update({r.domain for r in group})
-    return cores, dict(domain_sizes)
-
-
 def _build_context(cfg: RunConfig, run_dir: Path, tokens: set[str]) -> FeatureContext:
     """The feature context of the documents that hold one of the query
     ``tokens`` in their anchor terms or their URL: a superset of every
     query's candidates. The index statistics and the domain sizes are
-    those of the whole archive; every row of the index is still read and
-    checked."""
-    revisions = run_dir / "revisions.tsv"
-    cores, domain_sizes = tables.read(lambda lines: _url_scope(ingest.read_revisions_tsv(lines), tokens), revisions)
+    those of the whole archive; every row of the index and of
+    ``revisions.tsv`` is still read and checked. ``revisions.tsv`` is read
+    last, so that damage elsewhere is reported under its own file's name."""
     surrogates, stats = tables.read(
-        lambda *index: anchor_index.read_index(*index, terms=tokens, documents=cores),
+        lambda *index: anchor_index.read_index(
+            *index, terms=tokens, documents=lambda doc_id: in_url_scope(tokenize_url(normalize(doc_id)), tokens)
+        ),
         *(run_dir / name for name in _INDEX),
     )
-    scope = cores | surrogates.keys()
     news_path = cfg.path("paths.news_domains")
     words_path = cfg.path("paths.search_words")
-    return FeatureContext.build(
-        tables.read(lambda lines: [r for r in ingest.read_revisions_tsv(lines) if r.core_url in scope], revisions),
-        surrogates,
-        stats,
+    context = dict(
         page_rank=tables.read(graph.read_rank_map, run_dir / "nodes.tsv", run_dir / "page_rank.tsv"),
         domain_rank=tables.read(graph.read_rank_map, run_dir / "domain_nodes.tsv", run_dir / "domain_rank.tsv"),
         news_domains=load_word_table(news_path) if news_path else (),
         search_words=load_word_table(words_path) if words_path else None,
-        domain_sizes=domain_sizes,
+    )
+    return tables.read(
+        lambda lines: FeatureContext.build(ingest.read_revisions_tsv(lines), surrogates, stats, tokens=tokens, **context),
+        run_dir / "revisions.tsv",
     )
 
 
@@ -706,9 +694,10 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
         matrix = np.array([v.values for v in vecs], dtype=np.float64)
         merged = labeling.merge_snapshots(snapshots.get(qid, []))
         dataset_b = labeling.intersect_with_index(merged, docs)
-        sample = labeling.stratified_sample(
-            docs, matrix, (lo, hi), derive_seed(seed, f"query:{qid}")
-        )
+        try:
+            sample = labeling.stratified_sample(docs, matrix, (lo, hi), derive_seed(seed, f"query:{qid}"))
+        except ValueError as exc:
+            raise ValueError(f"{run_dir / 'features.txt'}: query {qid}: {len(docs)} candidates: {exc}") from exc
         pool = labeling.pool_with_positives(sample, dataset_b)
         for doc in docs:
             soft = labeling.soft_label(doc, merged)
@@ -806,7 +795,7 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict
     surrogates, stats = tables.read(
         lambda docs, postings: anchor_index.read_index(
             docs, postings, terms={t for tokens in query_tokens.values() for t in tokens},
-            documents={v.doc_id for v in pooled},
+            documents={v.doc_id for v in pooled}.__contains__,
         ),
         run_dir / "docs.tsv",
         run_dir / "postings.tsv",

@@ -1,6 +1,8 @@
 """Shared builders for small in-memory fixtures."""
 from __future__ import annotations
 
+from operator import attrgetter
+
 from archive_rank.anchor_index import build_stats, build_surrogates
 from archive_rank.features import FeatureContext, QueryRecord
 from archive_rank.ingest import LINK_PATTERNS, STRATEGY_ALL, LinkRecord, RevisionRecord, content_links, counted_links
@@ -44,7 +46,7 @@ def make_context(
     surrogates = build_surrogates(content_links(links), revisions, strategy)
     stats = build_stats(surrogates)
     return FeatureContext.build(
-        revisions,
+        sorted(revisions, key=attrgetter("core_url")),  # the order of revisions.tsv
         surrogates,
         stats,
         page_rank=page_rank,

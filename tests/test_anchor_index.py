@@ -326,7 +326,8 @@ class TestPersistence:
     )
     def test_a_filtered_read_is_the_full_read_restricted(self, raw, terms, documents, with_instances):
         """Kept are the terms ``terms`` names and the documents ``documents``
-        names or a kept posting lists; the statistics are the whole index's."""
+        names (passed as a predicate) or a kept posting lists; the
+        statistics are the whole index's."""
         revisions = [rev(f"http://t{t}.de/", T0) for t in range(5)]
         links = [link(f"http://s{s}.de/", f"http://t{t}.de/", anchor, when=T0 + s) for s, t, anchor in raw]
         surrogates = build_surrogates(content_links(links), revisions, "all")
@@ -335,7 +336,8 @@ class TestPersistence:
         for fh in (docs, postings, instances):
             fh.seek(0)
         part, part_stats = read_index(
-            docs, postings, instances if with_instances else (), terms=terms, documents=documents
+            docs, postings, instances if with_instances else (), terms=terms,
+            documents=None if documents is None else documents.__contains__,
         )
         expected = {}
         for doc_id, doc in full.items():

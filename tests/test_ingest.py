@@ -1,8 +1,11 @@
 import gzip
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import zlib
@@ -1112,10 +1115,19 @@ def test_an_ingest_of_a_container_cut_inside_a_member_leaves_no_spill(mini_corpu
     assert {p.name for p in (tmp_path / "cut").iterdir()} == INGEST_WRITES | {"manifest.json"}
 
 
-def test_ingest_memory_tracks_the_run_not_the_link_count(tmp_path, monkeypatch):
+def test_ingest_memory_tracks_the_run_not_the_link_count(tmp_path):
     """With small runs, the peak allocation of an ingest over 4N link-heavy
-    records stays within a fixed factor of that over N."""
-    monkeypatch.setattr(tables, "_RUN_RECORDS", 256)
+    records stays within a fixed factor of that over N. Each ingest runs in
+    a fresh process, as the table of interned strings, which the readers
+    grow, is the process's."""
+    code = (
+        "import sys, tracemalloc\n"
+        "from archive_rank import pipeline, tables\n"
+        "tables._RUN_RECORDS = 256\n"
+        "tracemalloc.start()\n"
+        "counts = pipeline.run_stage('ingest', pipeline.load_config(sys.argv[1]), sys.argv[2])\n"
+        "print(tracemalloc.get_traced_memory()[1], counts['links'])\n"
+    )
 
     def peak_for(count: int) -> int:
         root = tmp_path / str(count)
@@ -1128,14 +1140,16 @@ def test_ingest_memory_tracks_the_run_not_the_link_count(tmp_path, monkeypatch):
             )
         )
         (root / "config.txt").write_text("seed=1\npaths.archives=archives\n", encoding="utf-8")
-        cfg = pipeline.load_config(root / "config.txt")
-        tracemalloc.start()
-        try:
-            counts = pipeline.run_stage("ingest", cfg, root / "run")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert counts["links"] == 100 * count
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(root / "config.txt"), str(root / "run")],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak, links = map(int, proc.stdout.split())
+        assert links == 100 * count
         return peak
 
     small = peak_for(30)

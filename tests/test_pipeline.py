@@ -699,6 +699,27 @@ def test_the_guard_sees_a_table_opened_for_reading():
     assert table_reads(source, "m") == ["m.reader"] * 5 + ["m.inner", "m.outer"]
 
 
+def test_each_stage_after_ingest_opens_each_file_once(corpus, finished_run, tmp_path, monkeypatch):
+    """Every table is opened by tables.read (the guard above), so the paths
+    it is given are every file a stage reads."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    cfg = load_config(corpus.config_path)
+    read = tables.read
+    opened: list[Path] = []
+
+    def counted(parse, *paths):
+        opened.extend(Path(path) for path in paths)
+        return read(parse, *paths)
+
+    monkeypatch.setattr(tables, "read", counted)
+    for stage in STAGE_ORDER[1:]:
+        opened.clear()
+        run_stage(stage, cfg, run_dir)
+        assert opened, stage
+        assert [path for path, n in Counter(opened).items() if n > 1] == [], stage
+
+
 def test_readme_stage_table_lists_what_each_stage_writes():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     written = {}
@@ -1443,23 +1464,26 @@ def test_features_builds_its_context_of_the_documents_its_queries_touch(corpus, 
     built = []
     build = pipeline.FeatureContext.build
 
-    def spy(revisions, surrogates, stats, **kwargs):
-        revisions = list(revisions)
-        built.append((revisions, surrogates))
-        return build(revisions, surrogates, stats, **kwargs)
+    def spy(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
 
     monkeypatch.setattr(pipeline.FeatureContext, "build", spy)
     run_dir = tmp_path / "run"
     shutil.copytree(finished_run, run_dir)
     run_stage("features", load_config(corpus.config_path), run_dir)
     assert (run_dir / "features.txt").read_bytes() == (finished_run / "features.txt").read_bytes()
-    (revisions, surrogates), = built
+    ctx, = built
     tokens = _query_tokens(corpus)
-    for doc_id, doc in surrogates.items():
+    for doc_id, doc in ctx.surrogates.items():
         assert tokens & doc.term_freqs.keys() or tokens & set(tokenize_url(normalize(doc_id))), doc_id
+    for doc_id in ctx.revision_counts:
+        assert doc_id in ctx.surrogates or tokens & set(tokenize_url(normalize(doc_id))), doc_id
     instance_rows = (finished_run / "instances.tsv").read_text(encoding="utf-8").count("\n")
-    assert 0 < sum(len(doc.anchor_instances) for doc in surrogates.values()) < instance_rows
-    assert 0 < len(revisions) < (finished_run / "revisions.tsv").read_text(encoding="utf-8").count("\n")
+    assert 0 < sum(len(doc.anchor_instances) for doc in ctx.surrogates.values()) < instance_rows
+    revisions = (finished_run / "revisions.tsv").read_text(encoding="utf-8").splitlines()
+    assert 0 < len(ctx.revision_counts) < len({line.split("\t", 1)[0] for line in revisions})
+    assert ctx.domain_sizes == _full_context(finished_run).domain_sizes
     assert "features" in NUMPY_FREE_STAGES
 
 
@@ -1559,6 +1583,32 @@ def test_revisions_out_of_core_url_order_exit_two(corpus, finished_run, tmp_path
     _assert_untouched(run_dir, finished_run, but="revisions.tsv")
 
 
+def test_a_query_with_too_few_candidates_to_stratify_exits_two_naming_it(corpus, finished_run, tmp_path, capsys):
+    """label splits each query's candidates into three partitions per
+    feature, so a query with fewer than three stops it with exit 2, naming
+    the query, its candidate count and features.txt."""
+    ctx = _full_context(finished_run)
+    token = next(
+        t for t, docs in sorted(ctx.url_token_docs.items()) if len(docs) == 1 and t.isalnum() and t not in ctx.term_docs
+    )
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus.config_path.parent, root)
+    with open(root / "resources" / "queries.tsv", "a", encoding="utf-8") as fh:
+        fh.write(f"999\t{token}\tpolitician\n")
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    config = str(root / "config.txt")
+    assert main(["features", "--config", config, "--run-dir", str(run_dir)]) == 0
+    assert "\tqid:999 " not in (finished_run / "features.txt").read_text(encoding="utf-8")
+    assert (run_dir / "features.txt").read_text(encoding="utf-8").count("qid:999 ") == 1
+    capsys.readouterr()
+    assert main(["label", "--config", config, "--run-dir", str(run_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: stage label: {run_dir / 'features.txt'}: query 999: 1 candidates: "
+        "need at least three documents to stratify\n"
+    )
+
+
 def test_index_memory_tracks_the_output_not_the_link_count(tmp_path):
     """With small runs, an index over 4N pages of 100 links allocates at its
     peak within a fixed factor of one over N, when the pages past the first
@@ -1595,4 +1645,42 @@ def test_index_memory_tracks_the_output_not_the_link_count(tmp_path):
     small, index = peak_for(100)
     large, same_index = peak_for(400)
     assert same_index == index and index["instances.tsv"].count(b"\n") == 3000
+    assert large < small * 1.5
+
+
+def test_features_memory_tracks_the_query_scope_not_the_archive(tmp_path):
+    """features over an archive with 4N captured pages outside every query's
+    scope (no query token in their URL, no link to or from them) allocates
+    at its peak within a fixed factor of one over N, and writes the same
+    vectors. N is large enough that the digest of revisions.tsv reads whole
+    1 MiB chunks. Each run is a fresh process, as in the index test."""
+    code = (
+        "import sys, tracemalloc\n"
+        "from archive_rank import pipeline\n"
+        "tracemalloc.start()\n"
+        "pipeline.run_stage('features', pipeline.load_config(sys.argv[1]), sys.argv[2])\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    when = "2009-01-01T00:00:00Z"
+    links = " ".join(f'<a href="http://t.de/merkel/{j}">Angela Merkel {j}</a>' for j in range(10)).encode()
+    scoped = [warc_record_bytes(f"http://s.de/{i}", when, links) for i in range(10)]
+    scoped += [warc_record_bytes(f"http://t.de/merkel/{j}", when, b"<html></html>") for j in range(10)]
+
+    def peak_for(count: int) -> tuple[int, bytes]:
+        outside = [warc_record_bytes(f"http://u.de/{'x' * 400}/{i}", when, b"<html></html>") for i in range(count)]
+        config = _write_corpus(tmp_path / str(count), scoped + outside)
+        (config.parent / "queries.tsv").write_text("1\tangela merkel\tpolitician\n", encoding="utf-8")
+        with open(config, "a", encoding="utf-8") as fh:
+            fh.write("paths.queries=queries.tsv\n")
+        run_dir = config.parent / "run"
+        for stage in ("ingest", "graph", "index"):
+            run_stage(stage, load_config(config), run_dir)
+        assert (run_dir / "revisions.tsv").stat().st_size > 1 << 20
+        proc = _python(code, str(config), str(run_dir))
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout), (run_dir / "features.txt").read_bytes()
+
+    small, features = peak_for(1500)
+    large, same_features = peak_for(6000)
+    assert same_features == features and features.count(b"\n") == 10
     assert large < small * 1.5
