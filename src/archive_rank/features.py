@@ -177,12 +177,19 @@ class FeatureContext:
         news_domains: Iterable[str] = (),
         search_words: Iterable[str] | None = None,
         tokens: AbstractSet[str] | None = None,
+        *,
+        _url_tokens: dict[str, tuple[str, ...]] | None = None,
     ) -> "FeatureContext":
         """The context of the documents of ``revisions``, which must be
         sorted by core URL, as ``revisions.tsv`` is (a core URL after a
         greater one raises ValueError). With ``tokens``, it keeps only the
         documents that have a surrogate or are in :func:`in_url_scope`;
-        ``domain_size`` still counts the core URLs of every revision."""
+        ``domain_size`` still counts the core URLs of every revision.
+
+        ``_url_tokens`` holds the URL tokens of core URLs a caller has
+        already tokenized; each is taken from it (and removed) instead of
+        tokenized again."""
+        known = {} if _url_tokens is None else _url_tokens
         revision_counts: dict[str, int] = {}
         revision_times: dict[str, list[int]] = {}
         has_query: dict[str, bool] = {}
@@ -193,7 +200,7 @@ class FeatureContext:
         term_docs: dict[str, set[str]] = defaultdict(set)
         for core, group in revisions_by_core(revisions):
             domain_sizes.update({rev.domain for rev in group})
-            core_tokens = tuple(tokenize_url(normalize(core)))
+            core_tokens = known.pop(core) if core in known else tuple(tokenize_url(normalize(core)))
             doc = surrogates.get(core)
             if doc is None and not in_url_scope(core_tokens, tokens):
                 continue

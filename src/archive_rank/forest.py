@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+from ._arrays import sorted_distinct
 from .features import FEATURE_NAMES, FeatureVector
 from .metrics import RankedRun, ndcg_at_k
 
@@ -143,6 +144,9 @@ class Forest:
 # sort key array), and the rows x trees of one prediction run. A batch has
 # at least one tree, and a search at least one node.
 _BATCH_ELEMENTS = 65_536
+# Bounds the padded bins of the segments one step of a split search scans
+# together (at least one segment).
+_SCAN_ELEMENTS = 8_192
 
 
 def _value_codes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,7 +155,7 @@ def _value_codes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one after another; and where each column's values start among them."""
     import numpy as np
 
-    tables = [np.unique(X[:, f]) for f in range(X.shape[1])]
+    tables = [sorted_distinct(X[:, f].copy()) for f in range(X.shape[1])]
     widths = [len(table) for table in tables]
     codes = np.empty(X.shape, dtype=np.min_scalar_type(max(widths) - 1))
     for f, table in enumerate(tables):
@@ -190,29 +194,43 @@ def _best_cuts(
     # Sort keys (node, slot, code) with the row's position in the low bits:
     # every key is then distinct, so one plain sort keeps the rows of a bin
     # in row order, and that fixes the order in which each bin is summed.
+    # Each array of one entry per (row, candidate) is made once, in place
+    # where it can be, and dropped after its last reader.
     shift = max(len(rows) - 1, 1).bit_length()
     if (n_nodes * m * width) >> (62 - shift):
         raise OverflowError("too many nodes and values for one split search")
-    row_key = ((node * (m * width)) << shift) + np.arange(len(rows))
-    slot_key = (np.arange(m) * width) << shift
-    tagged = codes.ravel().take(rows[:, None] * codes.shape[1] + cand[node]).astype(np.int64)
-    tagged <<= shift
-    tagged += row_key[:, None]
-    tagged += slot_key
-    tagged = np.sort(tagged.ravel())
-    keys = tagged >> shift
-    weights = y_rows.take(tagged & ((1 << shift) - 1))
-    change = np.empty(len(keys), dtype=bool)
+    # int32 holds the gather index and the (node, slot, code) keys unless
+    # either is too large
+    index = np.int32 if max(codes.size, n_nodes * m * width) <= np.iinfo(np.int32).max else np.int64
+    at = cand.astype(index)[node]
+    at += (rows * codes.shape[1]).astype(index)[:, None]
+    keys = codes.ravel().take(at).astype(np.int64)
+    del at
+    keys <<= shift
+    keys += (((node * (m * width)) << shift) + np.arange(len(rows)))[:, None]
+    keys += (np.arange(m) * width) << shift
+    keys = keys.ravel()
+    keys.sort()
+    # split each key into its (node, slot, code) and the row position
+    bin_keys = np.right_shift(keys, shift, out=np.empty(len(keys), dtype=index), casting="unsafe")
+    keys &= (1 << shift) - 1
+    weights = y_rows.take(keys)
+    del keys
+    change = np.empty(len(bin_keys), dtype=bool)
     change[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    np.not_equal(bin_keys[1:], bin_keys[:-1], out=change[1:])
     first = np.flatnonzero(change)
-    bins = keys[first]
+    del change
+    bins = bin_keys[first]
     n = len(first)
     # one more bin, empty: the padding of the scan below reads it
-    bin_n = np.diff(first, append=[len(keys), len(keys)])
+    bin_n = np.diff(first, append=[len(bin_keys), len(bin_keys)])
+    del first, bin_keys
     bin_of = np.repeat(np.arange(n), bin_n[:n])
     bin_sum = np.bincount(bin_of, weights=weights, minlength=n + 1)
-    bin_sq = np.bincount(bin_of, weights=weights * weights, minlength=n + 1)
+    weights *= weights
+    bin_sq = np.bincount(bin_of, weights=weights, minlength=n + 1)
+    del bin_of, weights
     n_bins = np.bincount(bins // width, minlength=n_nodes * m)
     start = np.cumsum(n_bins) - n_bins
     seg_sse = np.full(n_nodes * m, np.inf)
@@ -222,26 +240,40 @@ def _best_cuts(
     # zero in its own segment, so a cut's statistics do not depend on where
     # its segment lies in the search.
     scale = np.maximum(np.frexp(n_bins - 1)[1], 3)
-    for e in np.unique(scale[n_bins > 1]):
-        seg = np.flatnonzero((scale == e) & (n_bins > 1))
-        offset = np.arange(1 << int(e))
-        at = np.where(offset < n_bins[seg, None], start[seg, None] + offset, n)
-        left_n = bin_n.take(at).cumsum(axis=1)
-        left_sum = bin_sum.take(at).cumsum(axis=1)
-        left_sq = bin_sq.take(at).cumsum(axis=1)
-        nd = seg[:, None] // m
-        right_n = count[nd] - left_n
-        sse = (
-            left_sq
-            - left_sum * left_sum / left_n
-            + (total_sq[nd] - left_sq)
-            - (total[nd] - left_sum) ** 2 / np.maximum(right_n, 1)
-        )
-        ok = (offset < n_bins[seg, None] - 1) & (left_n >= min_leaf) & (right_n >= min_leaf)
-        sse[~ok] = np.inf
-        cut = sse.argmin(axis=1)
-        seg_sse[seg] = sse[np.arange(len(seg)), cut]
-        seg_cut[seg] = start[seg] + cut
+    for e in sorted_distinct(scale[n_bins > 1]).tolist():
+        group = np.flatnonzero((scale == e) & (n_bins > 1))
+        offset = np.arange(1 << e)
+        step = max(1, _SCAN_ELEMENTS >> e)
+        for seg in (group[i : i + step] for i in range(0, len(group), step)):
+            at = start[seg, None] + offset
+            at[offset >= n_bins[seg, None]] = n
+            left_n, left_sum, left_sq = (per_bin.take(at) for per_bin in (bin_n, bin_sum, bin_sq))
+            del at
+            for running in (left_n, left_sum, left_sq):
+                np.cumsum(running, axis=1, out=running)
+            nd = seg[:, None] // m
+            right_n = count[nd] - left_n
+            ok = (offset < n_bins[seg, None] - 1) & (left_n >= min_leaf) & (right_n >= min_leaf)
+            # sse = left_sq - left_sum**2 / left_n + (total_sq - left_sq)
+            #       - (total - left_sum)**2 / max(right_n, 1), one operation at a
+            # time in that order, in place
+            sse = left_sum * left_sum
+            sse /= left_n
+            del left_n
+            np.subtract(left_sq, sse, out=sse)
+            np.subtract(total_sq[nd], left_sq, out=left_sq)
+            sse += left_sq
+            del left_sq
+            np.subtract(total[nd], left_sum, out=left_sum)
+            np.square(left_sum, out=left_sum)
+            left_sum /= np.maximum(right_n, 1, out=right_n)
+            del right_n
+            sse -= left_sum
+            del left_sum
+            sse[~ok] = np.inf
+            cut = sse.argmin(axis=1)
+            seg_sse[seg] = sse[np.arange(len(seg)), cut]
+            seg_cut[seg] = start[seg] + cut
     sse = seg_sse.reshape(n_nodes, m)
     slot = sse.argmin(axis=1)
     best = sse[np.arange(n_nodes), slot]
@@ -363,7 +395,8 @@ def _grow_batch(
         live = split[node]
         rows, node = rows[live], node[live]
         go_right = X[rows, feature[node]] > threshold[node]
-        node = child[node] + go_right
+        node = child[node]
+        node += go_right
         tree = np.repeat(parents, 2)
         depth += 1
     columns = [np.concatenate(c) for c in zip(*levels)]

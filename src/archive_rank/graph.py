@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
+from ._arrays import sorted_distinct
 from .ingest import ContentLink
 from .tables import rows
 
@@ -81,7 +82,11 @@ class Graph:
         sorted_id = np.empty(n, dtype=np.int64)  # by first-seen id
         sorted_id[[ids[name] for name in names]] = np.arange(n, dtype=np.int64)
         pairs = sorted_id[np.frombuffer(ends, dtype=np.int64)]
-        keys = np.unique(pairs[0::2] * n + pairs[1::2])
+        del ends
+        keys = pairs[0::2] * n
+        keys += pairs[1::2]
+        del pairs
+        keys = sorted_distinct(keys)
         return cls(tuple(names), keys // n, keys % n)
 
 
@@ -130,13 +135,17 @@ def pagerank(
     # summation order, so the ranks are the same floats on every run
     order = np.argsort(g.dst, kind="stable")
     src, dst = g.src[order], g.dst[order]
-    weights = 1.0 / outdeg[src]
+    del order
+    weights = np.divide(1.0, outdeg.take(src))
+    flow = np.empty(len(src))  # each edge's share of its source's score, reused
     scores = np.full(n, 1.0 / n)
     residual = 0.0
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         dangling = scores[~has_out].sum()
-        nxt = damping * np.bincount(dst, weights=weights * scores[src], minlength=n)
+        np.take(scores, src, out=flow)
+        flow *= weights
+        nxt = damping * np.bincount(dst, weights=flow, minlength=n)
         nxt += (damping * dangling + (1.0 - damping)) / n
         residual = float(np.abs(nxt - scores).sum())
         scores = nxt

@@ -386,6 +386,7 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
     if stage not in STAGE_ORDER:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {', '.join(STAGE_ORDER)}")
     wall0, cpu0 = time.perf_counter(), time.process_time()
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     run_dir = Path(run_dir)
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -406,10 +407,11 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
                     "config_hash": cfg.config_hash(),
                     "inputs": input_digests,
                     "row_counts": counts,
-                    # this process only: wall and CPU time of the stage, peak
-                    # RSS since the process started
+                    # this process only: wall and CPU time and minor page
+                    # faults of the stage, peak RSS since the process started
                     "wall_s": round(time.perf_counter() - wall0, 6),
                     "cpu_s": round(time.process_time() - cpu0, 6),
+                    "minor_faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0,
                     "peak_rss_kb": _peak_rss_kb(),
                 }
             )
@@ -467,10 +469,17 @@ def _build_context(cfg: RunConfig, run_dir: Path, tokens: set[str]) -> FeatureCo
     those of the whole archive; every row of the index and of
     ``revisions.tsv`` is still read and checked. ``revisions.tsv`` is read
     last, so that damage elsewhere is reported under its own file's name."""
+    # the URL tokens of each docs.tsv id, for build to reuse; each distinct
+    # token is held once
+    url_tokens: dict[str, tuple[str, ...]] = {}
+    token: dict[str, str] = {}
+
+    def in_scope(doc_id: str) -> bool:
+        url_tokens[doc_id] = tuple(token.setdefault(t, t) for t in tokenize_url(normalize(doc_id)))
+        return in_url_scope(url_tokens[doc_id], tokens)
+
     surrogates, stats = tables.read(
-        lambda *index: anchor_index.read_index(
-            *index, terms=tokens, documents=lambda doc_id: in_url_scope(tokenize_url(normalize(doc_id)), tokens)
-        ),
+        lambda *index: anchor_index.read_index(*index, terms=tokens, documents=in_scope),
         *(run_dir / name for name in _INDEX),
     )
     news_path = cfg.path("paths.news_domains")
@@ -482,7 +491,9 @@ def _build_context(cfg: RunConfig, run_dir: Path, tokens: set[str]) -> FeatureCo
         search_words=load_word_table(words_path) if words_path else None,
     )
     return tables.read(
-        lambda lines: FeatureContext.build(ingest.read_revisions_tsv(lines), surrogates, stats, tokens=tokens, **context),
+        lambda lines: FeatureContext.build(
+            ingest.read_revisions_tsv(lines), surrogates, stats, tokens=tokens, _url_tokens=url_tokens, **context
+        ),
         run_dir / "revisions.tsv",
     )
 
@@ -732,11 +743,17 @@ def _pool(lines) -> dict[int, list[str]]:
     return pool
 
 
-def _label_for(cfg: RunConfig, labels, qid: int, doc: str) -> float | None:
-    soft, man = labels.get((qid, doc), (0.0, None))
-    if cfg["label.strategy"] == "manual":
-        return man
-    return soft
+def _label_for(cfg: RunConfig, labels, qid: int, doc: str, run_dir: Path) -> float | None:
+    """The label of a pooled (query, document): its soft label, or under
+    ``label.strategy=manual`` its grade (None if it has none). ``label``
+    writes a row of ``labels.tsv`` for every candidate, so a pair without
+    one is a damaged file, never a label of 0."""
+    if (qid, doc) not in labels:
+        raise ValueError(
+            f"{run_dir / 'labels.tsv'}: no row for query {qid}, document {doc}: label writes one for every candidate"
+        )
+    soft, man = labels[(qid, doc)]
+    return man if cfg["label.strategy"] == "manual" else soft
 
 
 def _stage_train(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
@@ -758,7 +775,7 @@ def _stage_train(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
     for vec in vectors:
         if vec.doc_id not in pooled_docs.get(vec.query_id, ()):
             continue
-        label = _label_for(cfg, labels, vec.query_id, vec.doc_id)
+        label = _label_for(cfg, labels, vec.query_id, vec.doc_id, run_dir)
         if label is None:
             unlabeled += 1
             continue
@@ -846,7 +863,7 @@ def _stage_eval(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict
                 qid,
                 tuple(doc for doc, _s, _r in entries),
                 {
-                    doc: (_label_for(cfg, labels, qid, doc) or 0.0)
+                    doc: (_label_for(cfg, labels, qid, doc, run_dir) or 0.0)
                     for doc, _s, _r in entries
                 },
             )

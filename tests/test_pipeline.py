@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from archive_rank import anchor_index, graph, ingest, labeling, pipeline, tables
+from archive_rank import features as features_module
 from archive_rank.anchor_index import tokenize_text
 from archive_rank.cli import main
 from archive_rank.features import (
@@ -311,6 +312,9 @@ class TestFullPipeline:
             for key in ("wall_s", "cpu_s", "peak_rss_kb"):
                 assert isinstance(entry[key], (int, float)) and entry[key] >= 0, (entry["stage"], key)
             assert entry["peak_rss_kb"] > 0
+            # the minor page faults the process took during the stage: none
+            # where the stages before it left enough heap, as in this process
+            assert isinstance(entry["minor_faults"], int) and entry["minor_faults"] >= 0, entry["stage"]
 
     def test_no_temp_files_left_behind(self, finished_run):
         assert not list(Path(finished_run).glob("*.tmp"))
@@ -720,6 +724,28 @@ def test_each_stage_after_ingest_opens_each_file_once(corpus, finished_run, tmp_
         assert [path for path, n in Counter(opened).items() if n > 1] == [], stage
 
 
+def test_features_tokenizes_each_url_once(corpus, finished_run, tmp_path, monkeypatch):
+    """The filter of the index read and FeatureContext.build both need the
+    URL tokens of the documents of docs.tsv; build reuses those the filter
+    made, so each URL is tokenized at most once in a features run."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    calls: Counter[str] = Counter()
+
+    def counted(url):
+        calls[str(url)] += 1
+        return tokenize_url(url)
+
+    for module in (pipeline, features_module):
+        monkeypatch.setattr(module, "tokenize_url", counted)
+    run_stage("features", load_config(corpus.config_path), run_dir)
+    assert (run_dir / "features.txt").read_bytes() == (finished_run / "features.txt").read_bytes()
+    with open(run_dir / "docs.tsv", encoding="utf-8") as fh:
+        documents = {line.split("\t")[0] for line in fh}
+    assert documents <= set(calls)
+    assert [url for url, n in calls.items() if n > 1] == []
+
+
 def test_readme_stage_table_lists_what_each_stage_writes():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     written = {}
@@ -929,6 +955,28 @@ def test_numpy_free_stages_leave_numpy_unloaded(corpus, finished_run, tmp_path):
         assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
 
 
+def test_graph_and_train_leave_numpy_ma_unloaded(corpus, finished_run, tmp_path):
+    """``np.unique`` imports ``numpy.ma`` (numpy 2.4), which no stage but
+    ``label`` needs: ``label`` reaches it through ``np.percentile``, the
+    known exception, which here also shows that the probe can see it."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    code = (
+        "import sys\n"
+        "from archive_rank.cli import main\n"
+        "for stage in sys.argv[3:]:\n"
+        "    assert main([stage, '--config', sys.argv[1], '--run-dir', sys.argv[2]]) == 0\n"
+        "    print(stage, 'numpy.ma' in sys.modules)\n"
+    )
+    stages = ("graph", "train", "rank", "eval", "label")
+    proc = _python(code, str(corpus.config_path), str(run_dir), *stages)
+    assert proc.returncode == 0, proc.stderr
+    loaded = dict(line.split() for line in proc.stdout.splitlines() if line.split()[-1] in ("True", "False"))
+    assert loaded == {"graph": "False", "train": "False", "rank": "False", "eval": "False", "label": "True"}
+    for name in ("graph.tsv", "forest.txt", "eval.csv"):
+        assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
+
+
 def test_manifest_peak_rss_is_the_stage_process_own(corpus, tmp_path):
     """Linux carries ``ru_maxrss`` across ``execve``, so a stage started from
     a large process must not report that process's peak as its own."""
@@ -944,6 +992,9 @@ def test_manifest_peak_rss_is_the_stage_process_own(corpus, tmp_path):
     assert proc.returncode == 0, proc.stderr
     (entry,) = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["stages"]
     assert 0 < entry["peak_rss_kb"] < 128 << 10
+    # a fresh process faults in the pages its stage first touches, and
+    # only those: the parent's ballast is not counted
+    assert 0 < entry["minor_faults"] < (128 << 20) // resource.getpagesize()
 
 
 def _write_corpus(root: Path, records: list[bytes]) -> Path:
@@ -1221,6 +1272,25 @@ def test_label_counts_a_misnamed_snapshot(corpus, finished_run, tmp_path, capsys
     counts = _row_counts(run_dir)
     assert counts == {**_row_counts_of(finished_run, "label"), "misnamed_snapshots": 1}
     _assert_untouched(run_dir, finished_run, but="manifest.json")
+
+
+@pytest.mark.parametrize("stage", ["train", "eval"])
+@pytest.mark.parametrize(
+    "damage", [lambda lines: lines[: len(lines) // 2], lambda lines: []], ids=["halved", "emptied"]
+)
+def test_a_pooled_pair_without_a_label_row_exits_two(corpus, finished_run, tmp_path, capsys, stage, damage):
+    """label writes a row of labels.tsv for every candidate, so a pooled pair
+    without one means the file was cut: train and eval name the file and
+    the pair instead of training or scoring on a label of 0."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    labels = run_dir / "labels.tsv"
+    lines = labels.read_text(encoding="utf-8").splitlines(keepends=True)
+    labels.write_text("".join(damage(lines)), encoding="utf-8")
+    assert main([stage, "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"data error: stage {stage}: .*labels\.tsv: no row for query \d+, document http://\S+: ", err), err
+    _assert_untouched(run_dir, finished_run, but="labels.tsv")
 
 
 def test_train_counts_pooled_rows_without_a_manual_grade(corpus, finished_run, tmp_path, capsys):
