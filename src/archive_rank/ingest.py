@@ -96,9 +96,9 @@ class RevisionRecord:
     domain: str
 
 
-@dataclass(frozen=True, slots=True)
-class LinkRecord:
-    """One extracted hyperlink occurrence."""
+class LinkRecord(NamedTuple):
+    """One extracted hyperlink occurrence. Its field order is the sort
+    order of ``links.tsv``, so a link is its own sort key."""
 
     source_full_url: str
     source_capture_time: int
@@ -133,7 +133,8 @@ def content_links(
 ) -> list[ContentLink]:
     """The ``A/href`` links, in order, with both ends resolved to core URLs
     and their registrable domains by ``resolver`` (a fresh
-    :class:`UrlResolver` when omitted).
+    :class:`UrlResolver` when omitted). Each link is unpacked in the field
+    order of :class:`LinkRecord`, so plain 5-tuples in that order serve too.
 
     A link with an end that does not parse is dropped, and counted under
     ``bad_link_end`` in ``counts`` when given. Of the links sharing one
@@ -143,23 +144,18 @@ def content_links(
     resolver = resolver if resolver is not None else UrlResolver()
     out: list[ContentLink] = []
     seen: set[tuple[str, int, str, str]] = set()
-    for link in links:
-        if link.tag_pattern != "A/href":
+    for source_url, when, target_url, pattern, anchor in links:
+        if pattern != "A/href":
             continue
-        source, target = resolver.ends(link.source_full_url), resolver.ends(link.target_url)
+        source, target = resolver.ends(source_url), resolver.ends(target_url)
         if source is None or target is None:
             if counts is not None:
                 counts["bad_link_end"] = counts.get("bad_link_end", 0) + 1
             continue
-        key = (link.source_full_url, link.source_capture_time, target.core, link.anchor_text)
+        key = (source_url, when, target.core, anchor)
         first = key not in seen
         seen.add(key)
-        out.append(
-            ContentLink(
-                source.core, target.core, link.source_capture_time, first, source.domain, target.domain,
-                link.anchor_text,
-            )
-        )
+        out.append(ContentLink(source.core, target.core, when, first, source.domain, target.domain, anchor))
     return out
 
 
@@ -190,7 +186,6 @@ class LinkExtraction:
     """Result of scanning one payload."""
 
     links: list[LinkRecord] = field(default_factory=list)
-    decode_failed: bool = False
     truncated_anchors: int = 0
 
 
@@ -451,7 +446,9 @@ _ATTR_RES = {
 }
 
 
-def _decode_payload(payload: bytes) -> str | None:
+def _decode_payload(payload: bytes) -> str:
+    """``payload`` in its declared charset, else UTF-8, else latin-1, which
+    maps every byte: decoding cannot fail."""
     declared = _META_CHARSET.search(payload[:4096])
     if declared:
         try:
@@ -461,11 +458,7 @@ def _decode_payload(payload: bytes) -> str | None:
     try:
         return payload.decode("utf-8")
     except UnicodeDecodeError:
-        pass
-    try:
-        return payload.decode("latin-1", errors="replace")
-    except Exception:  # pragma: no cover - latin-1 accepts any byte string
-        return None
+        return payload.decode("latin-1")
 
 
 def _attr_value(attrs: str, name: str) -> str | None:
@@ -574,9 +567,6 @@ def extract_links(
     """
     result = LinkExtraction()
     text = _decode_payload(payload)
-    if text is None:
-        result.decode_failed = True
-        return result
     resolver = resolver if resolver is not None else UrlResolver()
     ends = resolver.ends(base_url)
     base = ends.full if ends is not None else base_url
@@ -663,12 +653,11 @@ def revisions_by_core(revisions: Iterable[RevisionRecord]) -> Iterator[tuple[str
 
 
 def write_links_tsv(links: Iterable[LinkRecord], fh) -> int:
+    """Write ``links``, each unpacked in the field order of
+    :class:`LinkRecord` (plain 5-tuples in that order serve too)."""
     count = 0
-    for link in links:
-        fh.write(
-            f"{link.source_full_url}\t{link.source_capture_time}\t{link.target_url}"
-            f"\t{link.tag_pattern}\t{escape(link.anchor_text)}\n"
-        )
+    for source_url, when, target_url, pattern, anchor in links:
+        fh.write(f"{source_url}\t{when}\t{target_url}\t{pattern}\t{escape(anchor)}\n")
         count += 1
     return count
 

@@ -20,11 +20,11 @@ import math
 import os
 import resource
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from itertools import groupby, starmap
-from operator import attrgetter
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
@@ -32,6 +32,7 @@ from . import anchor_index, graph, ingest, labeling, tables
 from .features import (
     FEATURE_NAMES,
     FeatureContext,
+    FeatureVector,
     QueryRecord,
     candidate_docs,
     deserialize_vectors,
@@ -506,24 +507,14 @@ def _write_json(data, fh: TextIO) -> None:
     fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _with_content_links(links: Iterable[tuple], resolver: ingest.UrlResolver, fh, counts: dict[str, int]):
-    """The sorted link tuples ``links`` as LinkRecords. After each (source
-    full URL, capture time) group, which holds every key its ``first`` flags
-    depend on, the group's content links are written to ``fh``."""
-    revision = attrgetter("source_full_url", "source_capture_time")
-    for _key, group in groupby(starmap(ingest.LinkRecord, links), revision):
-        group = list(group)
-        yield from group
-        counts["content_links"] += ingest.write_content_links_tsv(ingest.content_links(group, resolver, counts), fh)
-
-
 def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
     """Each table is written once, into ``out``: revisions sorted by (core
-    URL, capture time, full URL), links by all their fields, and content
-    links in the order of the links. Only the sorts' spills are anonymous."""
+    URL, capture time, full URL), and links by all their fields. One pass
+    over the sorted links writes both link tables, one (source full URL,
+    capture time) group at a time: a group holds every key its content
+    links' ``first`` flags depend on. Only the sorts' spills are anonymous."""
     stats = ingest.ParseStats()
-    totals = dict.fromkeys(("non_2xx", "decode_failed", "bad_url", "truncated_anchors", "bad_link_end"), 0)
-    totals["content_links"] = 0
+    counts = dict.fromkeys(("links", "content_links", "non_2xx", "bad_url", "truncated_anchors", "bad_link_end"), 0)
     resolver = ingest.UrlResolver(_suffix_table(cfg))
     with tables._ExternalSort(run_dir) as revisions, tables._ExternalSort(run_dir) as links:
         for path in cfg.archive_files():
@@ -533,36 +524,31 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> di
                 for record in parser(fh, stats):
                     status = record.http_status
                     if status is not None and not 200 <= status < 300:
-                        totals["non_2xx"] += 1
+                        counts["non_2xx"] += 1
                         continue
                     try:
                         r = ingest.revision_from_record(record, resolver)
                     except UrlError:
-                        totals["bad_url"] += 1
+                        counts["bad_url"] += 1
                         continue
                     revisions.add((r.core_url, r.capture_time, r.full_url, r.domain))
                     if "html" in record.mime_type or not record.mime_type:
                         extraction = ingest.extract_links(
                             record.payload, record.target_uri, record.capture_time, resolver
                         )
-                        totals["decode_failed"] += extraction.decode_failed
-                        totals["truncated_anchors"] += extraction.truncated_anchors
-                        for link in extraction.links:
-                            links.add(
-                                (link.source_full_url, link.source_capture_time, link.target_url,
-                                 link.tag_pattern, link.anchor_text)
-                            )
+                        counts["truncated_anchors"] += extraction.truncated_anchors
+                        links.extend(map(tuple, extraction.links))  # marshal stores no NamedTuple
         rows = ingest.write_revisions_tsv(
             (ingest.RevisionRecord(core, full, when, domain) for core, when, full, domain in revisions),
             out["revisions.tsv"],
         )
-        link_rows = ingest.write_links_tsv(
-            _with_content_links(links, resolver, out["content_links.tsv"], totals), out["links.tsv"]
-        )
-    return {
-        "revisions": rows, "links": link_rows, "content_links": totals.pop("content_links"),
-        "emitted": stats.emitted, "skipped": stats.skipped, "corrupt": stats.corrupt, **totals,
-    }
+        for _revision, group in groupby(links, itemgetter(0, 1)):
+            group = list(group)
+            counts["links"] += ingest.write_links_tsv(group, out["links.tsv"])
+            counts["content_links"] += ingest.write_content_links_tsv(
+                ingest.content_links(group, resolver, counts), out["content_links.tsv"]
+            )
+    return {"revisions": rows, **counts, "emitted": stats.emitted, "skipped": stats.skipped, "corrupt": stats.corrupt}
 
 
 def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
@@ -756,6 +742,27 @@ def _label_for(cfg: RunConfig, labels, qid: int, doc: str, run_dir: Path) -> flo
     return man if cfg["label.strategy"] == "manual" else soft
 
 
+def _pooled_vectors(run_dir: Path) -> list[FeatureVector]:
+    """The feature vector of each pooled (query, document), in query order.
+    ``label`` pools only documents that have a vector, and a pool for every
+    query of ``features.txt``, so a pair without a vector is a damaged
+    ``features.txt`` and an empty pool a damaged ``sample.tsv``."""
+    vectors = {(v.query_id, v.doc_id): v for v in tables.read(_listed(deserialize_vectors), run_dir / "features.txt")}
+    pool = tables.read(_pool, run_dir / "sample.tsv")
+    if not pool:
+        raise ValueError(f"{run_dir / 'sample.tsv'}: no pooled rows: label pools every query of features.txt")
+    pooled = []
+    for qid in sorted(pool):
+        for doc in pool[qid]:
+            if (qid, doc) not in vectors:
+                raise ValueError(
+                    f"{run_dir / 'features.txt'}: no vector for query {qid}, document {doc}: "
+                    "label pools only documents that have one"
+                )
+            pooled.append(vectors[(qid, doc)])
+    return pooled
+
+
 def _stage_train(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
     base = ForestParams(
         num_trees=cfg["rf.num_trees"],
@@ -767,14 +774,11 @@ def _stage_train(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
         for ml in cfg["rf.grid.min_leaf"]
         for fps in cfg["rf.grid.features_per_split"]
     ]
-    vectors = tables.read(_listed(deserialize_vectors), run_dir / "features.txt")
+    pooled = _pooled_vectors(run_dir)
     labels = tables.read(_labels, run_dir / "labels.tsv")
-    pooled_docs = {qid: set(docs) for qid, docs in tables.read(_pool, run_dir / "sample.tsv").items()}
     training = []
     unlabeled = 0  # pooled rows without a manual grade
-    for vec in vectors:
-        if vec.doc_id not in pooled_docs.get(vec.query_id, ()):
-            continue
+    for vec in pooled:
         label = _label_for(cfg, labels, vec.query_id, vec.doc_id, run_dir)
         if label is None:
             unlabeled += 1
@@ -797,17 +801,10 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict
     anchor BM25 over the index, and the ``pagerank_core`` and
     ``query_in_url`` columns of the row's feature vector."""
     forest = tables.read(read_forest, run_dir / "forest.txt")
-    features = tables.read(_listed(deserialize_vectors), run_dir / "features.txt")
-    vectors = {(v.query_id, v.doc_id): v for v in features}
-    pool = tables.read(_pool, run_dir / "sample.tsv")
+    pooled = _pooled_vectors(run_dir)
     query_tokens = {q.query_id: q.tokens for q in _query_table(cfg)[0]}
-    pooled = [
-        vectors[(qid, doc)]
-        for qid in sorted(pool)
-        if qid in query_tokens
-        for doc in pool[qid]
-        if (qid, doc) in vectors
-    ]
+    if unknown := sorted({v.query_id for v in pooled} - query_tokens.keys()):
+        raise ValueError(f"{run_dir / 'sample.tsv'}: query {unknown[0]} is not a valid query of paths.queries")
     # BM25 reads the query terms' frequencies and the document lengths
     surrogates, stats = tables.read(
         lambda docs, postings: anchor_index.read_index(

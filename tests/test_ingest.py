@@ -9,7 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 import zlib
-from dataclasses import replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -574,13 +574,11 @@ class TestExtractLinks:
         payload = text.encode("latin-1")
         result = extract_links(payload, "http://a.de/", 7)
         assert result.links[0].anchor_text == "Müller"
-        assert not result.decode_failed
 
     def test_undecodable_bytes_still_tolerated(self):
         payload = b'<a href="/x">\xff\xfe broken</a>'
         result = extract_links(payload, "http://a.de/", 7)
         assert len(result.links) == 1
-        assert not result.decode_failed
 
     def test_non_http_targets_dropped(self):
         html = b'<a href="mailto:x@y.de">mail</a><a href="javascript:f()">js</a>'
@@ -624,6 +622,207 @@ class TestExtractLinks:
             assert item.target_url.startswith("http")
             if item.tag_pattern != "A/href":
                 assert item.anchor_text == ""
+
+
+# ---------------------------------------------------------------------------
+# reference link extractor: extract_links and _decode_payload, with the
+# patterns and the attribute reader they use, as they were when LinkRecord
+# became a NamedTuple; extract_links must match it link for link and count
+# for count
+
+_REF_META_CHARSET = re.compile(rb"charset\s*=\s*[\"']?([A-Za-z0-9_-]+)", re.IGNORECASE)
+_REF_TAG = re.compile(r"<\s*(/?)([a-zA-Z][a-zA-Z0-9:_-]*)((?:\"[^\"]*\"|'[^']*'|[^>\"'])*)>")
+_REF_INNER_MARKUP = re.compile(r"<[^>]*>")
+_REF_ATTR_RES = {
+    attr: re.compile(
+        rf"""\b{attr}\s*=\s*("([^"]*)"|'([^']*)'|([^\s>]+))""", re.IGNORECASE
+    )
+    for attr in ("href", "src", "action", "background", "codebase")
+}
+
+
+@dataclass
+class _ReferenceExtraction:
+    links: list[LinkRecord] = field(default_factory=list)
+    decode_failed: bool = False
+    truncated_anchors: int = 0
+
+
+def reference_decode_payload(payload: bytes) -> str | None:
+    declared = _REF_META_CHARSET.search(payload[:4096])
+    if declared:
+        try:
+            return payload.decode(declared.group(1).decode("ascii"))
+        except (LookupError, UnicodeDecodeError, ValueError):
+            pass
+    try:
+        return payload.decode("utf-8")
+    except UnicodeDecodeError:
+        pass
+    try:
+        return payload.decode("latin-1", errors="replace")
+    except Exception:  # pragma: no cover - latin-1 accepts any byte string
+        return None
+
+
+def _reference_attr_value(attrs: str, name: str) -> str | None:
+    m = _REF_ATTR_RES[name].search(attrs)
+    if not m:
+        return None
+    value = m.group(2) if m.group(2) is not None else m.group(3)
+    if value is None:
+        value = m.group(4)
+    return value.strip() if value else None
+
+
+def reference_extract_links(
+    payload: bytes, base_url: str, source_time: int, resolver: UrlResolver | None = None
+) -> _ReferenceExtraction:
+    result = _ReferenceExtraction()
+    text = reference_decode_payload(payload)
+    if text is None:
+        result.decode_failed = True
+        return result
+    resolver = resolver if resolver is not None else UrlResolver()
+    ends = resolver.ends(base_url)
+    base = ends.full if ends is not None else base_url
+    open_target: str | None = None
+    open_start = 0
+
+    def close_anchor(end: int) -> None:
+        nonlocal open_target
+        if open_target is None:
+            return
+        raw = _REF_INNER_MARKUP.sub(" ", text[open_start:end])
+        anchor = " ".join(raw.split())
+        if len(anchor) > ANCHOR_TEXT_CAP:
+            anchor = anchor[:ANCHOR_TEXT_CAP]
+            result.truncated_anchors += 1
+        result.links.append(
+            LinkRecord(base, source_time, open_target, "A/href", anchor)
+        )
+        open_target = None
+
+    for m in _REF_TAG.finditer(text):
+        closing, name, attrs = m.group(1), m.group(2).lower(), m.group(3)
+        if closing:
+            if name == "a":
+                close_anchor(m.start())
+            continue
+        attr = LINK_PATTERNS.get(name)
+        if attr is None:
+            continue
+        if name == "a":
+            close_anchor(m.start())
+            target = _reference_attr_value(attrs, "href")
+            resolved = resolver.href(base, target) if target else None
+            if resolved is not None:
+                open_target = resolved
+                open_start = m.end()
+            continue
+        target = _reference_attr_value(attrs, attr)
+        resolved = resolver.href(base, target) if target else None
+        if resolved is not None:
+            result.links.append(
+                LinkRecord(base, source_time, resolved, f"{name.upper()}/{attr}")
+            )
+    close_anchor(len(text))
+    return result
+
+
+def _mixed_case(word: str):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(word, upper))
+    )
+
+
+EXTRACTION_HREFS = st.one_of(
+    st.sampled_from(
+        [
+            "/x", "y.html", "../up/z.html", "?q=1", "#top", "#", "//t.de/p", "//T.DE:80/p?q#f", "HTTP://T.de/",
+            "https://t.de/p?q=1#f", "http://t.de/a b", " /padded ", "http://[broken/", "http://a.de:99999/",
+            "http://t.de/%zz", "http://müller.de/", "javascript:f()", "mailto:x@y.de", "data:text/html,x",
+            "ftp://t.de/", "&amp;x=1", "/a?b=&lt;c&gt;", "",
+        ]
+    ),
+    st.builds(
+        str.__add__,
+        st.sampled_from(["", "/", "//", "http://", "https:", "#", "?", "../"]),
+        st.text(alphabet="aZ.:/?#[]@%&;=ü -", max_size=12),
+    ),
+)
+
+
+@st.composite
+def _link_tags(draw) -> str:
+    """A tag of one of the link patterns, or of none, with its link
+    attribute (or another) in mixed case, quoted three ways."""
+    tag = draw(st.just("a") | st.sampled_from(sorted(LINK_PATTERNS) + ["div", "span", "b"]))
+    attr = LINK_PATTERNS.get(tag, "href")
+    attr = draw(st.just(attr) | st.sampled_from([attr, "href", "src", "class"]))
+    quote = draw(st.sampled_from(['"', "'", ""]))
+    space = draw(st.sampled_from(["", " ", "\n"]))
+    other = draw(st.sampled_from(["", ' class="c"', " id=x", ' title="a > b"', " data-q='\"'"]))
+    value = draw(EXTRACTION_HREFS)
+    return (
+        f"<{space}{draw(_mixed_case(tag))}{other} {draw(_mixed_case(attr))}{space}={space}{quote}{value}{quote}"
+        f"{draw(st.sampled_from(['', ' /', ' alt=x']))}>"
+    )
+
+
+_EXTRACTION_FRAGMENTS = st.one_of(
+    _link_tags(),
+    st.sampled_from(
+        [
+            "</a>", "</A>", "</ a>", "< / a>", "<b>", "</b>", "<I>bold</I>", "<br/>", "<span class='x'>", "</span>",
+            "<!-- <a href='/c'>comment</a> -->", "<script>var s = '<a href=/s>';</script>", "&amp;", "&lt;b&gt;",
+            "&#x41;", "&#228;", "&nbsp;", "&bogus;", "<<", "<>", "< a", ">", "<a", '<a href="unterminated',
+            "x" * (ANCHOR_TEXT_CAP + 3), "<a href=/long>" + "y " * (ANCHOR_TEXT_CAP // 2 + 1),
+        ]
+    ),
+    st.text(alphabet="abc XYZ\t\nüé€<>&;", max_size=16),
+)
+
+
+@st.composite
+def extraction_payloads(draw) -> bytes:
+    """Markup of link tags, nested and unclosed anchors, entities and text,
+    with an optional charset declaration (valid, unknown, or not that of
+    the encoding) before or after it, encoded one of three ways, with maybe
+    a few raw bytes put in."""
+    body = "".join(draw(st.lists(_EXTRACTION_FRAGMENTS, max_size=30)))
+    charset = draw(
+        st.sampled_from(["utf-8", "ISO-8859-1", "windows-1252", "utf-16", "koi8-r", "no-such-set", "ascii"])
+    )
+    head = draw(st.sampled_from(["", f'<meta charset="{charset}">', f"<META CONTENT='text/html; charset={charset}'>"]))
+    text = head + body if draw(st.booleans()) else body + head  # maybe past the first 4 KiB
+    data = bytearray(text.encode(draw(st.sampled_from(["utf-8", "latin-1", "cp1252"])), errors="replace"))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        data[at:at] = draw(st.binary(min_size=1, max_size=3))
+    return bytes(data)
+
+
+EXTRACTION_BASES = st.sampled_from(
+    [
+        "http://a.de/x/y.html", "HTTP://A.DE:80/x/", "https://b.de", "http://a.de/?q=1#f", "ftp://f.de/d/",
+        "http://[broken/", "no url",
+    ]
+)
+
+
+class TestExtractionReference:
+    """``extract_links`` finds what the reference extractor finds, link for
+    link, and truncates as many anchors."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=300)
+    @given(extraction_payloads(), EXTRACTION_BASES)
+    def test_equals_the_reference_extractor(self, payload, base):
+        expected = reference_extract_links(payload, base, 7)
+        assert not expected.decode_failed
+        assert ingest._decode_payload(payload) == reference_decode_payload(payload)
+        result = extract_links(payload, base, 7)
+        assert (result.links, result.truncated_anchors) == (expected.links, expected.truncated_anchors)
 
 
 class TestContentLinks:
@@ -684,11 +883,11 @@ class TestContentLinks:
         base = LinkRecord("http://s.de/?r=1", 1, "http://t.de/?a", "A/href", "x")
         records = [
             base,
-            replace(base, target_url="http://t.de/?b"),  # same target core URL
-            replace(base, source_capture_time=2),
-            replace(base, source_full_url="http://s.de/?r=2"),
-            replace(base, target_url="http://u.de/"),
-            replace(base, anchor_text="y"),
+            base._replace(target_url="http://t.de/?b"),  # same target core URL
+            base._replace(source_capture_time=2),
+            base._replace(source_full_url="http://s.de/?r=2"),
+            base._replace(target_url="http://u.de/"),
+            base._replace(anchor_text="y"),
             base,
         ]
         content = content_links(records)
@@ -1070,6 +1269,47 @@ def test_spilled_runs_give_the_same_bytes_and_counts(mini_corpus, tmp_path, monk
     in_memory = runs[10**9]
     assert in_memory[1]["links"] > 50 * tables._FAN_IN  # 50 spills more runs than one merge takes
     assert runs[1] == in_memory and runs[50] == in_memory
+
+
+def test_a_page_captured_in_two_containers_is_one_group_across_runs(tmp_path, monkeypatch):
+    """One page captured at one second in a WARC file and in an ARC file,
+    each copy linking the same target with the same anchor. The two links
+    are spilled in different runs, and the merge brings them back into one
+    (source full URL, capture time) group: the second is flagged a repeat,
+    as in a run that never spills."""
+    root = tmp_path / "corpus"
+    (root / "archives").mkdir(parents=True)
+    link = b'<a href="http://t.de/">same</a>'
+    (root / "archives" / "a.warc").write_bytes(
+        warc_file_bytes(
+            [warc_record_bytes("http://s.de/p", "2009-01-01T00:00:00Z", link + b' <img src="http://t.de/i.png">')],
+            per_record_gzip=False,
+        )
+    )
+    (root / "archives" / "b.arc").write_bytes(
+        arc_file_bytes([arc_record_bytes("http://s.de/p", "20090101000000", link)], per_record_gzip=False)
+    )
+    config = root / "config.txt"
+    config.write_text("seed=1\npaths.archives=archives\n", encoding="utf-8")
+    runs = []
+    spill_run = tables._ExternalSort._spill_run
+
+    def recorded(sort):
+        runs.append(sorted(sort.run))
+        spill_run(sort)
+
+    monkeypatch.setattr(tables._ExternalSort, "_spill_run", recorded)
+    monkeypatch.setattr(tables, "_RUN_RECORDS", 2)  # the WARC copy's two links fill the first run
+    spilled, counts = _ingest_outputs(config, tmp_path / "spilled")
+    anchor_link = ("http://s.de/p", 1230768000, "http://t.de/", "A/href", "same")
+    image_link = ("http://s.de/p", 1230768000, "http://t.de/i.png", "IMG/src", "")
+    assert [run for run in runs if len(run[0]) == 5] == [[anchor_link, image_link], [anchor_link]]
+    assert spilled["links.tsv"].decode().splitlines() == [
+        "\t".join(map(str, link)) for link in (anchor_link, anchor_link, image_link)
+    ]
+    assert [row.split("\t")[3] for row in spilled["content_links.tsv"].decode().splitlines()] == ["1", "0"]
+    monkeypatch.setattr(tables, "_RUN_RECORDS", 10**9)
+    assert _ingest_outputs(config, tmp_path / "in-memory") == (spilled, counts)
 
 
 @pytest.mark.parametrize("failing", ["extract_links", "content_links"])

@@ -1293,6 +1293,53 @@ def test_a_pooled_pair_without_a_label_row_exits_two(corpus, finished_run, tmp_p
     _assert_untouched(run_dir, finished_run, but="labels.tsv")
 
 
+_NO_VECTOR = r"features\.txt: no vector for query \d+, document http://\S+: "
+_NO_POOL = r"sample\.tsv: no pooled rows: "
+
+
+@pytest.mark.parametrize(
+    "stage, name, damage, message",
+    [
+        pytest.param(stage, name, damage, message, id=f"{name}-{damage}-{stage}")
+        for name, damages, message in (
+            ("features.txt", ("halved", "emptied"), _NO_VECTOR), ("sample.tsv", ("emptied",), _NO_POOL)
+        )
+        for damage in damages
+        for stage in ("train", "rank")
+    ],
+)
+def test_a_pooled_pair_without_a_feature_vector_exits_two(
+    corpus, finished_run, tmp_path, capsys, stage, name, damage, message
+):
+    """label pools only documents that have a feature vector, and pools some
+    of every query, so a pooled pair without a vector or an empty pool means
+    a file was cut: train and rank name the file (and the pair) instead of
+    leaving the pair out."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    table = run_dir / name
+    lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+    table.write_text("".join(lines[: len(lines) // 2] if damage == "halved" else []), encoding="utf-8")
+    assert main([stage, "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"data error: stage {stage}: \S+/{message}", err), err
+    _assert_untouched(run_dir, finished_run, but=name)
+
+
+def test_rank_names_a_pooled_query_outside_the_query_table(corpus, finished_run, tmp_path, capsys):
+    queries = corpus.config_path.parent / "resources" / "queries.tsv"
+    first, *rest = queries.read_text(encoding="utf-8").splitlines(keepends=True)
+    fewer = queries.with_name("queries-fewer.tsv")
+    fewer.write_text("".join(rest), encoding="utf-8")
+    config = _config_with(corpus, f"paths.queries=resources/{fewer.name}")
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    assert main(["rank", "--config", str(config), "--run-dir", str(run_dir)]) == 2
+    qid = first.split("\t", 1)[0]
+    assert f"sample.tsv: query {qid} is not a valid query of paths.queries" in capsys.readouterr().err
+    _assert_untouched(run_dir, finished_run)
+
+
 def test_train_counts_pooled_rows_without_a_manual_grade(corpus, finished_run, tmp_path, capsys):
     """Under ``label.strategy=manual`` a pooled row with no grade is left out
     of training, and counted."""
