@@ -9,7 +9,7 @@ master seed and its tree index. Examples are canonically pre-sorted by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from ._arrays import sorted_distinct
@@ -65,18 +65,12 @@ class _Tree:
     value: np.ndarray  # float64 node mean
 
 
-def _no_importances() -> np.ndarray:
-    import numpy as np
-
-    return np.zeros(0)
-
-
 @dataclass
 class Forest:
     trees: list[_Tree]
     params: ForestParams
     feature_names: tuple[str, ...]
-    importances: np.ndarray = field(default_factory=_no_importances)
+    importances: np.ndarray
 
     @property
     def n_features(self) -> int:
@@ -490,7 +484,6 @@ def cross_validate(
     param_grid: Sequence[ForestParams],
     k_folds: int = 5,
     seed: int = 0,
-    ndcg_cutoff: int = 10,
 ) -> tuple[Forest, CvReport]:
     """Select parameters by held-out NDCG@10 over query-grouped folds.
 
@@ -524,7 +517,7 @@ def cross_validate(
             train = [v for v in ordered if fold_of_query[v.query_id] != fold]
             held = [v for v in ordered if fold_of_query[v.query_id] == fold]
             model = train_forest(train, params)
-            fold_scores = _ndcg_by_query(model, held, ndcg_cutoff)
+            fold_scores = _ndcg_by_query(model, held)
             per_query_scores.extend(fold_scores.values())
             rows.append(
                 {
@@ -542,7 +535,7 @@ def cross_validate(
     return final, CvReport(rows, selected, means[best], fold_of_query)
 
 
-def _ndcg_by_query(model: Forest, held: Sequence[FeatureVector], cutoff: int) -> dict[int, float]:
+def _ndcg_by_query(model: Forest, held: Sequence[FeatureVector]) -> dict[int, float]:
     # one prediction over the whole held-out fold: a row's score does not
     # depend on the rows scored with it
     predicted = model.predict_matrix([v.values for v in held]).tolist()
@@ -554,7 +547,7 @@ def _ndcg_by_query(model: Forest, held: Sequence[FeatureVector], cutoff: int) ->
         scores = {v.doc_id: score for v, score in scored}
         labels = {v.doc_id: v.label for v, _ in scored}
         run = RankedRun.from_scores(qid, scores, labels)
-        out[qid] = ndcg_at_k(run, cutoff)
+        out[qid] = ndcg_at_k(run, 10)
     return out
 
 
@@ -575,11 +568,10 @@ def _entropy_bits(labels: np.ndarray) -> float:
 def information_gain_ranking(
     examples: Sequence[FeatureVector],
     feature_names: tuple[str, ...] = FEATURE_NAMES,
-    bins: int = 10,
 ) -> list[tuple[str, float]]:
     """Rank features by information gain against the binarized label
     (relevant iff label > 0), after equal-frequency discretization into at
-    most ``bins`` bins (duplicate cut points merged). Ties keep the
+    most ten bins (duplicate cut points merged). Ties keep the
     declared feature order.
     """
     import numpy as np
@@ -590,7 +582,7 @@ def information_gain_ranking(
     y = np.array([1 if v.label > 0 else 0 for v in examples], dtype=np.int64)
     h_y = _entropy_bits(y)
     gains = []
-    quantiles = np.linspace(0.0, 1.0, bins + 1)[1:-1]
+    quantiles = np.linspace(0.0, 1.0, 11)[1:-1]  # the inner cut points of ten bins
     for f, name in enumerate(feature_names):
         col = X[:, f]
         cuts = np.unique(np.quantile(col, quantiles, method="linear"))

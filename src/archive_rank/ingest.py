@@ -8,6 +8,7 @@ threads; independent files may be read by independent readers concurrently.
 """
 from __future__ import annotations
 
+import codecs
 import gzip
 import io
 import re
@@ -128,18 +129,18 @@ class ContentLink(NamedTuple):
     anchor_text: str
 
 
-def content_links(
-    links: Iterable[LinkRecord], resolver: UrlResolver | None = None, counts: dict[str, int] | None = None
-) -> list[ContentLink]:
+def content_links(links: Iterable[LinkRecord], resolver: UrlResolver | None = None) -> list[ContentLink]:
     """The ``A/href`` links, in order, with both ends resolved to core URLs
     and their registrable domains by ``resolver`` (a fresh
     :class:`UrlResolver` when omitted). Each link is unpacked in the field
     order of :class:`LinkRecord`, so plain 5-tuples in that order serve too.
 
-    A link with an end that does not parse is dropped, and counted under
-    ``bad_link_end`` in ``counts`` when given. Of the links sharing one
-    (source full URL, capture time, target core URL, anchor text), the
-    first is flagged ``first``.
+    A link with an end that does not parse is dropped. No link that
+    :func:`extract_links` finds on a page whose URL parses, as every page of
+    ``ingest`` has, is: both its ends are ``UrlResolver.ends`` results, which
+    resolve again to themselves. Of the links sharing one (source full URL,
+    capture time, target core URL, anchor text), the first is flagged
+    ``first``.
     """
     resolver = resolver if resolver is not None else UrlResolver()
     out: list[ContentLink] = []
@@ -149,8 +150,6 @@ def content_links(
             continue
         source, target = resolver.ends(source_url), resolver.ends(target_url)
         if source is None or target is None:
-            if counts is not None:
-                counts["bad_link_end"] = counts.get("bad_link_end", 0) + 1
             continue
         key = (source_url, when, target.core, anchor)
         first = key not in seen
@@ -448,11 +447,15 @@ _ATTR_RES = {
 
 def _decode_payload(payload: bytes) -> str:
     """``payload`` in its declared charset, else UTF-8, else latin-1, which
-    maps every byte: decoding cannot fail."""
+    maps every byte: decoding cannot fail. A declared UTF-16 is ignored, as
+    in the HTML Standard's prescan: a declaration readable as ASCII bytes
+    means the page is not UTF-16."""
     declared = _META_CHARSET.search(payload[:4096])
     if declared:
         try:
-            return payload.decode(declared.group(1).decode("ascii"))
+            label = declared.group(1).decode("ascii")
+            if codecs.lookup(label).name not in ("utf-16", "utf-16-le", "utf-16-be"):
+                return payload.decode(label)
         except (LookupError, UnicodeDecodeError, ValueError):
             pass
     try:

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import tables
 from .urls import UrlError, core_url_str
@@ -101,27 +101,14 @@ def soft_label(doc_id: str, merged: Mapping[str, int]) -> float:
     return 1.0 / rank if rank else 0.0
 
 
-def _aligned_grades(a, b) -> tuple[list[int], list[int]]:
-    if isinstance(a, Mapping) or isinstance(b, Mapping):
-        if not (isinstance(a, Mapping) and isinstance(b, Mapping)):
-            raise ValueError("mixed mapping/sequence judgments")
-        if set(a) != set(b):
-            raise ValueError("judged item sets differ")
-        items = sorted(a)
-        return [a[i] for i in items], [b[i] for i in items]
-    if len(a) != len(b):
-        raise ValueError("judgment sequences differ in length")
-    return list(a), list(b)
-
-
-def cohen_kappa(a, b) -> float:
-    """Chance-corrected agreement between two assessors over the same items.
-
-    Accepts two mappings item -> grade or two aligned sequences. Defined as
-    one when expected agreement is total (both assessors constant on the
-    same grade).
+def cohen_kappa(a: Mapping[Hashable, int], b: Mapping[Hashable, int]) -> float:
+    """Chance-corrected agreement between two assessors over the same items,
+    given as two mappings item -> grade. Defined as one when expected
+    agreement is total (both assessors constant on the same grade).
     """
-    grades_a, grades_b = _aligned_grades(a, b)
+    if a.keys() != b.keys():
+        raise ValueError("judged item sets differ")
+    grades_a, grades_b = list(a.values()), [b[i] for i in a]
     n = len(grades_a)
     if n == 0:
         raise ValueError("no judged items")

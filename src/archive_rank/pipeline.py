@@ -514,7 +514,7 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> di
     capture time) group at a time: a group holds every key its content
     links' ``first`` flags depend on. Only the sorts' spills are anonymous."""
     stats = ingest.ParseStats()
-    counts = dict.fromkeys(("links", "content_links", "non_2xx", "bad_url", "truncated_anchors", "bad_link_end"), 0)
+    counts = dict.fromkeys(("links", "content_links", "non_2xx", "bad_url", "truncated_anchors"), 0)
     resolver = ingest.UrlResolver(_suffix_table(cfg))
     with tables._ExternalSort(run_dir) as revisions, tables._ExternalSort(run_dir) as links:
         for path in cfg.archive_files():
@@ -546,7 +546,7 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> di
             group = list(group)
             counts["links"] += ingest.write_links_tsv(group, out["links.tsv"])
             counts["content_links"] += ingest.write_content_links_tsv(
-                ingest.content_links(group, resolver, counts), out["content_links.tsv"]
+                ingest.content_links(group, resolver), out["content_links.tsv"]
             )
     return {"revisions": rows, **counts, "emitted": stats.emitted, "skipped": stats.skipped, "corrupt": stats.corrupt}
 
@@ -830,7 +830,7 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict
         for v, score in zip(pooled, scores[system]):
             by_query.setdefault(v.query_id, {})[v.doc_id] = score
         for qid, by_doc in by_query.items():  # in query order, as pooled is
-            ordered = sorted(by_doc, key=lambda d: (-by_doc[d], d))
+            ordered = RankedRun.from_scores(qid, by_doc, {}).doc_ids
             for rank, doc in enumerate(ordered, start=1):
                 fh.write(f"{system}\t{qid}\t{doc}\t{by_doc[doc]!r}\t{rank}\n")
             rows += len(ordered)

@@ -317,8 +317,8 @@ def test_criterion_6_labeling():
     assert soft_label("d", {"d": 1}) == 1.0
     assert soft_label("d", {}) == 0.0
 
-    assert cohen_kappa([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(0.0)
-    grades = [0, 2, 1, 1, 0, 2]
+    assert cohen_kappa(dict(enumerate([0, 0, 1, 1])), dict(enumerate([0, 1, 0, 1]))) == pytest.approx(0.0)
+    grades = dict(enumerate([0, 2, 1, 1, 0, 2]))
     assert cohen_kappa(grades, grades) == 1.0
 
     rng = np.random.default_rng(606)

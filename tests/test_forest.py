@@ -377,7 +377,7 @@ class TestPredict:
         x = [5.5]
         expected = np.mean([predict_one(t, np.array(x)) for t in forest.trees])
         assert forest.predict(x) == pytest.approx(float(expected))
-        permuted = Forest(list(reversed(forest.trees)), forest.params, forest.feature_names)
+        permuted = Forest(list(reversed(forest.trees)), forest.params, forest.feature_names, forest.importances)
         assert permuted.predict(x) == pytest.approx(forest.predict(x))
 
     def test_dimension_mismatch_rejected(self):
@@ -456,7 +456,7 @@ class TestCrossValidate:
                 qid, dict(zip((v.doc_id for v in vecs), scores)), {v.doc_id: v.label for v in vecs}
             )
             expected_ndcg[qid] = ndcg_at_k(run, 10)
-        assert forest_module._ndcg_by_query(forest, vectors, 10) == expected_ndcg
+        assert forest_module._ndcg_by_query(forest, vectors) == expected_ndcg
 
     def test_fewer_queries_than_folds_rejected(self):
         vectors = one_dim_vectors(n=12, n_queries=3)

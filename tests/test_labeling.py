@@ -78,14 +78,15 @@ class TestSoftLabel:
 
 class TestCohenKappa:
     def test_perfect_agreement(self):
-        assert cohen_kappa([0, 1, 2, 1], [0, 1, 2, 1]) == 1.0
+        grades = dict(enumerate([0, 1, 2, 1]))
+        assert cohen_kappa(grades, dict(grades)) == 1.0
 
     def test_hand_computed_zero(self):
         # p_o = 0.5, p_e = 0.5 -> kappa = 0
-        assert cohen_kappa([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(0.0)
+        assert cohen_kappa(dict(enumerate([0, 0, 1, 1])), dict(enumerate([0, 1, 0, 1]))) == pytest.approx(0.0)
 
     def test_symmetry(self):
-        a, b = [0, 2, 1, 0, 2], [1, 2, 1, 0, 0]
+        a, b = dict(enumerate([0, 2, 1, 0, 2])), dict(enumerate([1, 2, 1, 0, 0]))
         assert cohen_kappa(a, b) == pytest.approx(cohen_kappa(b, a))
 
     def test_mapping_inputs(self):
@@ -97,12 +98,17 @@ class TestCohenKappa:
         with pytest.raises(ValueError):
             cohen_kappa({"x": 0}, {"y": 0})
 
+    def test_sequences_rejected(self):
+        # aligned by position, these would agree perfectly
+        with pytest.raises(AttributeError):
+            cohen_kappa([0, 1, 2], [0, 1, 2])
+
     def test_range_bounds(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             n = int(rng.integers(2, 12))
-            a = rng.integers(0, 3, size=n).tolist()
-            b = rng.integers(0, 3, size=n).tolist()
+            a = dict(enumerate(rng.integers(0, 3, size=n).tolist()))
+            b = dict(enumerate(rng.integers(0, 3, size=n).tolist()))
             k = cohen_kappa(a, b)
             assert -1.0 - 1e-12 <= k <= 1.0 + 1e-12
 

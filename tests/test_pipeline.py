@@ -757,6 +757,17 @@ def test_readme_stage_table_lists_what_each_stage_writes():
     assert written == {stage: list(writes) for stage, (_handler, _reads, writes) in pipeline._STAGES.items()}
 
 
+def test_readme_row_count_table_lists_each_stages_row_counts(finished_run):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    documented = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.strip("| ").split("|")]
+        if line.startswith("| `") and cells[0].strip("`") in STAGE_ORDER:
+            documented[cells[0].strip("`")] = re.findall(r"`(\w+)`", cells[-1])
+    manifest = json.loads((finished_run / "manifest.json").read_text(encoding="utf-8"))
+    assert documented == {entry["stage"]: list(entry["row_counts"]) for entry in manifest["stages"]}
+
+
 def test_stats_builds_no_feature_context(corpus, finished_run, tmp_path, monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("stats reached for the feature context")
@@ -1033,33 +1044,6 @@ def test_ingest_and_index_count_dropped_and_truncated_input(tmp_path, monkeypatc
     assert main(["index", "--config", str(config), "--run-dir", str(run_dir)]) == 0
     counts = _row_counts(run_dir)
     assert counts["indexed_docs"] == 1 and counts["truncated_tokens"] > 0
-
-
-def test_ingest_counts_a_link_whose_end_does_not_parse(tmp_path, capsys, monkeypatch):
-    # every resolved href is read again by content_links, so the end that
-    # does not parse is put in by the resolver; content_links drops the link
-    # when it finds no core URL for the target
-    href = ingest.UrlResolver.href
-    monkeypatch.setattr(
-        ingest.UrlResolver, "href", lambda self, base, h: "http://[v1/" if h == "bad" else href(self, base, h)
-    )
-    config = _write_corpus(
-        tmp_path / "corpus",
-        [
-            warc_record_bytes(
-                "http://s.de/",
-                "2009-01-01T00:00:00Z",
-                b'<a href="bad">bad</a> <a href="http://t.de/">ok</a>',
-            ),
-        ],
-    )
-    run_dir = tmp_path / "run"
-    assert main(["ingest", "--config", str(config), "--run-dir", str(run_dir)]) == 0
-    assert "bad_link_end=1" in capsys.readouterr().out.split()
-    counts = _row_counts(run_dir)
-    assert counts["bad_link_end"] == 1 and counts["links"] == 2 and counts["content_links"] == 1
-    with open(run_dir / "content_links.tsv", encoding="utf-8") as fh:
-        assert [(l.target, l.anchor_text) for l in ingest.read_content_links_tsv(fh)] == [("http://t.de/", "ok")]
 
 
 def test_graph_drops_an_unparseable_link_target(tmp_path):
