@@ -360,16 +360,35 @@ def serialize_vectors(vectors: Iterable[FeatureVector], fh) -> int:
     return count
 
 
+# deserialize_vectors gives equal number texts one shared float, for at
+# most this many distinct texts per file: most values repeat (0.0, 1.0,
+# small counts), and the cap bounds the table on a file of distinct values
+_SHARED_NUMBERS = 1 << 12
+
+
 def deserialize_vectors(lines) -> Iterator[FeatureVector]:
-    """The vectors of :func:`serialize_vectors` lines; a malformed line
-    raises ValueError or IndexError."""
+    """The vectors of :func:`serialize_vectors` lines; a malformed line, or
+    one whose value count is not ``len(FEATURE_NAMES)``, raises ValueError
+    or IndexError. Equal number texts share one float object."""
+    shared: dict[str, float] = {}
+
+    def number(text: str) -> float:
+        value = shared.get(text)
+        if value is None:
+            value = float(text)
+            if len(shared) < _SHARED_NUMBERS:
+                shared[text] = value
+        return value
+
     for line in lines:
         line = line.rstrip("\n")
         if not line:
             continue
         body, doc_id = line.rsplit(" # ", 1)
         parts = body.split(" ")
-        label = float(parts[0])
+        if len(parts) - 2 != len(FEATURE_NAMES):
+            raise ValueError(f"{len(parts) - 2} feature values, not {len(FEATURE_NAMES)}")
+        label = number(parts[0])
         if not parts[1].startswith("qid:"):
             raise ValueError("missing qid")
         qid = int(parts[1][4:])
@@ -378,7 +397,7 @@ def deserialize_vectors(lines) -> Iterator[FeatureVector]:
             idx, value = item.split(":", 1)
             if int(idx) != i:
                 raise ValueError(f"feature index {idx} out of order")
-            values.append(float(value))
+            values.append(number(value))
         yield FeatureVector(qid, doc_id, label, tuple(values))
 
 

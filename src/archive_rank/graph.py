@@ -132,10 +132,13 @@ def pagerank(
     outdeg = np.bincount(g.src, minlength=n).astype(np.float64)
     has_out = outdeg > 0
     # in-edges grouped by target, by ascending source within a group: one fixed
-    # summation order, so the ranks are the same floats on every run
-    order = np.argsort(g.dst, kind="stable")
-    src, dst = g.src[order], g.dst[order]
-    del order
+    # summation order, so the ranks are the same floats on every run. Sorting
+    # one (target, source) key per edge in place gives it without an index array.
+    key = g.dst * n
+    key += g.src
+    key.sort()
+    src = key % n
+    dst = np.floor_divide(key, n, out=key)
     weights = np.divide(1.0, outdeg.take(src))
     flow = np.empty(len(src))  # each edge's share of its source's score, reused
     scores = np.full(n, 1.0 / n)

@@ -580,7 +580,9 @@ def extract_links(
         nonlocal open_target
         if open_target is None:
             return
-        raw = _INNER_MARKUP.sub(" ", text[open_start:end])
+        raw = text[open_start:end]
+        if "<" in raw:  # most anchor text holds no markup
+            raw = _INNER_MARKUP.sub(" ", raw)
         anchor = " ".join(raw.split())
         if len(anchor) > ANCHOR_TEXT_CAP:
             anchor = anchor[:ANCHOR_TEXT_CAP]

@@ -255,12 +255,24 @@ def load_snapshots(serp_dir, counts: dict[str, int] | None = None) -> dict[int, 
     return dict(out)
 
 
-def load_judgments(path) -> list[ManualJudgment]:
-    """judgments.tsv: query_id <TAB> doc_id <TAB> assessor_id <TAB> grade."""
-    return tables.read(
-        lambda lines: [
-            ManualJudgment(int(qid), doc_id, assessor, int(grade))
-            for qid, doc_id, assessor, grade in tables.rows(lines, comments=True)
-        ],
-        path,
-    )
+def load_judgments(path) -> dict[str, dict[tuple[int, str], int]]:
+    """judgments.tsv (query_id <TAB> doc_id <TAB> assessor_id <TAB> grade)
+    as grades by assessor, then by (query_id, doc_id), the form
+    :func:`pairwise_kappas` takes. Rows are folded as they are read, and an
+    item graded by several assessors is one key object among them. A second
+    grade by one assessor for one item raises ValueError."""
+
+    def fold(lines) -> dict[str, dict[tuple[int, str], int]]:
+        by_assessor: dict[str, dict[tuple[int, str], int]] = {}
+        items: dict[tuple[int, str], tuple[int, str]] = {}
+        for qid, doc_id, assessor, grade in tables.rows(lines, comments=True):
+            j = ManualJudgment(int(qid), doc_id, assessor, int(grade))
+            item = (j.query_id, j.doc_id)
+            item = items.setdefault(item, item)
+            graded = by_assessor.setdefault(j.assessor_id, {})
+            if item in graded:
+                raise ValueError(f"assessor {j.assessor_id} grades query {j.query_id}, document {j.doc_id} twice")
+            graded[item] = j.grade
+        return by_assessor
+
+    return tables.read(fold, path)

@@ -666,13 +666,14 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
     judgments_path = cfg.path("paths.judgments")
     manual: dict[tuple[int, str], float] = {}
     if judgments_path:
-        rows = labeling.load_judgments(judgments_path)
-        by_assessor: dict[str, dict[tuple[int, str], int]] = {}
+        by_assessor = labeling.load_judgments(judgments_path)
         grades: dict[tuple[int, str], list[int]] = {}
-        for j in rows:
-            by_assessor.setdefault(j.assessor_id, {})[(j.query_id, j.doc_id)] = j.grade
-            grades.setdefault((j.query_id, j.doc_id), []).append(j.grade)
-        manual = {key: float(np.mean(vals)) for key, vals in grades.items()}
+        for graded in by_assessor.values():
+            for item, grade in graded.items():
+                grades.setdefault(item, []).append(grade)
+        # the mean grade, correctly rounded: the integer sum is exact
+        manual = {item: sum(vals) / len(vals) for item, vals in grades.items()}
+        del grades
         kappas = labeling.pairwise_kappas(by_assessor)
         if kappas:  # else commit removes an earlier run's kappa_report.json
             report = {
@@ -681,6 +682,7 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
                 "assessors": sorted(by_assessor),
             }
             _write_json(report, out["kappa_report.json"])
+        del by_assessor, kappas
 
     labels, sample_tsv, summary = out["labels.tsv"], out["sample.tsv"], out["evidence_summary.csv"]
     summary.write("query_id,result_set,evidence,mean,median,q1,q3\n")
@@ -784,6 +786,7 @@ def _stage_train(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
             unlabeled += 1
             continue
         training.append(replace(vec, label=label))
+    del pooled, labels  # cross-validation reads only the training examples
     if not training:
         raise StageDataError("no labeled training examples in the pool")
     forest, report = cross_validate(training, grid, k_folds=cfg["rf.folds"], seed=seed)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from archive_rank import pipeline, tables
+from archive_rank import features as features_module, pipeline, tables
 from archive_rank.anchor_index import build_stats, build_surrogates
 from archive_rank.features import (
     BASE_FEATURES,
@@ -317,12 +317,39 @@ class TestSerialization:
         groups = group_by_query(deserialize_vectors(buf))
         assert sorted(len(v) for v in groups.values()) == [1, 2]
 
+    @staticmethod
+    def _line(values, label="0.5", qid=1, doc="http://a.de/") -> str:
+        feats = " ".join(f"{i}:{v}" for i, v in enumerate(values, start=1))
+        return f"{label} qid:{qid} {feats} # {doc}\n"
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "features.txt"
-        path.write_text("0.5 qid:1 1:0.0 # http://a.de/\nbroken line\n", encoding="utf-8")
+        path.write_text(self._line(["0.0"] * len(FEATURE_NAMES)) + "broken line\n", encoding="utf-8")
         with pytest.raises(ValueError) as err:
             tables.read(lambda lines: list(deserialize_vectors(lines)), path)
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("width", [1, len(FEATURE_NAMES) - 1, len(FEATURE_NAMES) + 1])
+    def test_row_of_the_wrong_width_reports_line_number(self, tmp_path, width):
+        path = tmp_path / "features.txt"
+        path.write_text(self._line(["0.0"] * len(FEATURE_NAMES)) + self._line(["1.0"] * width), encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"features\.txt: line 2: {width} feature values, not {len(FEATURE_NAMES)}$"):
+            tables.read(lambda lines: list(deserialize_vectors(lines)), path)
+
+    def test_equal_number_texts_share_one_float(self):
+        values = [str(float(i % 3)) for i in range(len(FEATURE_NAMES))]
+        a, b = deserialize_vectors([self._line(values, label="0.0"), self._line(values, label="0.0", qid=2)])
+        assert a.values == b.values == tuple(map(float, values))
+        assert all(x is y for x, y in zip(a.values, b.values))
+        assert a.label is a.values[0]  # "0.0"
+        assert len({id(v) for v in a.values}) == 3
+
+    def test_values_past_the_shared_cap_read_the_same(self, monkeypatch):
+        monkeypatch.setattr(features_module, "_SHARED_NUMBERS", 5)
+        rows = [[repr(i + j / 7) for j in range(len(FEATURE_NAMES))] for i in range(3)]
+        vectors = list(deserialize_vectors([self._line(row, qid=i) for i, row in enumerate(rows)]))
+        assert [v.values for v in vectors] == [tuple(map(float, row)) for row in rows]
+        assert [v.label for v in vectors] == [0.5] * 3
 
     def test_extraction_deterministic(self):
         a = self._vectors()

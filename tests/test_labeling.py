@@ -257,12 +257,27 @@ class TestFileIngestion:
 
     def test_judgments_round_trip(self, tmp_path):
         path = tmp_path / "judgments.tsv"
-        path.write_text("1\thttp://a.de/\tann\t2\n1\thttp://a.de/\tbob\t0\n")
-        rows = load_judgments(path)
-        assert rows == [
-            ManualJudgment(1, "http://a.de/", "ann", 2),
-            ManualJudgment(1, "http://a.de/", "bob", 0),
-        ]
+        path.write_text("1\thttp://a.de/\tann\t2\n1\thttp://a.de/\tbob\t0\n2\thttp://b.de/\tann\t1\n")
+        by_assessor = load_judgments(path)
+        assert by_assessor == {
+            "ann": {(1, "http://a.de/"): 2, (2, "http://b.de/"): 1},
+            "bob": {(1, "http://a.de/"): 0},
+        }
+        # an item graded by two assessors is one key object
+        (ann_key, _), (bob_key,) = by_assessor["ann"], by_assessor["bob"]
+        assert ann_key is bob_key
+
+    def test_repeated_judgment_names_its_line(self, tmp_path):
+        path = tmp_path / "judgments.tsv"
+        path.write_text("1\thttp://a.de/\tann\t2\n1\thttp://a.de/\tbob\t0\n1\thttp://a.de/\tann\t2\n")
+        with pytest.raises(ValueError, match=r"judgments\.tsv: line 3: assessor ann grades query 1, document http://a\.de/ twice"):
+            load_judgments(path)
+
+    def test_judgment_grade_out_of_scale_names_its_line(self, tmp_path):
+        path = tmp_path / "judgments.tsv"
+        path.write_text("1\thttp://a.de/\tann\t2\n1\thttp://a.de/\tbob\t3\n")
+        with pytest.raises(ValueError, match=r"judgments\.tsv: line 2: grade must be 0, 1 or 2, got 3"):
+            load_judgments(path)
 
     def test_grade_out_of_scale_rejected(self):
         with pytest.raises(ValueError):

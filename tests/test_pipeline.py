@@ -988,6 +988,47 @@ def test_graph_and_train_leave_numpy_ma_unloaded(corpus, finished_run, tmp_path)
         assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
 
 
+def test_only_label_and_train_load_numpy_random(corpus, finished_run, tmp_path):
+    """Importing ``numpy.random`` adds about 6 MB to a stage's peak RSS. Only
+    ``label`` (the sample) and ``train`` (bootstraps and folds) draw random
+    numbers; ``label`` here also shows that the probe can see it."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    code = (
+        "import sys\n"
+        "from archive_rank.cli import main\n"
+        "for stage in sys.argv[3:]:\n"
+        "    assert main([stage, '--config', sys.argv[1], '--run-dir', sys.argv[2]]) == 0\n"
+        "    print(stage, 'numpy.random' in sys.modules)\n"
+    )
+    stages = ("graph", "rank", "eval", "label")
+    proc = _python(code, str(corpus.config_path), str(run_dir), *stages)
+    assert proc.returncode == 0, proc.stderr
+    loaded = dict(line.split() for line in proc.stdout.splitlines() if line.split()[-1] in ("True", "False"))
+    assert loaded == {"graph": "False", "rank": "False", "eval": "False", "label": "True"}
+    for name in ("page_rank.tsv", "runs.tsv", "eval.csv", "sample.tsv"):
+        assert (run_dir / name).read_bytes() == (finished_run / name).read_bytes(), name
+
+
+def test_features_txt_holds_each_distinct_value_once(finished_run):
+    """A fresh process reading features.txt holds well under one float object
+    per value: equal number texts share one (1,330 bytes a vector of 33
+    values on the many-candidates workload before, about 550 after)."""
+    code = (
+        "import sys, tracemalloc\n"
+        "from archive_rank import tables\n"
+        "from archive_rank.features import deserialize_vectors\n"
+        "tracemalloc.start()\n"
+        "vectors = tables.read(lambda lines: list(deserialize_vectors(lines)), sys.argv[1])\n"
+        "print(len(vectors), tracemalloc.get_traced_memory()[0])\n"
+    )
+    proc = _python(code, str(finished_run / "features.txt"))
+    assert proc.returncode == 0, proc.stderr
+    vectors, held = map(int, proc.stdout.split())
+    assert vectors == _row_counts_of(finished_run, "features")["vectors"] > 0
+    assert held / vectors <= 900
+
+
 def test_manifest_peak_rss_is_the_stage_process_own(corpus, tmp_path):
     """Linux carries ``ru_maxrss`` across ``execve``, so a stage started from
     a large process must not report that process's peak as its own."""
@@ -1321,6 +1362,55 @@ def test_rank_names_a_pooled_query_outside_the_query_table(corpus, finished_run,
     assert main(["rank", "--config", str(config), "--run-dir", str(run_dir)]) == 2
     qid = first.split("\t", 1)[0]
     assert f"sample.tsv: query {qid} is not a valid query of paths.queries" in capsys.readouterr().err
+    _assert_untouched(run_dir, finished_run)
+
+
+def _width_damaged(line: str, damage: str) -> str:
+    body, doc = line.rsplit(" # ", 1)
+    body = body.rsplit(" ", 1)[0] if damage != "long-row" else f"{body} {len(FEATURE_NAMES) + 1}:0.0"
+    return f"{body} # {doc}"
+
+
+@pytest.mark.parametrize("stage", ["label", "train", "rank"])
+@pytest.mark.parametrize("damage", ["short-row", "long-row", "short-file"])
+def test_a_features_row_of_the_wrong_width_exits_two(corpus, finished_run, tmp_path, capsys, stage, damage):
+    """Every vector holds one value per feature name: a row with one value
+    too few or too many, or a file whose rows all lack the last one, is a
+    damaged features.txt, named with the line, not a narrower forest."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    path = run_dir / "features.txt"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    line = 1 if damage == "short-file" else len(lines) // 2 + 1
+    damaged = range(len(lines)) if damage == "short-file" else [line - 1]
+    for i in damaged:
+        lines[i] = _width_damaged(lines[i], damage)
+    path.write_text("".join(lines), encoding="utf-8")
+    assert main([stage, "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    count = len(FEATURE_NAMES) + (1 if damage == "long-row" else -1)
+    err = capsys.readouterr().err
+    expected = f"data error: stage {stage}: {path}: line {line}: {count} feature values, not {len(FEATURE_NAMES)}"
+    assert err.startswith(expected), err
+    _assert_untouched(run_dir, finished_run, but="features.txt")
+
+
+def test_a_repeated_judgment_exits_two_naming_its_line(corpus, finished_run, tmp_path, capsys):
+    """A second grade by one assessor for one (query, document) would be
+    averaged into the manual label but not counted by the kappas: label
+    names the file and the line of the repeat instead."""
+    judgments = corpus.config_path.parent / "judgments.tsv"
+    lines = judgments.read_text(encoding="utf-8").splitlines(keepends=True)
+    qid, doc, assessor, grade = lines[0].rstrip("\n").split("\t")
+    repeated = judgments.with_name("judgments-repeated.tsv")
+    other_grade = str((int(grade) + 1) % 3)
+    repeated.write_text("".join(lines) + "\t".join((qid, doc, assessor, other_grade)) + "\n", encoding="utf-8")
+    config = _config_with(corpus, f"paths.judgments={repeated.name}")
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    assert main(["label", "--config", str(config), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    expected = f"{repeated}: line {len(lines) + 1}: assessor {assessor} grades query {qid}, document {doc} twice"
+    assert expected in err, err
     _assert_untouched(run_dir, finished_run)
 
 
