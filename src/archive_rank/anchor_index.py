@@ -268,7 +268,7 @@ def write_index(surrogates: Iterable[SurrogateDocument], docs, postings, instanc
 
 
 def read_index(
-    docs, postings, instances=(), terms: Collection[str] | None = None, documents: Callable[[str], bool] | None = None
+    docs, postings, instances=None, terms: Collection[str] | None = None, documents: Callable[[str], bool] | None = None
 ) -> tuple[dict[str, SurrogateDocument], IndexStats]:
     """Surrogates (without revision timestamps, which live in the revisions
     table) and the :func:`build_stats` of the whole index, from the lines
@@ -282,7 +282,10 @@ def read_index(
     not a number; naming the term, for a posting list whose count is not
     its number of entries or that lists a document twice, and for a term
     with a second posting list; and naming the document, for one that
-    docs.tsv lists twice or lacks."""
+    docs.tsv lists twice or lacks, one whose term frequencies over all
+    posting lists do not sum to its docs.tsv length (both count its kept
+    tokens), and, with ``instances``, one of positive length without an
+    instance (its length counts the tokens of its instances)."""
     lengths: dict[str, int] = {}
     surrogates: dict[str, SurrogateDocument] = {}
     for doc_id, length, revs in rows(docs):
@@ -296,6 +299,7 @@ def read_index(
     def missing(doc_id: str) -> ValueError:
         return ValueError(f"document {doc_id!r} is not in docs.tsv")
 
+    unposted = dict(lengths)  # each document's tokens no posting has counted yet
     doc_freq: dict[str, int] = {}
     for term, count, *entries in rows(postings):
         if int(count) != len(entries):
@@ -312,14 +316,24 @@ def read_index(
                 raise ValueError(f"term {term!r} lists document {doc_id!r} twice")
             listed.add(doc_id)
             tf = int(tf)
+            unposted[doc_id] -= tf
             if terms is None or term in terms:
                 if doc_id not in surrogates:
                     surrogates[doc_id] = SurrogateDocument(doc_id=doc_id, length=lengths[doc_id])
                 surrogates[doc_id].term_freqs[term] = tf
-    for doc_id, when, anchor in rows(instances):
-        if doc_id not in lengths:
-            raise missing(doc_id)
-        when = int(when)
-        if doc_id in surrogates:
-            surrogates[doc_id].anchor_instances.append((unescape(anchor), when))
+    for doc_id, length in lengths.items():
+        if unposted[doc_id]:
+            posted = length - unposted[doc_id]
+            raise ValueError(f"document {doc_id!r}: term frequencies sum to {posted}, not its docs.tsv length {length}")
+    if instances is not None:
+        uninstanced = {doc_id for doc_id, length in lengths.items() if length}
+        for doc_id, when, anchor in rows(instances):
+            if doc_id not in lengths:
+                raise missing(doc_id)
+            when = int(when)
+            uninstanced.discard(doc_id)
+            if doc_id in surrogates:
+                surrogates[doc_id].anchor_instances.append((unescape(anchor), when))
+        if uninstanced:
+            raise ValueError(f"document {min(uninstanced)!r} has a positive docs.tsv length but no instance")
     return surrogates, _index_stats(lengths.values(), doc_freq)

@@ -145,6 +145,16 @@ class EvidenceSummary(NamedTuple):
     q3: float
 
 
+class _Document(NamedTuple):
+    """What the revisions of one archived document say about it."""
+
+    domain: str  # the registrable domain of its last revision
+    url_tokens: tuple[str, ...]
+    revisions: int
+    rev_duration: int
+    has_query: bool  # a revision's full URL holds a query component
+
+
 @dataclass
 class FeatureContext:
     """Frozen lookup structures shared by every extraction call."""
@@ -153,12 +163,8 @@ class FeatureContext:
     stats: IndexStats
     page_rank: dict[str, float]
     domain_rank: dict[str, float]
-    revision_counts: dict[str, int]
-    revision_times: dict[str, list[int]]
-    has_query_component: dict[str, bool]
-    doc_domain: dict[str, str]
+    documents: dict[str, _Document]  # by core URL
     domain_sizes: dict[str, int]
-    url_tokens: dict[str, tuple[str, ...]]
     # archived documents by anchor term and by URL token
     term_docs: dict[str, set[str]]
     url_token_docs: dict[str, set[str]]
@@ -184,18 +190,15 @@ class FeatureContext:
         sorted by core URL, as ``revisions.tsv`` is (a core URL after a
         greater one raises ValueError). With ``tokens``, it keeps only the
         documents that have a surrogate or are in :func:`in_url_scope`;
-        ``domain_size`` still counts the core URLs of every revision.
+        ``domain_size`` still counts the core URLs of every revision. The
+        rank maps are kept as given, not copied.
 
         ``_url_tokens`` holds the URL tokens of core URLs a caller has
         already tokenized; each is taken from it (and removed) instead of
         tokenized again."""
         known = {} if _url_tokens is None else _url_tokens
-        revision_counts: dict[str, int] = {}
-        revision_times: dict[str, list[int]] = {}
-        has_query: dict[str, bool] = {}
-        doc_domain: dict[str, str] = {}
+        documents: dict[str, _Document] = {}
         domain_sizes: Counter[str] = Counter()
-        url_tokens: dict[str, tuple[str, ...]] = {}
         url_token_docs: dict[str, set[str]] = defaultdict(set)
         term_docs: dict[str, set[str]] = defaultdict(set)
         for core, group in revisions_by_core(revisions):
@@ -204,11 +207,13 @@ class FeatureContext:
             doc = surrogates.get(core)
             if doc is None and not in_url_scope(core_tokens, tokens):
                 continue
-            revision_counts[core] = len(group)
-            revision_times[core] = sorted({rev.capture_time for rev in group})
-            has_query[core] = any("?" in rev.full_url for rev in group)
-            doc_domain[core] = group[-1].domain
-            url_tokens[core] = core_tokens
+            documents[core] = _Document(
+                group[-1].domain,
+                core_tokens,
+                len(group),
+                rev_duration(rev.capture_time for rev in group),
+                any("?" in rev.full_url for rev in group),
+            )
             for token in core_tokens:
                 url_token_docs[token].add(core)
             for term in doc.term_freqs if doc is not None else ():
@@ -224,14 +229,10 @@ class FeatureContext:
         return cls(
             surrogates=surrogates,
             stats=stats,
-            page_rank=dict(page_rank or {}),
-            domain_rank=dict(domain_rank or {}),
-            revision_counts=revision_counts,
-            revision_times=revision_times,
-            has_query_component=has_query,
-            doc_domain=doc_domain,
+            page_rank=page_rank or {},
+            domain_rank=domain_rank or {},
+            documents=documents,
             domain_sizes=dict(domain_sizes),
-            url_tokens=url_tokens,
             term_docs=dict(term_docs),
             url_token_docs=dict(url_token_docs),
             news_domains=frozenset(news_domains),
@@ -277,13 +278,13 @@ def extract_features(query: QueryRecord, doc_id: str, ctx: FeatureContext) -> Fe
     presence is optional (anchorless documents score zero on the
     anchor-derived features).
     """
-    if doc_id not in ctx.revision_counts:
+    if doc_id not in ctx.documents:
         raise UnknownDocument(doc_id)
     q_tokens = query.tokens
     q_set = set(q_tokens)
     n = normalize(doc_id)
-    domain = ctx.doc_domain[doc_id]
-    url_toks = ctx.url_tokens[doc_id]
+    archived = ctx.documents[doc_id]
+    domain = archived.domain
     doc = ctx.surrogates.get(doc_id)
 
     hits, total = _anchor_query_hits(doc, q_tokens)
@@ -293,12 +294,12 @@ def extract_features(query: QueryRecord, doc_id: str, ctx: FeatureContext) -> Fe
 
     values = [
         float(url_depth(n)),
-        1.0 if ctx.has_query_component.get(doc_id, False) else 0.0,
+        1.0 if archived.has_query else 0.0,
         1.0
-        if any(t in ctx.search_words for t in url_toks)
+        if any(t in ctx.search_words for t in archived.url_tokens)
         or any(sub in doc_id.lower() for sub in ctx.search_substrings)
         else 0.0,
-        float(sum(1 for t in url_toks if t in q_set)),
+        float(sum(1 for t in archived.url_tokens if t in q_set)),
         1.0 if domain in ctx.news_domains else 0.0,
         float(query.wiki_citation_counts.get(domain, 0)),
         float(total),  # inlink_count: one anchor instance per deduplicated content link
@@ -310,8 +311,8 @@ def extract_features(query: QueryRecord, doc_id: str, ctx: FeatureContext) -> Fe
         float(ts.doc_len),
         ts.length_norm,
         ts.inverse_doc_freq,
-        float(ctx.revision_counts[doc_id]),
-        float(rev_duration(ctx.revision_times[doc_id])),
+        float(archived.revisions),
+        float(archived.rev_duration),
         float(ctx.domain_sizes.get(domain, 0)),
     ]
     values.extend(1.0 if query.entity_type == t else 0.0 for t in ENTITY_TYPES)

@@ -76,25 +76,12 @@ class Forest:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    def predict(self, vector) -> float:
-        """Score one feature vector (or bare value sequence)."""
+    def predict(self, rows) -> np.ndarray:
+        """Scores for ``rows``, a sequence of feature value rows: the mean
+        of the trees' leaf values."""
         import numpy as np
 
-        x = np.asarray(
-            vector.values if isinstance(vector, FeatureVector) else vector,
-            dtype=np.float64,
-        )
-        if x.shape != (self.n_features,):
-            raise ValueError(
-                f"expected {self.n_features} features, got {x.shape}"
-            )
-        return float(self.predict_matrix(x[None, :])[0])
-
-    def predict_matrix(self, X) -> np.ndarray:
-        """Scores for the rows of X: the mean of the trees' leaf values."""
-        import numpy as np
-
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(rows, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(
                 f"expected rows of {self.n_features} features, got {X.shape}"
@@ -538,7 +525,7 @@ def cross_validate(
 def _ndcg_by_query(model: Forest, held: Sequence[FeatureVector]) -> dict[int, float]:
     # one prediction over the whole held-out fold: a row's score does not
     # depend on the rows scored with it
-    predicted = model.predict_matrix([v.values for v in held]).tolist()
+    predicted = model.predict([v.values for v in held]).tolist()
     by_query: dict[int, list[tuple[FeatureVector, float]]] = {}
     for vec, score in zip(held, predicted):
         by_query.setdefault(vec.query_id, []).append((vec, score))

@@ -23,7 +23,7 @@ import time
 from collections.abc import Callable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
@@ -206,10 +206,7 @@ class RunConfig:
 
     def path(self, key: str) -> Path | None:
         raw = self[key]
-        if not raw.strip():
-            return None
-        p = Path(raw)
-        return p if p.is_absolute() else self.base_dir / p
+        return self.base_dir / raw if raw.strip() else None  # an absolute raw replaces base_dir
 
     @property
     def seed(self) -> int:
@@ -228,8 +225,7 @@ class RunConfig:
             entry = entry.strip()
             if not entry:
                 continue
-            p = Path(entry)
-            p = p if p.is_absolute() else self.base_dir / p
+            p = self.base_dir / entry
             if p.is_dir():
                 files.extend(
                     sorted(c for c in p.iterdir() if c.name.endswith(_ARCHIVE_SUFFIXES))
@@ -442,6 +438,16 @@ def _listed(read_rows: Callable) -> Callable:
 _INDEX = ("docs.tsv", "postings.tsv", "instances.tsv")
 
 
+def _content_links(lines) -> Iterator[ingest.ContentLink]:
+    """The rows of ``content_links.tsv``, for graph, index and stats, which
+    each need one: a table without a row is a data error naming the file."""
+    links = ingest.read_content_links_tsv(lines)
+    first = next(links, None)
+    if first is None:
+        raise StageDataError(f"{lines.name}: no content links: ingest found none, or the file was emptied")
+    return chain((first,), links)
+
+
 def _query_table(cfg: RunConfig) -> tuple[list[QueryRecord], int]:
     """The valid queries by id, and how many were dropped as invalid (a
     comma or a round bracket in the text)."""
@@ -555,19 +561,15 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
     damping = cfg["pagerank.damping"]
     tolerance = cfg["pagerank.tolerance"]
     max_iter = cfg["pagerank.max_iterations"]
-    source_domains: dict[str, str] = {}
-    target_domains: dict[str, str] = {}
+    domains: dict[str, str] = {}  # by core URL; a target's domain wins
 
     def edges(lines) -> Iterator[ingest.ContentLink]:
-        for link in ingest.read_content_links_tsv(lines):
-            source_domains[link.source] = link.source_domain
-            target_domains[link.target] = link.target_domain
+        for link in _content_links(lines):
+            domains.setdefault(link.source, link.source_domain)
+            domains[link.target] = link.target_domain
             yield link
 
     page = tables.read(lambda lines: graph.build_page_graph(edges(lines)), run_dir / "content_links.tsv")
-    if page.node_count == 0:
-        raise StageDataError("no content links: the page graph is empty")
-    domains = source_domains | target_domains  # a target's domain wins
     domain = graph.project_domain_graph(page, domains.__getitem__)
     page_rank = graph.pagerank(page, damping, tolerance, max_iter)
     domain_rank = graph.pagerank(domain, damping, tolerance, max_iter)
@@ -600,7 +602,7 @@ def _stage_index(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
         tables.read(
             lambda lines: instances.extend(
                 (link.target, link.capture_time, link.anchor_text)
-                for link in ingest.counted_links(ingest.read_content_links_tsv(lines), strategy)
+                for link in ingest.counted_links(_content_links(lines), strategy)
             ),
             run_dir / "content_links.tsv",
         )
@@ -617,7 +619,7 @@ def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
     top_n = cfg["stats.top_n_domains"] or None
     rows = tables.read(
         lambda lines: anchor_index.anchor_distribution(
-            ingest.read_content_links_tsv(lines), cfg["stats.group_by_year"], top_n
+            _content_links(lines), cfg["stats.group_by_year"], top_n
         ),
         run_dir / "content_links.tsv",
     )
@@ -656,6 +658,8 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
     import numpy as np
 
     vectors = tables.read(_listed(deserialize_vectors), run_dir / "features.txt")
+    if not vectors:
+        raise ValueError(f"{run_dir / 'features.txt'}: no feature vectors: features writes at least one")
     grouped = group_by_query(vectors)
     serp_dir = cfg.path("paths.serp_dir")
     skipped = {"misnamed_snapshots": 0}
@@ -825,7 +829,7 @@ def _stage_rank(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict
         ],
         "pagerank": [v["pagerank_core"] for v in pooled],
         "query_in_url": [v["query_in_url"] for v in pooled],
-        "rf": forest.predict_matrix([v.values for v in pooled]).tolist() if pooled else [],
+        "rf": forest.predict([v.values for v in pooled]).tolist(),
     }
     fh, rows = out["runs.tsv"], 0
     for system in SYSTEMS:

@@ -60,6 +60,10 @@ _GOOD_ANCHOR_TEMPLATES = (
 # container writers
 
 
+def _http_response(status: int, mime: str, payload: bytes) -> bytes:
+    return f"HTTP/1.1 {status} OK\r\nContent-Type: {mime}\r\n\r\n".encode("utf-8") + payload
+
+
 def warc_record_bytes(
     target_uri: str,
     date_iso: str,
@@ -71,10 +75,7 @@ def warc_record_bytes(
     """One WARC/1.0 record; response records wrap the payload in an HTTP
     message block."""
     if warc_type == "response":
-        block = (
-            f"HTTP/1.1 {http_status} OK\r\nContent-Type: {mime}\r\n\r\n".encode("utf-8")
-            + payload
-        )
+        block = _http_response(http_status, mime, payload)
         content_type = "application/http; msgtype=response"
     else:
         block = payload
@@ -106,13 +107,7 @@ def arc_record_bytes(
     http_status: int | None = 200,
     ip: str = "0.0.0.0",
 ) -> bytes:
-    if http_status is not None:
-        block = (
-            f"HTTP/1.1 {http_status} OK\r\nContent-Type: {mime}\r\n\r\n".encode("utf-8")
-            + payload
-        )
-    else:
-        block = payload
+    block = payload if http_status is None else _http_response(http_status, mime, payload)
     header = f"{url} {ip} {date14} {mime} {len(block)}\n".encode("utf-8")
     return header + block + b"\n"
 
@@ -125,10 +120,7 @@ def arc_file_bytes(records: list[bytes], per_record_gzip: bool = True) -> bytes:
         + version_block
         + b"\n"
     )
-    parts = [filedesc] + records
-    if per_record_gzip:
-        return b"".join(gzip.compress(r, mtime=0) for r in parts)
-    return b"".join(parts)
+    return warc_file_bytes([filedesc] + records, per_record_gzip)
 
 
 def _iso(epoch: int) -> str:

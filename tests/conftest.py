@@ -1,11 +1,16 @@
-"""Shared builders for small in-memory fixtures."""
+"""Shared builders for small in-memory fixtures, and one finished run on
+the benchmark's smoke corpus."""
 from __future__ import annotations
 
 from operator import attrgetter
 
+import pytest
+
 from archive_rank.anchor_index import build_stats, build_surrogates
 from archive_rank.features import FeatureContext, QueryRecord
 from archive_rank.ingest import LINK_PATTERNS, STRATEGY_ALL, LinkRecord, RevisionRecord, content_links, counted_links
+from archive_rank.pipeline import STAGE_ORDER, load_config, run_stage
+from archive_rank.synthetic import make_synthetic_archive
 from archive_rank.urls import core_url_str
 
 DAY = 24 * 3600
@@ -64,7 +69,32 @@ def candidates_by_scan(q: QueryRecord, ctx: FeatureContext) -> list[str]:
         return []
     return sorted(
         doc_id
-        for doc_id in ctx.revision_counts
+        for doc_id, archived in ctx.documents.items()
         if (doc_id in ctx.surrogates and needed <= ctx.surrogates[doc_id].term_freqs.keys())
-        or needed <= set(ctx.url_tokens[doc_id])
+        or needed <= set(archived.url_tokens)
     )
+
+
+# the make_synthetic_archive arguments of the benchmark's smoke corpus
+SMOKE = dict(
+    num_queries=6,
+    chaff_per_query=15,
+    spam_per_query=5,
+    boosted_per_query=3,
+    sources=80,
+    feeder_inlinks=20,
+    filler_docs=40,
+    rf_num_trees=4,
+)
+
+
+@pytest.fixture(scope="session")
+def smoke_run(tmp_path_factory):
+    """(config path, run directory) of every stage run on the seed-1 smoke
+    corpus; a test that changes the run works on a copy."""
+    corpus = make_synthetic_archive(tmp_path_factory.mktemp("smoke-corpus"), seed=1, **SMOKE)
+    run_dir = tmp_path_factory.mktemp("smoke-run")
+    cfg = load_config(corpus.config_path)
+    for stage in STAGE_ORDER:
+        run_stage(stage, cfg, run_dir)
+    return corpus.config_path, run_dir

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -311,6 +312,18 @@ class TestPersistence:
         assert loaded_stats.avg_doc_length == pytest.approx(stats.avg_doc_length)
         assert loaded_stats.doc_freq == stats.doc_freq
 
+    @pytest.mark.parametrize(
+        "table, dropped, doc", [(1, "merkel\t", "http://t.de/"), (2, "http://u.de/\t", "http://u.de/")],
+        ids=["postings", "instances"],
+    )
+    def test_a_row_missing_from_postings_or_instances_names_its_document(self, table, dropped, doc):
+        """A document's term frequencies sum to its length, and a document
+        of positive length has an instance: all three count its kept tokens."""
+        files = [fh.getvalue() for fh in written_index(two_doc_index()[0])]
+        files[table] = "".join(line for line in files[table].splitlines(keepends=True) if not line.startswith(dropped))
+        with pytest.raises(ValueError, match=re.escape(repr(doc))):
+            read_index(*map(io.StringIO, files))
+
     def test_df_matches_bruteforce_on_loaded_index(self):
         surrogates, _ = two_doc_index()
         _, stats = read_index(*written_index(surrogates))
@@ -336,7 +349,7 @@ class TestPersistence:
         for fh in (docs, postings, instances):
             fh.seek(0)
         part, part_stats = read_index(
-            docs, postings, instances if with_instances else (), terms=terms,
+            docs, postings, instances if with_instances else None, terms=terms,
             documents=None if documents is None else documents.__contains__,
         )
         expected = {}

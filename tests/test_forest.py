@@ -149,7 +149,7 @@ def reference_forest(vectors, params):
 
 def predict_one(tree, x):
     """Leaf value for one row, one node at a time: the reference for
-    ``Forest.predict_matrix``."""
+    ``Forest.predict``."""
     node = 0
     while tree.feature[node] >= 0:
         if x[tree.feature[node]] <= tree.threshold[node]:
@@ -189,8 +189,7 @@ class TestTrainForest:
     def test_constant_labels_predict_the_constant(self):
         vectors = [vec(1, f"d{i}", 0.7, [float(i), 1.0]) for i in range(10)]
         forest = train_forest(vectors, ForestParams(num_trees=20, seed=1), ("a", "b"))
-        for v in vectors:
-            assert forest.predict(v) == pytest.approx(0.7)
+        assert forest.predict([v.values for v in vectors]).tolist() == pytest.approx([0.7] * len(vectors))
 
     def test_threshold_separable_data_close_to_labels(self):
         vectors = one_dim_vectors()
@@ -198,8 +197,8 @@ class TestTrainForest:
         assert sse == pytest.approx(0.0)  # perfectly separable by one cut
         assert left_mean == 0.0 and right_mean == 1.0
         forest = train_forest(vectors, ForestParams(num_trees=50, seed=3), ("x",))
-        for v in vectors:
-            assert abs(forest.predict(v) - v.label) < 0.05
+        for v, score in zip(vectors, forest.predict([v.values for v in vectors])):
+            assert abs(score - v.label) < 0.05
 
     def test_fixed_seed_bit_identical(self):
         vectors = one_dim_vectors(seed=5)
@@ -265,7 +264,7 @@ class TestTrainForest:
             values = []
             for seed in range(20):
                 f = train_forest(vectors, ForestParams(num_trees=num_trees, seed=seed), ("x",))
-                preds = np.array([f.predict(v) for v in vectors])
+                preds = f.predict([v.values for v in vectors])
                 labels = np.array([v.label for v in vectors])
                 values.append(((preds - labels) ** 2).mean())
             return float(np.mean(values))
@@ -369,41 +368,41 @@ class TestPredict:
     def test_single_tree_forest_returns_its_leaf(self):
         vectors = [vec(1, "a", 1.0, [0.0]), vec(1, "b", 1.0, [2.0])]
         forest = train_forest(vectors, ForestParams(num_trees=1, seed=0), ("x",))
-        assert forest.predict([1.0]) == pytest.approx(1.0)
+        assert forest.predict([[1.0]]).tolist() == pytest.approx([1.0])
 
     def test_mean_of_trees_and_permutation_invariance(self):
         vectors = one_dim_vectors(n=30, seed=8)
         forest = train_forest(vectors, ForestParams(num_trees=9, seed=4), ("x",))
         x = [5.5]
         expected = np.mean([predict_one(t, np.array(x)) for t in forest.trees])
-        assert forest.predict(x) == pytest.approx(float(expected))
+        assert forest.predict([x])[0] == pytest.approx(float(expected))
         permuted = Forest(list(reversed(forest.trees)), forest.params, forest.feature_names, forest.importances)
-        assert permuted.predict(x) == pytest.approx(forest.predict(x))
+        assert permuted.predict([x])[0] == pytest.approx(forest.predict([x])[0])
 
     def test_dimension_mismatch_rejected(self):
         vectors = [vec(1, "a", 0.0, [0.0]), vec(1, "b", 1.0, [2.0])]
         forest = train_forest(vectors, ForestParams(num_trees=2, seed=0), ("x",))
         with pytest.raises(ValueError):
-            forest.predict([1.0, 2.0])
-        with pytest.raises(ValueError):
-            forest.predict_matrix([1.0, 2.0])
+            forest.predict([[1.0, 2.0]])
+        with pytest.raises(ValueError):  # a bare row, not a sequence of rows
+            forest.predict([1.0])
 
     @pytest.mark.parametrize("min_leaf", [1, 3])
-    def test_predict_matrix_equals_row_predictions(self, min_leaf):
+    def test_scoring_all_rows_equals_scoring_each_row_alone(self, min_leaf):
         vectors = golden_vectors()
         forest = train_forest(
             vectors, ForestParams(num_trees=25, seed=6, min_leaf=min_leaf), ("a", "a_copy", "b", "c")
         )
         rng = np.random.default_rng(1)
         X = np.vstack([[v.values for v in vectors], rng.uniform(-1, 5, size=(30, 4))])
-        scores = forest.predict_matrix(X)
+        scores = forest.predict(X)
         assert scores.shape == (len(X),)
         for i, x in enumerate(X):
             reference = float(np.mean([predict_one(t, x) for t in forest.trees]))
-            assert scores[i] == forest.predict(x) == reference
+            assert scores[i] == forest.predict([x])[0] == reference
 
     @pytest.mark.parametrize("cap", [1, 7 * 25], ids=["one-row", "seven-rows"])
-    def test_predict_matrix_in_runs_equals_the_reference(self, cap, monkeypatch):
+    def test_predict_in_runs_equals_the_reference(self, cap, monkeypatch):
         """All trees descend together in runs of at most the cap's rows x
         trees (at least one row); each score is still the mean of the
         trees' leaves, bit for bit."""
@@ -413,7 +412,7 @@ class TestPredict:
         X = np.vstack([[v.values for v in vectors], rng.uniform(-1, 5, size=(30, 4))])
         monkeypatch.setattr(forest_module, "_BATCH_ELEMENTS", cap)
         reference = [float(np.mean([predict_one(t, x) for t in forest.trees])) for x in X]
-        assert forest.predict_matrix(X).tolist() == reference
+        assert forest.predict(X).tolist() == reference
 
 
 class TestCrossValidate:
@@ -444,13 +443,13 @@ class TestCrossValidate:
         score is the same bits as when its query is scored alone."""
         vectors = soft_golden_vectors()
         forest = train_forest(vectors, ForestParams(num_trees=15, seed=4), GOLDEN_NAMES)
-        fold_wide = forest.predict_matrix([v.values for v in vectors]).tolist()
+        fold_wide = forest.predict([v.values for v in vectors]).tolist()
         by_query = {}
         for v in vectors:
             by_query.setdefault(v.query_id, []).append(v)
         expected_ndcg = {}
         for qid, vecs in by_query.items():
-            scores = forest.predict_matrix([v.values for v in vecs]).tolist()
+            scores = forest.predict([v.values for v in vecs]).tolist()
             assert scores == [fold_wide[vectors.index(v)] for v in vecs]
             run = RankedRun.from_scores(
                 qid, dict(zip((v.doc_id for v in vecs), scores)), {v.doc_id: v.label for v in vecs}
@@ -502,10 +501,8 @@ class TestPersistence:
         loaded = read_forest(buf)
         assert loaded.params == forest.params
         assert loaded.feature_names == forest.feature_names
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            x = [float(rng.uniform(-1, 11))]
-            assert loaded.predict(x) == forest.predict(x)
+        X = np.random.default_rng(0).uniform(-1, 11, size=(50, 1))
+        assert loaded.predict(X).tolist() == forest.predict(X).tolist()
         buf2 = io.StringIO()
         write_forest(loaded, buf2)
         assert buf2.getvalue() == buf.getvalue()

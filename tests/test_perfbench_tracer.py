@@ -4,7 +4,9 @@ The benchmark also runs the stages by name, in their order."""
 import ast
 import importlib
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -65,3 +67,22 @@ def test_benchmark_runs_the_pipeline_stages_in_order():
     assert _runner_constant("STAGES") == STAGE_ORDER
     grouped = [stage for stages in _runner_constant("GROUPS").values() for stage in stages]
     assert sorted(grouped) == sorted(STAGE_ORDER)  # each stage in exactly one group
+
+
+def test_the_tracer_times_every_forest_prediction(smoke_run, tmp_path):
+    """Run as the benchmark runs a stage, the tracer counts one
+    ``Forest.predict`` per cross-validation fold (five folds of each of
+    four grid points) in ``train`` and one in ``rank``."""
+    config, finished = smoke_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished, run_dir)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for stage, predictions in (("train", 20), ("rank", 1)):
+        result = tmp_path / f"{stage}.json"
+        proc = subprocess.run(
+            [sys.executable, str(TRACER), "--result", str(result), "--spans", str(tmp_path / f"{stage}.spans"),
+             "--", stage, "--config", str(config), "--run-dir", str(run_dir)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(result.read_text(encoding="utf-8"))["calls"].get("forest.predict", 0) == predictions

@@ -922,7 +922,7 @@ def test_candidate_docs_equal_a_scan_of_every_document(corpus, finished_run):
         docs = candidate_docs(q, ctx)
         assert docs == candidates_by_scan(q, ctx), q.text
         found += len(docs)
-    assert found > len(ctx.revision_counts)  # "de" alone finds every .de document
+    assert found > len(ctx.documents)  # "de" alone finds every .de document
     # the context features builds, of the documents that hold a query token,
     # finds each query's candidates of the whole archive
     for q in queries:
@@ -1668,12 +1668,12 @@ def test_features_builds_its_context_of_the_documents_its_queries_touch(corpus, 
     tokens = _query_tokens(corpus)
     for doc_id, doc in ctx.surrogates.items():
         assert tokens & doc.term_freqs.keys() or tokens & set(tokenize_url(normalize(doc_id))), doc_id
-    for doc_id in ctx.revision_counts:
+    for doc_id in ctx.documents:
         assert doc_id in ctx.surrogates or tokens & set(tokenize_url(normalize(doc_id))), doc_id
     instance_rows = (finished_run / "instances.tsv").read_text(encoding="utf-8").count("\n")
     assert 0 < sum(len(doc.anchor_instances) for doc in ctx.surrogates.values()) < instance_rows
     revisions = (finished_run / "revisions.tsv").read_text(encoding="utf-8").splitlines()
-    assert 0 < len(ctx.revision_counts) < len({line.split("\t", 1)[0] for line in revisions})
+    assert 0 < len(ctx.documents) < len({line.split("\t", 1)[0] for line in revisions})
     assert ctx.domain_sizes == _full_context(finished_run).domain_sizes
     assert "features" in NUMPY_FREE_STAGES
 
