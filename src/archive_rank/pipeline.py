@@ -2,10 +2,11 @@
 evaluation report, driven by a flat key=value config.
 
 One table, ``_STAGES``, declares each stage's handler and the artifacts
-it reads and writes. ``run_stage`` hands the handler an :class:`_Outputs`
-whose ``out[name]`` opens ``<name>.tmp`` for a declared output; the
-handler writes into it and returns its row counts. ``run_stage`` then
-writes the ``manifest.json`` entry (derived seed, config hash, input
+it reads and writes. ``run_stage`` checks that every input exists and,
+outside the index, holds a row. It hands the handler an :class:`_Outputs`
+that has opened ``<name>.tmp`` for every declared output, as ``out[name]``;
+the handler writes into them and returns its row counts. ``run_stage``
+then writes the ``manifest.json`` entry (derived seed, config hash, input
 digests and row counts) the same way and renames every temporary into
 place, the manifest last, so no output is replaced until every output
 and the manifest entry are written. All randomness flows from the
@@ -20,10 +21,10 @@ import math
 import os
 import resource
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
@@ -294,10 +295,10 @@ def _peak_rss_kb() -> int:
 
 class _Outputs:
     """The outputs of one run of a stage, each written into ``<name>.tmp``
-    in the run directory. ``out[name]`` opens that temporary (UTF-8, ``\n``
-    line ends) on first use, for the outputs ``writes`` declares only.
-    :meth:`commit` renames them all into place; leaving the ``with`` block
-    by an exception removes them instead."""
+    in the run directory. Entering the ``with`` block opens every temporary
+    (UTF-8, ``\n`` line ends); ``out[name]`` is that of a declared output.
+    :meth:`commit` renames them all into place; leaving the block by an
+    exception removes them instead."""
 
     def __init__(self, stage: str, run_dir: Path, writes: tuple[str, ...]) -> None:
         self.stage, self.run_dir, self.writes = stage, run_dir, writes
@@ -307,45 +308,40 @@ class _Outputs:
     def __getitem__(self, name: str) -> TextIO:
         if name not in self.writes:
             raise RuntimeError(f"stage {self.stage} writes {name!r}, which _STAGES does not declare")
-        return self._open(name)
-
-    def _open(self, name: str) -> TextIO:
-        if name not in self.files:
-            self.files[name] = open(self.temps[name], "w", encoding="utf-8", newline="\n")
         return self.files[name]
 
     def commit(self, manifest: dict) -> None:
-        """Write ``manifest``, close every file and rename each temporary into
-        place; remove each declared output not written, and its temporary."""
-        self._open("manifest.json").write(json.dumps(manifest, indent=2) + "\n")
+        """Write ``manifest``, close every file and rename each temporary
+        into place."""
+        self.files["manifest.json"].write(json.dumps(manifest, indent=2) + "\n")
         for fh in self.files.values():
             fh.close()
         for name, tmp in self.temps.items():
-            if name in self.files:
-                os.replace(tmp, self.run_dir / name)
-            else:  # an earlier run's output, and what a killed run left
-                (self.run_dir / name).unlink(missing_ok=True)
-                tmp.unlink(missing_ok=True)
+            os.replace(tmp, self.run_dir / name)
 
     def __enter__(self) -> _Outputs:
+        try:
+            for name, tmp in self.temps.items():
+                self.files[name] = open(tmp, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            self.__exit__(OSError, exc, None)
+            raise
         return self
 
     def __exit__(self, exc_type, _exc, _tb) -> None:
         if exc_type is None:
             return
-        for name, tmp in self.temps.items():
-            if name in self.files:
-                with suppress(OSError):  # a failed flush; the file is closed all the same
-                    self.files[name].close()
+        for fh in self.files.values():
+            with suppress(OSError):  # a failed flush; the file is closed all the same
+                fh.close()
+        for tmp in self.temps.values():
             tmp.unlink(missing_ok=True)
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+# The index tables, the inputs a stage may read without a row: a crawl
+# whose link targets were never archived has no surrogate to index, and
+# anchor_index.read_index checks the three against each other.
+_INDEX = ("docs.tsv", "postings.tsv", "instances.tsv")
 
 
 def _read_manifest(run_dir: Path) -> dict:
@@ -363,14 +359,27 @@ def _read_manifest(run_dir: Path) -> dict:
     return data
 
 
-def _check_requirements(reads: tuple[str, ...], run_dir: Path) -> dict[str, str]:
+def _check_requirements(stage: str, reads: tuple[str, ...], run_dir: Path) -> dict[str, str]:
+    """The SHA-256 digest of each input, read whole. A missing input is a
+    :class:`MissingStageError`; one without a row (a byte other than a line
+    end) outside ``_INDEX`` a :class:`StageDataError`. Both name the
+    stage that writes it."""
     digests = {}
     for artifact in reads:
         path = run_dir / artifact
+        producer = next(name for name, (_h, _r, writes) in _STAGES.items() if artifact in writes)
         if not path.exists():
-            producer = next(name for name, (_h, _r, writes) in _STAGES.items() if artifact in writes)
             raise MissingStageError(producer, artifact)
-        digests[artifact] = _sha256_file(path)
+        digest, has_row = hashlib.sha256(), False
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+                has_row = has_row or chunk.count(b"\n") < len(chunk)
+        if not has_row and artifact not in _INDEX:
+            raise StageDataError(
+                f"stage {stage}: {path}: no rows: stage {producer!r} wrote none, or the file was emptied"
+            )
+        digests[artifact] = digest.hexdigest()
     return digests
 
 
@@ -391,7 +400,7 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
         raise ConfigError(f"run directory {run_dir} is not a directory") from None
     cfg.validate_paths()
     handler, reads, writes = _STAGES[stage]
-    input_digests = _check_requirements(reads, run_dir)
+    input_digests = _check_requirements(stage, reads, run_dir)
     manifest = _read_manifest(run_dir)
     seed = derive_seed(cfg.seed, stage)
     try:
@@ -427,25 +436,6 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
 def _suffix_table(cfg: RunConfig) -> SuffixTable:
     path = cfg.path("paths.suffixes")
     return SuffixTable.from_file(path) if path else SuffixTable()
-
-
-def _listed(read_rows: Callable) -> Callable:
-    """A parser for tables.read: the rows ``read_rows`` yields, listed while the
-    file is open. Callers look the reader up at the call, as a tracer rebinds it."""
-    return lambda lines: list(read_rows(lines))
-
-
-_INDEX = ("docs.tsv", "postings.tsv", "instances.tsv")
-
-
-def _content_links(lines) -> Iterator[ingest.ContentLink]:
-    """The rows of ``content_links.tsv``, for graph, index and stats, which
-    each need one: a table without a row is a data error naming the file."""
-    links = ingest.read_content_links_tsv(lines)
-    first = next(links, None)
-    if first is None:
-        raise StageDataError(f"{lines.name}: no content links: ingest found none, or the file was emptied")
-    return chain((first,), links)
 
 
 def _query_table(cfg: RunConfig) -> tuple[list[QueryRecord], int]:
@@ -564,7 +554,7 @@ def _stage_graph(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
     domains: dict[str, str] = {}  # by core URL; a target's domain wins
 
     def edges(lines) -> Iterator[ingest.ContentLink]:
-        for link in _content_links(lines):
+        for link in ingest.read_content_links_tsv(lines):
             domains.setdefault(link.source, link.source_domain)
             domains[link.target] = link.target_domain
             yield link
@@ -602,7 +592,7 @@ def _stage_index(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
         tables.read(
             lambda lines: instances.extend(
                 (link.target, link.capture_time, link.anchor_text)
-                for link in ingest.counted_links(_content_links(lines), strategy)
+                for link in ingest.counted_links(ingest.read_content_links_tsv(lines), strategy)
             ),
             run_dir / "content_links.tsv",
         )
@@ -619,7 +609,7 @@ def _stage_stats(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
     top_n = cfg["stats.top_n_domains"] or None
     rows = tables.read(
         lambda lines: anchor_index.anchor_distribution(
-            _content_links(lines), cfg["stats.group_by_year"], top_n
+            ingest.read_content_links_tsv(lines), cfg["stats.group_by_year"], top_n
         ),
         run_dir / "content_links.tsv",
     )
@@ -657,9 +647,7 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
     of them in the query's snapshots (set B)."""
     import numpy as np
 
-    vectors = tables.read(_listed(deserialize_vectors), run_dir / "features.txt")
-    if not vectors:
-        raise ValueError(f"{run_dir / 'features.txt'}: no feature vectors: features writes at least one")
+    vectors = tables.read(lambda lines: list(deserialize_vectors(lines)), run_dir / "features.txt")
     grouped = group_by_query(vectors)
     serp_dir = cfg.path("paths.serp_dir")
     skipped = {"misnamed_snapshots": 0}
@@ -668,25 +656,23 @@ def _stage_label(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
     hi = cfg["sample.per_partition_max"]
 
     judgments_path = cfg.path("paths.judgments")
-    manual: dict[tuple[int, str], float] = {}
-    if judgments_path:
-        by_assessor = labeling.load_judgments(judgments_path)
-        grades: dict[tuple[int, str], list[int]] = {}
-        for graded in by_assessor.values():
-            for item, grade in graded.items():
-                grades.setdefault(item, []).append(grade)
-        # the mean grade, correctly rounded: the integer sum is exact
-        manual = {item: sum(vals) / len(vals) for item, vals in grades.items()}
-        del grades
-        kappas = labeling.pairwise_kappas(by_assessor)
-        if kappas:  # else commit removes an earlier run's kappa_report.json
-            report = {
-                "average_pairwise_kappa": labeling.average_pairwise_kappa(kappas),
-                "pairs": {f"{left}|{right}": k for (left, right), k in kappas.items()},
-                "assessors": sorted(by_assessor),
-            }
-            _write_json(report, out["kappa_report.json"])
-        del by_assessor, kappas
+    by_assessor = labeling.load_judgments(judgments_path) if judgments_path else {}
+    grades: dict[tuple[int, str], list[int]] = {}
+    for graded in by_assessor.values():
+        for item, grade in graded.items():
+            grades.setdefault(item, []).append(grade)
+    # the mean grade, correctly rounded: the integer sum is exact
+    manual = {item: sum(vals) / len(vals) for item, vals in grades.items()}
+    del grades
+    kappas = labeling.pairwise_kappas(by_assessor)
+    report = {
+        # null when no two assessors share an item
+        "average_pairwise_kappa": labeling.average_pairwise_kappa(kappas) if kappas else None,
+        "pairs": {f"{left}|{right}": k for (left, right), k in kappas.items()},
+        "assessors": sorted(by_assessor),
+    }
+    _write_json(report, out["kappa_report.json"])
+    del by_assessor, kappas
 
     labels, sample_tsv, summary = out["labels.tsv"], out["sample.tsv"], out["evidence_summary.csv"]
     summary.write("query_id,result_set,evidence,mean,median,q1,q3\n")
@@ -750,13 +736,12 @@ def _label_for(cfg: RunConfig, labels, qid: int, doc: str, run_dir: Path) -> flo
 
 def _pooled_vectors(run_dir: Path) -> list[FeatureVector]:
     """The feature vector of each pooled (query, document), in query order.
-    ``label`` pools only documents that have a vector, and a pool for every
-    query of ``features.txt``, so a pair without a vector is a damaged
-    ``features.txt`` and an empty pool a damaged ``sample.tsv``."""
-    vectors = {(v.query_id, v.doc_id): v for v in tables.read(_listed(deserialize_vectors), run_dir / "features.txt")}
+    ``label`` pools only documents that have a vector, so a pair without
+    one is a damaged ``features.txt``."""
+    vectors = tables.read(
+        lambda lines: {(v.query_id, v.doc_id): v for v in deserialize_vectors(lines)}, run_dir / "features.txt"
+    )
     pool = tables.read(_pool, run_dir / "sample.tsv")
-    if not pool:
-        raise ValueError(f"{run_dir / 'sample.tsv'}: no pooled rows: label pools every query of features.txt")
     pooled = []
     for qid in sorted(pool):
         for doc in pool[qid]:
@@ -893,10 +878,8 @@ def _stage_eval(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict
 
 
 # Each stage in run order -> (handler, the artifacts it opens, the artifacts
-# it writes). The handler may open only these outputs in ``out``; when it
-# returns, run_stage renames those it wrote into place and removes those
-# it did not (label writes kappa_report.json only when two assessors share
-# an item).
+# it writes). The handler writes only these outputs, each into ``out``; when
+# it returns, run_stage renames them all into place.
 _STAGES = {
     "ingest": (_stage_ingest, (), ("revisions.tsv", "links.tsv", "content_links.tsv")),
     "graph": (

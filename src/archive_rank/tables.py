@@ -70,16 +70,19 @@ def read(parse: Callable, *paths):
     """``parse`` of the lines of each path, read as UTF-8 text in the order
     given; it must return materialized data, not a generator. A ValueError
     or LookupError it raises becomes one naming the file read last and its
-    line; a byte that is not UTF-8 is met where its chunk is decoded, so it
-    is reported "after" the last line taken."""
+    line, if it gave one; a byte that is not UTF-8 is met where its chunk
+    is decoded, so it is reported "after" the last line taken (line 0 in
+    the first chunk)."""
     with ExitStack() as stack:
         files = [_Lines(stack.enter_context(open(path, encoding="utf-8"))) for path in paths]
         try:
             return parse(*files)
         except (ValueError, LookupError) as exc:
             last = ([f for f in files if f.started] or files)[-1]
-            where = "after line" if isinstance(exc, UnicodeDecodeError) else "line"
-            raise ValueError(f"{last.name}: {where} {last.line_no}: {exc}") from exc
+            if isinstance(exc, UnicodeDecodeError):
+                raise ValueError(f"{last.name}: after line {last.line_no}: {exc}") from exc
+            where = f"line {last.line_no}: " if last.line_no else ""
+            raise ValueError(f"{last.name}: {where}{exc}") from exc
 
 
 # the sorts of ingest and index hold runs of at most this many records,

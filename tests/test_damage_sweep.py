@@ -20,7 +20,6 @@ PINNED = {
     ("index", "content_links.tsv", "halved"),
     ("stats", "content_links.tsv", "halved"),
     ("index", "revisions.tsv", "halved"),
-    ("index", "revisions.tsv", "emptied"),
     ("features", "revisions.tsv", "halved"),
     ("label", "features.txt", "halved"),
     ("rank", "sample.tsv", "halved"),

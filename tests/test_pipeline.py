@@ -9,6 +9,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -350,20 +351,30 @@ def test_a_failed_stage_replaces_none_of_its_outputs(corpus, finished_run, tmp_p
     assert _files(run_dir) == before
 
 
-def test_label_without_judgments_removes_the_old_kappa_report(corpus, finished_run, tmp_path):
-    """A declared output the stage does not write this time is removed, so
-    the run directory holds no kappa report of judgments no longer set."""
-    assert (finished_run / "kappa_report.json").exists()
+def test_label_without_shared_judgments_replaces_the_old_kappa_report(corpus, finished_run, tmp_path):
+    """label writes kappa_report.json on every run, so no report of
+    judgments no longer set is left behind. Without ``paths.judgments``, or
+    with assessors who share no item, the report holds no pair and no
+    average."""
+    assert json.loads((finished_run / "kappa_report.json").read_text(encoding="utf-8"))["pairs"]
+    judgments = corpus.config_path.parent / "judgments.tsv"
+    rows = judgments.read_text(encoding="utf-8").splitlines(keepends=True)
+    assessor = rows[0].split("\t")[2]
+    alone = judgments.with_name("judgments-one-assessor.tsv")
+    alone.write_text("".join(row for row in rows if row.split("\t")[2] == assessor), encoding="utf-8")
     run_dir = tmp_path / "run"
     shutil.copytree(finished_run, run_dir)
-    run_stage("label", load_config(_config_with(corpus, "paths.judgments=")), run_dir)
-    assert {p.name for p in run_dir.iterdir()} == {p.name for p in finished_run.iterdir()} - {"kappa_report.json"}
+    for line, assessors in (("paths.judgments=", []), (f"paths.judgments={alone.name}", [assessor])):
+        run_stage("label", load_config(_config_with(corpus, line)), run_dir)
+        report = json.loads((run_dir / "kappa_report.json").read_text(encoding="utf-8"))
+        assert report == {"assessors": assessors, "average_pairwise_kappa": None, "pairs": {}}
+    assert {p.name for p in run_dir.iterdir()} == {p.name for p in finished_run.iterdir()}
 
 
 @pytest.mark.parametrize("judgments", ["judgments.tsv", ""])
 def test_a_rerun_removes_the_temporaries_a_killed_stage_left(corpus, finished_run, tmp_path, judgments):
-    """Each ``<name>.tmp`` a killed label left is gone after a rerun, whether
-    the rerun writes that output (and so its temporary) or not."""
+    """Each ``<name>.tmp`` a killed label left is gone after a rerun, with
+    judgments or without."""
     run_dir = tmp_path / "run"
     shutil.copytree(finished_run, run_dir)
     for name in (*pipeline._STAGES["label"][2], "manifest.json"):
@@ -679,7 +690,7 @@ def table_reads(source: str, module: str) -> list[str]:
 
 # the reads that are not tables: the config, the manifest, /proc, and the
 # binary opens of the digests and the containers
-NOT_TABLES = ["pipeline.load_config", "pipeline._peak_rss_kb", "pipeline._sha256_file", "pipeline._read_manifest",
+NOT_TABLES = ["pipeline.load_config", "pipeline._peak_rss_kb", "pipeline._check_requirements", "pipeline._read_manifest",
               "pipeline._stage_ingest"]
 
 
@@ -1102,6 +1113,88 @@ def test_graph_drops_an_unparseable_link_target(tmp_path):
     assert _row_counts(run_dir)["page_edges"] == 1
 
 
+def test_ingest_writes_link_tables_without_rows_that_graph_names(tmp_path, capsys):
+    """ingest writes every declared output, so a page without links leaves
+    both link tables empty, not missing: graph then names
+    content_links.tsv and the stage that writes it."""
+    config = _write_corpus(
+        tmp_path / "corpus", [warc_record_bytes("http://s.de/", "2009-01-01T00:00:00Z", b"<p>no links</p>")]
+    )
+    run_dir = tmp_path / "run"
+    assert main(["ingest", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+    assert _row_counts(run_dir)["links"] == 0
+    assert (run_dir / "links.tsv").read_bytes() == (run_dir / "content_links.tsv").read_bytes() == b""
+    capsys.readouterr()
+    assert main(["graph", "--config", str(config), "--run-dir", str(run_dir)]) == 2
+    content_links = run_dir / "content_links.tsv"
+    assert capsys.readouterr().err == f"data error: stage graph: {content_links}: {_NO_ROWS.format('ingest')}\n"
+
+
+def test_index_tables_may_hold_no_row(tmp_path):
+    """The one archived page links only to a page that was never archived,
+    so no document has a surrogate and the index is empty. features still
+    reads all three index tables and finds the page by the query token in
+    its URL."""
+    config = _write_corpus(
+        tmp_path / "corpus",
+        [
+            warc_record_bytes(
+                "http://www.zeta.de/", "2009-01-01T00:00:00Z", b'<a href="http://www.other.de/zeta/">zeta</a>'
+            )
+        ],
+    )
+    (config.parent / "queries.tsv").write_text("1\tzeta\tartist\n", encoding="utf-8")
+    with open(config, "a", encoding="utf-8") as fh:
+        fh.write("paths.queries=queries.tsv\n")
+    run_dir = tmp_path / "run"
+    for stage in ("ingest", "graph", "index", "features"):
+        assert main([stage, "--config", str(config), "--run-dir", str(run_dir)]) == 0, stage
+        if stage == "index":
+            assert [(run_dir / name).read_bytes() for name in pipeline._STAGES["index"][2]] == [b""] * 3
+    assert _row_counts(run_dir)["vectors"] == 1
+
+
+def test_an_emptied_postings_table_is_named_without_a_line(corpus, finished_run, tmp_path, capsys):
+    """The index self-check fails before postings.tsv gives a line, so the
+    message names the file alone."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    (run_dir / "postings.tsv").write_text("", encoding="utf-8")
+    assert main(["features", "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"data error: stage features: \S+/postings\.tsv: document ", err) and "line 0" not in err, err
+
+
+# every (stage, input) that must hold a row: all but the index tables
+_MUST_HOLD_A_ROW = [
+    (stage, artifact)
+    for stage, (_handler, reads, _writes) in pipeline._STAGES.items()
+    for artifact in reads
+    if artifact not in ("docs.tsv", "postings.tsv", "instances.tsv")
+]
+
+
+@pytest.mark.parametrize("stage, artifact", _MUST_HOLD_A_ROW, ids=["-".join(case) for case in _MUST_HOLD_A_ROW])
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["emptied", "blank-lines"])
+def test_an_input_without_a_row_exits_two_naming_its_producer(
+    corpus, finished_run, tmp_path, capsys, stage, artifact, text
+):
+    """An input outside the index with no byte but line ends is a data
+    error that names the file and the stage that writes it, raised before
+    the stage reads anything, so no warning is given and nothing is
+    written."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    (run_dir / artifact).write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([stage, "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    producer = next(name for name, (_h, _r, writes) in pipeline._STAGES.items() if artifact in writes)
+    err = capsys.readouterr().err
+    assert err == f"data error: stage {stage}: {run_dir / artifact}: {_NO_ROWS.format(producer)}\n"
+    _assert_untouched(run_dir, finished_run, but=artifact)
+
+
 def _assert_untouched(run_dir: Path, finished_run: Path, but: str = "") -> None:
     """Every file of the finished run, save ``but``, is in ``run_dir`` with its bytes."""
     assert {p.name for p in run_dir.iterdir()} == {p.name for p in finished_run.iterdir()}
@@ -1299,6 +1392,11 @@ def test_label_counts_a_misnamed_snapshot(corpus, finished_run, tmp_path, capsys
     _assert_untouched(run_dir, finished_run, but="manifest.json")
 
 
+# what run_stage says of an input without a row, given its producer
+_NO_ROWS = "no rows: stage '{}' wrote none, or the file was emptied"
+_NO_LABEL = r"no row for query \d+, document http://\S+: "
+
+
 @pytest.mark.parametrize("stage", ["train", "eval"])
 @pytest.mark.parametrize(
     "damage", [lambda lines: lines[: len(lines) // 2], lambda lines: []], ids=["halved", "emptied"]
@@ -1306,40 +1404,43 @@ def test_label_counts_a_misnamed_snapshot(corpus, finished_run, tmp_path, capsys
 def test_a_pooled_pair_without_a_label_row_exits_two(corpus, finished_run, tmp_path, capsys, stage, damage):
     """label writes a row of labels.tsv for every candidate, so a pooled pair
     without one means the file was cut: train and eval name the file and
-    the pair instead of training or scoring on a label of 0."""
+    the pair instead of training or scoring on a label of 0. An emptied
+    file is named before the stage starts."""
     run_dir = tmp_path / "run"
     shutil.copytree(finished_run, run_dir)
     labels = run_dir / "labels.tsv"
     lines = labels.read_text(encoding="utf-8").splitlines(keepends=True)
-    labels.write_text("".join(damage(lines)), encoding="utf-8")
+    kept = damage(lines)
+    labels.write_text("".join(kept), encoding="utf-8")
     assert main([stage, "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
     err = capsys.readouterr().err
-    assert re.match(rf"data error: stage {stage}: .*labels\.tsv: no row for query \d+, document http://\S+: ", err), err
+    message = _NO_LABEL if kept else _NO_ROWS.format("label")
+    assert re.match(rf"data error: stage {stage}: \S+/labels\.tsv: {message}", err), err
     _assert_untouched(run_dir, finished_run, but="labels.tsv")
 
 
 _NO_VECTOR = r"features\.txt: no vector for query \d+, document http://\S+: "
-_NO_POOL = r"sample\.tsv: no pooled rows: "
 
 
 @pytest.mark.parametrize(
     "stage, name, damage, message",
     [
         pytest.param(stage, name, damage, message, id=f"{name}-{damage}-{stage}")
-        for name, damages, message in (
-            ("features.txt", ("halved", "emptied"), _NO_VECTOR), ("sample.tsv", ("emptied",), _NO_POOL)
+        for name, damage, message in (
+            ("features.txt", "halved", _NO_VECTOR),
+            ("features.txt", "emptied", r"features\.txt: " + _NO_ROWS.format("features")),
+            ("sample.tsv", "emptied", r"sample\.tsv: " + _NO_ROWS.format("label")),
         )
-        for damage in damages
         for stage in ("train", "rank")
     ],
 )
 def test_a_pooled_pair_without_a_feature_vector_exits_two(
     corpus, finished_run, tmp_path, capsys, stage, name, damage, message
 ):
-    """label pools only documents that have a feature vector, and pools some
-    of every query, so a pooled pair without a vector or an empty pool means
-    a file was cut: train and rank name the file (and the pair) instead of
-    leaving the pair out."""
+    """label pools only documents that have a feature vector, so a pooled
+    pair without a vector means features.txt was cut: train and rank name
+    the file and the pair instead of leaving the pair out. An emptied
+    features.txt or sample.tsv is named before the stage starts."""
     run_dir = tmp_path / "run"
     shutil.copytree(finished_run, run_dir)
     table = run_dir / name

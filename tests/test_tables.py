@@ -147,8 +147,9 @@ def test_read_names_the_file_read_last_and_the_line_taken(tmp_path):
         return total
 
     assert tables.read(parse, counts, counts) == 3
-    # the empty file, started after the other, is the one named
-    with pytest.raises(ValueError, match=f"^{re.escape(str(empty))}: line 0: 3 counted, then nothing$"):
+    # the empty file, started after the other, is the one named, without a
+    # line: it gave none
+    with pytest.raises(ValueError, match=f"^{re.escape(str(empty))}: 3 counted, then nothing$"):
         tables.read(parse, counts, empty)
     counts.write_text("1\n?\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(str(counts))}: line 2: invalid literal"):
