@@ -22,8 +22,8 @@ DAY = 86400
 T0 = 1_230_000_000  # late 2008
 
 revisions = [
-    RevisionRecord("http://zeitung.de/merkel", "http://zeitung.de/merkel", T0, "zeitung.de"),
-    RevisionRecord("http://blog.de/kanzlerin", "http://blog.de/kanzlerin", T0, "blog.de"),
+    RevisionRecord("http://zeitung.de/merkel", T0, "http://zeitung.de/merkel", "zeitung.de"),
+    RevisionRecord("http://blog.de/kanzlerin", T0, "http://blog.de/kanzlerin", "blog.de"),
 ]
 links = [
     LinkRecord("http://s1.de/", T0, "http://zeitung.de/merkel", "A/href", "Angela Merkel"),

@@ -67,7 +67,6 @@ from .ingest import (
     parse_warc_stream,
 )
 from .labeling import (
-    ManualJudgment,
     ResultSnapshot,
     average_pairwise_kappa,
     cohen_kappa,

@@ -14,7 +14,7 @@ import re
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .ingest import STRATEGY_UNIQUE_PER_REVISION, ContentLink, RevisionRecord, counted_links, revisions_by_core
@@ -127,7 +127,7 @@ def build_surrogates(
     deduplicated by ``strategy`` (see :func:`archive_rank.ingest.counted_links`).
     """
     instances = sorted((link.target, link.capture_time, link.anchor_text) for link in counted_links(links, strategy))
-    return {doc.doc_id: doc for doc in surrogates_of(instances, sorted(revisions, key=attrgetter("core_url")))}
+    return {doc.doc_id: doc for doc in surrogates_of(instances, sorted(revisions))}
 
 
 def build_stats(surrogates: dict[str, SurrogateDocument]) -> IndexStats:

@@ -131,9 +131,6 @@ class FeatureVector:
     label: float
     values: tuple[float, ...]
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(FEATURE_NAMES, self.values))
-
     def __getitem__(self, name: str) -> float:
         return self.values[FEATURE_NAMES.index(name)]
 

@@ -87,13 +87,14 @@ class ArchiveRecord:
     payload: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class RevisionRecord:
-    """One archived capture of a document, keyed by its core URL."""
+class RevisionRecord(NamedTuple):
+    """One archived capture of a document, keyed by its core URL. Its field
+    order is the sort order of ``revisions.tsv``, so a revision is its own
+    sort key."""
 
     core_url: str
-    full_url: str
     capture_time: int
+    full_url: str
     domain: str
 
 
@@ -223,7 +224,8 @@ _ARC_DATE = re.compile(r"(\d{4})(\d\d)(\d\d)(\d\d)(\d\d)(\d\d)", re.ASCII)
 
 def _fixed_form_epoch(form: re.Pattern, value: str) -> int | None:
     """Epoch seconds of ``value`` when it is all of ``form`` and a valid UTC
-    time; otherwise None, and the caller's ``strptime`` path decides."""
+    time; otherwise None. An ARC date is read in this form only; a WARC
+    date that is not falls back to ``strptime``."""
     m = form.fullmatch(value)
     if m is None:
         return None
@@ -248,19 +250,6 @@ def _parse_warc_date(value: str) -> int | None:
             dt = dt.replace(tzinfo=timezone.utc)
         return int(dt.timestamp())
     return None
-
-
-def _parse_arc_date(value: str) -> int | None:
-    fast = _fixed_form_epoch(_ARC_DATE, value)
-    if fast is not None:
-        return fast
-    if len(value) != 14 or not value.isdigit():
-        return None
-    try:
-        dt = datetime.strptime(value, "%Y%m%d%H%M%S").replace(tzinfo=timezone.utc)
-    except ValueError:
-        return None
-    return int(dt.timestamp())
 
 
 def _split_http_payload(block: bytes) -> tuple[int | None, str, bytes]:
@@ -363,7 +352,7 @@ def _parse_arc_header(line: bytes) -> tuple[str, int, str, int] | None:
     if len(fields) < 5:
         return None
     url, _ip, date_s, mime = fields[0], fields[1], fields[2], fields[3]
-    when = _parse_arc_date(date_s)
+    when = _fixed_form_epoch(_ARC_DATE, date_s)
     if when is None or "://" not in url:
         return None
     try:
@@ -633,16 +622,18 @@ def revision_from_record(record: ArchiveRecord, resolver: UrlResolver | None = N
 
 
 def write_revisions_tsv(revisions: Iterable[RevisionRecord], fh) -> int:
+    """Write ``revisions``, each unpacked in the field order of
+    :class:`RevisionRecord` (plain 4-tuples in that order serve too)."""
     count = 0
-    for r in revisions:
-        fh.write(f"{r.core_url}\t{r.full_url}\t{r.capture_time}\t{r.domain}\n")
+    for core, when, full, domain in revisions:
+        fh.write(f"{core}\t{full}\t{when}\t{domain}\n")
         count += 1
     return count
 
 
 def read_revisions_tsv(fh) -> Iterator[RevisionRecord]:
     for core, full, when, domain in rows(fh):
-        yield RevisionRecord(core, full, int(when), domain)
+        yield RevisionRecord(core, int(when), full, domain)
 
 
 def revisions_by_core(revisions: Iterable[RevisionRecord]) -> Iterator[tuple[str, list[RevisionRecord]]]:

@@ -21,7 +21,6 @@ from .urls import UrlError, core_url_str
 
 __all__ = [
     "ResultSnapshot",
-    "ManualJudgment",
     "merge_snapshots",
     "intersect_with_index",
     "soft_label",
@@ -55,18 +54,6 @@ class ResultSnapshot:
     query_id: int
     fetched_at: str
     ranked_urls: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ManualJudgment:
-    query_id: int
-    doc_id: str
-    assessor_id: str
-    grade: int
-
-    def __post_init__(self):
-        if self.grade not in (0, 1, 2):
-            raise ValueError(f"grade must be 0, 1 or 2, got {self.grade}")
 
 
 def merge_snapshots(snapshots: Sequence[ResultSnapshot]) -> dict[str, int]:
@@ -266,13 +253,15 @@ def load_judgments(path) -> dict[str, dict[tuple[int, str], int]]:
         by_assessor: dict[str, dict[tuple[int, str], int]] = {}
         items: dict[tuple[int, str], tuple[int, str]] = {}
         for qid, doc_id, assessor, grade in tables.rows(lines, comments=True):
-            j = ManualJudgment(int(qid), doc_id, assessor, int(grade))
-            item = (j.query_id, j.doc_id)
+            item = (int(qid), doc_id)
+            grade = int(grade)
+            if grade not in (0, 1, 2):
+                raise ValueError(f"grade must be 0, 1 or 2, got {grade}")
             item = items.setdefault(item, item)
-            graded = by_assessor.setdefault(j.assessor_id, {})
+            graded = by_assessor.setdefault(assessor, {})
             if item in graded:
-                raise ValueError(f"assessor {j.assessor_id} grades query {j.query_id}, document {j.doc_id} twice")
-            graded[item] = j.grade
+                raise ValueError(f"assessor {assessor} grades query {item[0]}, document {doc_id} twice")
+            graded[item] = grade
         return by_assessor
 
     return tables.read(fold, path)

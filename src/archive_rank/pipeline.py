@@ -504,15 +504,15 @@ def _write_json(data, fh: TextIO) -> None:
 
 
 def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dict[str, int]:
-    """Each table is written once, into ``out``: revisions sorted by (core
-    URL, capture time, full URL), and links by all their fields. One pass
-    over the sorted links writes both link tables, one (source full URL,
-    capture time) group at a time: a group holds every key its content
-    links' ``first`` flags depend on. Only the sorts' spills are anonymous."""
+    """Each table is written once, into ``out``: revisions and links, each
+    sorted by its record's fields in order. One pass over the sorted links
+    writes both link tables, one (source full URL, capture time) group at a
+    time: a group holds every key its content links' ``first`` flags
+    depend on. Only the sorts' spills are anonymous."""
     stats = ingest.ParseStats()
     counts = dict.fromkeys(("links", "content_links", "non_2xx", "bad_url", "truncated_anchors"), 0)
     resolver = ingest.UrlResolver(_suffix_table(cfg))
-    with tables._ExternalSort(run_dir) as revisions, tables._ExternalSort(run_dir) as links:
+    with tables.ExternalSort(run_dir) as revisions, tables.ExternalSort(run_dir) as links:
         for path in cfg.archive_files():
             is_arc = path.name.endswith((".arc", ".arc.gz"))
             parser = ingest.parse_arc_stream if is_arc else ingest.parse_warc_stream
@@ -523,21 +523,17 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> di
                         counts["non_2xx"] += 1
                         continue
                     try:
-                        r = ingest.revision_from_record(record, resolver)
+                        revisions.add(tuple(ingest.revision_from_record(record, resolver)))
                     except UrlError:
                         counts["bad_url"] += 1
                         continue
-                    revisions.add((r.core_url, r.capture_time, r.full_url, r.domain))
                     if "html" in record.mime_type or not record.mime_type:
                         extraction = ingest.extract_links(
                             record.payload, record.target_uri, record.capture_time, resolver
                         )
                         counts["truncated_anchors"] += extraction.truncated_anchors
                         links.extend(map(tuple, extraction.links))  # marshal stores no NamedTuple
-        rows = ingest.write_revisions_tsv(
-            (ingest.RevisionRecord(core, full, when, domain) for core, when, full, domain in revisions),
-            out["revisions.tsv"],
-        )
+        rows = ingest.write_revisions_tsv(revisions, out["revisions.tsv"])
         for _revision, group in groupby(links, itemgetter(0, 1)):
             group = list(group)
             counts["links"] += ingest.write_links_tsv(group, out["links.tsv"])
@@ -588,7 +584,7 @@ def _stage_index(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> dic
     sorted by core URL. Each document is written as its group ends; only
     the postings and one group are held."""
     strategy = cfg["index.strategy"]
-    with tables._ExternalSort(run_dir) as instances:
+    with tables.ExternalSort(run_dir) as instances:
         tables.read(
             lambda lines: instances.extend(
                 (link.target, link.capture_time, link.anchor_text)

@@ -18,7 +18,7 @@ from contextlib import ExitStack
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-__all__ = ["escape", "unescape", "rows", "entries", "read"]
+__all__ = ["escape", "unescape", "rows", "entries", "read", "ExternalSort"]
 
 _UNESCAPE = re.compile(r"\\([\\tnr])")
 _UNESCAPE_MAP = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
@@ -92,7 +92,7 @@ _RUN_RECORDS = 1 << 15
 _FAN_IN = 32  # runs merged at once; a merge holds one block of each
 
 
-class _ExternalSort:
+class ExternalSort:
     """Tuples in ascending order, by the external merge sort of Knuth, TAOCP
     vol. 3, §5.4. :meth:`add` collects runs of at most ``_RUN_RECORDS``;
     each full run is sorted and appended in marshal blocks to a spill file
@@ -109,7 +109,7 @@ class _ExternalSort:
         self.run: list[tuple] = []
         self.spilled: list[tuple[int, int]] = []  # each run's (start, end) offsets
 
-    def __enter__(self) -> _ExternalSort:
+    def __enter__(self) -> ExternalSort:
         return self
 
     def __exit__(self, *_exc) -> None:

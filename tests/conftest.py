@@ -2,8 +2,6 @@
 the benchmark's smoke corpus."""
 from __future__ import annotations
 
-from operator import attrgetter
-
 import pytest
 
 from archive_rank.anchor_index import build_stats, build_surrogates
@@ -25,7 +23,7 @@ def rev(core: str, when: int, full: str | None = None, domain: str | None = None
         host = core.split("//", 1)[1].split("/", 1)[0]
         parts = host.split(".")
         domain = ".".join(parts[-2:]) if len(parts) >= 2 else host
-    return RevisionRecord(core, full if full is not None else core, when, domain)
+    return RevisionRecord(core, when, full if full is not None else core, domain)
 
 
 def link(source: str, target: str, anchor: str = "", when: int = T0, pattern: str = "A/href") -> LinkRecord:
@@ -51,7 +49,7 @@ def make_context(
     surrogates = build_surrogates(content_links(links), revisions, strategy)
     stats = build_stats(surrogates)
     return FeatureContext.build(
-        sorted(revisions, key=attrgetter("core_url")),  # the order of revisions.tsv
+        sorted(revisions),  # the order of revisions.tsv
         surrogates,
         stats,
         page_rank=page_rank,

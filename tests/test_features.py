@@ -42,9 +42,8 @@ class TestFeatureLayout:
     def test_entity_one_hot(self):
         ctx = make_context([rev("http://a.de/x", T0)], [])
         vec = extract_features(query(etype="scientist"), "http://a.de/x", ctx)
-        d = vec.as_dict()
-        assert d["entity_type=scientist"] == 1.0
-        assert sum(d[f"entity_type={t}"] for t in ENTITY_TYPES) == 1.0
+        assert vec["entity_type=scientist"] == 1.0
+        assert sum(vec[f"entity_type={t}"] for t in ENTITY_TYPES) == 1.0
 
 
 class TestUrlFeatures:

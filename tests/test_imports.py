@@ -10,17 +10,40 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "archive_rank"
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
 def private_imports(source: str) -> list[str]:
     """Each ``_``-prefixed name imported from an ``archive_rank`` module
-    (relative imports included)."""
+    (relative imports included), then each ``module._name`` read, where
+    ``module`` is an ``archive_rank`` module imported by name."""
+    tree = ast.parse(source)
     found = []
-    for node in ast.walk(ast.parse(source)):
+    modules = set()  # the names bound to archive_rank modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(
+                alias.asname for alias in node.names if alias.asname and alias.name.startswith("archive_rank.")
+            )
         if not isinstance(node, ast.ImportFrom):
             continue
         module = node.module or ""
         if node.level == 0 and not module.startswith("archive_rank"):
             continue
-        found.extend(alias.name for alias in node.names if alias.name.startswith("_"))
+        found.extend(alias.name for alias in node.names if _is_private(alias.name))
+        if module in ("", "archive_rank"):
+            modules.update(
+                alias.asname or alias.name for alias in node.names if (PACKAGE / f"{alias.name}.py").is_file()
+            )
+    found.extend(
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and _is_private(node.attr)
+    )
     return found
 
 
@@ -36,8 +59,17 @@ def test_the_guard_sees_private_imports():
         "from . import _private\n"
         "from os import _exit\n"
         "from __future__ import annotations\n"
+        "from . import tables, ingest as ing\n"
+        "from archive_rank import graph, RevisionRecord\n"
+        "import archive_rank.forest as fo\n"
+        "import os\n"
+        "tables._ExternalSort(tables.__name__, ing._parse_arc_header, graph._edges, fo._Tree)\n"
+        "RevisionRecord._fields, os._exit, tables.read\n"
     )
-    assert private_imports(source) == ["_escape", "_TOKEN_SPLIT", "_private"]
+    assert private_imports(source) == [
+        "_escape", "_TOKEN_SPLIT", "_private",
+        "tables._ExternalSort", "ing._parse_arc_header", "graph._edges", "fo._Tree",
+    ]
 
 
 def _imports(body: list[ast.stmt]) -> list[str]:

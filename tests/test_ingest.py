@@ -1202,8 +1202,9 @@ def test_bounded_memory_parse():
 
 
 # ---------------------------------------------------------------------------
-# capture dates: the fixed-form fast path against the strptime parsers it
-# sits in front of, as they were before it
+# capture dates: the WARC fixed-form fast path against the strptime parser
+# it sits in front of, and the ARC fixed form, the header's only date
+# parser, against the strptime parser it replaced
 
 
 def reference_warc_date(value: str) -> int | None:
@@ -1260,10 +1261,34 @@ def warc_dates(draw) -> str:
     return f"{pad}{year}-{month}-{day}T{hour}:{minute}:{second}{fraction}{zone}{pad}"
 
 
+# a piece of an ARC date field: an ASCII digit, a latin-1 superscript
+# digit (which isdigit accepts and strptime's \d does not), the UTF-8 of
+# an Arabic-Indic digit, or any other byte but a space, which would end
+# the field
+_SUPERSCRIPTS = b"\xb2\xb3\xb9"
+_FIELD_PIECE = st.one_of(
+    st.sampled_from([bytes([b]) for b in b"0123456789" + _SUPERSCRIPTS] + [chr(0x0660 + d).encode() for d in range(10)]),
+    st.integers(0, 255).filter(lambda b: b != 0x20).map(lambda b: bytes([b])),
+)
+
+
 @st.composite
-def arc_dates(draw) -> str:
-    text = "".join(draw(date_fields()))
-    return draw(st.sampled_from([text, text[:-1], text + "0", " " + text[1:]]))
+def arc_date_fields(draw) -> bytes:
+    """An ARC date field: the UTF-8 of a date drawn by date_fields (whose
+    other-script digits hold Arabic-Indic ones), cut short, lengthened, or
+    with one byte replaced by a drawn piece."""
+    field = "".join(draw(date_fields())).encode()
+    i = draw(st.integers(0, len(field) - 1))
+    return draw(
+        st.sampled_from([field, field[:-1], field + b"0", field[:i] + draw(_FIELD_PIECE) + field[i + 1 :]])
+    )
+
+
+def arc_header_date(field: bytes) -> int | None:
+    """The capture time that ``_parse_arc_header`` reads from a header line
+    whose date field is ``field``; None when it rejects the line."""
+    parsed = ingest._parse_arc_header(b"http://a.de/x 10.0.0.1 " + field + b" text/html 10\n")
+    return None if parsed is None else parsed[1]
 
 
 DATE_EDGES = [
@@ -1283,13 +1308,16 @@ class TestCaptureDates:
         "value", [v.replace("-", "").replace("T", "").replace(":", "").removesuffix("Z") for v in DATE_EDGES]
     )
     def test_arc_edges_match_the_strptime_parser(self, value):
-        assert ingest._parse_arc_date(value) == reference_arc_date(value)
+        field = value.encode()
+        assert arc_header_date(field) == reference_arc_date(field.decode("latin-1"))
 
     def test_fixed_forms(self):
         assert ingest._parse_warc_date("2009-03-02T11:00:00Z") == 1235991600
-        assert ingest._parse_arc_date("20090302110000") == 1235991600
+        assert arc_header_date(b"20090302110000") == 1235991600
         assert ingest._parse_warc_date("2009-02-30T00:00:00Z") is None
-        assert ingest._parse_arc_date("20090101240000") is None
+        assert arc_header_date(b"20090101240000") is None
+        for digit in _SUPERSCRIPTS:  # isdigit accepts them, \d does not
+            assert arc_header_date(b"2009030211000" + bytes([digit])) is None
 
     @settings(max_examples=400)
     @given(st.one_of(warc_dates(), st.text(max_size=30)))
@@ -1297,9 +1325,9 @@ class TestCaptureDates:
         assert ingest._parse_warc_date(value) == reference_warc_date(value)
 
     @settings(max_examples=400)
-    @given(st.one_of(arc_dates(), st.text(alphabet="0123456789٠١٢٣", max_size=16)))
-    def test_arc_matches_the_strptime_parser(self, value):
-        assert ingest._parse_arc_date(value) == reference_arc_date(value)
+    @given(st.one_of(arc_date_fields(), st.lists(_FIELD_PIECE, max_size=16).map(b"".join)))
+    def test_arc_matches_the_strptime_parser(self, field):
+        assert arc_header_date(field) == reference_arc_date(field.decode("latin-1"))
 
 
 # ---------------------------------------------------------------------------
@@ -1348,13 +1376,13 @@ def test_a_page_captured_in_two_containers_is_one_group_across_runs(tmp_path, mo
     config = root / "config.txt"
     config.write_text("seed=1\npaths.archives=archives\n", encoding="utf-8")
     runs = []
-    spill_run = tables._ExternalSort._spill_run
+    spill_run = tables.ExternalSort._spill_run
 
     def recorded(sort):
         runs.append(sorted(sort.run))
         spill_run(sort)
 
-    monkeypatch.setattr(tables._ExternalSort, "_spill_run", recorded)
+    monkeypatch.setattr(tables.ExternalSort, "_spill_run", recorded)
     monkeypatch.setattr(tables, "_RUN_RECORDS", 2)  # the WARC copy's two links fill the first run
     spilled, counts = _ingest_outputs(config, tmp_path / "spilled")
     anchor_link = ("http://s.de/p", 1230768000, "http://t.de/", "A/href", "same")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from archive_rank.labeling import (
-    ManualJudgment,
     ResultSnapshot,
     average_pairwise_kappa,
     cohen_kappa,
@@ -278,7 +277,3 @@ class TestFileIngestion:
         path.write_text("1\thttp://a.de/\tann\t2\n1\thttp://a.de/\tbob\t3\n")
         with pytest.raises(ValueError, match=r"judgments\.tsv: line 2: grade must be 0, 1 or 2, got 3"):
             load_judgments(path)
-
-    def test_grade_out_of_scale_rejected(self):
-        with pytest.raises(ValueError):
-            ManualJudgment(1, "http://a.de/", "ann", 3)

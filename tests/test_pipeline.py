@@ -584,14 +584,36 @@ def test_bad_forest_key_fails_ingest_before_it_writes(corpus, tmp_path, capsys):
     assert not (run_dir / "revisions.tsv").exists()
 
 
-def test_readme_config_block_lists_every_key_with_its_default():
+def _readme_config_block() -> str:
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-    written = dict(line.split("#")[0].strip().split("=", 1) for line in block.splitlines() if line.strip())
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_block_lists_every_key_with_its_default():
+    written = dict(line.split("=", 1) for line in _readme_config_block().splitlines() if line[:1] not in ("", "#"))
     assert sorted(written) == sorted(pipeline.SETTINGS)
     for key, (_parse, default) in pipeline.SETTINGS.items():
         if key != "seed" and not key.startswith("paths."):
             assert written[key] == default, key
+
+
+def test_readme_config_block_loads(tmp_path):
+    """The block is a config: it loads, and each path it sets names the
+    file or directory it shows, which passes the check once it exists."""
+    path = tmp_path / "config.txt"
+    path.write_text(_readme_config_block(), encoding="utf-8")
+    cfg = load_config(path)
+    for key in (k for k in cfg.values if k.startswith("paths.")):
+        target = cfg.path(key)
+        if key in ("paths.archives", "paths.serp_dir"):
+            target.mkdir()
+        else:
+            target.parent.mkdir(exist_ok=True)
+            target.touch()
+    (tmp_path / "archives" / "a.warc.gz").touch()
+    cfg.validate_paths()
+    assert cfg.path("paths.judgments") == tmp_path / "judgments.tsv"
+    assert cfg["stats.top_n_domains"] == 0 and cfg["index.strategy"] == "unique_per_revision"
 
 
 def test_repeated_config_key_is_rejected_with_both_lines(tmp_path):
