@@ -12,12 +12,13 @@ import codecs
 import gzip
 import io
 import re
+import struct
 import sys
 import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 from urllib.parse import urljoin, urlsplit
 
@@ -49,6 +50,7 @@ __all__ = [
     "revisions_by_core",
     "write_links_tsv",
     "read_links_tsv",
+    "write_link_tables",
     "write_content_links_tsv",
     "read_content_links_tsv",
 ]
@@ -73,6 +75,10 @@ LINK_PATTERNS = {
 
 # Per-anchor cap; pathological anchors exist in archived markup.
 ANCHOR_TEXT_CAP = 8192
+
+# builds a NamedTuple from a tuple of its fields, as its ``_make`` does,
+# without the Python frame of its ``__new__``
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -144,19 +150,31 @@ def content_links(links: Iterable[LinkRecord], resolver: UrlResolver | None = No
     ``first``.
     """
     resolver = resolver if resolver is not None else UrlResolver()
-    out: list[ContentLink] = []
+    return [
+        _new(ContentLink, (source.core, target.core, when, first, source.domain, target.domain, anchor))
+        for _url, when, _target_url, _pattern, anchor, source, target, first in _resolved_links(links, resolver)
+        if first is not None
+    ]
+
+
+def _resolved_links(links: Iterable[LinkRecord], resolver: UrlResolver) -> Iterator[tuple]:
+    """Each of ``links`` as its five fields and, when it is a content link
+    (see :func:`content_links`), the :class:`UrlEnds` of its source and
+    target and its ``first`` flag; else None for each of the three. A
+    source URL is resolved once for each run of links that share it."""
     seen: set[tuple[str, int, str, str]] = set()
+    page = source = None
     for source_url, when, target_url, pattern, anchor in links:
-        if pattern != "A/href":
-            continue
-        source, target = resolver.ends(source_url), resolver.ends(target_url)
-        if source is None or target is None:
-            continue
-        key = (source_url, when, target.core, anchor)
-        first = key not in seen
-        seen.add(key)
-        out.append(ContentLink(source.core, target.core, when, first, source.domain, target.domain, anchor))
-    return out
+        if pattern == "A/href":
+            if source_url != page:
+                page, source = source_url, resolver.ends(source_url)
+            target = resolver.ends(target_url)
+            if source is not None and target is not None:
+                key = (source_url, when, target.core, anchor)
+                yield source_url, when, target_url, pattern, anchor, source, target, key not in seen
+                seen.add(key)
+                continue
+        yield source_url, when, target_url, pattern, anchor, None, None, None
 
 
 def counted_links(content: Iterable[ContentLink], strategy: str) -> Iterator[ContentLink]:
@@ -199,8 +217,123 @@ def _open_stream(stream: BinaryIO) -> BinaryIO:
     buffered = stream if isinstance(stream, io.BufferedReader) else io.BufferedReader(stream)  # type: ignore[arg-type]
     head = buffered.peek(2)[:2]
     if head == b"\x1f\x8b":
-        return gzip.GzipFile(fileobj=buffered)  # type: ignore[return-value]
+        return io.BufferedReader(_GzipMembers(buffered))  # type: ignore[return-value]
     return buffered
+
+
+# GzipFile's compressed read size, and the gzip header flags (RFC 1952)
+_CHUNK = io.DEFAULT_BUFFER_SIZE
+_FHCRC, _FEXTRA, _FNAME, _FCOMMENT = 2, 4, 8, 16
+_SHORT = "Compressed file ended before the end-of-stream marker was reached"
+
+
+class _GzipMembers(io.RawIOBase):
+    """The inflated bytes of a stream of gzip members, read under the rules
+    of ``gzip.GzipFile``: the same header fields are skipped, each member's
+    CRC and length are checked when the read after its last byte begins,
+    zero padding between members is skipped, and ``BadGzipFile`` or
+    ``EOFError`` is raised by the same read. A read returns what one
+    ``decompress`` call gives from the next ``_CHUNK`` compressed bytes, so
+    it never crosses a member end, and the reads of a buffered reader over
+    it are those it makes over a ``GzipFile``. ``_pending`` holds the
+    compressed bytes read ahead of ``stream``'s position."""
+
+    def __init__(self, stream: BinaryIO) -> None:
+        self._stream = stream
+        self._pending = b""
+        self._inflate = None  # the open member's decompressor
+        self._crc = self._size = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = self._read(len(buffer))
+        buffer[: len(data)] = data
+        return len(data)
+
+    def _read(self, size: int) -> bytes:
+        if not size:
+            return b""
+        while True:
+            inflate = self._inflate
+            if inflate is None or inflate.eof:
+                if inflate is not None:
+                    self._end_member()
+                    self._inflate = None
+                if not self._start_member():
+                    return b""
+                inflate = self._inflate = zlib.decompressobj(-zlib.MAX_WBITS)
+                self._crc = self._size = 0
+            chunk = self._take(_CHUNK)
+            data = inflate.decompress(chunk, size)
+            self._pending = (inflate.unconsumed_tail or inflate.unused_data) + self._pending
+            if data:
+                self._crc = zlib.crc32(data, self._crc)
+                self._size += len(data)
+                return data
+            if not chunk:
+                raise EOFError(_SHORT)
+
+    def _take(self, n: int) -> bytes:
+        """Up to ``n`` bytes from the front of the compressed stream."""
+        pending = self._pending
+        if len(pending) >= n:
+            self._pending = pending[n:]
+            return pending[:n]
+        self._pending = b""
+        return pending + self._stream.read(n - len(pending))
+
+    def _take_exact(self, n: int) -> bytes:
+        data = self._take(n)
+        if len(data) < n:
+            raise EOFError(_SHORT)
+        return data
+
+    def _skip_past(self, byte: bytes) -> None:
+        """Drop the stream up to and including the next ``byte``, or to its
+        end."""
+        while (at := self._pending.find(byte)) < 0:
+            self._pending = self._stream.read(_CHUNK)
+            if not self._pending:
+                return
+        self._pending = self._pending[at + 1:]
+
+    def _start_member(self) -> bool:
+        """Skip a member's header; False at the end of the stream."""
+        if self._pending.startswith(b"\x1f\x8b\x08\x00") and len(self._pending) >= 10:  # no optional fields
+            self._pending = self._pending[10:]
+            return True
+        magic = self._take(2)
+        if not magic:
+            return False
+        if magic != b"\x1f\x8b":
+            raise gzip.BadGzipFile(f"Not a gzipped file ({magic!r})")
+        method, flags = self._take_exact(8)[:2]
+        if method != 8:
+            raise gzip.BadGzipFile("Unknown compression method")
+        if flags & _FEXTRA:
+            self._take_exact(int.from_bytes(self._take_exact(2), "little"))
+        for field_flag in (_FNAME, _FCOMMENT):  # zero-terminated; may run to the end
+            if flags & field_flag:
+                self._skip_past(b"\x00")
+        if flags & _FHCRC:
+            self._take_exact(2)
+        return True
+
+    def _end_member(self) -> None:
+        """Check the trailer of the member just inflated, then skip zero
+        padding."""
+        crc, size = struct.unpack("<II", self._take_exact(8))
+        if crc != self._crc:
+            raise gzip.BadGzipFile(f"CRC check failed {hex(crc)} != {hex(self._crc)}")
+        if size != self._size & 0xFFFFFFFF:
+            raise gzip.BadGzipFile("Incorrect length of data produced")
+        while not (pending := self._pending.lstrip(b"\x00")):
+            self._pending = self._stream.read(_CHUNK)
+            if not self._pending:
+                break
+        self._pending = pending
 
 
 # What a gzip reader raises on a member cut short or a garbage member.
@@ -457,9 +590,8 @@ def _attr_value(attrs: str, name: str) -> str | None:
     m = _ATTR_RES[name].search(attrs)
     if not m:
         return None
-    value = m.group(2) if m.group(2) is not None else m.group(3)
-    if value is None:
-        value = m.group(4)
+    _quoted, double, single, bare = m.groups()
+    value = double if double is not None else single if single is not None else bare
     return value.strip() if value else None
 
 
@@ -558,54 +690,50 @@ def extract_links(
     the records of a run normalizes each distinct URL string once.
     """
     result = LinkExtraction()
+    links = result.links
     text = _decode_payload(payload)
     resolver = resolver if resolver is not None else UrlResolver()
     ends = resolver.ends(base_url)
     base = ends.full if ends is not None else base_url
     open_target: str | None = None
     open_start = 0
-
-    def close_anchor(end: int) -> None:
-        nonlocal open_target
-        if open_target is None:
-            return
-        raw = text[open_start:end]
-        if "<" in raw:  # most anchor text holds no markup
-            raw = _INNER_MARKUP.sub(" ", raw)
-        anchor = " ".join(raw.split())
-        if len(anchor) > ANCHOR_TEXT_CAP:
-            anchor = anchor[:ANCHOR_TEXT_CAP]
-            result.truncated_anchors += 1
-        result.links.append(
-            LinkRecord(base, source_time, open_target, "A/href", anchor)
-        )
-        open_target = None
-
     for m in _TAG.finditer(text):
-        closing, name, attrs = m.group(1), m.group(2).lower(), m.group(3)
-        if closing:
-            if name == "a":
-                close_anchor(m.start())
-            continue
-        attr = LINK_PATTERNS.get(name)
-        if attr is None:
-            continue
+        closing, name, attrs = m.groups()
+        name = name.lower()
         if name == "a":
-            close_anchor(m.start())
-            target = _attr_value(attrs, "href")
-            resolved = resolver.href(base, target) if target else None
-            if resolved is not None:
-                open_target = resolved
+            if open_target is not None:  # an <a> or </a> closes the open anchor
+                anchor = _anchor_text(text[open_start : m.start()], result)
+                links.append(_new(LinkRecord, (base, source_time, open_target, "A/href", anchor)))
+                open_target = None
+            if not closing:
+                target = _attr_value(attrs, "href")
+                open_target = resolver.href(base, target) if target else None
                 open_start = m.end()
+            continue
+        attr = None if closing else LINK_PATTERNS.get(name)
+        if attr is None:
             continue
         target = _attr_value(attrs, attr)
         resolved = resolver.href(base, target) if target else None
         if resolved is not None:
-            result.links.append(
-                LinkRecord(base, source_time, resolved, f"{name.upper()}/{attr}")
-            )
-    close_anchor(len(text))
+            links.append(_new(LinkRecord, (base, source_time, resolved, f"{name.upper()}/{attr}", "")))
+    if open_target is not None:  # the end of the document closes it too
+        anchor = _anchor_text(text[open_start:], result)
+        links.append(_new(LinkRecord, (base, source_time, open_target, "A/href", anchor)))
     return result
+
+
+def _anchor_text(markup: str, result: LinkExtraction) -> str:
+    """The visible text of an anchor's ``markup``: inner markup stripped and
+    whitespace collapsed, capped at ``ANCHOR_TEXT_CAP`` characters; a capped
+    anchor counts in ``result.truncated_anchors``."""
+    if "<" in markup:  # most anchor text holds no markup
+        markup = _INNER_MARKUP.sub(" ", markup)
+    anchor = " ".join(markup.split())
+    if len(anchor) > ANCHOR_TEXT_CAP:
+        result.truncated_anchors += 1
+        return anchor[:ANCHOR_TEXT_CAP]
+    return anchor
 
 
 def revision_from_record(record: ArchiveRecord, resolver: UrlResolver | None = None) -> RevisionRecord:
@@ -663,6 +791,26 @@ def read_links_tsv(fh) -> Iterator[LinkRecord]:
         yield LinkRecord(source, int(when), target, pattern, unescape(anchor))
 
 
+def write_link_tables(links: Iterable[LinkRecord], resolver: UrlResolver, links_fh, content_fh) -> tuple[int, int]:
+    """Write ``links``, grouped by (source full URL, capture time) as in
+    ``links.tsv``, to ``links_fh`` as :func:`write_links_tsv` does, and
+    the :func:`content_links` of each group, resolved by ``resolver``, to
+    ``content_fh`` as :func:`write_content_links_tsv` does: one pass that
+    escapes each anchor once. Returns the two row counts."""
+    written = content_written = 0
+    for _page, group in groupby(links, itemgetter(0, 1)):
+        for source_url, when, target_url, pattern, anchor, source, target, first in _resolved_links(group, resolver):
+            anchor = escape(anchor)
+            links_fh.write(f"{source_url}\t{when}\t{target_url}\t{pattern}\t{anchor}\n")
+            written += 1
+            if first is not None:
+                content_fh.write(
+                    f"{source.core}\t{target.core}\t{when}\t{first:d}\t{source.domain}\t{target.domain}\t{anchor}\n"
+                )
+                content_written += 1
+    return written, content_written
+
+
 def write_content_links_tsv(links: Iterable[ContentLink], fh) -> int:
     count = 0
     for link in links:
@@ -678,12 +826,18 @@ _FLAG = {"0": False, "1": True}
 
 
 def read_content_links_tsv(fh) -> Iterator[ContentLink]:
-    """Rows of :func:`write_content_links_tsv`. The table repeats each core
-    URL, domain and anchor text many times; each is read into one shared
-    string."""
+    """Rows of :func:`write_content_links_tsv`, with blank lines skipped as
+    :func:`~archive_rank.tables.rows` skips them; a row that is not seven
+    fields, an integer time and a ``0`` or ``1`` flag raises ValueError or
+    KeyError. The table repeats each core URL, domain and anchor text many
+    times; each is read into one shared string."""
     share = sys.intern
-    for source, target, when, first, source_domain, target_domain, anchor in rows(fh):
-        yield ContentLink(
+    for line in fh:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        source, target, when, first, source_domain, target_domain, anchor = line.split("\t")
+        yield _new(ContentLink, (
             share(source), share(target), int(when), _FLAG[first],
             share(source_domain), share(target_domain), share(unescape(anchor)),
-        )
+        ))

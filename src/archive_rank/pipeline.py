@@ -24,8 +24,6 @@ import time
 from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
@@ -534,12 +532,9 @@ def _stage_ingest(cfg: RunConfig, run_dir: Path, seed: int, out: _Outputs) -> di
                         counts["truncated_anchors"] += extraction.truncated_anchors
                         links.extend(map(tuple, extraction.links))  # marshal stores no NamedTuple
         rows = ingest.write_revisions_tsv(revisions, out["revisions.tsv"])
-        for _revision, group in groupby(links, itemgetter(0, 1)):
-            group = list(group)
-            counts["links"] += ingest.write_links_tsv(group, out["links.tsv"])
-            counts["content_links"] += ingest.write_content_links_tsv(
-                ingest.content_links(group, resolver), out["content_links.tsv"]
-            )
+        counts["links"], counts["content_links"] = ingest.write_link_tables(
+            links, resolver, out["links.tsv"], out["content_links.tsv"]
+        )
     return {"revisions": rows, **counts, "emitted": stats.emitted, "skipped": stats.skipped, "corrupt": stats.corrupt}
 
 

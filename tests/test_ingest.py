@@ -3,8 +3,10 @@ import gzip
 import io
 import json
 import os
+import random
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -38,6 +40,7 @@ from archive_rank.ingest import (
     read_revisions_tsv,
     revision_from_record,
     write_content_links_tsv,
+    write_link_tables,
     write_links_tsv,
     write_revisions_tsv,
     UrlEnds,
@@ -462,6 +465,175 @@ class TestDamagedGzip:
             counts[name] = manifest["stages"][-1]["row_counts"]
         assert counts["damaged"]["corrupt"] == counts["intact"]["corrupt"] + 2
         assert 0 < counts["damaged"]["revisions"] < counts["intact"]["revisions"]
+
+
+# ---------------------------------------------------------------------------
+# reference gzip reader: _open_stream as it was when gzip.GzipFile inflated
+# the containers; parse_warc_stream and parse_arc_stream must read every
+# stream through it and through _open_stream to the same records and counts
+
+
+def reference_open_stream(stream):
+    """Wrap a byte stream, transparently inflating gzip (including files
+    made of concatenated per-record members)."""
+    buffered = stream if isinstance(stream, io.BufferedReader) else io.BufferedReader(stream)  # type: ignore[arg-type]
+    head = buffered.peek(2)[:2]
+    if head == b"\x1f\x8b":
+        return gzip.GzipFile(fileobj=buffered)  # type: ignore[return-value]
+    return buffered
+
+
+def parse_through(open_stream, parser, data: bytes):
+    stats = ParseStats()
+    with mock.patch.object(ingest, "_open_stream", open_stream):
+        records = list(parser(io.BytesIO(data), stats))
+    return records, stats
+
+
+# the plain bytes of each container kind: small records, one that inflates
+# to many reads and one that deflates to several compressed chunks
+_NOISE = random.Random(7).randbytes(20_000)
+GZIP_PLAIN = {
+    parse_warc_stream: b"".join(
+        FUZZ_RECORDS
+        + [
+            warc_record_bytes("http://a.de/long", "2009-01-05T00:00:00Z", b"<p>long line</p>" * 3000),
+            warc_record_bytes("http://a.de/noise", "2009-01-06T00:00:00Z", _NOISE),
+        ]
+    ),
+    parse_arc_stream: arc_file_bytes(
+        [
+            arc_record_bytes("http://a.de/1", "20090101000000", b"<a href='/x'>one</a>"),
+            arc_record_bytes("http://a.de/long", "20090102000000", b"<p>long line</p>\n" * 3000),
+            arc_record_bytes("http://a.de/2", "20090103000000", b"two"),
+            arc_record_bytes("http://a.de/noise", "20090104000000", _NOISE),
+        ],
+        per_record_gzip=False,
+    ),
+}
+_FHCRC, _FEXTRA, _FNAME, _FCOMMENT = 2, 4, 8, 16
+_ZERO_FREE = st.binary(max_size=12).map(lambda b: b.replace(b"\x00", b"z"))
+
+
+@st.composite
+def gzip_members(draw, data: bytes) -> bytes:
+    """``data`` as one gzip member with any flags, optional header fields,
+    any compression level, and maybe a wrong CRC or length."""
+    flags = draw(st.just(0) | st.integers(0, 255))
+    header = b"\x1f\x8b\x08" + bytes([flags]) + draw(st.binary(min_size=6, max_size=6))
+    if flags & _FEXTRA:
+        extra = draw(st.binary(max_size=12))
+        header += len(extra).to_bytes(2, "little") + extra
+    for flag in (_FNAME, _FCOMMENT):
+        if flags & flag:
+            header += draw(_ZERO_FREE) + b"\x00"
+    if flags & _FHCRC:
+        header += (zlib.crc32(header) & 0xFFFF).to_bytes(2, "little")
+    level = draw(st.sampled_from([0, 1, 6, 9]))
+    strategy = draw(st.sampled_from([zlib.Z_DEFAULT_STRATEGY, zlib.Z_FIXED, zlib.Z_HUFFMAN_ONLY]))
+    crc, size = zlib.crc32(data), len(data)
+    damage = draw(st.sampled_from(["none"] * 6 + ["crc", "isize", "block"]))
+    if damage == "crc":
+        crc ^= 1 << draw(st.integers(0, 31))
+    elif damage == "isize":
+        size += draw(st.integers(1, 3))
+    at = draw(st.integers(0, len(data))) if damage == "block" else len(data)
+    body = _deflate(data[:at], level, strategy, bad_block=damage == "block")
+    return header + body + struct.pack("<II", crc, size & 0xFFFFFFFF)
+
+
+def _deflate(data: bytes, level: int = 6, strategy: int = zlib.Z_DEFAULT_STRATEGY, bad_block: bool = False) -> bytes:
+    """``data`` as a raw deflate stream; with ``bad_block``, flushed to a
+    byte boundary and followed by a block header of the reserved type, which
+    inflating it fails at."""
+    deflate = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS, 8, strategy)
+    if bad_block:
+        return deflate.compress(data) + deflate.flush(zlib.Z_FULL_FLUSH) + b"\x06" + bytes(20)
+    return deflate.compress(data) + deflate.flush()
+
+
+_BETWEEN_MEMBERS = st.one_of(
+    st.just(b""),
+    st.binary(min_size=1, max_size=600).map(lambda b: b"\x00" * len(b)),  # zero padding
+    st.binary(min_size=1, max_size=8),  # garbage
+    st.sampled_from([FUZZ_RECORDS[0], b"WARC/1.0\r\n", b"\x1f", b"\x1f\x8b", b"\x1f\x8b\x09\x00"]),  # plain bytes
+)
+
+
+@st.composite
+def gzip_containers(draw):
+    """(parser, bytes): a container's plain bytes cut at any offsets into
+    gzip members, with zero padding, garbage or plain bytes after some,
+    then maybe a few flipped bytes and a cut at any byte."""
+    parser = draw(st.sampled_from(sorted(GZIP_PLAIN, key=lambda p: p.__name__)))
+    plain = GZIP_PLAIN[parser]
+    cuts = sorted(draw(st.lists(st.integers(0, len(plain)), max_size=6)))
+    pieces = [plain[a:b] for a, b in zip([0, *cuts], [*cuts, len(plain)])]
+    data = bytearray()
+    for i, piece in enumerate(pieces):
+        data += draw(gzip_members(piece))
+        if i == len(pieces) - 1 or draw(st.integers(0, 3)) == 0:
+            data += draw(_BETWEEN_MEMBERS)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data) - 1))
+        data[at] ^= draw(st.integers(1, 255))
+    if draw(st.booleans()):
+        del data[draw(st.integers(0, len(data))):]
+    return parser, bytes(data)
+
+
+class TestGzipReader:
+    """``_open_stream`` inflates a gzip container member by member under the
+    rules of ``gzip.GzipFile``: the parsers read every stream, damaged or
+    not, to the same records and counts through both."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large], max_examples=500)
+    @given(gzip_containers())
+    def test_equals_the_gzipfile_reader(self, container):
+        parser, data = container
+        assert parse_through(ingest._open_stream, parser, data) == parse_through(reference_open_stream, parser, data)
+
+    @staticmethod
+    def _members() -> list[bytes]:
+        return [gzip.compress(record, mtime=0) for record in FUZZ_RECORDS]
+
+    def test_a_cut_inside_a_member_costs_only_the_records_after_it(self):
+        members = self._members()
+        data = b"".join(members[:2]) + members[2][: len(members[2]) // 2]
+        records, stats = parse_warc(data)
+        assert [r.target_uri for r in records] == ["http://a.de/1"]
+        assert (stats.emitted, stats.skipped, stats.corrupt) == (1, 1, 1)
+        assert (records, stats) == parse_through(reference_open_stream, parse_warc_stream, data)
+
+    def test_a_cut_at_a_member_boundary_is_a_shorter_container(self):
+        data = b"".join(self._members()[:3])
+        records, stats = parse_warc(data)
+        assert [r.target_uri for r in records] == ["http://a.de/1", "http://a.de/2"]
+        assert (stats.emitted, stats.skipped, stats.corrupt) == (2, 1, 0)
+        assert (records, stats) == parse_through(reference_open_stream, parse_warc_stream, data)
+
+    def test_a_deflate_error_loses_what_gzipfile_loses(self):
+        # compressed bytes are read 8 KiB at a time, as GzipFile reads them:
+        # the first chunk inflates to a whole record before an error just
+        # past it, and that record is kept
+        plain = (FUZZ_RECORDS[0] + warc_record_bytes("http://a.de/noise", "2009-01-06T00:00:00Z", _NOISE))[:6_000]
+        deflate = zlib.compressobj(6, zlib.DEFLATED, -zlib.MAX_WBITS)
+        # a flush after every 16 bytes makes the stream longer than its text
+        body = b"".join(
+            deflate.compress(plain[i : i + 16]) + deflate.flush(zlib.Z_SYNC_FLUSH) for i in range(0, len(plain), 16)
+        )
+        assert len(body) > io.DEFAULT_BUFFER_SIZE > len(plain)
+        data = b"\x1f\x8b\x08\x00" + bytes(6) + body + b"\x06"  # a block of the reserved type
+        records, stats = parse_warc(data)
+        assert [r.target_uri for r in records] == ["http://a.de/1"]
+        assert (stats.emitted, stats.corrupt) == (1, 1)
+        assert (records, stats) == parse_through(reference_open_stream, parse_warc_stream, data)
+
+    def test_no_read_crosses_a_member_end(self):
+        reader = ingest._open_stream(io.BytesIO(b"".join(gzip.compress(part) for part in (b"one\n", b"two\n"))))
+        assert reader.raw.read(100) == b"one\n"
+        assert reader.raw.read(100) == b"two\n"
+        assert reader.raw.read(100) == b""
 
 
 def _small_containers() -> dict[str, bytes]:
@@ -1175,6 +1347,32 @@ class TestTsvRoundTrip:
         buf.seek(0)
         assert list(read_content_links_tsv(buf)) == rows
 
+    def test_link_tables_written_in_one_pass_as_by_each_writer(self):
+        # sorted as links.tsv, over three pages: repeats (one by another URL
+        # of the same core URL), escaped anchors, another tag pattern and an
+        # end that does not parse
+        links = sorted(
+            [
+                LinkRecord("http://s.de/", 5, "http://t.de/?q=1", "A/href", "a\tb"),
+                LinkRecord("http://s.de/", 5, "http://t.de/", "A/href", "a\tb"),
+                LinkRecord("http://s.de/", 5, "http://t.de/", "IMG/src"),
+                LinkRecord("http://s.de/", 5, "http://[broken/", "A/href", "x"),
+                LinkRecord("http://s.de/", 6, "http://t.de/", "A/href", "a\tb"),
+                LinkRecord("http://s.de/x", 5, "http://u.co.uk/", "A/href", "\\"),
+                LinkRecord("http://s.de/x", 5, "http://u.co.uk/", "A/href", "\\"),
+            ]
+        )
+        links_buf, content_buf = io.StringIO(), io.StringIO()
+        assert write_link_tables(links, UrlResolver(), links_buf, content_buf) == (7, 5)
+        expected_content = io.StringIO()
+        write_content_links_tsv(content_links(links), expected_content)
+        expected_links = io.StringIO()
+        write_links_tsv(links, expected_links)
+        assert links_buf.getvalue() == expected_links.getvalue()
+        assert content_buf.getvalue() == expected_content.getvalue()
+        content_buf.seek(0)
+        assert [link.first for link in read_content_links_tsv(content_buf)] == [True, False, True, True, False]
+
 
 def test_bounded_memory_parse():
     """Peak allocation must track record size, not record count."""
@@ -1396,11 +1594,12 @@ def test_a_page_captured_in_two_containers_is_one_group_across_runs(tmp_path, mo
     assert _ingest_outputs(config, tmp_path / "in-memory") == (spilled, counts)
 
 
-@pytest.mark.parametrize("failing", ["extract_links", "content_links"])
+@pytest.mark.parametrize("failing", ["extract_links", "_resolved_links"])
 def test_a_failed_ingest_leaves_no_spill(mini_corpus, tmp_path, monkeypatch, capsys, failing):
     """A data error while the runs are spilled (in extract_links) or merged
-    (in content_links) leaves the outputs of the last ingest, and no
-    temporary file, in the run directory."""
+    (in _resolved_links, called for each page's links as both link tables
+    are written) leaves the outputs of the last ingest, and no temporary
+    file, in the run directory."""
     config = mini_corpus.root / "config.txt"
     run_dir = tmp_path / "run"
     before, _counts = _ingest_outputs(config, run_dir)

@@ -86,3 +86,34 @@ def test_the_tracer_times_every_forest_prediction(smoke_run, tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(result.read_text(encoding="utf-8"))["calls"].get("forest.predict", 0) == predictions
+
+
+def test_the_tracer_sees_every_record_and_link_of_ingest(smoke_run, tmp_path):
+    """Run as the benchmark runs ``ingest``, the tracer counts one
+    ``ingest.extract_links`` per HTML record, and as many links and parsed
+    records as the manifest: an extractor or reader that the stage calls
+    under another name would leave these layer metrics blank."""
+    from archive_rank.ingest import parse_arc_stream, parse_warc_stream
+    from archive_rank.pipeline import load_config
+
+    config, _finished = smoke_run
+    html = 0
+    for path in load_config(config).archive_files():
+        parser = parse_arc_stream if path.name.endswith((".arc", ".arc.gz")) else parse_warc_stream
+        with open(path, "rb") as fh:
+            html += sum("html" in record.mime_type for record in parser(fh))
+    run_dir = tmp_path / "run"
+    result = tmp_path / "ingest.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), "--result", str(result), "--spans", str(tmp_path / "ingest.spans"),
+         "--", "ingest", "--config", str(config), "--run-dir", str(run_dir)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(result.read_text(encoding="utf-8"))
+    counts = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["stages"][-1]["row_counts"]
+    assert counts["non_2xx"] == counts["bad_url"] == 0  # every record of the smoke corpus is a page
+    assert traced["calls"]["ingest.extract_links"] == html > 0
+    assert traced["counts"]["ingest.links"] == counts["links"] > 0
+    assert traced["counts"]["ingest.records"] == counts["emitted"]

@@ -1267,6 +1267,42 @@ def test_run_table_line_format_at_its_stage(corpus, finished_run, tmp_path, caps
         _assert_untouched(run_dir, finished_run)
 
 
+def _with_field(row: str, index: int, value: str) -> str:
+    fields = row.split("\t")
+    fields[index] = value
+    return "\t".join(fields)
+
+
+# ways to damage one row of content_links.tsv (source, target, time, first,
+# source domain, target domain, anchor text)
+_CONTENT_LINK_DAMAGE = {
+    "six-fields": lambda row: row.rsplit("\t", 1)[0],
+    "eight-fields": lambda row: row + "\tx",
+    "time-not-an-integer": lambda row: _with_field(row, 2, "2009-01-01"),
+    "flag-2": lambda row: _with_field(row, 3, "2"),
+    "cut-mid-line": lambda row: row[: len(row) // 2],
+}
+
+
+@pytest.mark.parametrize("stage", ["graph", "index", "stats"])
+@pytest.mark.parametrize("damage", sorted(_CONTENT_LINK_DAMAGE))
+def test_a_damaged_content_link_row_exits_two_naming_its_line(corpus, finished_run, tmp_path, capsys, stage, damage):
+    """Every reader of content_links.tsv checks each row it reads: a row of
+    the wrong width, time or flag, or a last row cut short, is named by its
+    file and line."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    path = run_dir / "content_links.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    line = len(lines) if damage == "cut-mid-line" else len(lines) // 2 + 1
+    lines[line - 1] = _CONTENT_LINK_DAMAGE[damage](lines[line - 1])
+    path.write_text("\n".join(lines) + ("" if damage == "cut-mid-line" else "\n"), encoding="utf-8")
+    assert main([stage, "--config", str(corpus.config_path), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: stage {stage}: {path}: line {line}: "), err
+    _assert_untouched(run_dir, finished_run, but="content_links.tsv")
+
+
 def test_features_replaces_neither_output_when_its_context_is_damaged(corpus, finished_run, tmp_path):
     run_dir = tmp_path / "run"
     shutil.copytree(finished_run, run_dir)
