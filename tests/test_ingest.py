@@ -518,7 +518,8 @@ _ZERO_FREE = st.binary(max_size=12).map(lambda b: b.replace(b"\x00", b"z"))
 @st.composite
 def gzip_members(draw, data: bytes) -> bytes:
     """``data`` as one gzip member with any flags, optional header fields,
-    any compression level, and maybe a wrong CRC or length."""
+    compression level and strategy, and maybe a wrong CRC or length or a
+    deflate block that inflating fails at."""
     flags = draw(st.just(0) | st.integers(0, 255))
     header = b"\x1f\x8b\x08" + bytes([flags]) + draw(st.binary(min_size=6, max_size=6))
     if flags & _FEXTRA:
@@ -548,7 +549,7 @@ def _deflate(data: bytes, level: int = 6, strategy: int = zlib.Z_DEFAULT_STRATEG
     inflating it fails at."""
     deflate = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS, 8, strategy)
     if bad_block:
-        return deflate.compress(data) + deflate.flush(zlib.Z_FULL_FLUSH) + b"\x06" + bytes(20)
+        return deflate.compress(data) + deflate.flush(zlib.Z_FULL_FLUSH) + b"\x06"
     return deflate.compress(data) + deflate.flush()
 
 
