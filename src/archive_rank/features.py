@@ -28,7 +28,6 @@ __all__ = [
     "FEATURE_NAMES",
     "WEEK_SECONDS",
     "DEFAULT_SEARCH_WORDS",
-    "DEFAULT_SEARCH_SUBSTRINGS",
     "QueryRecord",
     "FeatureVector",
     "FeatureContext",
@@ -92,8 +91,7 @@ FEATURE_NAMES = BASE_FEATURES + tuple(f"entity_type={t}" for t in ENTITY_TYPES)
 
 WEEK_SECONDS = 7 * 24 * 3600
 
-DEFAULT_SEARCH_WORDS = frozenset({"such", "suche", "suchergebnis", "search", "query", "q"})
-DEFAULT_SEARCH_SUBSTRINGS = ("query=",)
+DEFAULT_SEARCH_WORDS = frozenset({"such", "suche", "suchergebnis", "search", "query", "q", "query="})
 
 
 class UnknownDocument(ValueError):
@@ -143,13 +141,18 @@ class EvidenceSummary(NamedTuple):
 
 
 class _Document(NamedTuple):
-    """What the revisions of one archived document say about it."""
+    """What the revisions of one archived document say about it, with the
+    search words, news domains and rank maps of the build applied."""
 
     domain: str  # the registrable domain of its last revision
     url_tokens: tuple[str, ...]
     revisions: int
     rev_duration: int
     has_query: bool  # a revision's full URL holds a query component
+    search_word: bool  # it matches a search word (see FeatureContext.build)
+    news: bool  # its domain is a news domain
+    page_rank: float
+    domain_rank: float  # that of its domain
 
 
 @dataclass
@@ -158,16 +161,11 @@ class FeatureContext:
 
     surrogates: dict[str, SurrogateDocument]
     stats: IndexStats
-    page_rank: dict[str, float]
-    domain_rank: dict[str, float]
     documents: dict[str, _Document]  # by core URL
     domain_sizes: dict[str, int]
     # archived documents by anchor term and by URL token
     term_docs: dict[str, set[str]]
     url_token_docs: dict[str, set[str]]
-    news_domains: frozenset[str] = frozenset()
-    search_words: frozenset[str] = DEFAULT_SEARCH_WORDS
-    search_substrings: tuple[str, ...] = DEFAULT_SEARCH_SUBSTRINGS
 
     @classmethod
     def build(
@@ -178,7 +176,7 @@ class FeatureContext:
         page_rank: dict[str, float] | None = None,
         domain_rank: dict[str, float] | None = None,
         news_domains: Iterable[str] = (),
-        search_words: Iterable[str] | None = None,
+        search_words: Iterable[str] = DEFAULT_SEARCH_WORDS,
         tokens: AbstractSet[str] | None = None,
         *,
         _url_tokens: dict[str, tuple[str, ...]] | None = None,
@@ -187,13 +185,23 @@ class FeatureContext:
         sorted by core URL, as ``revisions.tsv`` is (a core URL after a
         greater one raises ValueError). With ``tokens``, it keeps only the
         documents that have a surrogate or are in :func:`in_url_scope`;
-        ``domain_size`` still counts the core URLs of every revision. The
-        rank maps are kept as given, not copied.
+        ``domain_size`` still counts the core URLs of every revision.
+
+        The rank maps, ``news_domains`` and ``search_words`` are read once
+        per kept document, into its record; the context keeps none of them.
+        A search word ending in ``=`` flags a document whose core URL holds
+        it; any other flags a document with it among its URL tokens.
 
         ``_url_tokens`` holds the URL tokens of core URLs a caller has
         already tokenized; each is taken from it (and removed) instead of
         tokenized again."""
         known = {} if _url_tokens is None else _url_tokens
+        words = frozenset(search_words)
+        substrings = tuple(sorted(w for w in words if w.endswith("=")))
+        plain = words.difference(substrings)
+        news = frozenset(news_domains)
+        page_rank = page_rank or {}
+        domain_rank = domain_rank or {}
         documents: dict[str, _Document] = {}
         domain_sizes: Counter[str] = Counter()
         url_token_docs: dict[str, set[str]] = defaultdict(set)
@@ -204,37 +212,29 @@ class FeatureContext:
             doc = surrogates.get(core)
             if doc is None and not in_url_scope(core_tokens, tokens):
                 continue
+            domain = group[-1].domain
             documents[core] = _Document(
-                group[-1].domain,
+                domain,
                 core_tokens,
                 len(group),
                 rev_duration(rev.capture_time for rev in group),
                 any("?" in rev.full_url for rev in group),
+                not plain.isdisjoint(core_tokens) or any(sub in core.lower() for sub in substrings),
+                domain in news,
+                float(page_rank.get(core, 0.0)),
+                float(domain_rank.get(domain, 0.0)),
             )
             for token in core_tokens:
                 url_token_docs[token].add(core)
             for term in doc.term_freqs if doc is not None else ():
                 term_docs[term].add(core)
-
-        if search_words is None:
-            plain = DEFAULT_SEARCH_WORDS
-            substrings = DEFAULT_SEARCH_SUBSTRINGS
-        else:
-            words = frozenset(search_words)
-            substrings = tuple(sorted(w for w in words if w.endswith("=")))
-            plain = frozenset(w for w in words if not w.endswith("="))
         return cls(
             surrogates=surrogates,
             stats=stats,
-            page_rank=page_rank or {},
-            domain_rank=domain_rank or {},
             documents=documents,
             domain_sizes=dict(domain_sizes),
             term_docs=dict(term_docs),
             url_token_docs=dict(url_token_docs),
-            news_domains=frozenset(news_domains),
-            search_words=plain,
-            search_substrings=substrings,
         )
 
 
@@ -292,16 +292,13 @@ def extract_features(query: QueryRecord, doc_id: str, ctx: FeatureContext) -> Fe
     values = [
         float(url_depth(n)),
         1.0 if archived.has_query else 0.0,
-        1.0
-        if any(t in ctx.search_words for t in archived.url_tokens)
-        or any(sub in doc_id.lower() for sub in ctx.search_substrings)
-        else 0.0,
+        1.0 if archived.search_word else 0.0,
         float(sum(1 for t in archived.url_tokens if t in q_set)),
-        1.0 if domain in ctx.news_domains else 0.0,
+        1.0 if archived.news else 0.0,
         float(query.wiki_citation_counts.get(domain, 0)),
         float(total),  # inlink_count: one anchor instance per deduplicated content link
-        float(ctx.page_rank.get(doc_id, 0.0)),
-        float(ctx.domain_rank.get(domain, 0.0)),
+        archived.page_rank,
+        archived.domain_rank,
         anchor_freq,
         float(anchor_time_spans(instants)),
         ts.max_term_freq,
@@ -437,8 +434,7 @@ def load_wiki_citations(path) -> dict[int, dict[str, int]]:
 
 
 def load_word_table(path) -> frozenset[str]:
-    """One entry per line; entries ending in '=' act as raw substring
-    patterns against the unsplit URL, everything else matches whole tokens."""
+    """One entry per line, lowercased (:meth:`FeatureContext.build` reads search words)."""
     return tables.read(lambda lines: frozenset(entry.lower() for entry in tables.entries(lines)), path)
 
 

@@ -390,13 +390,10 @@ def _split_http_payload(block: bytes) -> tuple[int | None, str, bytes]:
     Blocks that do not start with an HTTP status line pass through whole."""
     if not block.startswith(b"HTTP/"):
         return None, "", block
-    for sep in (b"\r\n\r\n", b"\n\n"):
-        idx = block.find(sep)
-        if idx != -1:
-            head, body = block[:idx], block[idx + len(sep):]
-            break
-    else:
-        head, body = block, b""
+    # the head ends at its first blank line, whether CRLF or bare LF
+    ends = [(idx, sep) for sep in (b"\r\n\r\n", b"\n\n") if (idx := block.find(sep)) != -1]
+    idx, sep = min(ends, default=(len(block), b""))
+    head, body = block[:idx], block[idx + len(sep):]
     lines = head.replace(b"\r\n", b"\n").split(b"\n")
     status: int | None = None
     parts = lines[0].split()

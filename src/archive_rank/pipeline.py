@@ -29,6 +29,7 @@ from typing import TextIO
 
 from . import anchor_index, graph, ingest, labeling, tables
 from .features import (
+    DEFAULT_SEARCH_WORDS,
     FEATURE_NAMES,
     FeatureContext,
     FeatureVector,
@@ -206,10 +207,6 @@ class RunConfig:
     def path(self, key: str) -> Path | None:
         raw = self[key]
         return self.base_dir / raw if raw.strip() else None  # an absolute raw replaces base_dir
-
-    @property
-    def seed(self) -> int:
-        return self["seed"]
 
     def canonical_text(self) -> str:
         return "".join(f"{k}={self.values[k]}\n" for k in sorted(self.values))
@@ -400,7 +397,7 @@ def run_stage(stage: str, cfg: RunConfig, run_dir) -> dict[str, int]:
     handler, reads, writes = _STAGES[stage]
     input_digests = _check_requirements(stage, reads, run_dir)
     manifest = _read_manifest(run_dir)
-    seed = derive_seed(cfg.seed, stage)
+    seed = derive_seed(cfg["seed"], stage)
     try:
         with _Outputs(stage, run_dir, writes) as out:
             counts = handler(cfg, run_dir, seed, out)
@@ -483,7 +480,7 @@ def _build_context(cfg: RunConfig, run_dir: Path, tokens: set[str]) -> FeatureCo
         page_rank=tables.read(graph.read_rank_map, run_dir / "nodes.tsv", run_dir / "page_rank.tsv"),
         domain_rank=tables.read(graph.read_rank_map, run_dir / "domain_nodes.tsv", run_dir / "domain_rank.tsv"),
         news_domains=load_word_table(news_path) if news_path else (),
-        search_words=load_word_table(words_path) if words_path else None,
+        search_words=load_word_table(words_path) if words_path else DEFAULT_SEARCH_WORDS,
     )
     return tables.read(
         lambda lines: FeatureContext.build(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from archive_rank.anchor_index import build_stats, build_surrogates
-from archive_rank.features import FeatureContext, QueryRecord
+from archive_rank.features import DEFAULT_SEARCH_WORDS, FeatureContext, QueryRecord
 from archive_rank.ingest import LINK_PATTERNS, STRATEGY_ALL, LinkRecord, RevisionRecord, content_links, counted_links
 from archive_rank.pipeline import STAGE_ORDER, load_config, run_stage
 from archive_rank.synthetic import make_synthetic_archive
@@ -44,7 +44,7 @@ def make_context(
     page_rank: dict[str, float] | None = None,
     domain_rank: dict[str, float] | None = None,
     news_domains=(),
-    search_words=None,
+    search_words=DEFAULT_SEARCH_WORDS,
 ) -> FeatureContext:
     surrogates = build_surrogates(content_links(links), revisions, strategy)
     stats = build_stats(surrogates)

@@ -77,6 +77,25 @@ class TestUrlFeatures:
         assert extract_features(q, "http://a.de/suche/treffer", ctx)["search_word_flag"] == 1.0
         assert extract_features(q, "http://a.de/artikel", ctx)["search_word_flag"] == 0.0
 
+    @pytest.mark.parametrize(
+        "words, flagged",
+        [({"id="}, ["http://a.de/find/id=5"]), ({"id"}, ["http://a.de/find/id=5", "http://a.de/id/5"])],
+        ids=["substring", "token"],
+    )
+    def test_search_word_rule(self, words, flagged):
+        """An entry ending in '=' flags a document whose core URL holds it,
+        any other a document with it among its URL tokens. A full URL's
+        query component is not part of the core URL."""
+        revisions = [
+            rev("http://a.de/find/id=5", T0),
+            rev("http://a.de/show", T0, full="http://a.de/show?id=5"),
+            rev("http://a.de/id/5", T0),
+            rev("http://a.de/identity", T0),
+        ]
+        ctx = make_context(revisions, [], search_words=words)
+        flags = {r.core_url: extract_features(query(), r.core_url, ctx)["search_word_flag"] for r in revisions}
+        assert [doc for doc, flag in flags.items() if flag == 1.0] == flagged
+
     def test_news_domain_flag(self):
         ctx = make_context([rev("http://spiegel.de/x", T0)], [], news_domains={"spiegel.de"})
         assert extract_features(query(), "http://spiegel.de/x", ctx)["news_url_flag"] == 1.0
@@ -112,6 +131,30 @@ class TestBaselineColumns:
         assert extract_features(query(), "http://a.de/angela/merkel", ctx)["query_in_url"] == 2.0
         assert extract_features(query("angela"), "http://a.de/angela/merkel", ctx)["query_in_url"] == 1.0
         assert extract_features(query(), "http://b.de/x", ctx)["query_in_url"] == 0.0
+
+
+class TestContextKeepsDocuments:
+    def test_build_reads_its_tables_and_rank_maps_once(self):
+        """The context keeps what the rank maps and the word and news tables
+        say of each document, not the maps and tables themselves: clearing
+        them after the build leaves every vector as it was."""
+        revisions = [
+            rev("http://spiegel.de/suche/merkel", T0),
+            rev("http://a.de/find/query=merkel", T0),
+            rev("http://b.de/x", T0),
+        ]
+        links = [link("http://s.de/", "http://b.de/x", "Angela Merkel")]
+        page_rank = {"http://spiegel.de/suche/merkel": 0.5, "http://b.de/x": 0.25}
+        domain_rank = {"spiegel.de": 0.75, "b.de": 0.125}
+        news, words = {"spiegel.de"}, {"suche", "query="}
+        ctx = make_context(revisions, links, page_rank=page_rank, domain_rank=domain_rank, news_domains=news, search_words=words)
+        before = [extract_features(query(), r.core_url, ctx) for r in revisions]
+        assert [v["search_word_flag"] for v in before] == [1.0, 1.0, 0.0]
+        assert [v["news_url_flag"] for v in before] == [1.0, 0.0, 0.0]
+        assert [v["pagerank_domain"] for v in before] == [0.75, 0.0, 0.125]
+        for table in (page_rank, domain_rank, news, words):
+            table.clear()
+        assert [extract_features(query(), r.core_url, ctx) for r in revisions] == before
 
 
 class TestAnchorFeatures:

@@ -383,6 +383,37 @@ class TestArc:
         assert stats.total == 4
 
 
+# a bare-LF header, and a CRLF blank line in the body after its one link
+LF_HEADED_BLOCK = b"HTTP/1.1 200 OK\nContent-Type: text/html\n\n<a href='http://x.de/'>x</a>\r\n\r\n<p>more</p>"
+
+
+class TestHttpPayload:
+    @pytest.mark.parametrize(
+        "block, body",
+        [
+            (LF_HEADED_BLOCK, b"<a href='http://x.de/'>x</a>\r\n\r\n<p>more</p>"),
+            (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\n<p>a</p>\n\n<p>b</p>", b"<p>a</p>\n\n<p>b</p>"),
+            (b"HTTP/1.1 200 OK\r\nContent-Type: text/html", b""),
+        ],
+        ids=["lf-head-crlf-body", "crlf-head-lf-body", "no-blank-line"],
+    )
+    def test_the_head_ends_at_its_first_blank_line(self, block, body):
+        assert ingest._split_http_payload(block) == (200, "text/html", body)
+
+    def test_warc_and_arc_records_keep_the_links_after_a_bare_lf_head(self):
+        warc_head = (
+            "WARC/1.0\r\nWARC-Type: response\r\nWARC-Target-URI: http://a.de/\r\n"
+            f"WARC-Date: 2009-01-01T00:00:00Z\r\nContent-Length: {len(LF_HEADED_BLOCK)}\r\n\r\n"
+        )
+        warc, _ = parse_warc(warc_head.encode() + LF_HEADED_BLOCK + b"\r\n\r\n")
+        arc, _ = parse_arc(arc_file_bytes([arc_record_bytes("http://a.de/", "20090101000000", LF_HEADED_BLOCK, http_status=None)]))
+        for records in (warc, arc):
+            [record] = records
+            assert (record.http_status, record.mime_type) == (200, "text/html")
+            links = extract_links(record.payload, record.target_uri, record.capture_time).links
+            assert [link.target_url for link in links] == ["http://x.de/"]
+
+
 def complete_members(data: bytes) -> bytes:
     """The leading gzip members of ``data`` that inflate to their end."""
     end = 0

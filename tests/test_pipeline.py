@@ -21,12 +21,14 @@ from archive_rank import features as features_module
 from archive_rank.anchor_index import tokenize_text
 from archive_rank.cli import main
 from archive_rank.features import (
+    DEFAULT_SEARCH_WORDS,
     FEATURE_NAMES,
     FeatureContext,
     QueryRecord,
     candidate_docs,
     deserialize_vectors,
     group_by_query,
+    load_word_table,
 )
 from archive_rank.pipeline import (
     STAGE_ORDER,
@@ -38,9 +40,10 @@ from archive_rank.pipeline import (
     load_config,
     run_stage,
 )
+from archive_rank.ingest import LinkRecord, RevisionRecord
 from archive_rank.synthetic import make_synthetic_archive, warc_record_bytes
-from archive_rank.urls import normalize, tokenize_url, url_depth
-from conftest import candidates_by_scan
+from archive_rank.urls import SuffixTable, normalize, tokenize_url, url_depth
+from conftest import T0, candidates_by_scan
 
 ARTIFACTS = (
     "revisions.tsv",
@@ -134,14 +137,14 @@ def finished_run(corpus, tmp_path_factory):
 class TestConfig:
     def test_parse_and_relative_paths(self, corpus):
         cfg = load_config(corpus.config_path)
-        assert cfg.seed == 42
+        assert cfg["seed"] == 42
         assert cfg["pagerank.damping"] == 0.85
         assert cfg.path("paths.queries").exists()
         assert len(cfg.archive_files()) == 3
 
     def test_seed_override(self, corpus):
         cfg = load_config(corpus.config_path, seed_override=99)
-        assert cfg.seed == 99
+        assert cfg["seed"] == 99
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -165,7 +168,7 @@ class TestConfig:
 
     def test_defaults_apply_to_an_empty_config(self, tmp_path):
         cfg = RunConfig({}, tmp_path)
-        assert cfg.seed == 0 and cfg["rf.num_trees"] == 300 and cfg["stats.group_by_year"] is True
+        assert cfg["seed"] == 0 and cfg["rf.num_trees"] == 300 and cfg["stats.group_by_year"] is True
         assert cfg["rf.grid.min_leaf"] == [1, 5]
         assert cfg["rf.grid.features_per_split"] == ["sqrt", "third"]
         assert cfg.path("paths.queries") is None
@@ -589,6 +592,26 @@ def _readme_config_block() -> str:
     return readme.split("```ini\n", 1)[1].split("```", 1)[0]
 
 
+def test_readme_library_use_block_runs():
+    """The block runs as written on two links, two revisions and a
+    document, each name it uses defined first."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    doc, other = "http://t.de/merkel", "http://u.de/"
+    scope = dict(
+        links=[
+            LinkRecord("http://s.de/", T0, doc, "A/href", "Angela Merkel"),
+            LinkRecord("http://s.de/", T0, other, "A/href", "mehr"),
+        ],
+        suffixes=SuffixTable(),
+        revisions=[RevisionRecord(doc, T0, doc, "t.de"), RevisionRecord(other, T0, other, "u.de")],
+        doc=doc,
+    )
+    exec(block, scope)
+    assert scope["score"] > 0
+    assert scope["page_rank"].scores.sum() == pytest.approx(1.0)
+
+
 def test_readme_config_block_lists_every_key_with_its_default():
     written = dict(line.split("=", 1) for line in _readme_config_block().splitlines() if line[:1] not in ("", "#"))
     assert sorted(written) == sorted(pipeline.SETTINGS)
@@ -777,6 +800,17 @@ def test_features_tokenizes_each_url_once(corpus, finished_run, tmp_path, monkey
         documents = {line.split("\t")[0] for line in fh}
     assert documents <= set(calls)
     assert [url for url, n in calls.items() if n > 1] == []
+
+
+def test_features_without_a_search_word_table_reads_the_default(corpus, finished_run, tmp_path):
+    """The generated search-word table is the default one, so the features
+    stage writes the same vectors with it and without it."""
+    cfg = load_config(corpus.config_path)
+    assert load_word_table(cfg.path("paths.search_words")) == DEFAULT_SEARCH_WORDS
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    run_stage("features", load_config(_config_with(corpus, "paths.search_words=")), run_dir)
+    assert (run_dir / "features.txt").read_bytes() == (finished_run / "features.txt").read_bytes()
 
 
 def test_readme_stage_table_lists_what_each_stage_writes():
